@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     CategoryFileError,
@@ -40,6 +40,17 @@ class ArrId:
 
     def __str__(self) -> str:
         return self.name
+
+
+class CategoryIndex(NamedTuple):
+    """The category in arrow indices, for searches that run on the table.
+
+    ``table[g][f]`` is the index of g after f (UNDEFINED off composable
+    pairs); ``hom[(a, b)]`` lists the indices of the arrows a -> b in index
+    order and is absent when there are none.
+    """
+    table: tuple[tuple[int, ...], ...]
+    hom: Mapping[tuple[int, int], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -88,6 +99,8 @@ class FinCategory:
         for f in self.arrows:
             hom.setdefault((f.dom, f.cod), []).append(f)
         self._hom = {k: tuple(v) for k, v in hom.items()}
+        self._index = CategoryIndex(
+            self._table, {k: tuple(f.index for f in v) for k, v in hom.items()})
 
     def _check_shape(self) -> None:
         n_obj, n_arr = len(self.objects), len(self.arrows)
@@ -230,6 +243,10 @@ class FinCategory:
         """Arrows a -> b in stable (index) order."""
         return self._hom.get((a.index, b.index), ())
 
+    def index(self) -> CategoryIndex:
+        """Composition-table rows and hom-sets as arrow indices."""
+        return self._index
+
     def composable_pairs(self) -> Iterator[tuple[ArrId, ArrId]]:
         for g in self.arrows:
             for f in self.arrows:
@@ -352,6 +369,8 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
     comps: list[tuple[str, str, str, int]] = []
     seen_obj: dict[str, int] = {}
     seen_arr: dict[str, int] = {}
+    seen_id: dict[str, int] = {}
+    seen_comp: dict[tuple[str, str], int] = {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -381,9 +400,18 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
                 raise CategoryFileError(f"id line for unknown object {oname}", lineno)
             if aname != "auto" and aname not in seen_arr:
                 raise CategoryFileError(f"id {oname} names unknown arrow {aname}", lineno)
+            if oname in seen_id:
+                raise CategoryFileError(f"id of {oname} already given "
+                                        f"on line {seen_id[oname]}", lineno)
+            seen_id[oname] = lineno
             ids[oname] = aname
         elif m := _COMPOSE_RE.match(line):
-            comps.append((m.group(1), m.group(2), m.group(3), lineno))
+            gname, fname, hname = m.groups()
+            if (gname, fname) in seen_comp:
+                raise CategoryFileError(f"composite {gname} . {fname} already given "
+                                        f"on line {seen_comp[(gname, fname)]}", lineno)
+            seen_comp[(gname, fname)] = lineno
+            comps.append((gname, fname, hname, lineno))
         else:
             raise CategoryFileError(f"unrecognized line: {line}", lineno)
 

@@ -306,12 +306,43 @@ def _tokenize(text: str, line_offset: int = 0) -> list[_Tok]:
     return toks
 
 
+# Deepest nesting a formula may have, both as the height of its syntax tree
+# (connectives, quantifiers and argument lists) and as the depth to which the
+# parser recurses (parentheses, right operands of ->, quantifier scopes and
+# argument lists).  Parsing and every recursive pass over formulas
+# (interpretation, substitution, printing) then stay far inside the
+# interpreter's recursion limit.
+MAX_NESTING = 100
+
+
+def _height(f: Formula | Term) -> int:
+    """Height of the syntax tree of ``f``, terms included, without recursion."""
+    height, stack = 0, [(f, 0)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        if isinstance(node, (Times, Plus, Arrow)):
+            stack += [(node.left, h + 1), (node.right, h + 1)]
+        elif isinstance(node, (Forall, Exists)):
+            stack.append((node.body, h + 1))
+        elif isinstance(node, (Atom, App)):
+            stack += [(t, h + 1) for t in node.args]
+    return height
+
+
 class _FormulaParser:
     def __init__(self, toks: list[_Tok], sig: Signature, env: dict[str, str]):
         self.toks = toks
         self.pos = 0
         self.sig = sig
         self.env = dict(env)  # variable name -> sort (innermost binding wins)
+        self.depth = 0  # enclosing formulas and argument lists
+
+    def check_depth(self) -> None:
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise FormulaSyntaxError(f"formula nested more than {MAX_NESTING} levels deep",
+                                     *((tok.line, tok.col) if tok else ()))
 
     def peek(self) -> _Tok | None:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -328,10 +359,15 @@ class _FormulaParser:
         return tok
 
     def formula(self) -> Formula:
+        # parentheses, the right of ->, and quantifier scopes parse a formula
+        # one level down
+        self.check_depth()
+        self.depth += 1
         left = self.disjunction()
         if (tok := self.peek()) and tok.text == "->":
             self.take()
-            return Arrow(left, self.formula())  # right associative
+            left = Arrow(left, self.formula())  # right associative
+        self.depth -= 1
         return left
 
     def disjunction(self) -> Formula:
@@ -396,15 +432,7 @@ class _FormulaParser:
         rel = self.sig.relation(name.text)
         if rel is None:
             raise UnknownSymbol(f"unknown relation {name.text}", name.line, name.col)
-        args: list[Term] = []
-        if (tok := self.peek()) and tok.text == "(":
-            self.take()
-            if self.peek() and self.peek().text != ")":
-                args.append(self.term())
-                while self.peek() and self.peek().text == ",":
-                    self.take()
-                    args.append(self.term())
-            self.take(")")
+        args = self.arguments()
         if len(args) != len(rel.arg_sorts):
             raise SortError(f"relation {rel.name} expects {len(rel.arg_sorts)} "
                             f"arguments, got {len(args)}", name.line, name.col)
@@ -413,6 +441,22 @@ class _FormulaParser:
                 raise SortError(f"argument {format_term(got)} of {rel.name} has sort "
                                 f"{got.sort}, expected {want}", name.line, name.col)
         return Atom(rel.name, tuple(args))
+
+    def arguments(self) -> list[Term]:
+        """The parenthesized argument list that follows, if any, one level down."""
+        args: list[Term] = []
+        if (tok := self.peek()) and tok.text == "(":
+            self.take()
+            self.check_depth()
+            self.depth += 1
+            if self.peek() and self.peek().text != ")":
+                args.append(self.term())
+                while self.peek() and self.peek().text == ",":
+                    self.take()
+                    args.append(self.term())
+            self.depth -= 1
+            self.take(")")
+        return args
 
     def term(self) -> Term:
         name = self.take()
@@ -427,15 +471,7 @@ class _FormulaParser:
             if name.text in self.env:
                 return Var(name.text, self.env[name.text])
             raise UnknownSymbol(f"unknown term symbol {name.text}", name.line, name.col)
-        args: list[Term] = []
-        if (tok := self.peek()) and tok.text == "(":
-            self.take()
-            if self.peek() and self.peek().text != ")":
-                args.append(self.term())
-                while self.peek() and self.peek().text == ",":
-                    self.take()
-                    args.append(self.term())
-            self.take(")")
+        args = self.arguments()
         if len(args) != len(fn.arg_sorts):
             raise SortError(f"function {fn.name} expects {len(fn.arg_sorts)} "
                             f"arguments, got {len(args)}", name.line, name.col)
@@ -449,12 +485,21 @@ class _FormulaParser:
 def parse_formula(text: str, sig: Signature,
                   env: Mapping[str, str] | None = None,
                   _line_offset: int = 0) -> Formula:
-    """Parse and sort-check a formula; ``env`` declares free variables."""
-    p = _FormulaParser(_tokenize(text, _line_offset), sig, dict(env or {}))
+    """Parse and sort-check a formula; ``env`` declares free variables.
+
+    Raises FormulaSyntaxError if the formula nests more than MAX_NESTING
+    levels deep.
+    """
+    toks = _tokenize(text, _line_offset)
+    p = _FormulaParser(toks, sig, dict(env or {}))
     f = p.formula()
     if (tok := p.peek()) is not None:
         raise FormulaSyntaxError(f"trailing input starting at {tok.text!r}",
                                  tok.line, tok.col)
+    # a syntax tree of height h has at least h + 1 tokens
+    if len(toks) > MAX_NESTING and _height(f) > MAX_NESTING:
+        raise FormulaSyntaxError(f"formula nested more than {MAX_NESTING} levels deep",
+                                 toks[0].line, toks[0].col)
     return f
 
 

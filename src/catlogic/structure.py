@@ -1,15 +1,31 @@
 """Bicartesian-closed structure discovered by exhaustive universal-property search.
 
-Every witness is certified against every test object before it is cached;
-nothing is trusted from theory.  Searches are deterministic: candidates are
-tried in index order and the first fully-verified one wins, so two runs on
-the same input produce identical witness tables.
+Every search checks one property.  A candidate apex V with legs p_i is
+universal iff, for every test object W, the map m |-> (p_i . m)_i from
+hom(W, V) to the product of the hom(W, leg_i) is a bijection: a universal
+arrow represents a hom-functor (Mac Lane, *Categories for the Working
+Mathematician*, III.1-2).  A candidate is tried only if its column of
+hom-set sizes equals the product of its legs' columns, and it then passes
+iff the map is injective on the arrows into V.  The inverse of that map is
+kept in the witness as its pairing table, so the combinators are lookups.
+Terminal objects are the case with no legs; coproducts and the initial
+object are the same search run on the opposite category; exponentials use
+the map m |-> eval . (m x id) over the W that have a product with the base.
+
+Searches are deterministic: candidates are tried in index order and the
+first verified one wins, so two runs on the same input produce identical
+witness tables.  When no candidate passes, every candidate is scored in
+that order by the checks it passes before its first failure, and the first
+with the highest score is named in the failure message.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     LawViolation,
@@ -26,6 +42,9 @@ class ProductWitness:
     apex: ObjId
     proj1: ArrId
     proj2: ArrId
+    # f.index * |Arr| + g.index -> <f, g>; see _verified
+    table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
 
 @dataclass(frozen=True)
@@ -34,6 +53,9 @@ class CoproductWitness:
     apex: ObjId
     inj1: ArrId
     inj2: ArrId
+    # f.index * |Arr| + g.index -> [f, g]; see _verified
+    table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
 
 @dataclass(frozen=True)
@@ -52,37 +74,161 @@ class ExponentialWitness:
     target: ObjId     # C
     apex: ObjId       # C^A
     eval: ArrId       # apex x A -> C
+    # f.index * |Obj| + w.index -> transpose of f : w x A -> C; see _verified
+    table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
 
-def _count_mediators(cat: FinCategory, candidates: Sequence[ArrId],
-                     ok: Callable[[ArrId], bool]) -> list[ArrId]:
-    return [m for m in candidates if ok(m)]
+def _verified(witness, table: Mapping[int, int]):
+    """``witness`` carrying the table its search verified.
+
+    The table is not an init field: a witness built by hand, or copied with
+    ``dataclasses.replace``, carries none and is verified before first use.
+    """
+    object.__setattr__(witness, "table", table)
+    return witness
+
+
+class _View:
+    """A category or its opposite, in arrow indices.
+
+    ``hom[x][y]`` lists the arrows x -> y, ``count[x][y]`` their number and
+    ``into[y]`` every arrow into y; ``columns`` maps each column of
+    ``count`` to the objects that have it, in index order.  The opposite
+    view swaps the ends of every hom-set and the factors of every
+    composite, reading the one table with its indices swapped.
+    """
+
+    def __init__(self, cat: FinCategory, op: bool = False):
+        table, homs = cat.index()
+        n = len(cat.objects)
+        self.cat = cat
+        self.op = op
+        self.table = table
+        self.hom = [[homs.get((y, x) if op else (x, y), ()) for y in range(n)]
+                    for x in range(n)]
+        self.count = [[len(h) for h in row] for row in self.hom]
+        self.into = [[m for row in self.hom for m in row[y]] for y in range(n)]
+        self.columns = _columns(self.count, range(n))
+
+    def after(self, p: int, ms: Iterable[int]) -> Iterator[int]:
+        """p . m for each m, composed in this view."""
+        if self.op:
+            return map(itemgetter(p), map(self.table.__getitem__, ms))
+        return map(self.table[p].__getitem__, ms)
+
+
+def _columns(count: Sequence[Sequence[int]], ws: Iterable[int]) -> dict[tuple, list[int]]:
+    ws = list(ws)
+    out: dict[tuple, list[int]] = {}
+    for v in range(len(count)):
+        out.setdefault(tuple(count[w][v] for w in ws), []).append(v)
+    return out
+
+
+def _invert(keys: Iterable[int], ms: Sequence[int]) -> dict[int, int] | None:
+    """The inverse of ms[i] |-> keys[i], or None if two arrows share a key."""
+    table = dict(zip(keys, ms))
+    return table if len(table) == len(ms) else None
+
+
+def _checks_passed(image: Callable[[int], list[int]], targets: Sequence[list[int]]) -> int:
+    """Checks passed, in order, before the first target that is the image of
+    other than exactly one arrow; ``targets[i]`` lists the targets at the
+    i-th test object in check order and ``image(i)`` the images of the
+    arrows from it, each of which is a target."""
+    passed = 0
+    for i, tgts in enumerate(targets):
+        if not tgts:
+            continue
+        imgs = image(i)
+        once = set(imgs)
+        if len(once) < len(imgs):
+            once = {t for t, k in Counter(imgs).items() if k == 1}
+        if len(once) == len(tgts):
+            passed += len(tgts)
+            continue
+        for t in tgts:
+            if t not in once:
+                return passed
+            passed += 1
+    return passed
+
+
+# -- terminal and initial objects ---------------------------------------------------
+
+def _universal_object(view: _View, what: str, phrase: str) -> ObjId:
+    cat, count = view.cat, view.count
+    n = len(count)
+    found = view.columns.get((1,) * n)
+    if found:
+        return cat.objects[found[0]]
+    if not n:
+        raise NoSuchStructure(f"{cat.name}: no {what} object; the category has no objects")
+    good = [sum(row[t] == 1 for row in count) for t in range(n)]
+    best = max(range(n), key=good.__getitem__)
+    raise NoSuchStructure(f"{cat.name}: no {what} object; best candidate "
+                          f"{cat.objects[best].name} {phrase.format(good[best], n)}")
 
 
 def find_terminal(cat: FinCategory) -> TerminalWitness:
-    best: tuple[int, str] | None = None
-    for t in cat.objects:
-        good = sum(1 for w in cat.objects if len(cat.hom(w, t)) == 1)
-        if good == len(cat.objects):
-            return TerminalWitness(t)
-        if best is None or good > best[0]:
-            best = (good, t.name)
-    raise NoSuchStructure(
-        f"{cat.name}: no terminal object; best candidate {best[1]} receives a "
-        f"unique arrow from {best[0]}/{len(cat.objects)} objects")
+    return TerminalWitness(_universal_object(
+        _View(cat), "terminal", "receives a unique arrow from {}/{} objects"))
 
 
 def find_initial(cat: FinCategory) -> InitialWitness:
-    best: tuple[int, str] | None = None
-    for t in cat.objects:
-        good = sum(1 for w in cat.objects if len(cat.hom(t, w)) == 1)
-        if good == len(cat.objects):
-            return InitialWitness(t)
-        if best is None or good > best[0]:
-            best = (good, t.name)
-    raise NoSuchStructure(
-        f"{cat.name}: no initial object; best candidate {best[1]} reaches "
-        f"{best[0]}/{len(cat.objects)} objects uniquely")
+    return InitialWitness(_universal_object(
+        _View(cat, op=True), "initial", "reaches {}/{} objects uniquely"))
+
+
+# -- products and coproducts ----------------------------------------------------------
+
+def _cone_table(view: _View, apex: int, p1: int, p2: int) -> dict[int, int] | None:
+    ms = view.into[apex]
+    n = len(view.table)
+    return _invert([f * n + g for f, g in zip(view.after(p1, ms), view.after(p2, ms))], ms)
+
+
+def _universal_cone(view: _View, a: ObjId, b: ObjId, what: str, shape: str):
+    """Apex, legs and pairing table of the first universal cone over (a, b)."""
+    cat, hom = view.cat, view.hom
+    ai, bi = a.index, b.index
+    want = tuple(row[ai] * row[bi] for row in view.count)
+    for apex in view.columns.get(want, ()):
+        for p1 in hom[apex][ai]:
+            for p2 in hom[apex][bi]:
+                table = _cone_table(view, apex, p1, p2)
+                if table is not None:
+                    return cat.objects[apex], cat.arrows[p1], cat.arrows[p2], table
+    n = len(view.table)
+    targets = [[f * n + g for f in row[ai] for g in row[bi]] for row in hom]
+    best = None
+    for apex in range(len(hom)):
+        for p1 in hom[apex][ai]:
+            for p2 in hom[apex][bi]:
+                passed = _checks_passed(
+                    lambda w: [f * n + g for f, g in zip(view.after(p1, hom[w][apex]),
+                                                         view.after(p2, hom[w][apex]))],
+                    targets)
+                if best is None or passed > best[0]:
+                    best = (passed, apex, p1, p2)
+    if best is None:
+        near = f"no candidate {shape} at all"
+    else:
+        passed, apex, p1, p2 = best
+        near = (f"near miss: apex {cat.objects[apex].name} via ({cat.arrows[p1].name}, "
+                f"{cat.arrows[p2].name}) satisfied {passed} mediation checks")
+    raise NoSuchStructure(f"{cat.name}: no {what} for ({a.name}, {b.name}); {near}")
+
+
+def _product(view: _View, a: ObjId, b: ObjId) -> ProductWitness:
+    *found, table = _universal_cone(view, a, b, "product", "cone")
+    return _verified(ProductWitness((a, b), *found), table)
+
+
+def _coproduct(op: _View, a: ObjId, b: ObjId) -> CoproductWitness:
+    *found, table = _universal_cone(op, a, b, "coproduct", "cocone")
+    return _verified(CoproductWitness((a, b), *found), table)
 
 
 def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> ProductWitness:
@@ -90,80 +236,101 @@ def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> ProductWitness:
 
     Deterministic: lowest apex index first, then lowest projection indices.
     """
-    best: tuple[int, str] | None = None
-    for apex in cat.objects:
-        for p1 in cat.hom(apex, a):
-            for p2 in cat.hom(apex, b):
-                score = 0
-                ok = True
-                for w in cat.objects:
-                    into_apex = cat.hom(w, apex)
-                    for f in cat.hom(w, a):
-                        for g in cat.hom(w, b):
-                            ms = _count_mediators(
-                                cat, into_apex,
-                                lambda m: cat.compose(p1, m) == f and cat.compose(p2, m) == g)
-                            if len(ms) == 1:
-                                score += 1
-                            else:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return ProductWitness((a, b), apex, p1, p2)
-                if best is None or score > best[0]:
-                    best = (score, f"apex {apex.name} via ({p1.name}, {p2.name})")
-    near = "no candidate cone at all" if best is None else f"near miss: {best[1]} satisfied {best[0]} mediation checks"
-    raise NoSuchStructure(f"{cat.name}: no product for ({a.name}, {b.name}); {near}")
+    return _product(_View(cat), a, b)
 
 
 def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> CoproductWitness:
-    best: tuple[int, str] | None = None
-    for apex in cat.objects:
-        for i1 in cat.hom(a, apex):
-            for i2 in cat.hom(b, apex):
-                score = 0
-                ok = True
-                for w in cat.objects:
-                    from_apex = cat.hom(apex, w)
-                    for f in cat.hom(a, w):
-                        for g in cat.hom(b, w):
-                            ms = _count_mediators(
-                                cat, from_apex,
-                                lambda m: cat.compose(m, i1) == f and cat.compose(m, i2) == g)
-                            if len(ms) == 1:
-                                score += 1
-                            else:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return CoproductWitness((a, b), apex, i1, i2)
-                if best is None or score > best[0]:
-                    best = (score, f"apex {apex.name} via ({i1.name}, {i2.name})")
-    near = "no candidate cocone at all" if best is None else f"near miss: {best[1]} satisfied {best[0]} mediation checks"
-    raise NoSuchStructure(f"{cat.name}: no coproduct for ({a.name}, {b.name}); {near}")
+    return _coproduct(_View(cat, op=True), a, b)
 
 
-def _pair_into(cat: FinCategory, pw: ProductWitness, f: ArrId, g: ArrId) -> ArrId:
-    """Unique m with proj1.m = f and proj2.m = g; witnesses guarantee exactly one."""
-    if f.dom != g.dom:
-        raise ShapeMismatch(f"pair({f.name}, {g.name}): different domains")
-    w = cat.objects[f.dom]
-    ms = _count_mediators(cat, cat.hom(w, pw.apex),
-                          lambda m: cat.compose(pw.proj1, m) == f
-                          and cat.compose(pw.proj2, m) == g)
-    if len(ms) != 1:
+def _pairing(view: _View, w: ProductWitness | CoproductWitness,
+             p1: ArrId, p2: ArrId) -> Mapping[int, int]:
+    """The pairing table of ``w``, built and verified now if no search built it."""
+    if w.table is not None:
+        return w.table
+    a, b = w.pair[0].index, w.pair[1].index
+    table = _cone_table(view, w.apex.index, p1.index, p2.index)
+    if table is None or len(table) != sum(row[a] * row[b] for row in view.count):
         raise UniversalityBroken(
-            f"product ({pw.pair[0].name}, {pw.pair[1].name}) admits {len(ms)} mediators "
-            f"for ({f.name}, {g.name})")
-    return ms[0]
+            f"({w.pair[0].name}, {w.pair[1].name}) with apex {w.apex.name}: composing "
+            f"with ({p1.name}, {p2.name}) is not a bijection onto the cones")
+    return table
+
+
+# -- exponentials -------------------------------------------------------------------
+
+def _times_id(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+              apex: int, a: int, ws: Sequence[int]) -> list[list[int]]:
+    """For each w in ws, the arrows m x id_a : w x a -> apex x a, m : w -> apex."""
+    table, n = view.table, len(view.table)
+    pw = products[(apex, a)]
+    pairs = _pairing(view, pw, pw.proj1, pw.proj2)
+    out = []
+    for w in ws:
+        ww = products[(w, a)]
+        q1, q2 = ww.proj1.index, ww.proj2.index
+        out.append([pairs[table[m][q1] * n + q2] for m in view.hom[w][apex]])
+    return out
+
+
+def _transpose_tables(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+                      apex: int, a: int, ws: Sequence[int],
+                      evs: Iterable[int]) -> Iterator[tuple[int, dict[int, int] | None]]:
+    """Each eval candidate ev : apex x a -> C with the inverse of
+    m |-> ev . (m x id_a) over the arrows m : w -> apex, w in ws."""
+    per_w = _times_id(view, products, apex, a, ws)
+    w_of = [w for w, ks in zip(ws, per_w) for _ in ks]
+    m_x_id = list(chain.from_iterable(per_w))
+    ms = [m for w in ws for m in view.hom[w][apex]]
+    n = len(view.hom)
+    for ev in evs:
+        row = view.table[ev]
+        yield ev, _invert([row[k] * n + w for w, k in zip(w_of, m_x_id)], ms)
+
+
+def _exponential(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+                 a: ObjId, target: ObjId, ws: Sequence[int],
+                 columns: Mapping[tuple, list[int]]) -> ExponentialWitness:
+    """``ws`` are the objects with a product with ``a``, ``columns`` the
+    objects by their hom-set sizes from ``ws``."""
+    cat, hom, count = view.cat, view.hom, view.count
+    ai, c = a.index, target.index
+    sources = [products[(w, ai)].apex.index for w in ws]
+    for apex in columns.get(tuple(count[s][c] for s in sources), ()):
+        pw = products.get((apex, ai))
+        if pw is None:
+            continue
+        for ev, table in _transpose_tables(view, products, apex, ai, ws,
+                                           hom[pw.apex.index][c]):
+            if table is not None:
+                return _verified(ExponentialWitness(a, target, cat.objects[apex],
+                                                    cat.arrows[ev]), table)
+    targets = [list(hom[s][c]) for s in sources]
+    best = None
+    for apex in range(len(hom)):
+        pw = products.get((apex, ai))
+        if pw is None:
+            continue
+        m_x_id = _times_id(view, products, apex, ai, ws)
+        for ev in hom[pw.apex.index][c]:
+            row = view.table[ev]
+            passed = _checks_passed(lambda i: [row[k] for k in m_x_id[i]], targets)
+            if best is None or passed > best[0]:
+                best = (passed, apex, ev)
+    if best is None:
+        near = "no candidate eval arrow at all"
+    else:
+        passed, apex, ev = best
+        near = (f"near miss: apex {cat.objects[apex].name} via eval "
+                f"{cat.arrows[ev].name} passed {passed} transpose checks")
+    raise NoSuchStructure(
+        f"{cat.name}: no exponential with base {a.name}, target {target.name}; {near}")
+
+
+def _exponential_columns(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+                         a: ObjId) -> tuple[list[int], dict[tuple, list[int]]]:
+    ws = [w for w in range(len(view.hom)) if (w, a.index) in products]
+    return ws, _columns(view.count, ws)
 
 
 def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], ProductWitness],
@@ -172,40 +339,8 @@ def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Produc
 
     Requires the binary products involved to be present in ``products``.
     """
-    best: tuple[int, str] | None = None
-    for apex in cat.objects:
-        pw = products.get((apex.index, a.index))
-        if pw is None:
-            continue
-        for ev in cat.hom(pw.apex, target):
-            score = 0
-            ok = True
-            for w in cat.objects:
-                pww = products.get((w.index, a.index))
-                if pww is None:
-                    continue
-                into_apex = cat.hom(w, apex)
-                for f in cat.hom(pww.apex, target):
-                    ms = []
-                    for m in into_apex:
-                        m_x_id = _pair_into(cat, pw,
-                                            cat.compose(m, pww.proj1), pww.proj2)
-                        if cat.compose(ev, m_x_id) == f:
-                            ms.append(m)
-                    if len(ms) == 1:
-                        score += 1
-                    else:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                return ExponentialWitness(a, target, apex, ev)
-            if best is None or score > best[0]:
-                best = (score, f"apex {apex.name} via eval {ev.name}")
-    near = "no candidate eval arrow at all" if best is None else f"near miss: {best[1]} passed {best[0]} transpose checks"
-    raise NoSuchStructure(
-        f"{cat.name}: no exponential with base {a.name}, target {target.name}; {near}")
+    view = _View(cat)
+    return _exponential(view, products, a, target, *_exponential_columns(view, products, a))
 
 
 class StructureTable:
@@ -213,8 +348,9 @@ class StructureTable:
 
     Built once by :func:`discover_structure`; downstream modules never
     re-search.  Also hosts the canonical arrow combinators (pairing,
-    copairing, arrow product, transpose, theta) which always verify
-    mediator uniqueness instead of trusting it.
+    copairing, arrow product, transpose, theta), which look the mediator up
+    in the witness's table; a witness no search built is verified before
+    its first use, and a missing mediator raises UniversalityBroken.
     """
 
     def __init__(self, cat: FinCategory):
@@ -229,6 +365,8 @@ class StructureTable:
         self.product_failures: dict[tuple[int, int], str] = {}
         self.coproduct_failures: dict[tuple[int, int], str] = {}
         self.exponential_failures: dict[tuple[int, int], str] = {}
+        self._view = _View(cat)
+        self._op = _View(cat, op=True)
 
     @property
     def complete(self) -> bool:
@@ -281,37 +419,46 @@ class StructureTable:
 
     # -- canonical combinators ----------------------------------------------
 
+    def _pair(self, pw: ProductWitness, f: int, g: int) -> ArrId:
+        """<f, g> into pw's apex, for arrow indices f and g."""
+        k = _pairing(self._view, pw, pw.proj1, pw.proj2).get(f * len(self.cat.arrows) + g)
+        if k is None:
+            arrows = self.cat.arrows
+            raise UniversalityBroken(
+                f"product ({pw.pair[0].name}, {pw.pair[1].name}) admits no mediator "
+                f"for ({arrows[f].name}, {arrows[g].name})")
+        return self.cat.arrows[k]
+
     def pair(self, f: ArrId, g: ArrId) -> ArrId:
         """<f, g> : dom f -> cod f x cod g."""
-        return _pair_into(self.cat, self.product(self.ob(f.cod), self.ob(g.cod)), f, g)
+        if f.dom != g.dom:
+            raise ShapeMismatch(f"pair({f.name}, {g.name}): different domains")
+        return self._pair(self.product(self.ob(f.cod), self.ob(g.cod)), f.index, g.index)
 
     def copair(self, f: ArrId, g: ArrId) -> ArrId:
         """[f, g] : dom f + dom g -> cod f."""
         if f.cod != g.cod:
             raise ShapeMismatch(f"copair({f.name}, {g.name}): different codomains")
         cw = self.coproduct(self.ob(f.dom), self.ob(g.dom))
-        w = self.ob(f.cod)
-        cat = self.cat
-        ms = [m for m in cat.hom(cw.apex, w)
-              if cat.compose(m, cw.inj1) == f and cat.compose(m, cw.inj2) == g]
-        if len(ms) != 1:
+        k = _pairing(self._op, cw, cw.inj1, cw.inj2).get(
+            f.index * len(self.cat.arrows) + g.index)
+        if k is None:
             raise UniversalityBroken(
-                f"coproduct ({cw.pair[0].name}, {cw.pair[1].name}) admits {len(ms)} "
-                f"mediators for ({f.name}, {g.name})")
-        return ms[0]
+                f"coproduct ({cw.pair[0].name}, {cw.pair[1].name}) admits no "
+                f"mediator for ({f.name}, {g.name})")
+        return self.cat.arrows[k]
 
     def arrow_product(self, f: ArrId, g: ArrId) -> ArrId:
         """f x g = <f . proj1, g . proj2> : dom f x dom g -> cod f x cod g."""
         src = self.product(self.ob(f.dom), self.ob(g.dom))
-        return _pair_into(self.cat,
-                          self.product(self.ob(f.cod), self.ob(g.cod)),
-                          self.cat.compose(f, src.proj1),
-                          self.cat.compose(g, src.proj2))
+        table = self._view.table
+        return self._pair(self.product(self.ob(f.cod), self.ob(g.cod)),
+                          table[f.index][src.proj1.index], table[g.index][src.proj2.index])
 
     def swap(self, a: ObjId, b: ObjId) -> ArrId:
         """The canonical a x b -> b x a built from <proj2, proj1>."""
         pw = self.product(a, b)
-        return _pair_into(self.cat, self.product(b, a), pw.proj2, pw.proj1)
+        return self._pair(self.product(b, a), pw.proj2.index, pw.proj1.index)
 
     def transpose(self, f: ArrId, w: ObjId, a: ObjId) -> ArrId:
         """Unique m : w -> cod(f)^a with eval . (m x id_a) = f, for f : w x a -> cod f."""
@@ -321,17 +468,29 @@ class StructureTable:
         if f.dom != pw.apex.index:
             raise ShapeMismatch(
                 f"transpose({f.name}): domain is not the apex of {w.name} x {a.name}")
-        pe = self.product(ew.apex, a)
-        cat = self.cat
-        ms = []
-        for m in cat.hom(w, ew.apex):
-            m_x_id = _pair_into(cat, pe, cat.compose(m, pw.proj1), pw.proj2)
-            if cat.compose(ew.eval, m_x_id) == f:
-                ms.append(m)
-        if len(ms) != 1:
+        k = self._transposes(ew).get(f.index * len(self.cat.objects) + w.index)
+        if k is None:
             raise UniversalityBroken(
-                f"exponential {c.name}^{a.name} admits {len(ms)} transposes for {f.name}")
-        return ms[0]
+                f"exponential {c.name}^{a.name} admits no transpose for {f.name}")
+        return self.cat.arrows[k]
+
+    def _transposes(self, ew: ExponentialWitness) -> Mapping[int, int]:
+        """The transpose table of ``ew``, built and verified now if no search
+        built it."""
+        if ew.table is not None:
+            return ew.table
+        view, products, a = self._view, self.products, ew.base
+        ws, _ = _exponential_columns(view, products, a)
+        _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
+                                          ws, [ew.eval.index]))
+        c = ew.target.index
+        if table is None or len(table) != sum(
+                view.count[products[(w, a.index)].apex.index][c] for w in ws):
+            raise UniversalityBroken(
+                f"exponential {ew.target.name}^{a.name} with apex {ew.apex.name}: "
+                f"composing with {ew.eval.name} is not a bijection onto the arrows "
+                f"into {ew.target.name}")
+        return table
 
     def theta(self, g: ArrId, a: ObjId, c: ObjId) -> ArrId:
         """theta(g) = eval . (g x id_a) : dom g x a -> c, inverse to transpose."""
@@ -339,7 +498,8 @@ class StructureTable:
         if g.cod != ew.apex.index:
             raise ShapeMismatch(
                 f"theta({g.name}): codomain is not the exponential {c.name}^{a.name}")
-        return self.cat.compose(ew.eval, self.arrow_product(g, self.identity(a)))
+        k = self.arrow_product(g, self.identity(a)).index
+        return self.cat.arrows[self._view.table[ew.eval.index][k]]
 
 
 def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> StructureTable:
@@ -354,6 +514,7 @@ def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> S
                 f"structure search requires a validated category")
 
     st = StructureTable(cat)
+    view, op = st._view, st._op
     try:
         st.terminal = find_terminal(cat)
     except NoSuchStructure as exc:
@@ -366,18 +527,20 @@ def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> S
     for a in cat.objects:
         for b in cat.objects:
             try:
-                st.products[(a.index, b.index)] = find_product(cat, a, b)
+                st.products[(a.index, b.index)] = _product(view, a, b)
             except NoSuchStructure as exc:
                 st.product_failures[(a.index, b.index)] = str(exc)
             try:
-                st.coproducts[(a.index, b.index)] = find_coproduct(cat, a, b)
+                st.coproducts[(a.index, b.index)] = _coproduct(op, a, b)
             except NoSuchStructure as exc:
                 st.coproduct_failures[(a.index, b.index)] = str(exc)
 
     for a in cat.objects:
+        ws, columns = _exponential_columns(view, st.products, a)
         for c in cat.objects:
             try:
-                st.exponentials[(a.index, c.index)] = find_exponential(cat, st.products, a, c)
+                st.exponentials[(a.index, c.index)] = _exponential(
+                    view, st.products, a, c, ws, columns)
             except NoSuchStructure as exc:
                 st.exponential_failures[(a.index, c.index)] = str(exc)
 

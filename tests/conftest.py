@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from catlogic.bundles import bundled_suites
@@ -53,3 +55,26 @@ def subset_of(name: str) -> frozenset:
 
 def subset_name(s: frozenset) -> str:
     return "e" + "".join(str(i) for i in sorted(s))
+
+
+def make_finset(sizes, name="finset") -> FinCategory:
+    """The full subcategory of finite sets on objects of the given sizes,
+    with every function as an arrow (a non-thin category)."""
+    objects = [f"x{i}n{n}" for i, n in enumerate(sizes)]
+    funcs = {(x, y): [f"f{x}_{y}_" + "".join(map(str, vals))
+                      for vals in itertools.product(range(sizes[y]), repeat=sizes[x])]
+             for x in range(len(sizes)) for y in range(len(sizes))}
+    values = {name: tuple(int(ch) for ch in name.rsplit("_", 1)[1])
+              for names in funcs.values() for name in names}
+    arrows = [(f, objects[x], objects[y]) for (x, y), names in funcs.items() for f in names]
+    identities = {objects[x]: "f{0}_{0}_".format(x) + "".join(map(str, range(n)))
+                  for x, n in enumerate(sizes)}
+    compositions = []
+    for (x, y), fs in funcs.items():
+        for z in range(len(sizes)):
+            for f in fs:
+                for g in funcs[(y, z)]:
+                    h = "".join(str(values[g][v]) for v in values[f])
+                    compositions.append((g, f, f"f{x}_{z}_{h}"))
+    return FinCategory.build(objects, arrows, identities=identities,
+                             compositions=compositions, name=name)

@@ -13,7 +13,7 @@ from catlogic.heyting import (
     oracle_interpret,
 )
 from catlogic.kernel import format_category, parse_category, validate_category
-from catlogic.logic import Zero, parse_formula
+from catlogic.logic import MAX_NESTING, Zero, parse_formula
 from catlogic.report import Report, strip_timing
 from catlogic.semantics import check_conditions
 from catlogic.structure import discover_structure
@@ -180,6 +180,33 @@ def test_cli_interpret_open_formula_exits_2(workdir, capsys):
     rc = run_cli(["interpret", "--model", str(model), "--theory", str(theory),
                   "--formula", "B(zzz)"])
     assert rc == 2
+
+
+DEEP = {
+    "parentheses": lambda k: "(" * k + "1" + ")" * k,
+    "conjunction": lambda k: " & ".join(["1"] * (k + 1)),
+    "implication": lambda k: "P -> " * k + "P",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_cli_formula_nesting_limit(shape, workdir, capsys):
+    tmp_path, model, theory = workdir
+    deep = DEEP[shape]
+    assert run_cli(["interpret", "--model", str(model), "--theory", str(theory),
+                    "--formula", deep(3000)]) == 2
+    assert f"more than {MAX_NESTING} levels" in capsys.readouterr().err
+    assert run_cli(["interpret", "--model", str(model), "--theory", str(theory),
+                    "--formula", deep(MAX_NESTING + 1)]) == 2
+    text = theory.read_text()
+    over = tmp_path / "over.th"
+    over.write_text(text + f"axiom {deep(MAX_NESTING + 1)}\n")
+    assert run_cli(["check", "--model", str(model), "--theory", str(over)]) == 2
+    assert "at 11:" in capsys.readouterr().err
+    at_limit = tmp_path / "at_limit.th"
+    at_limit.write_text(text + f"axiom {deep(MAX_NESTING)}\n")
+    assert run_cli(["check", "--model", str(model), "--theory", str(at_limit)]) in (0, 1)
+    assert "condition.6" in capsys.readouterr().out
 
 
 def test_cli_check_powerset2(workdir, capsys, tmp_path):

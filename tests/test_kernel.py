@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catlogic.cli import run_cli
 from catlogic.errors import (
     CategoryFileError,
     MalformedInput,
@@ -195,6 +196,20 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(CategoryFileError):
         parse_category("object a\n")  # no id line
+
+
+@pytest.mark.parametrize("extra, first, second", [
+    ("id top = auto\n", 6, 7),
+    ("compose id_top . u = u\ncompose id_top . u = id_top\n", 7, 8),
+])
+def test_duplicate_lines_name_both_line_numbers(extra, first, second, tmp_path, capsys):
+    with pytest.raises(CategoryFileError) as exc:
+        parse_category(H2_FILE + extra)
+    assert f"line {second}:" in str(exc.value) and f"line {first}" in str(exc.value)
+    model = tmp_path / "dup.cat"
+    model.write_text(H2_FILE + extra)
+    assert run_cli(["validate", "--model", str(model)]) == 2
+    assert f"line {first}" in capsys.readouterr().err
 
 
 def test_explicit_compose_line_overrides_autofill():

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
 from catlogic.errors import NoSuchStructure, ShapeMismatch, UniversalityBroken
-from catlogic.heyting import gen_powerset
+from catlogic.bundles import bundled_suites
+from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import FinCategory, validate_category
 from catlogic.structure import (
     discover_structure,
@@ -12,7 +15,8 @@ from catlogic.structure import (
     find_terminal,
 )
 
-from conftest import subset_name, subset_of
+from conftest import make_finset, subset_name, subset_of
+from structure_reference import ref_cone, ref_exponential, ref_universal_object
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +49,12 @@ def test_single_object_category_initial_is_that_object():
     assert validate_category(cat).ok
     assert find_initial(cat).obj.name == "star"
     assert find_terminal(cat).obj.name == "star"
+
+
+def test_empty_category_has_no_terminal_or_initial_object():
+    st = discover_structure(FinCategory.build([], [], name="empty"))
+    assert st.terminal_failure == "empty: no terminal object; the category has no objects"
+    assert st.initial_failure == "empty: no initial object; the category has no objects"
 
 
 def test_b4_products_match_set_intersection(b4, b4_st):
@@ -252,3 +262,109 @@ def test_corrupted_witness_breaks_universality():
     st.products[(m.index, m.index)] = fake
     with pytest.raises(UniversalityBroken):
         st.pair(cat.identity_of(m), cat.identity_of(m))
+
+
+def test_replaced_witness_is_verified_again():
+    # a copy of a discovered witness with other legs must not answer from
+    # the original's pairing table
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    one, two = cat.objects[1], cat.objects[2]
+    pw = st.product(one, two)
+    assert pw.apex == two and pw.proj2.name == "f2_2_01"
+    st.products[(one.index, two.index)] = replace(pw, proj2=cat.arrow("f2_2_10"))
+    for w in cat.objects:
+        for f in cat.hom(w, one):
+            for g in cat.hom(w, two):
+                assert cat.compose(cat.arrow("f2_2_10"), st.pair(f, g)) == g
+    st.products[(one.index, two.index)] = replace(pw, proj2=cat.arrow("f2_2_00"))
+    with pytest.raises(UniversalityBroken):
+        st.pair(pw.proj1, cat.identity_of(two))
+
+
+# -- the search against the mediator-counting reference --------------------------------
+
+def _z2():
+    return FinCategory.build(["m"], [("s", "m", "m")],
+                             compositions=[("s", "s", "id_m")], name="Z2")
+
+
+def _walking_iso():
+    return FinCategory.build(
+        ["x", "y"], [("f", "x", "y"), ("g", "y", "x")],
+        compositions=[("g", "f", "id_x"), ("f", "g", "id_y")], name="iso")
+
+
+REFERENCE_MODELS = {
+    "powerset-4": lambda: gen_powerset(4).category(),
+    "chain-8": lambda: gen_chain(8).category(),
+    "finset-0123": lambda: make_finset([0, 1, 2, 3], "finset-0123"),
+    "finset-012333": lambda: make_finset([0, 1, 2, 3, 3, 3], "finset-012333"),
+    "Z2": _z2,
+    "iso": _walking_iso,
+}
+REFERENCE_MODELS.update({f"suite-{m.name}": m.category for m in
+                         {s.model.name: s.model for s in bundled_suites()}.values()})
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_witnesses_and_failures_match_reference(name):
+    cat = REFERENCE_MODELS[name]()
+    # the finite-set builder composes functions, so only the small models need validating
+    st = discover_structure(cat, require_validated=not name.startswith("finset"))
+
+    def found(witness, failure, fields):
+        return failure if witness is None else tuple(getattr(witness, f).index for f in fields)
+
+    assert found(st.terminal, st.terminal_failure, ["obj"]) == ref_universal_object(cat)
+    assert found(st.initial, st.initial_failure, ["obj"]) == ref_universal_object(cat, op=True)
+    ref_products = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            key = (a.index, b.index)
+            ref = ref_cone(cat, a, b)
+            assert found(st.products.get(key), st.product_failures.get(key),
+                         ["apex", "proj1", "proj2"]) == ref
+            if not isinstance(ref, str):
+                ref_products[key] = ref
+            assert found(st.coproducts.get(key), st.coproduct_failures.get(key),
+                         ["apex", "inj1", "inj2"]) == ref_cone(cat, a, b, op=True)
+    for a in cat.objects:
+        for c in cat.objects:
+            key = (a.index, c.index)
+            assert found(st.exponentials.get(key), st.exponential_failures.get(key),
+                         ["apex", "eval"]) == ref_exponential(cat, ref_products, a, c)
+
+
+@pytest.mark.parametrize("make", [lambda: gen_powerset(3).category(),
+                                  lambda: make_finset([0, 1, 2, 3], "finset-0123")],
+                         ids=["powerset-3", "finset-0123"])
+def test_pairing_and_transpose_tables(make):
+    cat = make()
+    st = discover_structure(cat)
+    for pw in st.products.values():
+        a, b = pw.pair
+        for w in cat.objects:
+            for f in cat.hom(w, a):
+                for g in cat.hom(w, b):
+                    m = st.pair(f, g)
+                    assert (cat.compose(pw.proj1, m), cat.compose(pw.proj2, m)) == (f, g)
+    for cw in st.coproducts.values():
+        a, b = cw.pair
+        for w in cat.objects:
+            for f in cat.hom(a, w):
+                for g in cat.hom(b, w):
+                    m = st.copair(f, g)
+                    assert (cat.compose(m, cw.inj1), cat.compose(m, cw.inj2)) == (f, g)
+    checked = 0
+    for ew in st.exponentials.values():
+        a, c = ew.base, ew.target
+        for w in cat.objects:
+            if (w.index, a.index) not in st.products:
+                continue
+            for g in cat.hom(w, ew.apex):
+                assert st.transpose(st.theta(g, a, c), w, a) == g
+                checked += 1
+            for f in cat.hom(st.product(w, a).apex, c):
+                assert st.theta(st.transpose(f, w, a), a, c) == f
+    assert checked > 0
