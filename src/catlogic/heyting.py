@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ScaleExceeded, WorkbenchError
-from .kernel import FinCategory
+from .kernel import MAX_OBJECTS, FinCategory
 from .logic import (
     Arrow,
     Atom,
@@ -25,8 +25,6 @@ from .logic import (
     free_vars,
     substitute,
 )
-
-MAX_OBJECTS = 32
 
 
 @dataclass(frozen=True)

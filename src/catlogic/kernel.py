@@ -20,6 +20,9 @@ from .errors import (
 )
 
 UNDEFINED = -1
+# desk scale: category files and generated models stay within these
+MAX_OBJECTS = 32
+MAX_ARROW_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -349,6 +352,13 @@ def mutually_inverse(c: FinCategory, f: ArrId, g: ArrId) -> bool:
             and c.compose(f, g) == c.identity_of(g.dom))
 
 
+def inverses(c: FinCategory, f: ArrId) -> list[ArrId]:
+    """Every g : cod f -> dom f with g.f and f.g the two identities."""
+    id_src, id_tgt = c.identity_of(f.dom), c.identity_of(f.cod)
+    return [g for g in c.hom(c.objects[f.cod], c.objects[f.dom])
+            if c.compose(g, f) == id_src and c.compose(f, g) == id_tgt]
+
+
 # -- category file format ----------------------------------------------------
 
 _OBJECT_RE = re.compile(r"^object\s+(\S+)$")
@@ -362,6 +372,8 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
 
     Lines: ``object N`` / ``arrow N : A -> B`` / ``id A = N|auto`` /
     ``compose G . F = H``; ``#`` starts a comment.  Errors carry line numbers.
+    At most MAX_OBJECTS ``object`` lines and MAX_ARROW_LINES ``arrow`` lines
+    are accepted.
     """
     objects: list[str] = []
     arrows: list[tuple[str, str, str]] = []
@@ -378,6 +390,9 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
             continue
         if m := _OBJECT_RE.match(line):
             oname = m.group(1)
+            if len(objects) == MAX_OBJECTS:
+                raise CategoryFileError(f"object {oname}: more than {MAX_OBJECTS} "
+                                        f"objects exceeds desk scale", lineno)
             if oname in seen_obj:
                 raise CategoryFileError(f"object {oname} already declared "
                                         f"on line {seen_obj[oname]}", lineno)
@@ -385,6 +400,9 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
             objects.append(oname)
         elif m := _ARROW_RE.match(line):
             aname, dname, cname = m.groups()
+            if len(arrows) == MAX_ARROW_LINES:
+                raise CategoryFileError(f"arrow {aname}: more than {MAX_ARROW_LINES} "
+                                        f"arrow lines exceeds desk scale", lineno)
             if aname in seen_arr:
                 raise CategoryFileError(f"arrow {aname} already declared "
                                         f"on line {seen_arr[aname]}", lineno)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     NoQuantifierObject,
     NoSuchStructure,
 )
-from .kernel import ArrId, FinCategory, ObjId
+from .kernel import ArrId, ObjId, inverses
 from .logic import (
     Arrow,
     Atom,
@@ -56,7 +57,6 @@ from .logic import (
 from .structure import StructureTable
 
 DEFAULT_REACH_DEPTH = 3
-DEFAULT_FAMILY_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -134,46 +134,23 @@ class Instance:
 
 # -- quantifier object search ----------------------------------------------------
 
-def _leg_families(cat: FinCategory, vertex: ObjId,
-                  legs: Sequence[tuple[Term, ObjId]], direction: str,
-                  cap: int) -> tuple[list[tuple[ArrId, ...]], bool]:
-    """All leg-arrow families for a vertex, lexicographic by arrow index.
-
-    direction "cone": arrows vertex -> leg; "cocone": leg -> vertex.
-    Returns (families, truncated).  Zero legs yield the one empty family.
-    """
-    pools = []
-    for _, leg_obj in legs:
-        hom = (cat.hom(vertex, leg_obj) if direction == "cone"
-               else cat.hom(leg_obj, vertex))
-        if not hom:
-            return [], False
-        pools.append(hom)
-    total = 1
-    for p in pools:
-        total *= len(p)
-    families = list(itertools.islice(itertools.product(*pools), cap))
-    return families, total > cap
-
-
 def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
                              quantifier: str, diagram: QuantifierDiagram,
-                             family_cap: int = DEFAULT_FAMILY_CAP,
                              warnings: list[str] | None = None,
                              ) -> tuple[ObjId, ConeFamily | CoconeFamily]:
     """Find the terminal cone vertex (forall) or initial cocone vertex (exists)
     among the given vertexes.
 
-    A candidate (V, legs) wins when every vertex W and every leg family over W
-    admits exactly one arrow commuting with all legs.  Candidates are tried in
-    object index order, leg families lexicographically, so ties between
-    isomorphic candidates break deterministically.
+    A candidate (V, legs) wins when composing with its legs is a bijection
+    from the arrows W -> V (V -> W for a cocone) onto the leg families at
+    W, for every vertex W: each family then has exactly one mediator.
+    Candidates are tried in object index order, leg families
+    lexicographically, so ties between isomorphic candidates break
+    deterministically.
     """
-    cat = st.cat
-    direction = "cone" if quantifier == "forall" else "cocone"
+    op = quantifier == "exists"
     ordered = sorted(set(vertexes), key=lambda o: o.index)
-    truncated = False
-    failures: list[str] = []
+    legs = [obj for _, obj in diagram.legs]
 
     if diagram.empty and warnings is not None:
         warnings.append(
@@ -181,63 +158,34 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
             f"{diagram.body}; the search degenerates to the terminal/initial "
             f"object relative to the reachable vertexes")
 
-    for v in ordered:
-        v_families, trunc = _leg_families(cat, v, diagram.legs, direction, family_cap)
-        truncated = truncated or trunc
-        for fam in v_families:
-            verdict = _family_mediates(cat, ordered, v, fam, diagram.legs,
-                                       direction, family_cap)
-            if verdict is True:
-                pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
-                family = (ConeFamily(v, pairs) if direction == "cone"
-                          else CoconeFamily(v, pairs))
-                if truncated and warnings is not None:
-                    warnings.append(
-                        f"family enumeration truncated at {family_cap} during "
-                        f"quantifier search for {diagram.body}")
-                return v, family
-            failures.append(f"candidate {v.name}: {verdict}")
+    found = st.find_cone(legs, ordered, op=op)
+    if found is not None:
+        v, fam = found
+        pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
+        return v, (CoconeFamily(v, pairs) if op else ConeFamily(v, pairs))
 
-    detail = "; ".join(failures[:12]) if failures else "no candidate carries a full leg family"
+    failures = [f"candidate {v.name}: {_miss_text(st.cone_miss(v, fam, ordered, op=op), op)}"
+                for v, fam in itertools.islice(st.cone_candidates(legs, ordered, op=op), 12)]
+    detail = "; ".join(failures) if failures else "no candidate carries a full leg family"
     raise NoQuantifierObject(
         f"no {quantifier} object over {diagram.body} among "
         f"{[o.name for o in ordered]}: {detail}")
 
 
-def _family_mediates(cat: FinCategory, vertexes: Sequence[ObjId], v: ObjId,
-                     fam: tuple[ArrId, ...], legs: Sequence[tuple[Term, ObjId]],
-                     direction: str, cap: int):
-    """True, or a string naming the first uniqueness failure."""
-    for w in vertexes:
-        w_families, _ = _leg_families(cat, w, legs, direction, cap)
-        hom = cat.hom(w, v) if direction == "cone" else cat.hom(v, w)
-        for mu in w_families:
-            if direction == "cone":
-                ms = [m for m in hom
-                      if all(cat.compose(nu, m) == mu_t for nu, mu_t in zip(fam, mu))]
-            else:
-                ms = [m for m in hom
-                      if all(cat.compose(m, nu) == mu_t for nu, mu_t in zip(fam, mu))]
-            if len(ms) != 1:
-                side = "into" if direction == "cone" else "out of"
-                return (f"vertex {w.name} has {len(ms)} leg-commuting arrows "
-                        f"{side} it")
-    return True
+def _miss_text(miss: tuple[ObjId, tuple[ArrId, ...], int], op: bool) -> str:
+    w, _, k = miss
+    return f"vertex {w.name} has {k} leg-commuting arrows {'out of' if op else 'into'} it"
 
 
 def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
-                          sol: QuantifierSolution,
-                          family_cap: int = DEFAULT_FAMILY_CAP) -> str | None:
+                          sol: QuantifierSolution) -> str | None:
     """Re-assert a stored solution against the final reachable set.
 
     Returns None when still valid, else the failure description.
     """
-    direction = "cone" if sol.quantifier == "forall" else "cocone"
-    fam = tuple(arr for _, arr in sol.family.legs)
-    ordered = sorted(set(vertexes), key=lambda o: o.index)
-    verdict = _family_mediates(st.cat, ordered, sol.obj, fam,
-                               sol.diagram.legs, direction, family_cap)
-    return None if verdict is True else str(verdict)
+    op = sol.quantifier == "exists"
+    miss = st.cone_miss(sol.obj, [arr for _, arr in sol.family.legs], vertexes, op=op)
+    return None if miss is None else _miss_text(miss, op)
 
 
 # -- the interpretation ------------------------------------------------------------
@@ -252,13 +200,11 @@ class Interpretation:
     def __init__(self, structure: StructureTable, theory: Theory, *,
                  reach_depth: int = DEFAULT_REACH_DEPTH,
                  universe_depth: int | None = None,
-                 extra_formulas: Iterable[Formula] = (),
-                 family_cap: int = DEFAULT_FAMILY_CAP):
+                 extra_formulas: Iterable[Formula] = ()):
         self.structure = structure
         self.cat = structure.cat
         self.theory = theory
         self.reach_depth = reach_depth
-        self.family_cap = family_cap
         self.universe = enumerate_closed_terms(theory.signature,
                                                universe_depth or theory.depth)
         self.warnings: list[str] = []
@@ -307,31 +253,33 @@ class Interpretation:
         hit = self.memo.get(key)
         if hit is not None:
             return hit[1]
-        if isinstance(f, Zero):
-            obj = self.structure.initial_obj()
-        elif isinstance(f, One):
-            obj = self.structure.terminal_obj()
-        elif isinstance(f, Atom):
-            atom_key = (f.rel, f.args)
-            if atom_key not in self.atom_map:
-                raise MissingAtom(f"no interpretation for atom {f}")
-            obj = self.atom_map[atom_key]
-        elif isinstance(f, Times):
-            obj = self.structure.product(self._interpret(f.left),
-                                         self._interpret(f.right)).apex
-        elif isinstance(f, Plus):
-            obj = self.structure.coproduct(self._interpret(f.left),
-                                           self._interpret(f.right)).apex
-        elif isinstance(f, Arrow):
-            obj = self.structure.exponential(self._interpret(f.left),
-                                             self._interpret(f.right)).apex
-        elif isinstance(f, (Forall, Exists)):
-            quant = "forall" if isinstance(f, Forall) else "exists"
-            obj = self.quantifier_solution(quant, f.var, f.sort, f.body).obj
-        else:
-            raise TypeError(f"not a formula: {f!r}")
+        obj = self._clause(f, self._interpret, self._reached)
         self.memo[key] = (f, obj)
         return obj
+
+    def _clause(self, f: Formula, sub, quantify) -> ObjId:
+        """The object the clause for the outermost connective of ``f`` gives,
+        with each direct subformula valued by ``sub`` and a quantified
+        formula resolved by ``quantify``."""
+        st = self.structure
+        if isinstance(f, Zero):
+            return st.initial_obj()
+        if isinstance(f, One):
+            return st.terminal_obj()
+        if isinstance(f, Atom):
+            if (f.rel, f.args) not in self.atom_map:
+                raise MissingAtom(f"no interpretation for atom {f}")
+            return self.atom_map[(f.rel, f.args)]
+        if isinstance(f, (Times, Plus, Arrow)):
+            find = {Times: st.product, Plus: st.coproduct, Arrow: st.exponential}[type(f)]
+            return find(sub(f.left), sub(f.right)).apex
+        if isinstance(f, (Forall, Exists)):
+            return quantify(f).obj
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _reached(self, f: Forall | Exists) -> QuantifierSolution:
+        quant = "forall" if isinstance(f, Forall) else "exists"
+        return self.quantifier_solution(quant, f.var, f.sort, f.body)
 
     def quantifier_solution(self, quantifier: str, var: str, sort: str,
                             body: Formula) -> QuantifierSolution:
@@ -344,16 +292,28 @@ class Interpretation:
             raise MissingQuantifierObject(
                 "interpretation not prepared: run prepare() before "
                 "interpreting quantified formulas")
-        diagram = build_diagram(self, body, var, sort)
+        _check_body(body, var, sort)
         try:
-            obj, family = search_quantifier_object(
-                self.structure, self.reach.objects, quantifier, diagram,
-                family_cap=self.family_cap, warnings=self.warnings)
+            return self._solve(formula, key, self._interpret, self.reach.objects,
+                               self.qmemo, self.warnings)
         except NoQuantifierObject as exc:
             raise MissingQuantifierObject(str(exc)) from exc
-        sol = QuantifierSolution(quantifier, formula, diagram, obj, family)
-        self.qmemo[key] = sol
-        return sol
+
+    def _solve(self, f: Forall | Exists, key: tuple, sub, vertexes: Sequence[ObjId],
+               solved: dict[tuple, QuantifierSolution],
+               warnings: list[str] | None) -> QuantifierSolution:
+        """The quantifier object of ``f`` among ``vertexes``, over the diagram
+        of its instances valued by ``sub``; stored in ``solved`` under the
+        alpha key ``key`` of ``f``."""
+        if key not in solved:
+            quant = "forall" if isinstance(f, Forall) else "exists"
+            diagram = QuantifierDiagram(f.body, f.var, f.sort, tuple(
+                (t, sub(substitute(f.body, t, f.var)))
+                for t in self.universe.terms(f.sort)))
+            obj, family = search_quantifier_object(self.structure, vertexes, quant,
+                                                   diagram, warnings)
+            solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
+        return solved[key]
 
     # -- reach fixpoint ------------------------------------------------------------
 
@@ -367,20 +327,13 @@ class Interpretation:
         return self
 
     def _base_members(self) -> dict[int, ReachMember]:
+        st = self.structure
+        base = [(w.obj, f) for w, f in ((st.initial, Zero()), (st.terminal, One()))
+                if w is not None]
+        base += [(obj, Atom(rel, args)) for (rel, args), obj in self.atom_map.items()]
         members: dict[int, ReachMember] = {}
-
-        def add(obj: ObjId, prov: Formula, depth: int) -> bool:
-            if obj.index not in members:
-                members[obj.index] = ReachMember(obj, prov, depth)
-                return True
-            return False
-
-        if self.structure.initial is not None:
-            add(self.structure.initial.obj, Zero(), 0)
-        if self.structure.terminal is not None:
-            add(self.structure.terminal.obj, One(), 0)
-        for (rel, args), obj in self.atom_map.items():
-            add(obj, Atom(rel, args), 0)
+        for obj, prov in base:
+            members.setdefault(obj.index, ReachMember(obj, prov, 0))
         return members
 
     def _binary_closure(self, members: dict[int, ReachMember]) -> None:
@@ -399,9 +352,7 @@ class Interpretation:
                                         (st.coproducts, Plus),
                                         (st.exponentials, Arrow)):
                         w = table.get((m1.obj.index, m2.obj.index))
-                        if w is None:
-                            continue
-                        if w.apex.index not in members:
+                        if w is not None and w.apex.index not in members:
                             members[w.apex.index] = ReachMember(
                                 w.apex, ctor(m1.provenance, m2.provenance), d)
                             changed = True
@@ -459,10 +410,11 @@ class Interpretation:
             self._binary_closure(members)
 
             qnew: dict[tuple, QuantifierSolution] = {}
+            vertexes = [m.obj for m in members.values()]
             failures = []
             for f in sorted(pool, key=connective_depth):
                 try:
-                    self._resolve_round(f, members, qnew)
+                    self._resolve(f, vertexes, qnew)
                 except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
                     failures.append(f"{f}: {exc}")
             stable = (qnew.keys() == qbeliefs.keys()
@@ -476,59 +428,23 @@ class Interpretation:
 
         return members, qbeliefs, failures
 
-    def _resolve_round(self, f: Formula, members: dict[int, ReachMember],
-                       qvalues: dict[tuple, QuantifierSolution]) -> ObjId:
-        """Interpret during the fixpoint, searching quantifiers against the
-        current member set instead of the (not yet final) reach."""
-        if isinstance(f, Zero):
-            return self.structure.initial_obj()
-        if isinstance(f, One):
-            return self.structure.terminal_obj()
-        if isinstance(f, Atom):
-            key = (f.rel, f.args)
-            if key not in self.atom_map:
-                raise MissingAtom(f"no interpretation for atom {f}")
-            return self.atom_map[key]
-        if isinstance(f, Times):
-            return self.structure.product(
-                self._resolve_round(f.left, members, qvalues),
-                self._resolve_round(f.right, members, qvalues)).apex
-        if isinstance(f, Plus):
-            return self.structure.coproduct(
-                self._resolve_round(f.left, members, qvalues),
-                self._resolve_round(f.right, members, qvalues)).apex
-        if isinstance(f, Arrow):
-            return self.structure.exponential(
-                self._resolve_round(f.left, members, qvalues),
-                self._resolve_round(f.right, members, qvalues)).apex
-        if isinstance(f, (Forall, Exists)):
-            quant = "forall" if isinstance(f, Forall) else "exists"
-            key = alpha_key(f)
-            if key in qvalues:
-                return qvalues[key].obj
-            legs = []
-            for t in self.universe.terms(f.sort):
-                inst = substitute(f.body, t, f.var)
-                legs.append((t, self._resolve_round(inst, members, qvalues)))
-            diagram = QuantifierDiagram(f.body, f.var, f.sort, tuple(legs))
-            vertexes = [m.obj for m in members.values()]
-            obj, family = search_quantifier_object(
-                self.structure, vertexes, quant, diagram,
-                family_cap=self.family_cap, warnings=None)
-            sol = QuantifierSolution(quant, f, diagram, obj, family)
-            qvalues[key] = sol
-            return obj
-        raise TypeError(f"not a formula: {f!r}")
+    def _resolve(self, f: Formula, vertexes: list[ObjId],
+                 solved: dict[tuple, QuantifierSolution]) -> ObjId:
+        """Interpret during the fixpoint: quantifiers are searched among this
+        round's members ``vertexes``, not the final reach, and kept in
+        ``solved``."""
+        sub = partial(self._resolve, vertexes=vertexes, solved=solved)
+        return self._clause(f, sub, lambda q: self._solve(q, alpha_key(q), sub, vertexes,
+                                                          solved, None))
 
 
 def build_interpretation(structure: StructureTable, theory: Theory, *,
                          reach_depth: int = DEFAULT_REACH_DEPTH,
                          universe_depth: int | None = None,
-                         extra_formulas: Iterable[Formula] = (),
-                         family_cap: int = DEFAULT_FAMILY_CAP) -> Interpretation:
+                         extra_formulas: Iterable[Formula] = ()) -> Interpretation:
     interp = Interpretation(structure, theory, reach_depth=reach_depth,
                             universe_depth=universe_depth,
-                            extra_formulas=extra_formulas, family_cap=family_cap)
+                            extra_formulas=extra_formulas)
     return interp.prepare()
 
 
@@ -552,23 +468,25 @@ def reach_fixpoint(interp: Interpretation, formula_depth: int | None = None) -> 
 def build_diagram(interp: Interpretation, body: Formula, var: str,
                   sort: str) -> QuantifierDiagram:
     """Legs in universe order, one per closed term, via substitute + interpret."""
+    _check_body(body, var, sort)
+    return QuantifierDiagram(body, var, sort, tuple(
+        (t, interp._interpret(substitute(body, t, var)))
+        for t in interp.universe.terms(sort)))
+
+
+def _check_body(body: Formula, var: str, sort: str) -> None:
     extra = free_vars(body) - {(var, sort)}
     if extra:
         raise MalformedInput(
             f"diagram body {body} has free variables {sorted(extra)} besides "
             f"{var}:{sort}")
-    legs = []
-    for t in interp.universe.terms(sort):
-        legs.append((t, interp._interpret(substitute(body, t, var))))
-    return QuantifierDiagram(body, var, sort, tuple(legs))
 
 
 def find_quantifier_object(interp: Interpretation, reach: ReachSet,
                            quantifier: str, diagram: QuantifierDiagram,
                            ) -> tuple[ObjId, ConeFamily | CoconeFamily]:
     return search_quantifier_object(interp.structure, reach.objects, quantifier,
-                                    diagram, family_cap=interp.family_cap,
-                                    warnings=interp.warnings)
+                                    diagram, warnings=interp.warnings)
 
 
 def subformulas(f: Formula) -> Iterable[Formula]:
@@ -661,29 +579,18 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
     cat = interp.cat
     verdicts: list[ConditionVerdict] = []
 
-    # (1) finite products: terminal object plus all binary products
-    details = []
-    if st.terminal is None:
-        details.append(st.terminal_failure or "no terminal object")
-    details += [msg for _, msg in sorted(st.product_failures.items())]
-    verdicts.append(ConditionVerdict(1, "products",
-                                     "PASS" if not details else "FAIL",
-                                     tuple(details)))
-
-    # (2) finite coproducts: initial object plus all binary coproducts
-    details = []
-    if st.initial is None:
-        details.append(st.initial_failure or "no initial object")
-    details += [msg for _, msg in sorted(st.coproduct_failures.items())]
-    verdicts.append(ConditionVerdict(2, "coproducts",
-                                     "PASS" if not details else "FAIL",
-                                     tuple(details)))
-
+    # (1) finite products: terminal object plus all binary products;
+    # (2) finite coproducts: initial object plus all binary coproducts;
     # (3) exponentiation for every (base, target) pair
-    details = [msg for _, msg in sorted(st.exponential_failures.items())]
-    verdicts.append(ConditionVerdict(3, "exponentials",
-                                     "PASS" if not details else "FAIL",
-                                     tuple(details)))
+    for number, name, failures, missing in (
+            (1, "products", st.product_failures,
+             st.terminal is None and (st.terminal_failure or "no terminal object")),
+            (2, "coproducts", st.coproduct_failures,
+             st.initial is None and (st.initial_failure or "no initial object")),
+            (3, "exponentials", st.exponential_failures, None)):
+        details = ([missing] if missing else []) + [msg for _, msg in sorted(failures.items())]
+        verdicts.append(ConditionVerdict(number, name, "PASS" if not details else "FAIL",
+                                         tuple(details)))
 
     reach = interp.reach
 
@@ -705,10 +612,7 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
                         status = "BLOCKED" if status == "PASS" else status
                         details.append(f"({a.name},{b.name},{c.name}): {exc}")
                         continue
-                    src, tgt = cat.objects[delta.dom], cat.objects[delta.cod]
-                    invs = [g for g in cat.hom(tgt, src)
-                            if cat.compose(g, delta) == cat.identity_of(src)
-                            and cat.compose(delta, g) == cat.identity_of(tgt)]
+                    invs = inverses(cat, delta)
                     if len(invs) != 1:
                         status = "FAIL"
                         details.append(
@@ -751,14 +655,20 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
     except NoSuchStructure as exc:
         status = "BLOCKED"
         details.append(str(exc))
+    # a quantified formula's clause is its stored solution, re-checked below
     for key, (f, obj) in list(interp.memo.items()):
-        problem = _clause_mismatch(interp, f, obj)
-        if problem:
+        if isinstance(f, (Forall, Exists)):
+            continue
+        try:
+            want = interp._clause(f, interp._interpret, interp._reached)
+        except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
+            continue
+        if want != obj:
             status = "FAIL"
-            details.append(problem)
+            details.append(f"memo holds {obj.name} for {f}, clauses give {want.name}")
     if reach is not None:
         for sol in interp.qmemo.values():
-            bad = revalidate_quantifier(st, reach.objects, sol, interp.family_cap)
+            bad = revalidate_quantifier(st, reach.objects, sol)
             if bad:
                 status = "FAIL"
                 details.append(f"{sol.formula}: stored quantifier object "
@@ -780,10 +690,7 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
                 status = "BLOCKED"
             details.append(f"{inst.describe()}: {exc}")
             continue
-        src, tgt = cat.objects[alpha.dom], cat.objects[alpha.cod]
-        invs = [g for g in cat.hom(tgt, src)
-                if cat.compose(g, alpha) == cat.identity_of(src)
-                and cat.compose(alpha, g) == cat.identity_of(tgt)]
+        invs = inverses(cat, alpha)
         if len(invs) != 1:
             status = "FAIL"
             details.append(f"{inst.describe()}: {len(invs)} inverses for "
@@ -801,28 +708,3 @@ def checked_formulas(interp: Interpretation) -> tuple[Formula, ...]:
         out.append(Exists(inst.var, inst.sort, Times(inst.left, inst.body)))
         out.append(Exists(inst.var, inst.sort, inst.body))
     return tuple(out)
-
-
-def _clause_mismatch(interp: Interpretation, f: Formula, obj: ObjId) -> str | None:
-    st = interp.structure
-    try:
-        if isinstance(f, Times):
-            want = st.product(interp._interpret(f.left),
-                              interp._interpret(f.right)).apex
-        elif isinstance(f, Plus):
-            want = st.coproduct(interp._interpret(f.left),
-                                interp._interpret(f.right)).apex
-        elif isinstance(f, Arrow):
-            want = st.exponential(interp._interpret(f.left),
-                                  interp._interpret(f.right)).apex
-        elif isinstance(f, Zero):
-            want = st.initial_obj()
-        elif isinstance(f, One):
-            want = st.terminal_obj()
-        else:
-            return None
-    except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
-        return None
-    if want != obj:
-        return f"memo holds {obj.name} for {f}, clauses give {want.name}"
-    return None

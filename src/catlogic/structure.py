@@ -11,6 +11,10 @@ kept in the witness as its pairing table, so the combinators are lookups.
 Terminal objects are the case with no legs; coproducts and the initial
 object are the same search run on the opposite category; exponentials use
 the map m |-> eval . (m x id) over the W that have a product with the base.
+Quantifier objects (cones and cocones over any number of legs), their
+re-checks and the frobenius initiality sweep run the same check against a
+given set of test objects, through ``StructureTable.find_cone`` and
+``StructureTable.cone_miss``.
 
 Searches are deterministic: candidates are tried in index order and the
 first verified one wins, so two runs on the same input produce identical
@@ -23,7 +27,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import reduce
+from itertools import chain, islice, product
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -92,11 +98,10 @@ def _verified(witness, table: Mapping[int, int]):
 class _View:
     """A category or its opposite, in arrow indices.
 
-    ``hom[x][y]`` lists the arrows x -> y, ``count[x][y]`` their number and
-    ``into[y]`` every arrow into y; ``columns`` maps each column of
-    ``count`` to the objects that have it, in index order.  The opposite
-    view swaps the ends of every hom-set and the factors of every
-    composite, reading the one table with its indices swapped.
+    ``hom[x][y]`` lists the arrows x -> y, ``to[y][x]`` counts them and
+    ``cod[p]`` is the codomain of arrow p.  The opposite view swaps the ends
+    of every hom-set and the factors of every composite, reading the one
+    table with its indices swapped.
     """
 
     def __init__(self, cat: FinCategory, op: bool = False):
@@ -105,11 +110,12 @@ class _View:
         self.cat = cat
         self.op = op
         self.table = table
+        self.objects = tuple(range(n))
         self.hom = [[homs.get((y, x) if op else (x, y), ()) for y in range(n)]
                     for x in range(n)]
-        self.count = [[len(h) for h in row] for row in self.hom]
-        self.into = [[m for row in self.hom for m in row[y]] for y in range(n)]
-        self.columns = _columns(self.count, range(n))
+        self.to = [[len(self.hom[x][y]) for x in range(n)] for y in range(n)]
+        self.cod = [a.dom if op else a.cod for a in cat.arrows]
+        self._columns: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
 
     def after(self, p: int, ms: Iterable[int]) -> Iterator[int]:
         """p . m for each m, composed in this view."""
@@ -117,19 +123,127 @@ class _View:
             return map(itemgetter(p), map(self.table.__getitem__, ms))
         return map(self.table[p].__getitem__, ms)
 
-
-def _columns(count: Sequence[Sequence[int]], ws: Iterable[int]) -> dict[tuple, list[int]]:
-    ws = list(ws)
-    out: dict[tuple, list[int]] = {}
-    for v in range(len(count)):
-        out.setdefault(tuple(count[w][v] for w in ws), []).append(v)
-    return out
+    def columns(self, ws: tuple[int, ...]) -> dict[tuple, list[int]]:
+        """The objects of ``ws`` by their column of hom-set sizes from ``ws``,
+        in index order."""
+        out = self._columns.get(ws)
+        if out is None:
+            out = self._columns[ws] = {}
+            for v in ws:
+                out.setdefault(tuple(_restrict(self.to[v], ws)), []).append(v)
+        return out
 
 
 def _invert(keys: Iterable[int], ms: Sequence[int]) -> dict[int, int] | None:
     """The inverse of ms[i] |-> keys[i], or None if two arrows share a key."""
     table = dict(zip(keys, ms))
     return table if len(table) == len(ms) else None
+
+
+# -- the universal property ---------------------------------------------------------
+
+def _keys(view: _View, legs: Sequence[int], ms: Sequence[int]) -> list[int]:
+    """(p_i . m)_i for each arrow m, as one number in radix |Arr|:
+    f * |Arr| + g for two legs."""
+    n = len(view.table)
+    keys = [0] * len(ms)
+    for p in legs:
+        keys = [k * n + f for k, f in zip(keys, view.after(p, ms))]
+    return keys
+
+
+def _sizes(view: _View, legs: Iterable[int], ws: Sequence[int]) -> list[int]:
+    """The size of the product of the hom(W, leg) for each W in ``ws``."""
+    sizes = [1] * len(view.to)
+    for leg in legs:
+        sizes = [k * c for k, c in zip(sizes, view.to[leg])]
+    return _restrict(sizes, ws)
+
+
+def _restrict(row: list[int], ws: Sequence[int]) -> list[int]:
+    """``row`` at the objects ``ws``, given in index order and without repeats."""
+    return row if len(ws) == len(row) else [row[w] for w in ws]
+
+
+def _cone_table(view: _View, apex: int, legs: Sequence[int],
+                ws: Sequence[int] | None = None,
+                sizes: list[int] | None = None) -> dict[int, int] | None:
+    """The inverse of m |-> (p_i . m)_i if, at every test object W in ``ws``
+    (every object by default), it maps hom(W, apex) one-to-one onto the
+    product of the hom(W, cod p_i); None otherwise.
+
+    Equal sizes and an injective map make a bijection.  With no legs the
+    product is a point: each hom(W, apex) holds exactly one arrow, and
+    the table is empty.  ``sizes`` are the product sizes at ``ws`` if the
+    caller has them.
+    """
+    ws = view.objects if ws is None else ws
+    if sizes is None:
+        sizes = _sizes(view, [view.cod[p] for p in legs], ws)
+    if _restrict(view.to[apex], ws) != sizes:
+        return None
+    if not legs:
+        return {}
+    ms = [m for w in ws for m in view.hom[w][apex]]
+    return _invert(_keys(view, legs, ms), ms)
+
+
+def _indices(objects: Iterable[ObjId]) -> tuple[int, ...]:
+    return tuple(sorted({o.index for o in objects}))
+
+
+def _candidates(view: _View, apexes: Iterable[int],
+                legs: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Each apex with each family of arrows from it to the leg objects, in
+    index order and then lexicographically by arrow index."""
+    for apex in apexes:
+        for fam in product(*(view.hom[apex][leg] for leg in legs)):
+            yield apex, fam
+
+
+def _first_cone(view: _View, legs: Sequence[int], ws: tuple[int, ...]
+                ) -> tuple[int, tuple[int, ...], dict[int, int]] | None:
+    """Apex, legs and table of the first universal cone over the objects
+    ``legs`` among the test objects ``ws``.  Only apexes whose hom-set
+    sizes from ``ws`` are the products of the legs' are tried."""
+    sizes = _sizes(view, legs, ws)
+    for apex, fam in _candidates(view, view.columns(ws).get(tuple(sizes), ()), legs):
+        table = _cone_table(view, apex, fam, ws, sizes)
+        if table is not None:
+            return apex, fam, table
+    return None
+
+
+def _miss(imgs: list[int], tgts: Iterable[int], size: int) -> tuple[int, int] | None:
+    """Position of the first of the ``size`` targets ``tgts`` that is not the
+    image of exactly one of ``imgs``, each of which is a target, and its
+    number of preimages; None if there is none.  The walk stops within one
+    step of the number of images."""
+    once = set(imgs)
+    if len(once) < len(imgs):
+        once = {t for t, k in Counter(imgs).items() if k == 1}
+    if len(once) == size:
+        return None
+    for j, t in enumerate(tgts):
+        if t not in once:
+            return j, imgs.count(t)
+    return None
+
+
+def _first_miss(view: _View, apex: int, legs: Sequence[int], ws: Iterable[int]
+                ) -> tuple[int, tuple[int, ...], int] | None:
+    """The first test object W, the lexicographically first family in the
+    product of the hom(W, cod p_i) that is not the image of exactly one
+    arrow W -> apex, and its number of preimages; None if there is none."""
+    n = len(view.table)
+    for w in ws:
+        pools = [view.hom[w][view.cod[p]] for p in legs]
+        miss = _miss(_keys(view, legs, view.hom[w][apex]),
+                     (reduce(lambda k, f: k * n + f, fam, 0) for fam in product(*pools)),
+                     prod(map(len, pools)))
+        if miss:
+            return w, next(islice(product(*pools), miss[0], None)), miss[1]
+    return None
 
 
 def _checks_passed(image: Callable[[int], list[int]], targets: Sequence[list[int]]) -> int:
@@ -139,33 +253,23 @@ def _checks_passed(image: Callable[[int], list[int]], targets: Sequence[list[int
     arrows from it, each of which is a target."""
     passed = 0
     for i, tgts in enumerate(targets):
-        if not tgts:
-            continue
-        imgs = image(i)
-        once = set(imgs)
-        if len(once) < len(imgs):
-            once = {t for t, k in Counter(imgs).items() if k == 1}
-        if len(once) == len(tgts):
-            passed += len(tgts)
-            continue
-        for t in tgts:
-            if t not in once:
-                return passed
-            passed += 1
+        miss = _miss(image(i), tgts, len(tgts)) if tgts else None
+        if miss:
+            return passed + miss[0]
+        passed += len(tgts)
     return passed
 
 
 # -- terminal and initial objects ---------------------------------------------------
 
 def _universal_object(view: _View, what: str, phrase: str) -> ObjId:
-    cat, count = view.cat, view.count
-    n = len(count)
-    found = view.columns.get((1,) * n)
+    cat, n = view.cat, len(view.to)
+    found = _first_cone(view, (), view.objects)
     if found:
         return cat.objects[found[0]]
     if not n:
         raise NoSuchStructure(f"{cat.name}: no {what} object; the category has no objects")
-    good = [sum(row[t] == 1 for row in count) for t in range(n)]
+    good = [col.count(1) for col in view.to]
     best = max(range(n), key=good.__getitem__)
     raise NoSuchStructure(f"{cat.name}: no {what} object; best candidate "
                           f"{cat.objects[best].name} {phrase.format(good[best], n)}")
@@ -183,35 +287,24 @@ def find_initial(cat: FinCategory) -> InitialWitness:
 
 # -- products and coproducts ----------------------------------------------------------
 
-def _cone_table(view: _View, apex: int, p1: int, p2: int) -> dict[int, int] | None:
-    ms = view.into[apex]
-    n = len(view.table)
-    return _invert([f * n + g for f, g in zip(view.after(p1, ms), view.after(p2, ms))], ms)
-
-
 def _universal_cone(view: _View, a: ObjId, b: ObjId, what: str, shape: str):
     """Apex, legs and pairing table of the first universal cone over (a, b)."""
     cat, hom = view.cat, view.hom
-    ai, bi = a.index, b.index
-    want = tuple(row[ai] * row[bi] for row in view.count)
-    for apex in view.columns.get(want, ()):
-        for p1 in hom[apex][ai]:
-            for p2 in hom[apex][bi]:
-                table = _cone_table(view, apex, p1, p2)
-                if table is not None:
-                    return cat.objects[apex], cat.arrows[p1], cat.arrows[p2], table
+    legs = (a.index, b.index)
+    found = _first_cone(view, legs, view.objects)
+    if found:
+        apex, (p1, p2), table = found
+        return cat.objects[apex], cat.arrows[p1], cat.arrows[p2], table
     n = len(view.table)
-    targets = [[f * n + g for f in row[ai] for g in row[bi]] for row in hom]
+    targets = [[f * n + g for f in row[a.index] for g in row[b.index]] for row in hom]
     best = None
-    for apex in range(len(hom)):
-        for p1 in hom[apex][ai]:
-            for p2 in hom[apex][bi]:
-                passed = _checks_passed(
-                    lambda w: [f * n + g for f, g in zip(view.after(p1, hom[w][apex]),
-                                                         view.after(p2, hom[w][apex]))],
-                    targets)
-                if best is None or passed > best[0]:
-                    best = (passed, apex, p1, p2)
+    for apex, (p1, p2) in _candidates(view, view.objects, legs):
+        passed = _checks_passed(
+            lambda w: [f * n + g for f, g in zip(view.after(p1, hom[w][apex]),
+                                                 view.after(p2, hom[w][apex]))],
+            targets)
+        if best is None or passed > best[0]:
+            best = (passed, apex, p1, p2)
     if best is None:
         near = f"no candidate {shape} at all"
     else:
@@ -248,9 +341,8 @@ def _pairing(view: _View, w: ProductWitness | CoproductWitness,
     """The pairing table of ``w``, built and verified now if no search built it."""
     if w.table is not None:
         return w.table
-    a, b = w.pair[0].index, w.pair[1].index
-    table = _cone_table(view, w.apex.index, p1.index, p2.index)
-    if table is None or len(table) != sum(row[a] * row[b] for row in view.count):
+    table = _cone_table(view, w.apex.index, (p1.index, p2.index))
+    if table is None:
         raise UniversalityBroken(
             f"({w.pair[0].name}, {w.pair[1].name}) with apex {w.apex.name}: composing "
             f"with ({p1.name}, {p2.name}) is not a bijection onto the cones")
@@ -289,17 +381,13 @@ def _transpose_tables(view: _View, products: Mapping[tuple[int, int], ProductWit
 
 
 def _exponential(view: _View, products: Mapping[tuple[int, int], ProductWitness],
-                 a: ObjId, target: ObjId, ws: Sequence[int],
-                 columns: Mapping[tuple, list[int]]) -> ExponentialWitness:
-    """``ws`` are the objects with a product with ``a``, ``columns`` the
-    objects by their hom-set sizes from ``ws``."""
-    cat, hom, count = view.cat, view.hom, view.count
+                 a: ObjId, target: ObjId, ws: tuple[int, ...]) -> ExponentialWitness:
+    """``ws`` are the objects with a product with ``a``."""
+    cat, hom = view.cat, view.hom
     ai, c = a.index, target.index
     sources = [products[(w, ai)].apex.index for w in ws]
-    for apex in columns.get(tuple(count[s][c] for s in sources), ()):
-        pw = products.get((apex, ai))
-        if pw is None:
-            continue
+    for apex in view.columns(ws).get(tuple(view.to[c][s] for s in sources), ()):
+        pw = products[(apex, ai)]
         for ev, table in _transpose_tables(view, products, apex, ai, ws,
                                            hom[pw.apex.index][c]):
             if table is not None:
@@ -327,10 +415,9 @@ def _exponential(view: _View, products: Mapping[tuple[int, int], ProductWitness]
         f"{cat.name}: no exponential with base {a.name}, target {target.name}; {near}")
 
 
-def _exponential_columns(view: _View, products: Mapping[tuple[int, int], ProductWitness],
-                         a: ObjId) -> tuple[list[int], dict[tuple, list[int]]]:
-    ws = [w for w in range(len(view.hom)) if (w, a.index) in products]
-    return ws, _columns(view.count, ws)
+def _with_product(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+                  a: ObjId) -> tuple[int, ...]:
+    return tuple(w for w in view.objects if (w, a.index) in products)
 
 
 def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], ProductWitness],
@@ -340,7 +427,7 @@ def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Produc
     Requires the binary products involved to be present in ``products``.
     """
     view = _View(cat)
-    return _exponential(view, products, a, target, *_exponential_columns(view, products, a))
+    return _exponential(view, products, a, target, _with_product(view, products, a))
 
 
 class StructureTable:
@@ -417,6 +504,42 @@ class StructureTable:
     def ob(self, index: int) -> ObjId:
         return self.cat.objects[index]
 
+    # -- cones over any family of objects ----------------------------------
+    # With ``op`` each of these works on the opposite category: on cocones,
+    # with arrows out of the vertex counted in place of arrows into it.
+
+    def find_cone(self, legs: Sequence[ObjId], among: Iterable[ObjId], *,
+                  op: bool = False) -> tuple[ObjId, tuple[ArrId, ...]] | None:
+        """Vertex and legs of the first universal cone over ``legs``, with
+        both the vertex and the test objects taken from ``among``."""
+        found = _first_cone(self._op if op else self._view,
+                            [o.index for o in legs], _indices(among))
+        if found is None:
+            return None
+        apex, fam, _ = found
+        return self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
+
+    def cone_candidates(self, legs: Sequence[ObjId], among: Iterable[ObjId], *,
+                        op: bool = False) -> Iterator[tuple[ObjId, tuple[ArrId, ...]]]:
+        """Every candidate of :meth:`find_cone`, in the order it tries them."""
+        for apex, fam in _candidates(self._op if op else self._view, _indices(among),
+                                     [o.index for o in legs]):
+            yield self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
+
+    def cone_miss(self, vertex: ObjId, legs: Sequence[ArrId], among: Iterable[ObjId], *,
+                  op: bool = False) -> tuple[ObjId, tuple[ArrId, ...], int] | None:
+        """None if ``vertex`` with ``legs`` is a universal cone against the
+        test objects ``among``.  Otherwise the first test object W, the
+        lexicographically first family of arrows from W to the leg objects
+        that is not the composite of the legs with exactly one arrow
+        W -> vertex, and that number of arrows."""
+        view, ws = self._op if op else self._view, _indices(among)
+        ps = [p.index for p in legs]
+        if _cone_table(view, vertex.index, ps, ws) is not None:
+            return None
+        w, fam, k = _first_miss(view, vertex.index, ps, ws)
+        return self.ob(w), tuple(self.cat.arrows[p] for p in fam), k
+
     # -- canonical combinators ----------------------------------------------
 
     def _pair(self, pw: ProductWitness, f: int, g: int) -> ArrId:
@@ -480,12 +603,12 @@ class StructureTable:
         if ew.table is not None:
             return ew.table
         view, products, a = self._view, self.products, ew.base
-        ws, _ = _exponential_columns(view, products, a)
+        ws = _with_product(view, products, a)
         _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
                                           ws, [ew.eval.index]))
         c = ew.target.index
         if table is None or len(table) != sum(
-                view.count[products[(w, a.index)].apex.index][c] for w in ws):
+                view.to[c][products[(w, a.index)].apex.index] for w in ws):
             raise UniversalityBroken(
                 f"exponential {ew.target.name}^{a.name} with apex {ew.apex.name}: "
                 f"composing with {ew.eval.name} is not a bijection onto the arrows "
@@ -536,11 +659,10 @@ def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> S
                 st.coproduct_failures[(a.index, b.index)] = str(exc)
 
     for a in cat.objects:
-        ws, columns = _exponential_columns(view, st.products, a)
+        ws = _with_product(view, st.products, a)
         for c in cat.objects:
             try:
-                st.exponentials[(a.index, c.index)] = _exponential(
-                    view, st.products, a, c, ws, columns)
+                st.exponentials[(a.index, c.index)] = _exponential(view, st.products, a, c, ws)
             except NoSuchStructure as exc:
                 st.exponential_failures[(a.index, c.index)] = str(exc)
 

@@ -16,8 +16,8 @@ its composites so a failed equation can be replayed by hand.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import CertificateFailure, MultipleMediators, NoMediator
@@ -44,7 +44,6 @@ class DeltaCertificate:
 class InitialitySweep:
     vertexes_checked: int
     families_checked: int
-    truncated: bool
 
 
 @dataclass(frozen=True)
@@ -210,15 +209,13 @@ def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
 
 
 def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
-                     var: str, sort: str, *,
-                     family_cap: int | None = None) -> FrobeniusCertificate:
+                     var: str, sort: str) -> FrobeniusCertificate:
     """Build alpha and beta = theta(gamma), assert both inverse equations
     exactly, then sweep initiality: every reachable cocone vertex over the
     product diagram admits exactly one mediator out of MA x M(exists x. B).
     """
     st = interp.structure
     cat = interp.cat
-    cap = family_cap if family_cap is not None else interp.family_cap
     ctx = _context(interp, left, body, var, sort)
     instance = Instance(left, body, var, sort)
 
@@ -252,7 +249,7 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
             raise CertificateFailure(
                 f"{instance.describe()}: alpha fails to commute at leg {t}")
 
-    sweep = _initiality_sweep(interp, ctx, cap)
+    sweep = _initiality_sweep(interp, ctx)
 
     return FrobeniusCertificate(
         instance, alpha, gamma, beta,
@@ -266,41 +263,22 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
         initiality=sweep)
 
 
-def _initiality_sweep(interp: "Interpretation", ctx: _FrobeniusContext,
-                      cap: int) -> InitialitySweep:
+def _initiality_sweep(interp: "Interpretation", ctx: _FrobeniusContext) -> InitialitySweep:
     """MA x M(exists x. B) must mediate uniquely to every reachable cocone
-    vertex over the product diagram; vertexes without a full leg family are
-    skipped, family enumerations beyond the cap are truncated with a warning.
+    vertex over the product diagram: composing with its legs maps the arrows
+    out of it to a vertex one-to-one onto the leg families at that vertex.
+    A vertex counts as checked when it carries at least one leg family.
     """
     cat = interp.cat
     assert interp.reach is not None
-    leg_objects = [cat.objects[e.dom] for _, e in ctx.sol_ab.family.legs]
-    vertexes = sorted(set(interp.reach.objects), key=lambda o: o.index)
-    checked_vertexes = 0
-    checked_families = 0
-    truncated = False
-
-    for v in vertexes:
-        pools = [cat.hom(leg, v) for leg in leg_objects]
-        if any(not pool for pool in pools):
-            continue
-        checked_vertexes += 1
-        total = 1
-        for pool in pools:
-            total *= len(pool)
-        if total > cap:
-            truncated = True
-            interp.warnings.append(
-                f"initiality sweep truncated at {cap} families for vertex {v.name}")
-        hom = cat.hom(ctx.vertex, v)
-        for fam in itertools.islice(itertools.product(*pools), cap):
-            checked_families += 1
-            ms = [m for m in hom
-                  if all(cat.compose(m, q) == p_t
-                         for q, p_t in zip(ctx.q_legs, fam))]
-            if len(ms) != 1:
-                raise CertificateFailure(
-                    f"initiality fails at vertex {v.name}: {len(ms)} mediators "
-                    f"out of {ctx.vertex.name} for family "
-                    f"({', '.join(a.name for a in fam)})")
-    return InitialitySweep(checked_vertexes, checked_families, truncated)
+    vertexes = interp.reach.objects
+    miss = interp.structure.cone_miss(ctx.vertex, ctx.q_legs, vertexes, op=True)
+    if miss is not None:
+        v, fam, k = miss
+        raise CertificateFailure(
+            f"initiality fails at vertex {v.name}: {k} mediators "
+            f"out of {ctx.vertex.name} for family "
+            f"({', '.join(a.name for a in fam)})")
+    families = [prod(len(cat.hom(cat.objects[q.dom], v)) for q in ctx.q_legs)
+                for v in vertexes]
+    return InitialitySweep(sum(1 for k in families if k), sum(families))

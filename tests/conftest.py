@@ -57,6 +57,23 @@ def subset_name(s: frozenset) -> str:
     return "e" + "".join(str(i) for i in sorted(s))
 
 
+# the bundled pair-const theory with its three atoms left as {} slots
+PAIR_CONST_THEORY = """\
+sort s
+fun c : s
+fun d : s
+rel B : s
+rel P
+depth 1
+axiom exists x:s. (P & B(x))
+axiom forall x:s. (B(x) -> P)
+axiom exists x:s. (B(x) & (P | B(c)))
+interp B(c) = {}
+interp B(d) = {}
+interp P = {}
+"""
+
+
 def make_finset(sizes, name="finset") -> FinCategory:
     """The full subcategory of finite sets on objects of the given sizes,
     with every function as an arrow (a non-thin category)."""

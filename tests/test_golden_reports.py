@@ -1,0 +1,102 @@
+"""Golden digests of timing-stripped ``check`` and ``redundancy`` reports.
+
+A change that alters any report line on these inputs fails here.  A change
+that alters reports on purpose updates the digests and says so in
+CHANGES.md.  To print the current digests:
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from catlogic.bundles import bundled_suites
+from catlogic.cli import run_cli
+from catlogic.heyting import gen_powerset
+from catlogic.kernel import format_category
+from catlogic.report import strip_timing
+
+from conftest import PAIR_CONST_THEORY, make_finset
+
+
+def _cases():
+    cases = {s.suite_id: (lambda s=s: (s.model.category(), s.theory_text))
+             for s in bundled_suites()}
+    cases["powerset-4"] = lambda: (gen_powerset(4).category(),
+                                   PAIR_CONST_THEORY.format("e1", "e2", "e3"))
+    cases["finset-0123"] = lambda: (make_finset([0, 1, 2, 3], "finset-0123"),
+                                    PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
+    return cases
+
+
+CASES = _cases()
+
+GOLDEN = {
+    "chain-4/pair-const:check":
+        "0e3de41d836575d7921ba3064f2ea47bd2e9a74a1c51df9b44d217b6b315873e",
+    "chain-4/pair-const:redundancy":
+        "bc53142b33a5187c4cc1540ace25aef4a9f7dc4354608d2858f7de3d12f5c91d",
+    "chain-4/unary-fun:check":
+        "4e14e9b04f7c03c220daf16b46504ccaf7592cc01184a6e11a1473f8dfb6f433",
+    "chain-4/unary-fun:redundancy":
+        "9d63412cf4e0c18368c6daa0d3b3f2cda71772a393d9bd49da45a275dc28e16d",
+    "powerset-2/pair-const:check":
+        "c99825947b400470fa8005535ed5d745aa550e9aa3f90c534965500c2bf7a691",
+    "powerset-2/pair-const:redundancy":
+        "442cd8e61f2ce6aa1f668ffc1c6928b61e042b15f6dda10d4721b1251cdc1ba0",
+    "powerset-2/unary-fun:check":
+        "3819e5bd49d9847fb341735557b33af90ca7110438429b244206aaefefca5d97",
+    "powerset-2/unary-fun:redundancy":
+        "096f4d3227d93cbbb45138a859248f0ed7cb506977832b46fc5c7366a0cee317",
+    "powerset-3/pair-const:check":
+        "94ab229bf4b55f8ae6d2d637f409e7a1a5ca6b3ed5caab454cb4b2f2b8629c5f",
+    "powerset-3/pair-const:redundancy":
+        "2da48872c33a0b93e67fadda512808b7872dda274d68e1107a65c9e7773cbcd1",
+    "powerset-3/unary-fun:check":
+        "04c9c8d5da6c928cfbde18f467a532fc61b4849da79402d9e36be9c6287f9780",
+    "powerset-3/unary-fun:redundancy":
+        "383782865ef99b24fc6aa0fa09833fa74e82266858306ae3e3ef40ab6790c211",
+    "powerset-4:check":
+        "9c20e5b007bafd86cb3fe2abcfb2a6dd3f7658d0aa2eb2e2e94e4b76bb185dc9",
+    "powerset-4:redundancy":
+        "c2e8db99e341f6dddbe09f39f830fe374d00afa5f862fcd466c4a9ddcf2ca6c1",
+    "finset-0123:check":
+        "447ce8cca70bf4bc2dfa9ac907da5fe1f5942d9f18b62bff5ff607be7a77907c",
+    "finset-0123:redundancy":
+        "1982c3104ba4f9253948f740d62da0343c39e373388071cd14d0383094b46a9d",
+}
+
+
+def report_digest(name: str, command: str, workdir: Path) -> str:
+    cat, theory_text = CASES[name]()
+    model, theory = workdir / "model.cat", workdir / "model.th"
+    model.write_text(format_category(cat))
+    theory.write_text(theory_text)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        run_cli([command, "--model", str(model), "--theory", str(theory)])
+    return hashlib.sha256(strip_timing(out.getvalue()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_report_matches_golden_digest(key, tmp_path):
+    name, command = key.rsplit(":", 1)
+    assert report_digest(name, command, tmp_path) == GOLDEN[key]
+
+
+def test_golden_covers_every_case():
+    assert set(GOLDEN) == {f"{name}:{command}" for name in CASES
+                           for command in ("check", "redundancy")}
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            for command in ("check", "redundancy"):
+                key = f"{name}:{command}"
+                print(f'    "{key}":\n        "{report_digest(name, command, Path(tmp))}",')

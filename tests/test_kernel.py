@@ -12,8 +12,11 @@ from catlogic.errors import (
 )
 from catlogic.heyting import gen_powerset
 from catlogic.kernel import (
+    MAX_ARROW_LINES,
+    MAX_OBJECTS,
     FinCategory,
     format_category,
+    inverses,
     mutually_inverse,
     parse_category,
     validate_category,
@@ -94,6 +97,15 @@ def test_mutually_inverse(h2):
     u = h2.arrow("u")
     with pytest.raises(ShapeMismatch):
         mutually_inverse(h2, u, u)
+
+
+def test_inverses():
+    z2 = FinCategory.build(["o"], [("s", "o", "o")],
+                           compositions=[("s", "s", "id_o")], name="Z2")
+    s, ido = z2.arrow("s"), z2.arrow("id_o")
+    assert inverses(z2, s) == [s] and inverses(z2, ido) == [ido]
+    h2 = make_h2()
+    assert inverses(h2, h2.arrow("u")) == []
 
 
 def test_mutually_inverse_identity_pair_b4():
@@ -236,3 +248,43 @@ id c = auto
     assert any(v.kind == "compose-missing" for v in report.violations)
     fixed = parse_category(text + "arrow h : a -> c\ncompose g . f = h\n")
     assert validate_category(fixed).ok
+
+
+def _discrete_file(n: int) -> str:
+    return "".join(f"object o{i}\nid o{i} = auto\n" for i in range(n))
+
+
+def test_object_lines_past_desk_scale_exit_2(tmp_path, capsys):
+    text = _discrete_file(MAX_OBJECTS + 1)
+    with pytest.raises(CategoryFileError) as exc:
+        parse_category(text)
+    line = 2 * MAX_OBJECTS + 1  # the 33rd object line
+    assert f"line {line}:" in str(exc.value) and exc.value.line == line
+    model = tmp_path / "big.cat"
+    model.write_text(text)
+    assert run_cli(["validate", "--model", str(model)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_desk_scale_files_still_run(tmp_path, capsys):
+    model = tmp_path / "chain-32.cat"
+    assert run_cli(["gen", "--kind", "chain", "--n", str(MAX_OBJECTS),
+                    "--out", str(model)]) == 0
+    assert run_cli(["validate", "--model", str(model)]) == 0
+    model.write_text(_discrete_file(MAX_OBJECTS))
+    assert run_cli(["validate", "--model", str(model)]) == 0
+    assert "model.objects = 32" in capsys.readouterr().out
+
+
+def test_arrow_lines_past_desk_scale_exit_2(tmp_path, capsys):
+    arrows = "".join(f"arrow f{i} : a -> b\n" for i in range(MAX_ARROW_LINES + 1))
+    text = "object a\nobject b\n" + arrows + "id a = auto\nid b = auto\n"
+    line = 2 + MAX_ARROW_LINES + 1
+    with pytest.raises(CategoryFileError) as exc:
+        parse_category(text)
+    assert f"line {line}:" in str(exc.value)
+    parse_category(text.replace(f"arrow f{MAX_ARROW_LINES} : a -> b\n", ""))
+    model = tmp_path / "wide.cat"
+    model.write_text(text)
+    assert run_cli(["validate", "--model", str(model)]) == 2
+    assert f"line {line}:" in capsys.readouterr().err
