@@ -30,6 +30,7 @@ from .kernel import (
     ObjId,
     ValidationReport,
     format_category,
+    gen_finset,
     inverses,
     mutually_inverse,
     parse_category,

@@ -21,7 +21,13 @@ from .errors import (
     WorkbenchError,
 )
 from .heyting import gen_chain, gen_diamond, gen_powerset
-from .kernel import FinCategory, parse_category, format_category, validate_category
+from .kernel import (
+    FinCategory,
+    format_category,
+    gen_finset,
+    parse_category,
+    validate_category,
+)
 from .logic import Theory, connective_depth, free_vars, parse_formula, parse_theory
 from .report import Report
 from .semantics import (
@@ -215,12 +221,14 @@ def cmd_redundancy(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.kind == "chain":
-        model = gen_chain(args.n)
+        cat = gen_chain(args.n).category()
     elif args.kind == "powerset":
-        model = gen_powerset(args.n)
+        cat = gen_powerset(args.n).category()
+    elif args.kind == "finset":
+        cat = gen_finset(args.n)
     else:
-        model = gen_diamond()
-    text = format_category(model.category())
+        cat = gen_diamond().category()
+    text = format_category(cat)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -264,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_redundancy)
 
-    sp = sub.add_parser("gen", help="generate a bundled Heyting model file")
-    sp.add_argument("--kind", required=True, choices=["chain", "powerset", "diamond"])
+    sp = sub.add_parser("gen", help="generate a Heyting or finite-set model file")
+    sp.add_argument("--kind", required=True,
+                    choices=["chain", "powerset", "diamond", "finset"])
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_gen)

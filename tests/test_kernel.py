@@ -288,3 +288,23 @@ def test_arrow_lines_past_desk_scale_exit_2(tmp_path, capsys):
     model.write_text(text)
     assert run_cli(["validate", "--model", str(model)]) == 2
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, n_arrows", [(3, 60), (4, 499)])
+def test_gen_finset_writes_a_valid_skeleton(k, n_arrows, tmp_path):
+    model = tmp_path / f"finset-{k}.cat"
+    assert run_cli(["gen", "--kind", "finset", "--n", str(k), "--out", str(model)]) == 0
+    cat = parse_category(model.read_text())
+    assert len(cat.objects) == k + 1 and len(cat.arrows) == n_arrows
+    for a in cat.objects:
+        for b in cat.objects:
+            m, n = int(a.name[1:]), int(b.name[1:])
+            assert len(cat.hom(a, b)) == n ** m
+    assert validate_category(cat).ok
+
+
+def test_gen_finset_past_arrow_limit_exits_2(capsys):
+    assert run_cli(["gen", "--kind", "finset", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_ARROW_LINES" in captured.err and str(MAX_ARROW_LINES) in captured.err
