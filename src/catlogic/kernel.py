@@ -53,10 +53,15 @@ class CategoryIndex(NamedTuple):
 
     ``table[g][f]`` is the index of g after f (UNDEFINED off composable
     pairs); ``hom[(a, b)]`` lists the indices of the arrows a -> b in index
-    order and is absent when there are none.
+    order and is absent when there are none; ``dom[f]`` and ``cod[f]`` are
+    the object indices of arrow f and ``identity[a]`` the arrow index of the
+    identity of object a.
     """
     table: tuple[tuple[int, ...], ...]
     hom: Mapping[tuple[int, int], tuple[int, ...]]
+    dom: tuple[int, ...]
+    cod: tuple[int, ...]
+    identity: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -106,7 +111,9 @@ class FinCategory:
             hom.setdefault((f.dom, f.cod), []).append(f)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._index = CategoryIndex(
-            self._table, {k: tuple(f.index for f in v) for k, v in hom.items()})
+            self._table, {k: tuple(f.index for f in v) for k, v in hom.items()},
+            tuple(a.dom for a in self.arrows), tuple(a.cod for a in self.arrows),
+            self._identity)
 
     def _check_shape(self) -> None:
         n_obj, n_arr = len(self.objects), len(self.arrows)
@@ -339,12 +346,11 @@ def validate_category(c: FinCategory) -> ValidationReport:
     return report
 
 
-def _incidence(c: FinCategory) -> tuple[list[int], list[int],
+def _incidence(c: FinCategory) -> tuple[Sequence[int], Sequence[int],
                                          list[list[int]], list[list[int]]]:
     """Per-arrow domain and codomain indices, and per object the arrows
     into it and out of it, each list in index order."""
-    dom = [a.dom for a in c.arrows]
-    cod = [a.cod for a in c.arrows]
+    _, _, dom, cod, _ = c.index()
     into: list[list[int]] = [[] for _ in c.objects]
     out_of: list[list[int]] = [[] for _ in c.objects]
     for a in c.arrows:
@@ -450,23 +456,39 @@ def mutually_inverse(c: FinCategory, f: ArrId, g: ArrId) -> bool:
     """True iff g.f and f.g are the two identities."""
     if f.dom != g.cod or f.cod != g.dom:
         raise ShapeMismatch(f"{f.name} and {g.name} do not have opposite endpoints")
-    return (c.compose(g, f) == c.identity_of(f.dom)
-            and c.compose(f, g) == c.identity_of(g.dom))
+    return _inverse_rows(c, f, g)
 
 
 def inverses(c: FinCategory, f: ArrId) -> list[ArrId]:
     """Every g : cod f -> dom f with g.f and f.g the two identities."""
-    id_src, id_tgt = c.identity_of(f.dom), c.identity_of(f.cod)
-    return [g for g in c.hom(c.objects[f.cod], c.objects[f.dom])
-            if c.compose(g, f) == id_src and c.compose(f, g) == id_tgt]
+    return [g for g in c.hom(c.objects[f.cod], c.objects[f.dom]) if _inverse_rows(c, f, g)]
+
+
+def _inverse_rows(c: FinCategory, f: ArrId, g: ArrId) -> bool:
+    """g.f and f.g, read off the table rows, are the identities of dom f and
+    cod f, for g : cod f -> dom f.  An undefined composite raises as
+    ``compose`` does."""
+    table, ids = c._table, c._identity
+    gf = table[g.index][f.index]
+    if gf == UNDEFINED:
+        c.compose(g, f)
+    if gf != ids[f.dom]:
+        return False
+    fg = table[f.index][g.index]
+    if fg == UNDEFINED:
+        c.compose(f, g)
+    return fg == ids[f.cod]
 
 
 # -- category file format ----------------------------------------------------
 
-_OBJECT_RE = re.compile(r"^object\s+(\S+)$")
-_ARROW_RE = re.compile(r"^arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
-_ID_RE = re.compile(r"^id\s+(\S+)\s*=\s*(\S+)$")
-_COMPOSE_RE = re.compile(r"^compose\s+(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$")
+# the line patterns by their first word: each matches only lines that start with it
+_LINE_RES = {
+    "object": re.compile(r"^object\s+(\S+)$"),
+    "arrow": re.compile(r"^arrow\s+(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$"),
+    "id": re.compile(r"^id\s+(\S+)\s*=\s*(\S+)$"),
+    "compose": re.compile(r"^compose\s+(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$"),
+}
 
 
 def parse_category(text: str, name: str = "category") -> FinCategory:
@@ -490,7 +512,12 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if m := _OBJECT_RE.match(line):
+        kind = line.split(None, 1)[0]
+        rx = _LINE_RES.get(kind)
+        m = rx.match(line) if rx else None
+        if m is None:
+            raise CategoryFileError(f"unrecognized line: {line}", lineno)
+        if kind == "object":
             oname = m.group(1)
             if len(objects) == MAX_OBJECTS:
                 raise CategoryFileError(f"object {oname}: more than {MAX_OBJECTS} "
@@ -500,7 +527,7 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
                                         f"on line {seen_obj[oname]}", lineno)
             seen_obj[oname] = lineno
             objects.append(oname)
-        elif m := _ARROW_RE.match(line):
+        elif kind == "arrow":
             aname, dname, cname = m.groups()
             if len(arrows) == MAX_ARROW_LINES:
                 raise CategoryFileError(f"arrow {aname}: more than {MAX_ARROW_LINES} "
@@ -514,7 +541,7 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
                 raise CategoryFileError(f"arrow {aname}: unknown object {cname}", lineno)
             seen_arr[aname] = lineno
             arrows.append((aname, dname, cname))
-        elif m := _ID_RE.match(line):
+        elif kind == "id":
             oname, aname = m.groups()
             if oname not in seen_obj:
                 raise CategoryFileError(f"id line for unknown object {oname}", lineno)
@@ -525,15 +552,13 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
                                         f"on line {seen_id[oname]}", lineno)
             seen_id[oname] = lineno
             ids[oname] = aname
-        elif m := _COMPOSE_RE.match(line):
+        else:
             gname, fname, hname = m.groups()
             if (gname, fname) in seen_comp:
                 raise CategoryFileError(f"composite {gname} . {fname} already given "
                                         f"on line {seen_comp[(gname, fname)]}", lineno)
             seen_comp[(gname, fname)] = lineno
             comps.append((gname, fname, hname, lineno))
-        else:
-            raise CategoryFileError(f"unrecognized line: {line}", lineno)
 
     for oname in objects:
         if oname not in ids:

@@ -594,32 +594,12 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
 
     reach = interp.reach
 
-    # (4) distributivity: the canonical arrow has an inverse, checked by
-    # exhaustive inverse search over all reachable triples (independent of
-    # the constructive route in the theorems module)
+    # (4) distributivity over every reachable triple
     if reach is None:
         verdicts.append(ConditionVerdict(4, "distributivity", "BLOCKED",
                                          ("interpretation not prepared",)))
     else:
-        details = []
-        status = "PASS"
-        for a in reach.objects:
-            for b in reach.objects:
-                for c in reach.objects:
-                    try:
-                        delta = theorems.build_delta(st, a, b, c)
-                    except NoSuchStructure as exc:
-                        status = "BLOCKED" if status == "PASS" else status
-                        details.append(f"({a.name},{b.name},{c.name}): {exc}")
-                        continue
-                    invs = inverses(cat, delta)
-                    if len(invs) != 1:
-                        status = "FAIL"
-                        details.append(
-                            f"({a.name},{b.name},{c.name}): {len(invs)} inverses "
-                            f"for {delta.name}")
-        verdicts.append(ConditionVerdict(4, "distributivity", status,
-                                         tuple(details[:16])))
+        verdicts.append(distributivity_verdict(st, reach.objects))
 
     # (5) quantifier objects for every quantified subformula of the checked set
     checked = checked_formulas(interp)
@@ -698,6 +678,33 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
     verdicts.append(ConditionVerdict(7, "frobenius", status, tuple(details[:16])))
 
     return ConditionReport(tuple(verdicts))
+
+
+def distributivity_verdict(st: StructureTable, objects: Sequence[ObjId]) -> ConditionVerdict:
+    """Condition 4 over every triple of ``objects``: the canonical arrow
+    (a x b) + (a x c) -> a x (b + c) has exactly one inverse, found by
+    scanning every arrow back (independent of the constructive inverse in
+    the theorems module)."""
+    from . import theorems  # late import: theorems builds on this module's types
+
+    details = []
+    status = "PASS"
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                try:
+                    delta = theorems.build_delta(st, a, b, c)
+                except NoSuchStructure as exc:
+                    status = "BLOCKED" if status == "PASS" else status
+                    details.append(f"({a.name},{b.name},{c.name}): {exc}")
+                    continue
+                invs = inverses(st.cat, delta)
+                if len(invs) != 1:
+                    status = "FAIL"
+                    details.append(
+                        f"({a.name},{b.name},{c.name}): {len(invs)} inverses "
+                        f"for {delta.name}")
+    return ConditionVerdict(4, "distributivity", status, tuple(details[:16]))
 
 
 def checked_formulas(interp: Interpretation) -> tuple[Formula, ...]:

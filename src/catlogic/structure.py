@@ -89,7 +89,9 @@ def _verified(witness, table: Mapping[int, int]):
     """``witness`` carrying the table its search verified.
 
     The table is not an init field: a witness built by hand, or copied with
-    ``dataclasses.replace``, carries none and is verified before first use.
+    ``dataclasses.replace``, carries none.  It is verified on first use and
+    keeps its table from then on; one that fails is checked again on every
+    use.
     """
     object.__setattr__(witness, "table", table)
     return witness
@@ -105,7 +107,7 @@ class _View:
     """
 
     def __init__(self, cat: FinCategory, op: bool = False):
-        table, homs = cat.index()
+        table, homs, dom, cod, _ = cat.index()
         n = len(cat.objects)
         self.cat = cat
         self.op = op
@@ -114,7 +116,7 @@ class _View:
         self.hom = [[homs.get((y, x) if op else (x, y), ()) for y in range(n)]
                     for x in range(n)]
         self.to = [[len(self.hom[x][y]) for x in range(n)] for y in range(n)]
-        self.cod = [a.dom if op else a.cod for a in cat.arrows]
+        self.cod = dom if op else cod
         self._columns: dict[tuple[int, ...], dict[tuple, list[int]]] = {}
 
     def after(self, p: int, ms: Iterable[int]) -> Iterator[int]:
@@ -338,7 +340,7 @@ def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> CoproductWitness:
 
 def _pairing(view: _View, w: ProductWitness | CoproductWitness,
              p1: ArrId, p2: ArrId) -> Mapping[int, int]:
-    """The pairing table of ``w``, built and verified now if no search built it."""
+    """The pairing table of ``w``, verified on first use if no search built it."""
     if w.table is not None:
         return w.table
     table = _cone_table(view, w.apex.index, (p1.index, p2.index))
@@ -346,7 +348,7 @@ def _pairing(view: _View, w: ProductWitness | CoproductWitness,
         raise UniversalityBroken(
             f"({w.pair[0].name}, {w.pair[1].name}) with apex {w.apex.name}: composing "
             f"with ({p1.name}, {p2.name}) is not a bijection onto the cones")
-    return table
+    return _verified(w, table).table
 
 
 # -- exponentials -------------------------------------------------------------------
@@ -597,15 +599,28 @@ class StructureTable:
                 f"exponential {c.name}^{a.name} admits no transpose for {f.name}")
         return self.cat.arrows[k]
 
+    def table_of(self, w: ProductWitness | CoproductWitness | ExponentialWitness
+                 ) -> Mapping[int, int]:
+        """The pairing, copairing or transpose table of ``w``, verified on
+        first use if no search built it; UniversalityBroken if it fails."""
+        if isinstance(w, ProductWitness):
+            return _pairing(self._view, w, w.proj1, w.proj2)
+        if isinstance(w, CoproductWitness):
+            return _pairing(self._op, w, w.inj1, w.inj2)
+        return self._transposes(w)
+
     def _transposes(self, ew: ExponentialWitness) -> Mapping[int, int]:
-        """The transpose table of ``ew``, built and verified now if no search
+        """The transpose table of ``ew``, verified on first use if no search
         built it."""
         if ew.table is not None:
             return ew.table
         view, products, a = self._view, self.products, ew.base
         ws = _with_product(view, products, a)
-        _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
-                                          ws, [ew.eval.index]))
+        try:
+            _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
+                                              ws, [ew.eval.index]))
+        except KeyError:  # apex x base is missing, or m x id_base does not pair
+            table = None
         c = ew.target.index
         if table is None or len(table) != sum(
                 view.to[c][products[(w, a.index)].apex.index] for w in ws):
@@ -613,7 +628,7 @@ class StructureTable:
                 f"exponential {ew.target.name}^{a.name} with apex {ew.apex.name}: "
                 f"composing with {ew.eval.name} is not a bijection onto the arrows "
                 f"into {ew.target.name}")
-        return table
+        return _verified(ew, table).table
 
     def theta(self, g: ArrId, a: ObjId, c: ObjId) -> ArrId:
         """theta(g) = eval . (g x id_a) : dom g x a -> c, inverse to transpose."""

@@ -17,11 +17,12 @@ its composites so a failed equation can be replayed by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .errors import CertificateFailure, MultipleMediators, NoMediator
-from .kernel import ArrId, FinCategory, ObjId, mutually_inverse
+from .errors import CertificateFailure, MultipleMediators, NoMediator, UniversalityBroken
+from .kernel import UNDEFINED, ArrId, FinCategory, ObjId, mutually_inverse
 from .logic import Formula, Times, free_vars
 from .semantics import CoconeFamily, Instance, QuantifierSolution
 from .structure import StructureTable
@@ -32,12 +33,28 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DeltaCertificate:
+    """delta and its inverse for the triple (a, b, c).  The provenance and
+    equation texts are formatted on first read."""
     triple: tuple[ObjId, ObjId, ObjId]
     delta: ArrId
     delta_inv: ArrId
-    delta_provenance: str
-    inverse_provenance: str
-    equations: tuple[str, str]
+    injections: tuple[ArrId, ArrId]   # of b + c, as delta used them
+    ends: tuple[ObjId, ObjId]         # dom and cod of delta
+
+    @cached_property
+    def delta_provenance(self) -> str:
+        a, (inj1, inj2) = self.triple[0].name, self.injections
+        return f"copair(id_{a} x {inj1.name}, id_{a} x {inj2.name})"
+
+    @cached_property
+    def inverse_provenance(self) -> str:
+        return (f"theta(copair(transpose(inj1 . swap), "
+                f"transpose(inj2 . swap))) . swap_{self.triple[0].name}")
+
+    @cached_property
+    def equations(self) -> tuple[str, str]:
+        delta, inv, (src, tgt) = self.delta.name, self.delta_inv.name, self.ends
+        return (f"{inv} . {delta} = id_{src.name}", f"{delta} . {inv} = id_{tgt.name}")
 
 
 @dataclass(frozen=True)
@@ -70,15 +87,19 @@ def _unique(cat: FinCategory, candidates: Sequence[ArrId], pred, what: str) -> A
 
 
 # -- distributivity -----------------------------------------------------------------
+#
+# delta and its inverse are computed from the pairing, copairing and
+# transpose tables of the witnesses in the structure table at call time and
+# from the composition rows (``_delta``, ``_delta_inverse``).  They make
+# every check the combinator chains below make.  When one fails -- a
+# witness or table entry is missing (a KeyError), a witness with no table
+# fails verification, or endpoints do not match -- the chain is run only to
+# raise the error of its first failing step.
 
 def build_delta(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     """The canonical (a x b) + (a x c) -> a x (b + c): copair of the two
     arrow products of the identity with a coproduct injection."""
-    bc = st.coproduct(b, c)
-    ida = st.identity(a)
-    left = st.arrow_product(ida, bc.inj1)    # a x b -> a x (b + c)
-    right = st.arrow_product(ida, bc.inj2)   # a x c -> a x (b + c)
-    return st.copair(left, right)
+    return st.cat.arrows[_delta(st, a.index, b.index, c.index)]
 
 
 def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
@@ -89,6 +110,87 @@ def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Arr
     into h : b + c -> D^a, then return theta(h) composed with the canonical
     factor swap, giving a x (b + c) -> D.
     """
+    return st.cat.arrows[_delta_inverse(st, a.index, b.index, c.index)]
+
+
+def _delta(st: StructureTable, a: int, b: int, c: int) -> int:
+    t, _, dom, cod, ids = st.cat.index()
+    n, products, table_of = len(t), st.products, st.table_of
+    try:
+        bc = st.coproducts[(b, c)]
+        ida, i1, i2 = ids[a], bc.inj1.index, bc.inj2.index
+        # id_a x inj = <id_a . proj1, inj . proj2>, from a x b and from a x c
+        s1, p1 = products[(dom[ida], dom[i1])], products[(cod[ida], cod[i1])]
+        left = (p1.table or table_of(p1))[t[ida][s1.proj1.index] * n + t[i1][s1.proj2.index]]
+        s2, p2 = products[(dom[ida], dom[i2])], products[(cod[ida], cod[i2])]
+        right = (p2.table or table_of(p2))[t[ida][s2.proj1.index] * n + t[i2][s2.proj2.index]]
+        if cod[left] == cod[right]:  # the copair's endpoint check
+            cw = st.coproducts[(dom[left], dom[right])]
+            return (cw.table or table_of(cw))[left * n + right]
+    except (KeyError, UniversalityBroken):
+        pass
+    _raise_from_chain(_delta_chain, st, a, b, c)
+
+
+def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
+    t, _, dom, cod, ids = st.cat.index()
+    n, no, table_of = len(t), len(st.cat.objects), st.table_of
+    products, coproducts, exponentials = st.products, st.coproducts, st.exponentials
+    try:
+        ab, ac = products[(a, b)], products[(a, c)]
+        d_w = coproducts[(ab.apex.index, ac.apex.index)]
+        # swap = <proj2, proj1> : b x a -> a x b, then inj1 . swap; likewise for c
+        ba, ca = products[(b, a)], products[(c, a)]
+        s1 = (ab.table or table_of(ab))[ba.proj2.index * n + ba.proj1.index]
+        s2 = (ac.table or table_of(ac))[ca.proj2.index * n + ca.proj1.index]
+        j1, j2 = d_w.inj1.index, d_w.inj2.index
+        f1, f2 = t[j1][s1], t[j2][s2]
+        # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
+        e1, e2 = exponentials[(a, cod[f1])], exponentials[(a, cod[f2])]
+        t1 = (e1.table or table_of(e1))[f1 * no + b]
+        t2 = (e2.table or table_of(e2))[f2 * no + c]
+        cw = coproducts[(dom[t1], dom[t2])]
+        h = (cw.table or table_of(cw))[t1 * n + t2]
+        # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
+        bc = coproducts[(b, c)].apex.index
+        ew = exponentials[(a, d_w.apex.index)]
+        ida = ids[a]
+        src, hx = products[(dom[h], dom[ida])], products[(cod[h], cod[ida])]
+        theta_h = t[ew.eval.index][(hx.table or table_of(hx))[
+            t[h][src.proj1.index] * n + t[ida][src.proj2.index]]]
+        sw, tw = products[(a, bc)], products[(bc, a)]
+        s3 = (tw.table or table_of(tw))[sw.proj2.index * n + sw.proj1.index]
+        inv = t[theta_h][s3]
+        # the chain's other checks: the three composites typed and defined,
+        # each transpose from its product's apex, the copair's and theta's
+        # endpoints
+        if (UNDEFINED not in (f1, f2, inv)
+                and cod[s1] == dom[j1] and cod[s2] == dom[j2]
+                and dom[f1] == ba.apex.index and dom[f2] == ca.apex.index
+                and cod[t1] == cod[t2] and cod[h] == ew.apex.index
+                and cod[s3] == dom[theta_h]):
+            return inv
+    except (KeyError, UniversalityBroken):
+        pass
+    _raise_from_chain(_delta_inverse_chain, st, a, b, c)
+
+
+def _raise_from_chain(chain, st: StructureTable, *triple: int) -> NoReturn:
+    """Run the combinator chain for a construction whose table reads failed;
+    the chain raises the error of its first failing step."""
+    chain(st, *(st.cat.objects[i] for i in triple))
+    raise AssertionError("the combinator chain succeeded where table reads failed")
+
+
+def _delta_chain(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
+    bc = st.coproduct(b, c)
+    ida = st.identity(a)
+    left = st.arrow_product(ida, bc.inj1)    # a x b -> a x (b + c)
+    right = st.arrow_product(ida, bc.inj2)   # a x c -> a x (b + c)
+    return st.copair(left, right)
+
+
+def _delta_inverse_chain(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     cat = st.cat
     ab = st.product(a, b)
     ac = st.product(a, c)
@@ -122,16 +224,8 @@ def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Delta
             f"{cat.compose(inv, delta).name}, {delta.name}.{inv.name} = "
             f"{cat.compose(delta, inv).name}")
     bc = st.coproduct(b, c)
-    src = cat.objects[delta.dom]
-    tgt = cat.objects[delta.cod]
-    return DeltaCertificate(
-        (a, b, c), delta, inv,
-        delta_provenance=(f"copair(id_{a.name} x {bc.inj1.name}, "
-                          f"id_{a.name} x {bc.inj2.name})"),
-        inverse_provenance=(f"theta(copair(transpose(inj1 . swap), "
-                            f"transpose(inj2 . swap))) . swap_{a.name}"),
-        equations=(f"{inv.name} . {delta.name} = id_{src.name}",
-                   f"{delta.name} . {inv.name} = id_{tgt.name}"))
+    return DeltaCertificate((a, b, c), delta, inv, (bc.inj1, bc.inj2),
+                            (cat.objects[delta.dom], cat.objects[delta.cod]))
 
 
 # -- product through existential quantification ----------------------------------------

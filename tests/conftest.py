@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from catlogic.bundles import bundled_suites
+from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import FinCategory, validate_category
 from catlogic.semantics import build_interpretation
 from catlogic.structure import discover_structure
@@ -95,3 +96,27 @@ def make_finset(sizes, name="finset") -> FinCategory:
                     compositions.append((g, f, f"f{x}_{z}_{h}"))
     return FinCategory.build(objects, arrows, identities=identities,
                              compositions=compositions, name=name)
+
+
+def _z2():
+    return FinCategory.build(["m"], [("s", "m", "m")],
+                             compositions=[("s", "s", "id_m")], name="Z2")
+
+
+def _walking_iso():
+    return FinCategory.build(
+        ["x", "y"], [("f", "x", "y"), ("g", "y", "x")],
+        compositions=[("g", "f", "id_x"), ("f", "g", "id_y")], name="iso")
+
+
+# the models the reference tests compare on, thin and non-thin
+REFERENCE_MODELS = {
+    "powerset-4": lambda: gen_powerset(4).category(),
+    "chain-8": lambda: gen_chain(8).category(),
+    "finset-0123": lambda: make_finset([0, 1, 2, 3], "finset-0123"),
+    "finset-012333": lambda: make_finset([0, 1, 2, 3, 3, 3], "finset-012333"),
+    "Z2": _z2,
+    "iso": _walking_iso,
+}
+REFERENCE_MODELS.update({f"suite-{m.name}": m.category for m in
+                         {s.model.name: s.model for s in bundled_suites()}.values()})

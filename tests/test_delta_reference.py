@@ -1,0 +1,159 @@
+"""delta, its inverse, the delta certificates and condition 4 against the
+combinator-chain reference in ``delta_reference.py``: equal arrows, texts,
+verdicts and failure messages."""
+
+from collections import Counter
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, settings, strategies
+
+from catlogic.errors import WorkbenchError
+from catlogic.kernel import inverses, mutually_inverse, validate_category
+from catlogic.semantics import distributivity_verdict
+from catlogic.structure import discover_structure
+from catlogic.theorems import build_delta, build_delta_inverse, delta_certificate
+
+import delta_reference as ref
+from conftest import REFERENCE_MODELS, make_finset
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except WorkbenchError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _certificate(fn, st, a, b, c):
+    cert = _outcome(fn, st, a, b, c)
+    if isinstance(cert, tuple):
+        return cert
+    return (cert.triple, cert.delta, cert.delta_inv, cert.delta_provenance,
+            cert.inverse_provenance, cert.equations)
+
+
+def _assert_matches_reference(st):
+    """Every triple of objects, then condition 4 over all of them; returns
+    the errors of the failed certificates by type."""
+    objects = st.cat.objects
+    failed = Counter()
+    for a in objects:
+        for b in objects:
+            for c in objects:
+                for new, old in ((build_delta, ref.build_delta),
+                                 (build_delta_inverse, ref.build_delta_inverse)):
+                    assert _outcome(new, st, a, b, c) == _outcome(old, st, a, b, c)
+                cert = _certificate(delta_certificate, st, a, b, c)
+                assert cert == _certificate(ref.delta_certificate, st, a, b, c)
+                if len(cert) == 2:
+                    failed[cert[0]] += 1
+    verdict = _outcome(distributivity_verdict, st, objects)
+    if not isinstance(verdict, tuple):
+        verdict = verdict.status, verdict.details
+    assert verdict == _outcome(ref.ref_condition4, st, objects)
+    return failed
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_delta_matches_reference(name):
+    cat = REFERENCE_MODELS[name]()
+    assert validate_category(cat).ok
+    failed = _assert_matches_reference(discover_structure(cat))
+    # the finite sets and Z2 lack exponentials or products, so their failure
+    # messages are compared too
+    assert bool(failed) == (name.startswith("finset") or name == "Z2")
+
+
+def test_condition4_on_reach_matches_reference(prepared_suites):
+    for _, _, st, interp in prepared_suites:
+        verdict = distributivity_verdict(st, interp.reach.objects)
+        assert (verdict.status, verdict.details) == ref.ref_condition4(st, interp.reach.objects)
+
+
+@pytest.mark.parametrize("kind", ["universal", "broken", "mistyped"])
+def test_replaced_witnesses_match_reference(kind):
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    one, two, three = cat.objects[1:]
+    first = delta_certificate(st, one, one, one)
+    assert first.delta_provenance == ref.delta_certificate(st, one, one, one).delta_provenance
+    pw = st.product(one, two)    # apex 2 with projections (constant 0, identity)
+    cw = st.coproduct(one, one)  # apex 2 with injections (0, 1)
+    ew = st.exponential(one, two)
+    if kind == "universal":
+        # the other automorphism of 2 as second projection, the injections
+        # exchanged and a copy of the exponential
+        st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_10"))
+        st.coproducts[(1, 1)] = replace(cw, inj1=cw.inj2, inj2=cw.inj1)
+        st.exponentials[(1, 2)] = replace(ew)
+    elif kind == "broken":
+        st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_00"))
+        st.coproducts[(1, 1)] = replace(cw, inj2=cw.inj1)
+    else:
+        # legs and apexes on the wrong objects
+        st.coproducts[(1, 1)] = replace(cw, inj1=cat.arrow("f2_2_01"))
+        st.exponentials[(1, 2)] = replace(ew, apex=three)
+        st.products[(2, 1)] = replace(st.product(two, one), apex=three)
+    failed = _assert_matches_reference(st)
+    assert failed == _assert_matches_reference(st)  # again, with the tables kept
+    if kind == "universal":
+        assert delta_certificate(st, one, one, one).delta_provenance != first.delta_provenance
+    elif kind == "broken":
+        assert failed["UniversalityBroken"] > 0
+    else:
+        assert failed["ShapeMismatch"] > 0 and failed["NotComposable"] > 0
+
+
+_FIELDS = {"products": ("apex", "proj1", "proj2"), "coproducts": ("apex", "inj1", "inj2"),
+           "exponentials": ("apex", "eval")}
+_FINSET = make_finset([0, 1, 2, 3], "finset-0123")
+_WITNESS_KEYS = {kind: sorted(getattr(discover_structure(_FINSET), kind)) for kind in _FIELDS}
+
+
+@strategies.composite
+def _corruption(draw):
+    kind = draw(strategies.sampled_from(sorted(_FIELDS)))
+    field = draw(strategies.sampled_from(_FIELDS[kind]))
+    values = _FINSET.objects if field == "apex" else _FINSET.arrows
+    return (kind, draw(strategies.sampled_from(_WITNESS_KEYS[kind])), field,
+            draw(strategies.sampled_from(values)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(strategies.lists(_corruption(), min_size=1, max_size=4))
+def test_corrupted_witnesses_match_reference(corruptions):
+    # witnesses replaced by copies with one leg, eval or apex set to any
+    # arrow or object: well-typed or not, universal or not
+    st = discover_structure(_FINSET)
+    for kind, key, field, value in corruptions:
+        witnesses = getattr(st, kind)
+        witnesses[key] = replace(witnesses[key], **{field: value})
+    _assert_matches_reference(st)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_inverse_scans_match_reference(name):
+    # sections and retractions of the finite sets are one-sided inverses
+    cat = REFERENCE_MODELS[name]()
+    for f in cat.arrows:
+        assert inverses(cat, f) == ref.inverses(cat, f)
+        for g in cat.hom(cat.objects[f.cod], cat.objects[f.dom]):
+            assert mutually_inverse(cat, f, g) == ref.mutually_inverse(cat, f, g)
+
+
+def test_certificates_with_a_moved_apex_match_reference():
+    # the product 1 x 3 moved to the isomorphic copy 3' of 3 along a
+    # bijection: delta then runs from 3 to 3', and its equations name both
+    cat = make_finset([0, 1, 2, 3, 3, 3], "finset-012333")
+    st = discover_structure(cat)
+    one, three, copy = cat.objects[1], cat.objects[3], cat.objects[4]
+    pw = st.product(one, three)
+    assert pw.apex == three
+    iso = cat.arrow("f4_3_012")
+    st.products[(1, 3)] = replace(pw, apex=copy, proj1=cat.compose(pw.proj1, iso),
+                                  proj2=cat.compose(pw.proj2, iso))
+    _assert_matches_reference(st)
+    cert = delta_certificate(st, one, three, cat.objects[0])
+    assert cert.equations == (f"{cert.delta_inv.name} . {cert.delta.name} = id_{three.name}",
+                              f"{cert.delta.name} . {cert.delta_inv.name} = id_{copy.name}")

@@ -210,6 +210,20 @@ def test_parse_errors_carry_line_numbers():
         parse_category("object a\n")  # no id line
 
 
+@pytest.mark.parametrize("line", [
+    "object",                     # no name
+    "objectX a",                  # keyword run into the name
+    "compose u . id_bot u",       # no '='
+    "arrow v : bot top",          # no '->'
+    "arrow",
+    "morphism v : bot -> top",
+])
+def test_malformed_line_is_unrecognized(line):
+    with pytest.raises(CategoryFileError) as exc:
+        parse_category(H2_FILE + line + "\n")
+    assert str(exc.value) == f"line 7: unrecognized line: {line}"
+
+
 @pytest.mark.parametrize("extra, first, second", [
     ("id top = auto\n", 6, 7),
     ("compose id_top . u = u\ncompose id_top . u = id_top\n", 7, 8),

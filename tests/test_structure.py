@@ -3,9 +3,9 @@ from dataclasses import replace
 import pytest
 
 from catlogic.errors import NoSuchStructure, ShapeMismatch, UniversalityBroken
-from catlogic.bundles import bundled_suites
-from catlogic.heyting import gen_chain, gen_powerset
+from catlogic.heyting import gen_powerset
 from catlogic.kernel import FinCategory, validate_category
+from catlogic import structure
 from catlogic.structure import (
     discover_structure,
     find_coproduct,
@@ -15,7 +15,7 @@ from catlogic.structure import (
     find_terminal,
 )
 
-from conftest import make_finset, subset_name, subset_of
+from conftest import REFERENCE_MODELS, make_finset, subset_name, subset_of
 from structure_reference import ref_cone, ref_exponential, ref_universal_object
 
 
@@ -282,30 +282,64 @@ def test_replaced_witness_is_verified_again():
         st.pair(pw.proj1, cat.identity_of(two))
 
 
+def test_table_less_witness_is_verified_once(monkeypatch):
+    # a replaced witness is verified on its first use and keeps its table;
+    # one that fails verification is checked, and raises, on every use
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    calls = {"cone": 0, "transpose": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(structure, "_cone_table", counted("cone", structure._cone_table))
+    monkeypatch.setattr(structure, "_transpose_tables",
+                        counted("transpose", structure._transpose_tables))
+    one, two = cat.objects[1], cat.objects[2]
+    pw, cw, ew = st.product(one, two), st.coproduct(one, one), st.exponential(one, two)
+    st.products[(1, 2)] = replace(pw)
+    st.coproducts[(1, 1)] = replace(cw)
+    st.exponentials[(1, 2)] = replace(ew)
+    for _ in range(2):
+        for w in cat.objects:
+            for f in cat.hom(w, one):
+                for g in cat.hom(w, two):
+                    m = st.pair(f, g)
+                    assert (cat.compose(pw.proj1, m), cat.compose(pw.proj2, m)) == (f, g)
+            for f in cat.hom(one, w):
+                m = st.copair(f, f)
+                assert cat.compose(m, cw.inj1) == cat.compose(m, cw.inj2) == f
+            for f in cat.hom(st.product(w, one).apex, two):
+                assert st.theta(st.transpose(f, w, one), one, two) == f
+    assert calls == {"cone": 2, "transpose": 1}
+    st.products[(1, 2)] = replace(pw)  # a new object is verified again
+    st.pair(pw.proj1, pw.proj2)
+    assert calls == {"cone": 3, "transpose": 1}
+    st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_00"))
+    for k in range(4, 7):
+        with pytest.raises(UniversalityBroken):
+            st.pair(pw.proj1, cat.identity_of(two))
+        assert calls["cone"] == k
+
+
+def test_exponential_apex_without_product_breaks_universality():
+    # in the finite sets {0,1,2,3}, 1^3 = 1 but 3 x 3 is missing: an
+    # exponential witness with apex 3 cannot be verified, and says so
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    one, three = cat.objects[1], cat.objects[3]
+    ew = st.exponential(three, one)
+    assert (3, 3) not in st.products
+    st.exponentials[(3, 1)] = replace(ew, apex=three)
+    f = cat.hom(st.product(one, three).apex, one)[0]
+    with pytest.raises(UniversalityBroken):
+        st.transpose(f, one, three)
+
+
 # -- the search against the mediator-counting reference --------------------------------
-
-def _z2():
-    return FinCategory.build(["m"], [("s", "m", "m")],
-                             compositions=[("s", "s", "id_m")], name="Z2")
-
-
-def _walking_iso():
-    return FinCategory.build(
-        ["x", "y"], [("f", "x", "y"), ("g", "y", "x")],
-        compositions=[("g", "f", "id_x"), ("f", "g", "id_y")], name="iso")
-
-
-REFERENCE_MODELS = {
-    "powerset-4": lambda: gen_powerset(4).category(),
-    "chain-8": lambda: gen_chain(8).category(),
-    "finset-0123": lambda: make_finset([0, 1, 2, 3], "finset-0123"),
-    "finset-012333": lambda: make_finset([0, 1, 2, 3, 3, 3], "finset-012333"),
-    "Z2": _z2,
-    "iso": _walking_iso,
-}
-REFERENCE_MODELS.update({f"suite-{m.name}": m.category for m in
-                         {s.model.name: s.model for s in bundled_suites()}.values()})
-
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_witnesses_and_failures_match_reference(name):
