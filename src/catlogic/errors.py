@@ -36,7 +36,8 @@ class CategoryFileError(MalformedInput):
 # --- structure discovery ---
 
 class NoSuchStructure(WorkbenchError):
-    """No candidate satisfied the universal property; message carries the near-miss."""
+    """No candidate satisfied the universal property; the message says why by
+    counting hom-sets, or names the first family the first fitting apex misses."""
 
 
 class UniversalityBroken(WorkbenchError):

@@ -18,9 +18,10 @@ given set of test objects, through ``StructureTable.find_cone`` and
 
 Searches are deterministic: candidates are tried in index order and the
 first verified one wins, so two runs on the same input produce identical
-witness tables.  When no candidate passes, every candidate is scored in
-that order by the checks it passes before its first failure, and the first
-with the highest score is named in the failure message.
+witness tables.  When no candidate passes, the failure message is an exact
+count: either no object has the column of hom-set sizes a universal apex
+must have, or the first object that has it is named with the first test
+object W and the first family at W that it does not hit exactly once.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     ShapeMismatch,
     UniversalityBroken,
 )
-from .kernel import ArrId, FinCategory, ObjId, validate_category
+from .kernel import UNDEFINED, ArrId, FinCategory, ObjId, validate_category
 
 
 @dataclass(frozen=True)
@@ -248,82 +249,68 @@ def _first_miss(view: _View, apex: int, legs: Sequence[int], ws: Iterable[int]
     return None
 
 
-def _checks_passed(image: Callable[[int], list[int]], targets: Sequence[list[int]]) -> int:
-    """Checks passed, in order, before the first target that is the image of
-    other than exactly one arrow; ``targets[i]`` lists the targets at the
-    i-th test object in check order and ``image(i)`` the images of the
-    arrows from it, each of which is a target."""
-    passed = 0
-    for i, tgts in enumerate(targets):
-        miss = _miss(image(i), tgts, len(tgts)) if tgts else None
-        if miss:
-            return passed + miss[0]
-        passed += len(tgts)
-    return passed
+def _refutation(view: _View, sizes: Sequence[int], ws: tuple[int, ...],
+                explain: Callable[[int], str], noun: str = "object") -> str:
+    """Why no apex is universal against the test objects ``ws``, by count.
+
+    A bijection onto sets of the ``sizes`` needs |hom(W, apex)| to be
+    ``sizes`` at each W in ``ws``, so either no candidate apex (a ``noun``)
+    has that column of hom-set sizes, or the first that has it is named
+    with ``explain(apex)``: the first family it does not hit exactly once.
+    """
+    if not ws:
+        return f"no {noun}" if view.to else "the category has no objects"
+    objects = view.cat.objects
+    column = f"the hom-set sizes {list(sizes)}"
+    if len(ws) < len(view.to):
+        column += " from (" + ", ".join(objects[w].name for w in ws) + ")"
+    if view.op:
+        column += " counting arrows out of it"
+    apexes = view.columns(ws).get(tuple(sizes))
+    if not apexes:
+        return f"no {noun} has {column}"
+    return f"{objects[apexes[0]].name} has {column}, but {explain(apexes[0])}"
 
 
-# -- terminal and initial objects ---------------------------------------------------
+# -- terminal and initial objects, products and coproducts --------------------------
 
-def _universal_object(view: _View, what: str, phrase: str) -> ObjId:
-    cat, n = view.cat, len(view.to)
-    found = _first_cone(view, (), view.objects)
+def _universal_cone(view: _View, legs: Sequence[int], what: str
+                    ) -> tuple[int, tuple[int, ...], dict[int, int]]:
+    """Apex, legs and pairing table of the first universal cone over the
+    objects ``legs``; NoSuchStructure naming ``what`` if there is none."""
+    found = _first_cone(view, legs, view.objects)
     if found:
-        return cat.objects[found[0]]
-    if not n:
-        raise NoSuchStructure(f"{cat.name}: no {what} object; the category has no objects")
-    good = [col.count(1) for col in view.to]
-    best = max(range(n), key=good.__getitem__)
-    raise NoSuchStructure(f"{cat.name}: no {what} object; best candidate "
-                          f"{cat.objects[best].name} {phrase.format(good[best], n)}")
+        return found
+    cat = view.cat
+
+    def explain(apex: int) -> str:
+        fam = tuple(view.hom[apex][leg][0] for leg in legs)
+        w, miss, k = _first_miss(view, apex, fam, view.objects)
+        ends = (apex, w) if view.op else (w, apex)
+        return (f"{k} arrows {cat.objects[ends[0]].name} -> {cat.objects[ends[1]].name} "
+                f"compose with ({', '.join(cat.arrows[p].name for p in fam)}) "
+                f"to ({', '.join(cat.arrows[f].name for f in miss)})")
+
+    raise NoSuchStructure(f"{cat.name}: no {what}; " + _refutation(
+        view, _sizes(view, legs, view.objects), view.objects, explain))
 
 
 def find_terminal(cat: FinCategory) -> TerminalWitness:
-    return TerminalWitness(_universal_object(
-        _View(cat), "terminal", "receives a unique arrow from {}/{} objects"))
+    return TerminalWitness(cat.objects[_universal_cone(_View(cat), (), "terminal object")[0]])
 
 
 def find_initial(cat: FinCategory) -> InitialWitness:
-    return InitialWitness(_universal_object(
-        _View(cat, op=True), "initial", "reaches {}/{} objects uniquely"))
+    return InitialWitness(
+        cat.objects[_universal_cone(_View(cat, op=True), (), "initial object")[0]])
 
 
-# -- products and coproducts ----------------------------------------------------------
-
-def _universal_cone(view: _View, a: ObjId, b: ObjId, what: str, shape: str):
-    """Apex, legs and pairing table of the first universal cone over (a, b)."""
-    cat, hom = view.cat, view.hom
-    legs = (a.index, b.index)
-    found = _first_cone(view, legs, view.objects)
-    if found:
-        apex, (p1, p2), table = found
-        return cat.objects[apex], cat.arrows[p1], cat.arrows[p2], table
-    n = len(view.table)
-    targets = [[f * n + g for f in row[a.index] for g in row[b.index]] for row in hom]
-    best = None
-    for apex, (p1, p2) in _candidates(view, view.objects, legs):
-        passed = _checks_passed(
-            lambda w: [f * n + g for f, g in zip(view.after(p1, hom[w][apex]),
-                                                 view.after(p2, hom[w][apex]))],
-            targets)
-        if best is None or passed > best[0]:
-            best = (passed, apex, p1, p2)
-    if best is None:
-        near = f"no candidate {shape} at all"
-    else:
-        passed, apex, p1, p2 = best
-        near = (f"near miss: apex {cat.objects[apex].name} via ({cat.arrows[p1].name}, "
-                f"{cat.arrows[p2].name}) satisfied {passed} mediation checks")
-    raise NoSuchStructure(f"{cat.name}: no {what} for ({a.name}, {b.name}); {near}")
-
-
-def _product(view: _View, a: ObjId, b: ObjId) -> ProductWitness:
-    *found, table = _universal_cone(view, a, b, "product", "cone")
-    return _verified(ProductWitness((a, b), *found), table)
-
-
-def _coproduct(op: _View, a: ObjId, b: ObjId) -> CoproductWitness:
-    *found, table = _universal_cone(op, a, b, "coproduct", "cocone")
-    return _verified(CoproductWitness((a, b), *found), table)
+def _pair_witness(view: _View, a: ObjId, b: ObjId) -> ProductWitness | CoproductWitness:
+    """The product of (a, b), or on the opposite view the coproduct."""
+    what, kind = ("coproduct", CoproductWitness) if view.op else ("product", ProductWitness)
+    apex, (p1, p2), table = _universal_cone(view, (a.index, b.index),
+                                            f"{what} for ({a.name}, {b.name})")
+    arrows = view.cat.arrows
+    return _verified(kind((a, b), view.cat.objects[apex], arrows[p1], arrows[p2]), table)
 
 
 def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> ProductWitness:
@@ -331,11 +318,11 @@ def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> ProductWitness:
 
     Deterministic: lowest apex index first, then lowest projection indices.
     """
-    return _product(_View(cat), a, b)
+    return _pair_witness(_View(cat), a, b)
 
 
 def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> CoproductWitness:
-    return _coproduct(_View(cat, op=True), a, b)
+    return _pair_witness(_View(cat, op=True), a, b)
 
 
 def _pairing(view: _View, w: ProductWitness | CoproductWitness,
@@ -388,33 +375,28 @@ def _exponential(view: _View, products: Mapping[tuple[int, int], ProductWitness]
     cat, hom = view.cat, view.hom
     ai, c = a.index, target.index
     sources = [products[(w, ai)].apex.index for w in ws]
-    for apex in view.columns(ws).get(tuple(view.to[c][s] for s in sources), ()):
+    sizes = [view.to[c][s] for s in sources]
+    for apex in view.columns(ws).get(tuple(sizes), ()):
         pw = products[(apex, ai)]
         for ev, table in _transpose_tables(view, products, apex, ai, ws,
                                            hom[pw.apex.index][c]):
             if table is not None:
                 return _verified(ExponentialWitness(a, target, cat.objects[apex],
                                                     cat.arrows[ev]), table)
-    targets = [list(hom[s][c]) for s in sources]
-    best = None
-    for apex in range(len(hom)):
-        pw = products.get((apex, ai))
-        if pw is None:
-            continue
-        m_x_id = _times_id(view, products, apex, ai, ws)
-        for ev in hom[pw.apex.index][c]:
-            row = view.table[ev]
-            passed = _checks_passed(lambda i: [row[k] for k in m_x_id[i]], targets)
-            if best is None or passed > best[0]:
-                best = (passed, apex, ev)
-    if best is None:
-        near = "no candidate eval arrow at all"
-    else:
-        passed, apex, ev = best
-        near = (f"near miss: apex {cat.objects[apex].name} via eval "
-                f"{cat.arrows[ev].name} passed {passed} transpose checks")
+
+    def explain(apex: int) -> str:
+        ev = hom[products[(apex, ai)].apex.index][c][0]
+        row = view.table[ev]
+        for w, s, ks in zip(ws, sources, _times_id(view, products, apex, ai, ws)):
+            miss = _miss([row[k] for k in ks], hom[s][c], len(hom[s][c]))
+            if miss:
+                return (f"with eval {cat.arrows[ev].name}, {miss[1]} arrows m : "
+                        f"{cat.objects[w].name} -> {cat.objects[apex].name} have "
+                        f"eval . (m x id_{a.name}) = {cat.arrows[hom[s][c][miss[0]]].name}")
+
     raise NoSuchStructure(
-        f"{cat.name}: no exponential with base {a.name}, target {target.name}; {near}")
+        f"{cat.name}: no exponential with base {a.name}, target {target.name}; "
+        + _refutation(view, sizes, ws, explain, f"object with a product with {a.name}"))
 
 
 def _with_product(view: _View, products: Mapping[tuple[int, int], ProductWitness],
@@ -615,13 +597,13 @@ class StructureTable:
         if ew.table is not None:
             return ew.table
         view, products, a = self._view, self.products, ew.base
-        ws = _with_product(view, products, a)
+        ws, c, table = _with_product(view, products, a), ew.target.index, None
         try:
-            _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
-                                              ws, [ew.eval.index]))
+            if (ew.eval.dom, ew.eval.cod) == (products[(ew.apex.index, a.index)].apex.index, c):
+                _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
+                                                  ws, [ew.eval.index]))
         except KeyError:  # apex x base is missing, or m x id_base does not pair
-            table = None
-        c = ew.target.index
+            pass
         if table is None or len(table) != sum(
                 view.to[c][products[(w, a.index)].apex.index] for w in ws):
             raise UniversalityBroken(
@@ -636,8 +618,13 @@ class StructureTable:
         if g.cod != ew.apex.index:
             raise ShapeMismatch(
                 f"theta({g.name}): codomain is not the exponential {c.name}^{a.name}")
-        k = self.arrow_product(g, self.identity(a)).index
-        return self.cat.arrows[self._view.table[ew.eval.index][k]]
+        self.table_of(ew)  # verifies a witness no search built
+        k = self._view.table[ew.eval.index][self.arrow_product(g, self.identity(a)).index]
+        if k == UNDEFINED:
+            raise UniversalityBroken(
+                f"exponential {c.name}^{a.name}: {ew.eval.name} does not compose with "
+                f"{g.name} x id_{a.name}")
+        return self.cat.arrows[k]
 
 
 def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> StructureTable:
@@ -665,11 +652,11 @@ def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> S
     for a in cat.objects:
         for b in cat.objects:
             try:
-                st.products[(a.index, b.index)] = _product(view, a, b)
+                st.products[(a.index, b.index)] = _pair_witness(view, a, b)
             except NoSuchStructure as exc:
                 st.product_failures[(a.index, b.index)] = str(exc)
             try:
-                st.coproducts[(a.index, b.index)] = _coproduct(op, a, b)
+                st.coproducts[(a.index, b.index)] = _pair_witness(op, a, b)
             except NoSuchStructure as exc:
                 st.coproduct_failures[(a.index, b.index)] = str(exc)
 

@@ -154,6 +154,8 @@ def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
         # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
         bc = coproducts[(b, c)].apex.index
         ew = exponentials[(a, d_w.apex.index)]
+        if ew.table is None:
+            table_of(ew)  # verifies a witness no search built
         ida = ids[a]
         src, hx = products[(dom[h], dom[ida])], products[(cod[h], cod[ida])]
         theta_h = t[ew.eval.index][(hx.table or table_of(hx))[
@@ -164,7 +166,7 @@ def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
         # the chain's other checks: the three composites typed and defined,
         # each transpose from its product's apex, the copair's and theta's
         # endpoints
-        if (UNDEFINED not in (f1, f2, inv)
+        if (UNDEFINED not in (f1, f2, theta_h, inv)
                 and cod[s1] == dom[j1] and cod[s2] == dom[j2]
                 and dom[f1] == ba.apex.index and dom[f2] == ca.apex.index
                 and cod[t1] == cod[t2] and cod[h] == ew.apex.index

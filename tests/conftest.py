@@ -109,6 +109,50 @@ def _walking_iso():
         compositions=[("g", "f", "id_x"), ("f", "g", "id_y")], name="iso")
 
 
+def make_fork(op=False) -> FinCategory:
+    """An idempotent e : v -> v that t : v -> a and f, g : v -> c absorb
+    (t.e = t, f.e = f, g.e = g).  v has the hom-set sizes of a x c and, from
+    the objects with a product with a, of c^a, yet it is neither: id_v and e
+    compose with every leg or eval alike.  The smallest category found whose
+    failures name an apex that has the sizes.  With ``op``, the opposite
+    category, where v has the sizes of the coproduct of a and c."""
+    arrows = [("e", "v", "v"), ("t", "v", "a"), ("f", "v", "c"), ("g", "v", "c")]
+    compositions = [("e", "e", "e"), ("t", "e", "t"), ("f", "e", "f"), ("g", "e", "g")]
+    if op:
+        arrows = [(f, cod, dom) for f, dom, cod in arrows]
+        compositions = [(f, g, h) for g, f, h in compositions]
+    return FinCategory.build(["a", "v", "c"], arrows, compositions=compositions,
+                             name="fork-op" if op else "fork")
+
+
+def with_copy(cat: FinCategory, name: str, copy: str) -> FinCategory:
+    """``cat`` with ``copy``, an isomorphic copy of its object ``name``
+    placed last: each arrow into or out of ``name`` also runs into or out
+    of the copy, and composites follow the original's."""
+    o = cat.obj(name).index
+
+    def versions(f):
+        return [(d, c) for d in ((False, True) if f.dom == o else (False,))
+                for c in ((False, True) if f.cod == o else (False,))]
+
+    def label(f, d, c):
+        return f.name + (f"_from_{copy}" if d else "") + (f"_to_{copy}" if c else "")
+
+    def end(x, is_copy):
+        return copy if is_copy else cat.objects[x].name
+
+    arrows = [(label(f, d, c), end(f.dom, d), end(f.cod, c))
+              for f in cat.arrows for d, c in versions(f)]
+    identities = {x.name: cat.identity_of(x).name for x in cat.objects}
+    identities[copy] = label(cat.identity_of(cat.objects[o]), True, True)
+    compositions = [(label(g, gd, gc), label(f, fd, fc), label(cat.compose(g, f), fd, gc))
+                    for f in cat.arrows for g in cat.arrows if f.cod == g.dom
+                    for fd, fc in versions(f) for gd, gc in versions(g) if fc == gd]
+    return FinCategory.build([x.name for x in cat.objects] + [copy], arrows,
+                             identities=identities, compositions=compositions,
+                             name=f"{cat.name}+{copy}")
+
+
 # the models the reference tests compare on, thin and non-thin
 REFERENCE_MODELS = {
     "powerset-4": lambda: gen_powerset(4).category(),
