@@ -86,7 +86,6 @@ from .semantics import (
     build_interpretation,
     check_conditions,
     derive_instances,
-    find_quantifier_object,
     interpret,
     reach_fixpoint,
 )

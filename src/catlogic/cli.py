@@ -12,7 +12,6 @@ import time
 from pathlib import Path
 
 from .errors import (
-    CertificateFailure,
     MalformedInput,
     MissingAtom,
     ScaleExceeded,
@@ -28,7 +27,7 @@ from .kernel import (
     parse_category,
     validate_category,
 )
-from .logic import Theory, connective_depth, free_vars, parse_formula, parse_theory
+from .logic import Theory, free_vars, parse_formula, parse_theory
 from .report import Report
 from .semantics import (
     Interpretation,
@@ -85,16 +84,40 @@ def _universe_section(report: Report, interp: Interpretation) -> None:
         report.add(f"warning.{i:03d}", w)
 
 
-def cmd_validate(args) -> int:
-    cat, model_text = _load_model(args.model)
+def _validation_section(report: Report, cat: FinCategory) -> bool:
+    """Validate ``cat`` into ``report``; whether it passed."""
     rep = validate_category(cat)
-    report = Report()
-    _header(report, cat, model_text)
     report.add("validation", "PASS" if rep.ok else "FAIL")
     for i, v in enumerate(rep.violations, 1):
         report.add(f"validation.violation.{i:03d}", v)
+    return rep.ok
+
+
+def _prepare(args) -> tuple[Report, Interpretation | None]:
+    """The steps ``check`` and ``redundancy`` share: load the model and the
+    theory, validate, discover and interpret, with the report so far.  The
+    interpretation is None, and the report already emitted, if validation
+    fails."""
+    cat, model_text = _load_model(args.model)
+    theory, theory_text = _load_theory(args.theory)
+    report = Report()
+    _header(report, cat, model_text, theory, theory_text)
+    if not _validation_section(report, cat):
+        _emit(report, args)
+        return report, None
+    interp = build_interpretation(discover_structure(cat), theory, reach_depth=args.reach,
+                                  universe_depth=args.depth)
+    _universe_section(report, interp)
+    return report, interp
+
+
+def cmd_validate(args) -> int:
+    cat, model_text = _load_model(args.model)
+    report = Report()
+    _header(report, cat, model_text)
+    ok = _validation_section(report, cat)
     _emit(report, args)
-    return 0 if rep.ok else 1
+    return 0 if ok else 1
 
 
 def cmd_interpret(args) -> int:
@@ -118,23 +141,9 @@ def cmd_interpret(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.monotonic()
-    cat, model_text = _load_model(args.model)
-    theory, theory_text = _load_theory(args.theory)
-    report = Report()
-    _header(report, cat, model_text, theory, theory_text)
-
-    rep = validate_category(cat)
-    report.add("validation", "PASS" if rep.ok else "FAIL")
-    for i, v in enumerate(rep.violations, 1):
-        report.add(f"validation.violation.{i:03d}", v)
-    if not rep.ok:
-        _emit(report, args)
+    report, interp = _prepare(args)
+    if interp is None:
         return 1
-
-    st = discover_structure(cat)
-    interp = build_interpretation(st, theory, reach_depth=args.reach,
-                                  universe_depth=args.depth)
-    _universe_section(report, interp)
 
     cond = check_conditions(interp)
     for v in cond.verdicts:
@@ -143,7 +152,7 @@ def cmd_check(args) -> int:
             report.add(f"condition.{v.number}.detail.{i:03d}", d)
     report.add("conditions.overall", "PASS" if cond.all_pass else "FAIL")
 
-    for i, ax in enumerate(theory.signature.axioms, 1):
+    for i, ax in enumerate(interp.theory.signature.axioms, 1):
         report.add(f"interpret.{i:03d}.formula", ax)
         try:
             report.add(f"interpret.{i:03d}.object", interp.interpret(ax).name)
@@ -157,24 +166,10 @@ def cmd_check(args) -> int:
 
 def cmd_redundancy(args) -> int:
     t0 = time.monotonic()
-    cat, model_text = _load_model(args.model)
-    theory, theory_text = _load_theory(args.theory)
-    report = Report()
-    _header(report, cat, model_text, theory, theory_text)
-
-    rep = validate_category(cat)
-    report.add("validation", "PASS" if rep.ok else "FAIL")
-    if not rep.ok:
-        for i, v in enumerate(rep.violations, 1):
-            report.add(f"validation.violation.{i:03d}", v)
-        _emit(report, args)
+    report, interp = _prepare(args)
+    if interp is None:
         return 1
-
-    st = discover_structure(cat)
-    interp = build_interpretation(st, theory, reach_depth=args.reach,
-                                  universe_depth=args.depth)
-    _universe_section(report, interp)
-    failed = 0
+    cat, st, failed = interp.cat, interp.structure, 0
 
     triples = [(a, b, c) for a in cat.objects for b in cat.objects
                for c in cat.objects]
@@ -192,7 +187,7 @@ def cmd_redundancy(args) -> int:
         report.add(f"{key}.inverse", cert.delta_inv.name)
         report.add(f"{key}.verdict", "PASS")
 
-    instances = derive_instances(theory)
+    instances = derive_instances(interp.theory)
     report.add("frobenius.count", len(instances))
     for i, inst in enumerate(instances, 1):
         key = f"frobenius.{i:03d}"

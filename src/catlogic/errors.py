@@ -79,7 +79,9 @@ class MissingAtom(WorkbenchError):
 
 
 class NoQuantifierObject(WorkbenchError):
-    """The searched subcategory has no terminal/initial object among reachable vertexes."""
+    """No universal cone (forall) or cocone (exists) over a quantifier diagram
+    among the searched vertexes; the message gives the hom-set count that
+    refutes every candidate."""
 
 
 class MissingQuantifierObject(NoQuantifierObject):

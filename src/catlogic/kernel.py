@@ -239,9 +239,6 @@ class FinCategory:
         idx = o.index if isinstance(o, ObjId) else o
         return self.arrows[self._identity[idx]]
 
-    def is_identity(self, f: ArrId) -> bool:
-        return self._identity[f.dom] == f.index and f.dom == f.cod
-
     def compose(self, g: ArrId, f: ArrId) -> ArrId:
         """g after f.  Total on composable pairs of a validated category."""
         if f.cod != g.dom:

@@ -503,16 +503,6 @@ def parse_formula(text: str, sig: Signature,
     return f
 
 
-def parse_term(text: str, sig: Signature,
-               env: Mapping[str, str] | None = None) -> Term:
-    p = _FormulaParser(_tokenize(text), sig, dict(env or {}))
-    t = p.term()
-    if (tok := p.peek()) is not None:
-        raise FormulaSyntaxError(f"trailing input starting at {tok.text!r}",
-                                 tok.line, tok.col)
-    return t
-
-
 # -- theory files --------------------------------------------------------------
 
 _FUN_RE = re.compile(r"^fun\s+(\S+)\s*:\s*(.*)$")

@@ -104,12 +104,6 @@ class ReachSet:
     def __contains__(self, obj: ObjId) -> bool:
         return any(m.obj == obj for m in self.members)
 
-    def provenance_of(self, obj: ObjId) -> Formula:
-        for m in self.members:
-            if m.obj == obj:
-                return m.provenance
-        raise KeyError(obj.name)
-
 
 @dataclass(frozen=True)
 class QuantifierSolution:
@@ -146,11 +140,11 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
     W, for every vertex W: each family then has exactly one mediator.
     Candidates are tried in object index order, leg families
     lexicographically, so ties between isomorphic candidates break
-    deterministically.
+    deterministically.  NoQuantifierObject gives the count that refutes
+    every candidate (see ``StructureTable.find_cone``).
     """
     op = quantifier == "exists"
     ordered = sorted(set(vertexes), key=lambda o: o.index)
-    legs = [obj for _, obj in diagram.legs]
 
     if diagram.empty and warnings is not None:
         warnings.append(
@@ -158,23 +152,14 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
             f"{diagram.body}; the search degenerates to the terminal/initial "
             f"object relative to the reachable vertexes")
 
-    found = st.find_cone(legs, ordered, op=op)
-    if found is not None:
-        v, fam = found
-        pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
-        return v, (CoconeFamily(v, pairs) if op else ConeFamily(v, pairs))
-
-    failures = [f"candidate {v.name}: {_miss_text(st.cone_miss(v, fam, ordered, op=op), op)}"
-                for v, fam in itertools.islice(st.cone_candidates(legs, ordered, op=op), 12)]
-    detail = "; ".join(failures) if failures else "no candidate carries a full leg family"
-    raise NoQuantifierObject(
-        f"no {quantifier} object over {diagram.body} among "
-        f"{[o.name for o in ordered]}: {detail}")
-
-
-def _miss_text(miss: tuple[ObjId, tuple[ArrId, ...], int], op: bool) -> str:
-    w, _, k = miss
-    return f"vertex {w.name} has {k} leg-commuting arrows {'out of' if op else 'into'} it"
+    try:
+        v, fam = st.find_cone([obj for _, obj in diagram.legs], ordered, op=op)
+    except NoSuchStructure as exc:
+        raise NoQuantifierObject(
+            f"no {quantifier} object over {diagram.body} among "
+            f"{[o.name for o in ordered]}: {exc}") from None
+    pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
+    return v, (CoconeFamily(v, pairs) if op else ConeFamily(v, pairs))
 
 
 def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
@@ -185,7 +170,10 @@ def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
     """
     op = sol.quantifier == "exists"
     miss = st.cone_miss(sol.obj, [arr for _, arr in sol.family.legs], vertexes, op=op)
-    return None if miss is None else _miss_text(miss, op)
+    if miss is None:
+        return None
+    w, _, k = miss
+    return f"vertex {w.name} has {k} leg-commuting arrows {'out of' if op else 'into'} it"
 
 
 # -- the interpretation ------------------------------------------------------------
@@ -199,8 +187,7 @@ class Interpretation:
 
     def __init__(self, structure: StructureTable, theory: Theory, *,
                  reach_depth: int = DEFAULT_REACH_DEPTH,
-                 universe_depth: int | None = None,
-                 extra_formulas: Iterable[Formula] = ()):
+                 universe_depth: int | None = None):
         self.structure = structure
         self.cat = structure.cat
         self.theory = theory
@@ -223,7 +210,6 @@ class Interpretation:
             self.atom_map[key] = self.cat.obj(objname)
         self._check_atom_coverage()
 
-        self._extra = tuple(extra_formulas)
         self.memo: dict[tuple, tuple[Formula, ObjId]] = {}
         self.qmemo: dict[tuple, QuantifierSolution] = {}
         self.reach: ReachSet | None = None
@@ -307,13 +293,17 @@ class Interpretation:
         alpha key ``key`` of ``f``."""
         if key not in solved:
             quant = "forall" if isinstance(f, Forall) else "exists"
-            diagram = QuantifierDiagram(f.body, f.var, f.sort, tuple(
-                (t, sub(substitute(f.body, t, f.var)))
-                for t in self.universe.terms(f.sort)))
+            diagram = self._diagram(f.body, f.var, f.sort, sub)
             obj, family = search_quantifier_object(self.structure, vertexes, quant,
                                                    diagram, warnings)
             solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
         return solved[key]
+
+    def _diagram(self, body: Formula, var: str, sort: str, sub) -> QuantifierDiagram:
+        """The diagram of ``body`` over ``var:sort``: one leg per closed term
+        in universe order, valued by ``sub`` at the instance."""
+        return QuantifierDiagram(body, var, sort, tuple(
+            (t, sub(substitute(body, t, var))) for t in self.universe.terms(sort)))
 
     # -- reach fixpoint ------------------------------------------------------------
 
@@ -388,7 +378,7 @@ class Interpretation:
                     add(Forall(v.name, sort, atom))
                     add(Exists(v.name, sort, atom))
 
-        for f in (*sig.axioms, *self._extra):
+        for f in sig.axioms:
             for sub in subformulas(f):
                 if isinstance(sub, (Forall, Exists)):
                     add(sub)
@@ -440,11 +430,9 @@ class Interpretation:
 
 def build_interpretation(structure: StructureTable, theory: Theory, *,
                          reach_depth: int = DEFAULT_REACH_DEPTH,
-                         universe_depth: int | None = None,
-                         extra_formulas: Iterable[Formula] = ()) -> Interpretation:
+                         universe_depth: int | None = None) -> Interpretation:
     interp = Interpretation(structure, theory, reach_depth=reach_depth,
-                            universe_depth=universe_depth,
-                            extra_formulas=extra_formulas)
+                            universe_depth=universe_depth)
     return interp.prepare()
 
 
@@ -469,9 +457,7 @@ def build_diagram(interp: Interpretation, body: Formula, var: str,
                   sort: str) -> QuantifierDiagram:
     """Legs in universe order, one per closed term, via substitute + interpret."""
     _check_body(body, var, sort)
-    return QuantifierDiagram(body, var, sort, tuple(
-        (t, interp._interpret(substitute(body, t, var)))
-        for t in interp.universe.terms(sort)))
+    return interp._diagram(body, var, sort, interp._interpret)
 
 
 def _check_body(body: Formula, var: str, sort: str) -> None:
@@ -480,13 +466,6 @@ def _check_body(body: Formula, var: str, sort: str) -> None:
         raise MalformedInput(
             f"diagram body {body} has free variables {sorted(extra)} besides "
             f"{var}:{sort}")
-
-
-def find_quantifier_object(interp: Interpretation, reach: ReachSet,
-                           quantifier: str, diagram: QuantifierDiagram,
-                           ) -> tuple[ObjId, ConeFamily | CoconeFamily]:
-    return search_quantifier_object(interp.structure, reach.objects, quantifier,
-                                    diagram, warnings=interp.warnings)
 
 
 def subformulas(f: Formula) -> Iterable[Formula]:
@@ -500,8 +479,12 @@ def subformulas(f: Formula) -> Iterable[Formula]:
 
 # -- the instance suite -------------------------------------------------------------
 
-def derive_instances(theory: Theory, *, max_left: int = 4,
-                     max_body: int = 4) -> tuple[Instance, ...]:
+# at most this many closed left formulas besides 1, and open bodies
+MAX_LEFT = 4
+MAX_BODY = 4
+
+
+def derive_instances(theory: Theory) -> tuple[Instance, ...]:
     """The checked (A, B, x:s) set, derived deterministically from the axioms.
 
     A ranges over 1 plus closed subformulas (depth <= 2), B over subformulas
@@ -523,13 +506,13 @@ def derive_instances(theory: Theory, *, max_left: int = 4,
                     closed_atoms.append(sub)
                 key = alpha_key(sub)
                 if (key not in seen_closed and connective_depth(sub) <= 2
-                        and len(closed_pool) < 1 + max_left):
+                        and len(closed_pool) < 1 + MAX_LEFT):
                     seen_closed.add(key)
                     closed_pool.append(sub)
             elif len(fv) == 1:
                 (name, sort), = fv
                 key = alpha_key(Exists(name, sort, sub))
-                if key not in seen_open and len(open_pool) < max_body:
+                if key not in seen_open and len(open_pool) < MAX_BODY:
                     seen_open.add(key)
                     open_pool.append((sub, name, sort))
 
@@ -710,7 +693,6 @@ def distributivity_verdict(st: StructureTable, objects: Sequence[ObjId]) -> Cond
 def checked_formulas(interp: Interpretation) -> tuple[Formula, ...]:
     """Axioms plus the formulas induced by the derived instance suite."""
     out: list[Formula] = list(interp.theory.signature.axioms)
-    out.extend(interp._extra)
     for inst in derive_instances(interp.theory):
         out.append(Exists(inst.var, inst.sort, Times(inst.left, inst.body)))
         out.append(Exists(inst.var, inst.sort, inst.body))

@@ -11,10 +11,10 @@ kept in the witness as its pairing table, so the combinators are lookups.
 Terminal objects are the case with no legs; coproducts and the initial
 object are the same search run on the opposite category; exponentials use
 the map m |-> eval . (m x id) over the W that have a product with the base.
-Quantifier objects (cones and cocones over any number of legs), their
-re-checks and the frobenius initiality sweep run the same check against a
-given set of test objects, through ``StructureTable.find_cone`` and
-``StructureTable.cone_miss``.
+Quantifier objects (cones and cocones over any number of legs) are the
+same search against a given set of test objects, through
+``StructureTable.find_cone``; their re-checks and the frobenius initiality
+sweep check one given cone the same way, through ``StructureTable.cone_miss``.
 
 Searches are deterministic: candidates are tried in index order and the
 first verified one wins, so two runs on the same input produce identical
@@ -195,28 +195,6 @@ def _indices(objects: Iterable[ObjId]) -> tuple[int, ...]:
     return tuple(sorted({o.index for o in objects}))
 
 
-def _candidates(view: _View, apexes: Iterable[int],
-                legs: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Each apex with each family of arrows from it to the leg objects, in
-    index order and then lexicographically by arrow index."""
-    for apex in apexes:
-        for fam in product(*(view.hom[apex][leg] for leg in legs)):
-            yield apex, fam
-
-
-def _first_cone(view: _View, legs: Sequence[int], ws: tuple[int, ...]
-                ) -> tuple[int, tuple[int, ...], dict[int, int]] | None:
-    """Apex, legs and table of the first universal cone over the objects
-    ``legs`` among the test objects ``ws``.  Only apexes whose hom-set
-    sizes from ``ws`` are the products of the legs' are tried."""
-    sizes = _sizes(view, legs, ws)
-    for apex, fam in _candidates(view, view.columns(ws).get(tuple(sizes), ()), legs):
-        table = _cone_table(view, apex, fam, ws, sizes)
-        if table is not None:
-            return apex, fam, table
-    return None
-
-
 def _miss(imgs: list[int], tgts: Iterable[int], size: int) -> tuple[int, int] | None:
     """Position of the first of the ``size`` targets ``tgts`` that is not the
     image of exactly one of ``imgs``, each of which is a target, and its
@@ -272,43 +250,56 @@ def _refutation(view: _View, sizes: Sequence[int], ws: tuple[int, ...],
     return f"{objects[apexes[0]].name} has {column}, but {explain(apexes[0])}"
 
 
-# -- terminal and initial objects, products and coproducts --------------------------
-
-def _universal_cone(view: _View, legs: Sequence[int], what: str
+def _universal_cone(view: _View, legs: Sequence[int], what: str,
+                    ws: tuple[int, ...] | None = None
                     ) -> tuple[int, tuple[int, ...], dict[int, int]]:
     """Apex, legs and pairing table of the first universal cone over the
-    objects ``legs``; NoSuchStructure naming ``what`` if there is none."""
-    found = _first_cone(view, legs, view.objects)
-    if found:
-        return found
+    objects ``legs``, with both the apex and the test objects taken from
+    ``ws`` (every object by default); NoSuchStructure, its message ``what``
+    followed by the refuting count, if there is none.
+
+    Only apexes whose hom-set sizes from ``ws`` are the products of the
+    legs' are tried, in index order, each with its families of legs
+    lexicographically by arrow index.
+    """
+    ws = view.objects if ws is None else ws
+    sizes = _sizes(view, legs, ws)
+    for apex in view.columns(ws).get(tuple(sizes), ()):
+        for fam in product(*(view.hom[apex][leg] for leg in legs)):
+            table = _cone_table(view, apex, fam, ws, sizes)
+            if table is not None:
+                return apex, fam, table
     cat = view.cat
 
     def explain(apex: int) -> str:
+        # apex is in ws and has the sizes, so each hom(apex, leg) is inhabited
         fam = tuple(view.hom[apex][leg][0] for leg in legs)
-        w, miss, k = _first_miss(view, apex, fam, view.objects)
+        w, miss, k = _first_miss(view, apex, fam, ws)
         ends = (apex, w) if view.op else (w, apex)
         return (f"{k} arrows {cat.objects[ends[0]].name} -> {cat.objects[ends[1]].name} "
                 f"compose with ({', '.join(cat.arrows[p].name for p in fam)}) "
                 f"to ({', '.join(cat.arrows[f].name for f in miss)})")
 
-    raise NoSuchStructure(f"{cat.name}: no {what}; " + _refutation(
-        view, _sizes(view, legs, view.objects), view.objects, explain))
+    raise NoSuchStructure(what + _refutation(view, sizes, ws, explain))
 
+
+# -- terminal and initial objects, products and coproducts --------------------------
 
 def find_terminal(cat: FinCategory) -> TerminalWitness:
-    return TerminalWitness(cat.objects[_universal_cone(_View(cat), (), "terminal object")[0]])
+    return TerminalWitness(
+        cat.objects[_universal_cone(_View(cat), (), f"{cat.name}: no terminal object; ")[0]])
 
 
 def find_initial(cat: FinCategory) -> InitialWitness:
-    return InitialWitness(
-        cat.objects[_universal_cone(_View(cat, op=True), (), "initial object")[0]])
+    return InitialWitness(cat.objects[_universal_cone(
+        _View(cat, op=True), (), f"{cat.name}: no initial object; ")[0]])
 
 
 def _pair_witness(view: _View, a: ObjId, b: ObjId) -> ProductWitness | CoproductWitness:
     """The product of (a, b), or on the opposite view the coproduct."""
     what, kind = ("coproduct", CoproductWitness) if view.op else ("product", ProductWitness)
-    apex, (p1, p2), table = _universal_cone(view, (a.index, b.index),
-                                            f"{what} for ({a.name}, {b.name})")
+    apex, (p1, p2), table = _universal_cone(
+        view, (a.index, b.index), f"{view.cat.name}: no {what} for ({a.name}, {b.name}); ")
     arrows = view.cat.arrows
     return _verified(kind((a, b), view.cat.objects[apex], arrows[p1], arrows[p2]), table)
 
@@ -330,7 +321,9 @@ def _pairing(view: _View, w: ProductWitness | CoproductWitness,
     """The pairing table of ``w``, verified on first use if no search built it."""
     if w.table is not None:
         return w.table
-    table = _cone_table(view, w.apex.index, (p1.index, p2.index))
+    apex, table = w.apex.index, None
+    if all(p.index in view.hom[apex][o.index] for p, o in zip((p1, p2), w.pair)):
+        table = _cone_table(view, apex, (p1.index, p2.index))
     if table is None:
         raise UniversalityBroken(
             f"({w.pair[0].name}, {w.pair[1].name}) with apex {w.apex.name}: composing "
@@ -493,22 +486,13 @@ class StructureTable:
     # with arrows out of the vertex counted in place of arrows into it.
 
     def find_cone(self, legs: Sequence[ObjId], among: Iterable[ObjId], *,
-                  op: bool = False) -> tuple[ObjId, tuple[ArrId, ...]] | None:
+                  op: bool = False) -> tuple[ObjId, tuple[ArrId, ...]]:
         """Vertex and legs of the first universal cone over ``legs``, with
-        both the vertex and the test objects taken from ``among``."""
-        found = _first_cone(self._op if op else self._view,
-                            [o.index for o in legs], _indices(among))
-        if found is None:
-            return None
-        apex, fam, _ = found
+        both the vertex and the test objects taken from ``among``;
+        NoSuchStructure, its message the refuting count, if there is none."""
+        apex, fam, _ = _universal_cone(self._op if op else self._view,
+                                       [o.index for o in legs], "", _indices(among))
         return self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
-
-    def cone_candidates(self, legs: Sequence[ObjId], among: Iterable[ObjId], *,
-                        op: bool = False) -> Iterator[tuple[ObjId, tuple[ArrId, ...]]]:
-        """Every candidate of :meth:`find_cone`, in the order it tries them."""
-        for apex, fam in _candidates(self._op if op else self._view, _indices(among),
-                                     [o.index for o in legs]):
-            yield self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
 
     def cone_miss(self, vertex: ObjId, legs: Sequence[ArrId], among: Iterable[ObjId], *,
                   op: bool = False) -> tuple[ObjId, tuple[ArrId, ...], int] | None:
@@ -558,6 +542,7 @@ class StructureTable:
     def arrow_product(self, f: ArrId, g: ArrId) -> ArrId:
         """f x g = <f . proj1, g . proj2> : dom f x dom g -> cod f x cod g."""
         src = self.product(self.ob(f.dom), self.ob(g.dom))
+        self.table_of(src)  # verifies the projections read below
         table = self._view.table
         return self._pair(self.product(self.ob(f.cod), self.ob(g.cod)),
                           table[f.index][src.proj1.index], table[g.index][src.proj2.index])

@@ -121,8 +121,11 @@ def _delta(st: StructureTable, a: int, b: int, c: int) -> int:
         ida, i1, i2 = ids[a], bc.inj1.index, bc.inj2.index
         # id_a x inj = <id_a . proj1, inj . proj2>, from a x b and from a x c
         s1, p1 = products[(dom[ida], dom[i1])], products[(cod[ida], cod[i1])]
-        left = (p1.table or table_of(p1))[t[ida][s1.proj1.index] * n + t[i1][s1.proj2.index]]
         s2, p2 = products[(dom[ida], dom[i2])], products[(cod[ida], cod[i2])]
+        if s1.table is None or s2.table is None:  # as arrow_product verifies its source
+            table_of(s1)
+            table_of(s2)
+        left = (p1.table or table_of(p1))[t[ida][s1.proj1.index] * n + t[i1][s1.proj2.index]]
         right = (p2.table or table_of(p2))[t[ida][s2.proj1.index] * n + t[i2][s2.proj2.index]]
         if cod[left] == cod[right]:  # the copair's endpoint check
             cw = st.coproducts[(dom[left], dom[right])]

@@ -5,18 +5,22 @@ every object W (|hom(V, W)| for a couniversal one), and an exponential C^A
 has |hom(W, C^A)| = |hom(W x A, C)| at every W with a product with A.  So a
 PASS witness must have that column, and a FAIL line must state it: either no
 candidate has it, or the candidate it names has it and hits the family it
-names other than once.  Everything here is counted with ``FinCategory.hom``
-and ``FinCategory.compose``; the structure table is read only for its
-witnesses and failure messages.
+names other than once.  A quantifier object is a universal cone (cocone for
+``exists``) over its diagram's leg objects with the searched vertexes as
+candidates and test objects, so its failures are checked the same way.
+Everything here is counted with ``FinCategory.hom`` and
+``FinCategory.compose``; the structure table is read only for its witnesses
+and failure messages.
 """
 
 import re
 from collections import Counter
+from math import prod
 
 _NAMES = r"\(([^)]*)\)"
 _COLUMN = r"the hom-set sizes \[([0-9, ]*)\](?: from \(([^)]*)\))?( counting arrows out of it)?"
-_NONE = re.compile(rf"; no (?:object|object with a product with \S+) has {_COLUMN}$")
-_FITS = re.compile(rf"; (\S+) has {_COLUMN}, but (.*)$")
+_NONE = re.compile(rf"(?:^|; )no (?:object|object with a product with \S+) has {_COLUMN}$")
+_FITS = re.compile(rf"(?:^|; )(\S+) has {_COLUMN}, but (.*)$")
 _CONE_MISS = re.compile(rf"(\d+) arrows (\S+) -> (\S+) compose with {_NAMES} to {_NAMES}$")
 _EVAL_MISS = re.compile(r"with eval (\S+), (\d+) arrows m : (\S+) -> (\S+) have "
                         r"eval \. \(m x id_\S+\) = (\S+)$")
@@ -44,8 +48,8 @@ def _check_failure(cat, st, failure, column, ws, op, legs, base):
     """Which refutation ``failure`` is, after checking it against ``column``."""
     objs = cat.objects
     if not ws:
-        assert failure.endswith("the category has no objects" if base is None else
-                                f"no object with a product with {base.name}"), failure
+        noun = "object" if base is None else f"object with a product with {base.name}"
+        assert failure.endswith(f"no {noun}" if objs else "the category has no objects"), failure
         return "empty"
     match = _NONE.search(failure) or _FITS.search(failure)
     assert match, f"not a hom-count refutation: {failure}"
@@ -79,6 +83,18 @@ def _check_failure(cat, st, failure, column, ws, op, legs, base):
                    for m in cat.hom(cat.obj(w), apex))
     assert hits == int(k) != 1, failure
     return "fits"
+
+
+def check_quantifier_failure(cat, failure, quantifier, body, vertexes, legs):
+    """Check the NoQuantifierObject message ``failure`` of the search for the
+    ``quantifier`` object over ``body`` with leg objects ``legs`` among
+    ``vertexes``; which refutation it is."""
+    op = quantifier == "exists"
+    ws = sorted(set(vertexes), key=lambda o: o.index)
+    prefix = f"no {quantifier} object over {body} among {[w.name for w in ws]}: "
+    assert failure.startswith(prefix), failure
+    column = [prod(_size(cat, w, leg, op) for leg in legs) for w in ws]
+    return _check_failure(cat, None, failure[len(prefix):], column, ws, op, legs, None)
 
 
 def recount(cat, st) -> Counter:

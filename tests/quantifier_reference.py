@@ -1,6 +1,6 @@
 """The family-listing quantifier search and initiality sweep that the hom-set
 bijection check replaced, without a family cap, kept as the reference its
-solutions, failure messages and sweep counts must match.
+solutions, failures, revalidation messages and sweep counts must match.
 
 Every family of leg arrows at every test object is listed and the arrows
 commuting with it are counted; a (co)cone is universal iff each count is 1.
@@ -34,18 +34,15 @@ def ref_family_mediates(cat, vertexes, v, fam, legs, direction):
 
 
 def ref_search(cat, vertexes, quantifier, legs):
-    """(vertex, leg family) of the first universal candidate, or the message."""
+    """(vertex, leg family) of the first universal candidate, or a message
+    saying there is none."""
     direction = "cone" if quantifier == "forall" else "cocone"
     ordered = sorted(set(vertexes), key=lambda o: o.index)
-    failures = []
     for v in ordered:
         for fam in _families(cat, v, legs, direction):
-            verdict = ref_family_mediates(cat, ordered, v, fam, legs, direction)
-            if verdict is True:
+            if ref_family_mediates(cat, ordered, v, fam, legs, direction) is True:
                 return v, fam
-            failures.append(f"candidate {v.name}: {verdict}")
-    detail = "; ".join(failures[:12]) if failures else "no candidate carries a full leg family"
-    return f"{[o.name for o in ordered]}: {detail}"
+    return f"no {quantifier} object among {[o.name for o in ordered]}"
 
 
 def ref_revalidate(cat, vertexes, sol):

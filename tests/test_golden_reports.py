@@ -33,6 +33,8 @@ def _cases():
                                    PAIR_CONST_THEORY.format("e1", "e2", "e3"))
     cases["finset-0123"] = lambda: (make_finset([0, 1, 2, 3], "finset-0123"),
                                     PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
+    cases["finset-012333"] = lambda: (make_finset([0, 1, 2, 3, 3, 3], "finset-012333"),
+                                      PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
     return cases
 
 
@@ -68,19 +70,28 @@ GOLDEN = {
     "powerset-4:redundancy":
         "c2e8db99e341f6dddbe09f39f830fe374d00afa5f862fcd466c4a9ddcf2ca6c1",
     "finset-0123:check":
-        "d069761966463784385566f465ec0c3cee71bebcabe8eba5ec1bd1fe8f8a3712",
+        "abd48dad4aa61357e180f002139b5755c24055c1233510253fdc7e6efaa5b35a",
     "finset-0123:redundancy":
-        "c016c8c59696f299dd27a2744ed807442f650f1f70d8c65f206f89a85edb583f",
+        "aed90cfc273697a615f4940a483bc111b90007ff18c0ef8be609108cffb38fde",
+    "finset-012333:check":
+        "5bd975876e424047387d9202ba76f3d56f2ccb81fab023ae07fa71a94660b39a",
+    "finset-012333:redundancy":
+        "994fafdfd92c0f4b4f5d332efdbdb69e325bba2fe727794d1922e95840a31f62",
 }
 
 
-# recorded before FAIL explanations became hom-count refutations; they
-# cover the one case whose reports have FAIL lines
+# recorded before FAIL explanations became hom-count refutations (the
+# finset-012333 ones before quantifier failures did); they cover the cases
+# whose reports have FAIL lines
 VERDICTS = {
     "finset-0123:check":
         "8060ac3e2e45ce7420a0fad5794806c8b6e284300f6b15227ba0a9dcecbc85e4",
     "finset-0123:redundancy":
         "b188f83211ae25140750a1d61b2b49d2bf40427aaf912b9b4a49b3bc0411679b",
+    "finset-012333:check":
+        "de0d12a97c9f71352d4758c83d13fab69c599f86270220b652bdb66c6df294ef",
+    "finset-012333:redundancy":
+        "944053a9cb7b15234dc223c8af6aef1f70a4d6566fb3dc0ee028b524151f202e",
 }
 
 

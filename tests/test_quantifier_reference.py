@@ -1,15 +1,19 @@
 """Quantifier objects, their revalidation and the frobenius initiality sweep
-against the family-listing reference in ``quantifier_reference.py``."""
+against the family-listing reference in ``quantifier_reference.py``.  A
+failed search must fail in the reference too, and ``hom_recount`` confirms
+the hom-set count its message states."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
 from catlogic.bundles import bundled_suites
 from catlogic.errors import CertificateFailure, NoQuantifierObject, WorkbenchError
 from catlogic.kernel import validate_category
-from catlogic.logic import Exists, Forall, parse_theory
+from catlogic.logic import App, Atom, Exists, Forall, Var, parse_theory
 from catlogic.semantics import (
+    QuantifierDiagram,
     build_diagram,
     build_interpretation,
     checked_formulas,
@@ -21,7 +25,8 @@ from catlogic.semantics import (
 from catlogic.structure import discover_structure
 from catlogic.theorems import _context, _initiality_sweep
 
-from conftest import PAIR_CONST_THEORY, make_finset
+from conftest import PAIR_CONST_THEORY, make_finset, make_fork
+from hom_recount import check_quantifier_failure
 from quantifier_reference import ref_revalidate, ref_search, ref_sweep
 
 _FINSET_THEORY = PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1")
@@ -55,7 +60,7 @@ def test_search_and_revalidation_match_reference(prepared):
     cat, interp = prepared
     st = interp.structure
     everything = list(reversed(cat.objects))
-    searched = failed = 0
+    searched, failed = 0, Counter()
     for f in _quantified(interp):
         quant = "forall" if isinstance(f, Forall) else "exists"
         try:
@@ -69,8 +74,9 @@ def test_search_and_revalidation_match_reference(prepared):
             try:
                 v, family = search_quantifier_object(st, vertexes, quant, diagram)
             except NoQuantifierObject as exc:
-                failed += 1
-                assert str(exc) == f"no {quant} object over {diagram.body} among {want}"
+                assert isinstance(want, str)
+                failed[check_quantifier_failure(cat, str(exc), quant, diagram.body,
+                                                vertexes, legs)] += 1
                 continue
             assert (v, tuple(arr for _, arr in family.legs)) == want
     for sol in interp.qmemo.values():
@@ -79,7 +85,32 @@ def test_search_and_revalidation_match_reference(prepared):
                     == ref_revalidate(cat, vertexes, sol))
     assert searched
     if cat.name.startswith("finset"):
-        assert failed
+        # hom-set sizes tell finite sets apart, so no vertex has the sizes
+        assert set(failed) == {"no column"}
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["forall", "exists"])
+def test_vertex_with_the_sizes_of_a_quantifier_object_is_named(op):
+    # in the fork v has the hom-set sizes of a cone over the legs a and c (of
+    # a cocone on the opposite side), but id_v and e compose with the legs
+    # alike; the reference search fails there too
+    cat = make_fork(op)
+    st = discover_structure(cat)
+    quant = "exists" if op else "forall"
+    legs = [cat.obj("a"), cat.obj("c")]
+    body = Atom("B", (Var("x", "s"),))
+    diagram = QuantifierDiagram(body, "x", "s", tuple(
+        (App(name, (), "s"), leg) for name, leg in zip("cd", legs)))
+    out = " counting arrows out of it" if op else ""
+    for vertexes, sizes in ((cat.objects, "[0, 2, 0]"), (cat.objects[:2], "[0, 2] from (a, v)")):
+        with pytest.raises(NoQuantifierObject) as exc:
+            search_quantifier_object(st, vertexes, quant, diagram)
+        assert str(exc.value) == (
+            f"no {quant} object over B(x) among {[o.name for o in vertexes]}: v has the "
+            f"hom-set sizes {sizes}{out}, but 2 arrows v -> v compose with (t, f) to (t, f)")
+        assert isinstance(ref_search(cat, vertexes, quant, legs), str)
+        assert check_quantifier_failure(cat, str(exc.value), quant, body, vertexes,
+                                        legs) == "fits"
 
 
 def _sweep(interp, ctx):

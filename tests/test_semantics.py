@@ -21,8 +21,8 @@ from catlogic.semantics import (
     build_interpretation,
     check_conditions,
     derive_instances,
-    find_quantifier_object,
     reach_fixpoint,
+    search_quantifier_object,
 )
 from catlogic.structure import discover_structure
 
@@ -171,12 +171,12 @@ def test_diagram_rejects_extra_free_vars(b4_prepared):
         build_diagram(interp, f, "x", "s")
 
 
-def test_find_quantifier_object_returns_cocone(b4_prepared):
+def test_search_quantifier_object_returns_cocone(b4_prepared):
     _, cat, st, interp = b4_prepared
     th = interp.theory
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
     diagram = build_diagram(interp, body, "x", "s")
-    obj, family = find_quantifier_object(interp, interp.reach, "exists", diagram)
+    obj, family = search_quantifier_object(st, interp.reach.objects, "exists", diagram)
     assert obj == interp.interpret(Exists("x", "s", body))
     for (t, leg_obj), (t2, arr) in zip(diagram.legs, family.legs):
         assert t == t2

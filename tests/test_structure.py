@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -361,6 +362,66 @@ def test_theta_verifies_a_replaced_exponential(ev):
     with pytest.raises(UniversalityBroken) as exc:
         build_delta_inverse(st, one, one, one)
     assert str(exc.value) == str(chain.value)
+
+
+def test_arrow_product_verifies_its_source_product():
+    # a projection out of x1n1 makes the pairing table of the empty product
+    # {-60: 0}, a key no pair of arrows has, and arrow_product read the bad
+    # projection unchecked to answer f0_0_
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat, require_validated=False)
+    x0 = cat.objects[0]
+    st.products[(0, 0)] = bad = replace(st.products[(0, 0)], proj1=cat.arrow("f1_1_0"))
+    message = ("(x0n0, x0n0) with apex x0n0: composing with (f1_1_0, f0_0_) is not "
+               "a bijection onto the cones")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.table_of(bad)
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.arrow_product(cat.identity_of(x0), cat.identity_of(x0))
+
+
+@pytest.mark.parametrize("key, leg, arrow, message", [
+    # proj1 runs into x2n2: the error named the next product and the
+    # category's last arrow
+    ((1, 1), "proj1", "f1_2_0", "(x1n1, x1n1) with apex x1n1: composing with "
+                                "(f1_2_0, f1_1_0) is not a bijection onto the cones"),
+    # a constant proj2 is typed but not a product: delta came out f3_3_112,
+    # not f3_3_012
+    ((1, 2), "proj2", "f2_2_11", "(x1n1, x2n2) with apex x2n2: composing with "
+                                 "(f2_1_00, f2_2_11) is not a bijection onto the cones"),
+], ids=["mistyped", "constant"])
+def test_delta_verifies_its_source_product(key, leg, arrow, message):
+    # id_x1n1 x inj projects from x1n1 x b for the b of the triple
+    from catlogic.theorems import _delta_chain, build_delta
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat, require_validated=False)
+    a, b = (cat.objects[i] for i in key)
+    st.products[key] = replace(st.products[key], **{leg: cat.arrow(arrow)})
+    with pytest.raises(UniversalityBroken) as chain:
+        _delta_chain(st, a, b, a)
+    with pytest.raises(UniversalityBroken) as exc:
+        build_delta(st, a, b, a)
+    assert str(exc.value) == str(chain.value) == message
+
+
+def test_every_mistyped_leg_fails_verification():
+    # a leg must run from the apex to its pair object (into the apex for a
+    # coproduct); a size check alone let 490 products and 24 coproducts
+    # with one mistyped leg through
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat, require_validated=False)
+    tried = 0
+    for witnesses, legs, op in ((st.products, ("proj1", "proj2"), False),
+                                (st.coproducts, ("inj1", "inj2"), True)):
+        for w in witnesses.values():
+            for leg, obj in zip(legs, w.pair):
+                ends = (obj.index, w.apex.index) if op else (w.apex.index, obj.index)
+                for arr in cat.arrows:
+                    if (arr.dom, arr.cod) != ends:
+                        tried += 1
+                        with pytest.raises(UniversalityBroken):
+                            st.table_of(replace(w, **{leg: arr}))
+    assert tried
 
 
 # -- the search against the mediator-counting reference --------------------------------
