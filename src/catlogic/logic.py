@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     FormulaSyntaxError,
@@ -279,11 +279,13 @@ def format_formula(f: Formula, _parent: int = 0) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"->|[()&|.,:*=]|[A-Za-z_][A-Za-z0-9_']*|[01]")
+# one alternative per token shape; whitespace is skipped and any other
+# character is an error
+_TOKEN_RE = re.compile(r"\s+|(->|[()&|.,:*=]|[A-Za-z_][A-Za-z0-9_']*|[01])|(.)", re.S)
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     text: str
     line: int
     col: int
@@ -292,17 +294,13 @@ class _Tok:
 def _tokenize(text: str, line_offset: int = 0) -> list[_Tok]:
     toks = []
     for lineno, line in enumerate(text.splitlines() or [""], 1 + line_offset):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise FormulaSyntaxError(f"unexpected character {line[pos]!r}",
-                                         lineno, pos + 1)
-            toks.append(_Tok(m.group(0), lineno, pos + 1))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(line):
+            tok, bad = m.groups()
+            if tok:
+                toks.append(_Tok(tok, lineno, m.start() + 1))
+            elif bad:
+                raise FormulaSyntaxError(f"unexpected character {bad!r}",
+                                         lineno, m.start() + 1)
     return toks
 
 
@@ -358,29 +356,33 @@ class _FormulaParser:
         self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is ``text``."""
+        if (tok := self.peek()) and tok.text == text:
+            self.pos += 1
+            return True
+        return False
+
     def formula(self) -> Formula:
         # parentheses, the right of ->, and quantifier scopes parse a formula
         # one level down
         self.check_depth()
         self.depth += 1
         left = self.disjunction()
-        if (tok := self.peek()) and tok.text == "->":
-            self.take()
+        if self.accept("->"):
             left = Arrow(left, self.formula())  # right associative
         self.depth -= 1
         return left
 
     def disjunction(self) -> Formula:
         left = self.conjunction()
-        while (tok := self.peek()) and tok.text == "|":
-            self.take()
+        while self.accept("|"):
             left = Plus(left, self.conjunction())
         return left
 
     def conjunction(self) -> Formula:
         left = self.unit()
-        while (tok := self.peek()) and tok.text == "&":
-            self.take()
+        while self.accept("&"):
             left = Times(left, self.unit())
         return left
 
@@ -401,7 +403,7 @@ class _FormulaParser:
             return f
         if tok.text in ("forall", "exists"):
             return self.quantifier()
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", tok.text):
+        if _NAME_RE.fullmatch(tok.text):
             return self.atom()
         raise FormulaSyntaxError(f"expected a formula, found {tok.text!r}",
                                  tok.line, tok.col)
@@ -409,7 +411,7 @@ class _FormulaParser:
     def quantifier(self) -> Formula:
         kw = self.take().text
         var = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", var.text):
+        if not _NAME_RE.fullmatch(var.text):
             raise FormulaSyntaxError(f"expected a variable after {kw}, "
                                      f"found {var.text!r}", var.line, var.col)
         self.take(":")
@@ -445,14 +447,12 @@ class _FormulaParser:
     def arguments(self) -> list[Term]:
         """The parenthesized argument list that follows, if any, one level down."""
         args: list[Term] = []
-        if (tok := self.peek()) and tok.text == "(":
-            self.take()
+        if self.accept("("):
             self.check_depth()
             self.depth += 1
             if self.peek() and self.peek().text != ")":
                 args.append(self.term())
-                while self.peek() and self.peek().text == ",":
-                    self.take()
+                while self.accept(","):
                     args.append(self.term())
             self.depth -= 1
             self.take(")")
@@ -460,7 +460,7 @@ class _FormulaParser:
 
     def term(self) -> Term:
         name = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_']*", name.text):
+        if not _NAME_RE.fullmatch(name.text):
             raise FormulaSyntaxError(f"expected a term, found {name.text!r}",
                                      name.line, name.col)
         # bound and declared variables shadow function symbols

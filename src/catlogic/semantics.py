@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -57,6 +56,8 @@ from .logic import (
 from .structure import StructureTable
 
 DEFAULT_REACH_DEPTH = 3
+_NOT_PREPARED = ("interpretation not prepared: run prepare() before "
+                 "interpreting quantified formulas")
 
 
 @dataclass(frozen=True)
@@ -178,11 +179,48 @@ def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
 
 # -- the interpretation ------------------------------------------------------------
 
+@dataclass(eq=False, slots=True)
+class _Node:
+    """A formula interned by an Interpretation: ``f`` is the one formula
+    object kept for its shape, ``kids`` its interned direct subformulas and
+    ``fv`` the names of its free variables, sorted.  Nodes hash and compare
+    by identity, which is sound while the Interpretation that interned them
+    lives: it never drops one."""
+    f: Formula
+    kids: tuple[_Node, ...]
+    fv: tuple[str, ...]
+
+
+# An environment: (variable, closed term) pairs, the innermost binding last.
+_Env = tuple[tuple[str, Term], ...]
+
+
+def _bound(env: _Env, name: str) -> Term:
+    for var, t in reversed(env):
+        if var == name:
+            return t
+
+
+@dataclass
+class _Scope:
+    """Where the evaluator searches quantifier objects and what it keeps:
+    values by (node, the environment's terms for the node's free variables),
+    solutions by the alpha key of the closed quantified formula."""
+    vertexes: Sequence[ObjId] | None  # None before prepare()
+    memo: dict[tuple[_Node, tuple[Term, ...]], ObjId]
+    solved: dict[tuple, QuantifierSolution]
+    warnings: list[str] | None
+
+
 class Interpretation:
     """The map from formulas to objects, with its memo and reachable set.
 
     ``prepare()`` runs the reach fixpoint; afterwards every query is
-    read-only apart from memo fills, which are deterministic.
+    read-only apart from memo fills, which are deterministic.  A formula is
+    valued as an interned node under an environment of closed terms: a
+    quantifier leg is its body under one more binding, and a closed instance
+    B[t/x] is built only for a quantified formula's alpha key (``qmemo``),
+    a solution's formula and diagram body, and error messages.
     """
 
     def __init__(self, structure: StructureTable, theory: Theory, *,
@@ -210,10 +248,12 @@ class Interpretation:
             self.atom_map[key] = self.cat.obj(objname)
         self._check_atom_coverage()
 
-        self.memo: dict[tuple, tuple[Formula, ObjId]] = {}
+        self.memo: dict[tuple[_Node, tuple[Term, ...]], ObjId] = {}
         self.qmemo: dict[tuple, QuantifierSolution] = {}
         self.reach: ReachSet | None = None
         self.reach_failures: list[str] = []
+        self._nodes: dict[object, _Node] = {}
+        self._instances: dict[tuple[_Node, tuple[Term, ...]], Formula] = {}
 
     def _check_atom_coverage(self) -> None:
         missing = []
@@ -227,83 +267,133 @@ class Interpretation:
                 f"atom interpretation does not cover every closed instance; "
                 f"missing: {', '.join(missing)}")
 
-    # -- interpretation clauses ---------------------------------------------------
+    # -- interned nodes and their closed instances -----------------------------------
+
+    def _node(self, f: Formula) -> _Node:
+        """The interned node of ``f``, interning its subformulas first."""
+        kind = type(f)
+        if kind is Times or kind is Plus or kind is Arrow:
+            left, right = self._node(f.left), self._node(f.right)
+            key = (kind, left, right)
+            node = self._nodes.get(key)
+            if node is None:
+                fv = tuple(sorted({*left.fv, *right.fv}))
+                node = self._nodes[key] = _Node(kind(left.f, right.f), (left, right), fv)
+        elif kind is Forall or kind is Exists:
+            body = self._node(f.body)
+            key = (kind, f.var, f.sort, body)
+            node = self._nodes.get(key)
+            if node is None:
+                fv = tuple(n for n in body.fv if n != f.var)
+                node = self._nodes[key] = _Node(kind(f.var, f.sort, body.f), (body,), fv)
+        elif kind is Atom or kind is Zero or kind is One:
+            node = self._nodes.get(f)
+            if node is None:
+                fv = tuple(sorted({n for n, _ in free_vars(f)}))
+                node = self._nodes[f] = _Node(f, (), fv)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        return node
+
+    def _instance(self, node: _Node, terms: tuple[Term, ...]) -> Formula:
+        """``node``'s formula with ``terms`` put for its free variables."""
+        if not terms:
+            return node.f
+        key = (node, terms)
+        f = self._instances.get(key)
+        if f is None:
+            f = node.f
+            for name, t in zip(node.fv, terms):
+                f = substitute(f, t, name)
+            self._instances[key] = f
+        return f
+
+    # -- the evaluator ---------------------------------------------------------------
+
+    def _scope(self) -> _Scope:
+        """The scope of queries: quantifiers are searched among the reach."""
+        return _Scope(None if self.reach is None else self.reach.objects,
+                      self.memo, self.qmemo, self.warnings)
 
     def interpret(self, f: Formula) -> ObjId:
-        if free_vars(f):
+        node = self._node(f)
+        if node.fv:
             raise MalformedInput(f"interpret needs a closed formula, got {f}")
-        return self._interpret(f)
+        return self._value(node, (), self._scope())
 
     def _interpret(self, f: Formula) -> ObjId:
-        key = alpha_key(f)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit[1]
-        obj = self._clause(f, self._interpret, self._reached)
-        self.memo[key] = (f, obj)
+        """``interpret`` for a formula known to be closed; the condition
+        checks use it, so their work is not counted as queries."""
+        return self._value(self._node(f), (), self._scope())
+
+    def _value(self, node: _Node, env: _Env, scope: _Scope) -> ObjId:
+        terms = tuple([_bound(env, name) for name in node.fv]) if node.fv else ()
+        key = (node, terms)
+        obj = scope.memo.get(key)
+        if obj is None:
+            obj = scope.memo[key] = self._clause(node, env, terms, scope)
         return obj
 
-    def _clause(self, f: Formula, sub, quantify) -> ObjId:
-        """The object the clause for the outermost connective of ``f`` gives,
-        with each direct subformula valued by ``sub`` and a quantified
-        formula resolved by ``quantify``."""
-        st = self.structure
-        if isinstance(f, Zero):
+    def _clause(self, node: _Node, env: _Env, terms: tuple[Term, ...],
+                scope: _Scope) -> ObjId:
+        """The object the clause for the outermost connective of ``node`` gives
+        under ``env`` (whose values at ``node``'s free variables are
+        ``terms``), with each direct subformula valued through the memo."""
+        f, st = node.f, self.structure
+        kind = type(f)
+        if kind is Atom:
+            a = self._instance(node, terms)
+            obj = self.atom_map.get((a.rel, a.args))
+            if obj is None:
+                raise MissingAtom(f"no interpretation for atom {a}")
+            return obj
+        if kind is Times or kind is Plus or kind is Arrow:
+            find = {Times: st.product, Plus: st.coproduct, Arrow: st.exponential}[kind]
+            left, right = node.kids
+            return find(self._value(left, env, scope), self._value(right, env, scope)).apex
+        if kind is Zero:
             return st.initial_obj()
-        if isinstance(f, One):
+        if kind is One:
             return st.terminal_obj()
-        if isinstance(f, Atom):
-            if (f.rel, f.args) not in self.atom_map:
-                raise MissingAtom(f"no interpretation for atom {f}")
-            return self.atom_map[(f.rel, f.args)]
-        if isinstance(f, (Times, Plus, Arrow)):
-            find = {Times: st.product, Plus: st.coproduct, Arrow: st.exponential}[type(f)]
-            return find(sub(f.left), sub(f.right)).apex
-        if isinstance(f, (Forall, Exists)):
-            return quantify(f).obj
-        raise TypeError(f"not a formula: {f!r}")
-
-    def _reached(self, f: Forall | Exists) -> QuantifierSolution:
-        quant = "forall" if isinstance(f, Forall) else "exists"
-        return self.quantifier_solution(quant, f.var, f.sort, f.body)
+        return self._solution(node, env, terms, scope).obj
 
     def quantifier_solution(self, quantifier: str, var: str, sort: str,
                             body: Formula) -> QuantifierSolution:
-        formula = (Forall if quantifier == "forall" else Exists)(var, sort, body)
-        key = alpha_key(formula)
-        hit = self.qmemo.get(key)
-        if hit is not None:
-            return hit
         if self.reach is None:
-            raise MissingQuantifierObject(
-                "interpretation not prepared: run prepare() before "
-                "interpreting quantified formulas")
+            raise MissingQuantifierObject(_NOT_PREPARED)
         _check_body(body, var, sort)
-        try:
-            return self._solve(formula, key, self._interpret, self.reach.objects,
-                               self.qmemo, self.warnings)
-        except NoQuantifierObject as exc:
-            raise MissingQuantifierObject(str(exc)) from exc
+        formula = (Forall if quantifier == "forall" else Exists)(var, sort, body)
+        return self._solution(self._node(formula), (), (), self._scope())
 
-    def _solve(self, f: Forall | Exists, key: tuple, sub, vertexes: Sequence[ObjId],
-               solved: dict[tuple, QuantifierSolution],
-               warnings: list[str] | None) -> QuantifierSolution:
-        """The quantifier object of ``f`` among ``vertexes``, over the diagram
-        of its instances valued by ``sub``; stored in ``solved`` under the
-        alpha key ``key`` of ``f``."""
-        if key not in solved:
+    def _solution(self, node: _Node, env: _Env, terms: tuple[Term, ...],
+                  scope: _Scope) -> QuantifierSolution:
+        """The quantifier object of ``node`` under ``env``, found among the
+        scope's vertexes over the diagram of its body's values, one leg per
+        closed term; kept under the alpha key of the closed formula."""
+        f = self._instance(node, terms)
+        key = alpha_key(f)
+        sol = scope.solved.get(key)
+        if sol is None:
+            if scope.vertexes is None:
+                raise MissingQuantifierObject(_NOT_PREPARED)
             quant = "forall" if isinstance(f, Forall) else "exists"
-            diagram = self._diagram(f.body, f.var, f.sort, sub)
-            obj, family = search_quantifier_object(self.structure, vertexes, quant,
-                                                   diagram, warnings)
-            solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
-        return solved[key]
+            diagram = self._diagram(node.kids[0], f.body, f.var, f.sort, env, scope)
+            try:
+                obj, family = search_quantifier_object(
+                    self.structure, scope.vertexes, quant, diagram, scope.warnings)
+            except NoQuantifierObject as exc:
+                raise MissingQuantifierObject(str(exc)) from exc
+            sol = scope.solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
+        return sol
 
-    def _diagram(self, body: Formula, var: str, sort: str, sub) -> QuantifierDiagram:
-        """The diagram of ``body`` over ``var:sort``: one leg per closed term
-        in universe order, valued by ``sub`` at the instance."""
+    def _diagram(self, node: _Node, body: Formula, var: str, sort: str, env: _Env,
+                 scope: _Scope) -> QuantifierDiagram:
+        """The diagram over ``var:sort`` of ``body``, whose node is ``node``
+        and whose other free variables ``env`` binds: one leg per closed
+        term t in universe order, valued under ``env`` extended by var -> t."""
         return QuantifierDiagram(body, var, sort, tuple(
-            (t, sub(substitute(body, t, var))) for t in self.universe.terms(sort)))
+            (t, self._value(node, env + ((var, t),), scope))
+            for t in self.universe.terms(sort)))
 
     # -- reach fixpoint ------------------------------------------------------------
 
@@ -311,9 +401,7 @@ class Interpretation:
         members, qresults, failures = self._reach_fixpoint()
         self.reach = ReachSet(tuple(members.values()), self.reach_depth)
         self.reach_failures = failures
-        for key, sol in qresults.items():
-            self.qmemo[key] = sol
-            self.memo[key] = (sol.formula, sol.obj)
+        self.qmemo.update(qresults)
         return self
 
     def _base_members(self) -> dict[int, ReachMember]:
@@ -399,12 +487,13 @@ class Interpretation:
                         sol.obj, sol.formula, connective_depth(sol.formula))
             self._binary_closure(members)
 
+            # this round's quantifiers are searched among this round's members
             qnew: dict[tuple, QuantifierSolution] = {}
-            vertexes = [m.obj for m in members.values()]
+            scope = _Scope([m.obj for m in members.values()], {}, qnew, None)
             failures = []
             for f in sorted(pool, key=connective_depth):
                 try:
-                    self._resolve(f, vertexes, qnew)
+                    self._value(self._node(f), (), scope)
                 except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
                     failures.append(f"{f}: {exc}")
             stable = (qnew.keys() == qbeliefs.keys()
@@ -417,15 +506,6 @@ class Interpretation:
                                  "object-count bound; results use the last round")
 
         return members, qbeliefs, failures
-
-    def _resolve(self, f: Formula, vertexes: list[ObjId],
-                 solved: dict[tuple, QuantifierSolution]) -> ObjId:
-        """Interpret during the fixpoint: quantifiers are searched among this
-        round's members ``vertexes``, not the final reach, and kept in
-        ``solved``."""
-        sub = partial(self._resolve, vertexes=vertexes, solved=solved)
-        return self._clause(f, sub, lambda q: self._solve(q, alpha_key(q), sub, vertexes,
-                                                          solved, None))
 
 
 def build_interpretation(structure: StructureTable, theory: Theory, *,
@@ -455,9 +535,10 @@ def reach_fixpoint(interp: Interpretation, formula_depth: int | None = None) -> 
 
 def build_diagram(interp: Interpretation, body: Formula, var: str,
                   sort: str) -> QuantifierDiagram:
-    """Legs in universe order, one per closed term, via substitute + interpret."""
+    """Legs in universe order, one per closed term t, each the value of
+    ``body`` with var bound to t."""
     _check_body(body, var, sort)
-    return interp._diagram(body, var, sort, interp._interpret)
+    return interp._diagram(interp._node(body), body, var, sort, (), interp._scope())
 
 
 def _check_body(body: Formula, var: str, sort: str) -> None:
@@ -584,22 +665,25 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
     else:
         verdicts.append(distributivity_verdict(st, reach.objects))
 
-    # (5) quantifier objects for every quantified subformula of the checked set
-    checked = checked_formulas(interp)
-    details = []
-    status = "PASS"
-    for f in checked:
+    # (5) quantifier objects for every closed quantified subformula of the
+    # checked set, each once up to renaming of bound variables
+    quantified: dict[tuple, Formula] = {}
+    for f in checked_formulas(interp):
         for sub in subformulas(f):
             if isinstance(sub, (Forall, Exists)) and not free_vars(sub):
-                try:
-                    interp._interpret(sub)
-                except MissingQuantifierObject as exc:
-                    status = "FAIL"
-                    details.append(f"{sub}: {exc}")
-                except (NoSuchStructure, MissingAtom) as exc:
-                    if status == "PASS":
-                        status = "BLOCKED"
-                    details.append(f"{sub}: {exc}")
+                quantified.setdefault(alpha_key(sub), sub)
+    details = []
+    status = "PASS"
+    for sub in quantified.values():
+        try:
+            interp._interpret(sub)
+        except MissingQuantifierObject as exc:
+            status = "FAIL"
+            details.append(f"{sub}: {exc}")
+        except (NoSuchStructure, MissingAtom) as exc:
+            if status == "PASS":
+                status = "BLOCKED"
+            details.append(f"{sub}: {exc}")
     verdicts.append(ConditionVerdict(5, "quantifier-objects", status,
                                      tuple(details[:16])))
 
@@ -619,16 +703,18 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
         status = "BLOCKED"
         details.append(str(exc))
     # a quantified formula's clause is its stored solution, re-checked below
-    for key, (f, obj) in list(interp.memo.items()):
-        if isinstance(f, (Forall, Exists)):
+    scope = interp._scope()
+    for (node, terms), obj in list(interp.memo.items()):
+        if isinstance(node.f, (Forall, Exists)):
             continue
         try:
-            want = interp._clause(f, interp._interpret, interp._reached)
+            want = interp._clause(node, tuple(zip(node.fv, terms)), terms, scope)
         except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
             continue
         if want != obj:
             status = "FAIL"
-            details.append(f"memo holds {obj.name} for {f}, clauses give {want.name}")
+            details.append(f"memo holds {obj.name} for {interp._instance(node, terms)}, "
+                           f"clauses give {want.name}")
     if reach is not None:
         for sol in interp.qmemo.values():
             bad = revalidate_quantifier(st, reach.objects, sol)

@@ -431,6 +431,7 @@ class StructureTable:
         self.exponential_failures: dict[tuple[int, int], str] = {}
         self._view = _View(cat)
         self._op = _View(cat, op=True)
+        self._cones: dict[tuple, tuple[ObjId, tuple[ArrId, ...]] | str] = {}
 
     @property
     def complete(self) -> bool:
@@ -489,10 +490,21 @@ class StructureTable:
                   op: bool = False) -> tuple[ObjId, tuple[ArrId, ...]]:
         """Vertex and legs of the first universal cone over ``legs``, with
         both the vertex and the test objects taken from ``among``;
-        NoSuchStructure, its message the refuting count, if there is none."""
-        apex, fam, _ = _universal_cone(self._op if op else self._view,
-                                       [o.index for o in legs], "", _indices(among))
-        return self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
+        NoSuchStructure, its message the refuting count, if there is none.
+        Each outcome is kept by (legs, among, op): a diagram met again is
+        not searched again."""
+        ps, ws = tuple(o.index for o in legs), _indices(among)
+        found = self._cones.get((ps, ws, op))
+        if found is None:
+            try:
+                apex, fam, _ = _universal_cone(self._op if op else self._view, ps, "", ws)
+                found = self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
+            except NoSuchStructure as exc:
+                found = str(exc)
+            self._cones[ps, ws, op] = found
+        if isinstance(found, str):
+            raise NoSuchStructure(found)
+        return found
 
     def cone_miss(self, vertex: ObjId, legs: Sequence[ArrId], among: Iterable[ObjId], *,
                   op: bool = False) -> tuple[ObjId, tuple[ArrId, ...], int] | None:
@@ -550,6 +562,7 @@ class StructureTable:
     def swap(self, a: ObjId, b: ObjId) -> ArrId:
         """The canonical a x b -> b x a built from <proj2, proj1>."""
         pw = self.product(a, b)
+        self.table_of(pw)  # verifies the projections read below
         return self._pair(self.product(b, a), pw.proj2.index, pw.proj1.index)
 
     def transpose(self, f: ArrId, w: ObjId, a: ObjId) -> ArrId:

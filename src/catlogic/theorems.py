@@ -144,6 +144,9 @@ def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
         d_w = coproducts[(ab.apex.index, ac.apex.index)]
         # swap = <proj2, proj1> : b x a -> a x b, then inj1 . swap; likewise for c
         ba, ca = products[(b, a)], products[(c, a)]
+        if ba.table is None or ca.table is None:  # as swap verifies its product
+            table_of(ba)
+            table_of(ca)
         s1 = (ab.table or table_of(ab))[ba.proj2.index * n + ba.proj1.index]
         s2 = (ac.table or table_of(ac))[ca.proj2.index * n + ca.proj1.index]
         j1, j2 = d_w.inj1.index, d_w.inj2.index
@@ -164,6 +167,8 @@ def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
         theta_h = t[ew.eval.index][(hx.table or table_of(hx))[
             t[h][src.proj1.index] * n + t[ida][src.proj2.index]]]
         sw, tw = products[(a, bc)], products[(bc, a)]
+        if sw.table is None:
+            table_of(sw)
         s3 = (tw.table or table_of(tw))[sw.proj2.index * n + sw.proj1.index]
         inv = t[theta_h][s3]
         # the chain's other checks: the three composites typed and defined,

@@ -1,0 +1,209 @@
+"""The substitution evaluator that environment evaluation replaced, kept as
+the reference its answers, errors, warnings and quantifier solutions must
+match.
+
+``ReferenceInterpretation`` values a quantifier leg by building the instance
+B[t/x] with ``substitute`` and keys its memos by ``alpha_key``; its reach
+fixpoint resolves the pool the same way, and its quantifier search runs
+the uncached cone search for every diagram it meets.  It shares with the engine only
+the atom map, the term universe and the reach rules that did not change
+(``_base_members``, ``_binary_closure``, ``_quantifier_pool``).
+"""
+
+from functools import partial
+from typing import Sequence
+
+from catlogic.errors import (
+    MalformedInput,
+    MissingAtom,
+    MissingQuantifierObject,
+    NoQuantifierObject,
+    NoSuchStructure,
+)
+from catlogic.kernel import ObjId
+from catlogic.logic import (
+    Arrow,
+    Atom,
+    Exists,
+    Forall,
+    Formula,
+    One,
+    Plus,
+    Times,
+    Zero,
+    alpha_key,
+    connective_depth,
+    free_vars,
+    substitute,
+)
+from catlogic.semantics import (
+    CoconeFamily,
+    ConeFamily,
+    Interpretation,
+    QuantifierDiagram,
+    QuantifierSolution,
+    ReachMember,
+    ReachSet,
+)
+from catlogic.structure import StructureTable, _indices, _universal_cone
+
+
+def _find_cone(st: StructureTable, legs: Sequence[ObjId], among: Sequence[ObjId], *,
+               op: bool = False):
+    """``StructureTable.find_cone`` without its cache."""
+    apex, fam, _ = _universal_cone(st._op if op else st._view, [o.index for o in legs], "",
+                                   _indices(among))
+    return st.ob(apex), tuple(st.cat.arrows[p] for p in fam)
+
+
+def ref_search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
+                                 quantifier: str, diagram: QuantifierDiagram,
+                                 warnings: list[str] | None = None,
+                                 ) -> tuple[ObjId, ConeFamily | CoconeFamily]:
+    op = quantifier == "exists"
+    ordered = sorted(set(vertexes), key=lambda o: o.index)
+
+    if diagram.empty and warnings is not None:
+        warnings.append(
+            f"empty quantifier diagram over sort {diagram.sort} for body "
+            f"{diagram.body}; the search degenerates to the terminal/initial "
+            f"object relative to the reachable vertexes")
+
+    try:
+        v, fam = _find_cone(st, [obj for _, obj in diagram.legs], ordered, op=op)
+    except NoSuchStructure as exc:
+        raise NoQuantifierObject(
+            f"no {quantifier} object over {diagram.body} among "
+            f"{[o.name for o in ordered]}: {exc}") from None
+    pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
+    return v, (CoconeFamily(v, pairs) if op else ConeFamily(v, pairs))
+
+
+def _check_body(body: Formula, var: str, sort: str) -> None:
+    extra = free_vars(body) - {(var, sort)}
+    if extra:
+        raise MalformedInput(
+            f"diagram body {body} has free variables {sorted(extra)} besides "
+            f"{var}:{sort}")
+
+
+class ReferenceInterpretation(Interpretation):
+    """An Interpretation whose evaluator, memos and reach fixpoint are the
+    substitution ones: ``memo`` and ``qmemo`` are keyed by ``alpha_key``."""
+
+    def interpret(self, f: Formula) -> ObjId:
+        if free_vars(f):
+            raise MalformedInput(f"interpret needs a closed formula, got {f}")
+        return self._interpret(f)
+
+    def _interpret(self, f: Formula) -> ObjId:
+        key = alpha_key(f)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit[1]
+        obj = self._clause(f, self._interpret, self._reached)
+        self.memo[key] = (f, obj)
+        return obj
+
+    def _clause(self, f: Formula, sub, quantify) -> ObjId:
+        st = self.structure
+        if isinstance(f, Zero):
+            return st.initial_obj()
+        if isinstance(f, One):
+            return st.terminal_obj()
+        if isinstance(f, Atom):
+            if (f.rel, f.args) not in self.atom_map:
+                raise MissingAtom(f"no interpretation for atom {f}")
+            return self.atom_map[(f.rel, f.args)]
+        if isinstance(f, (Times, Plus, Arrow)):
+            find = {Times: st.product, Plus: st.coproduct, Arrow: st.exponential}[type(f)]
+            return find(sub(f.left), sub(f.right)).apex
+        if isinstance(f, (Forall, Exists)):
+            return quantify(f).obj
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _reached(self, f: Forall | Exists) -> QuantifierSolution:
+        quant = "forall" if isinstance(f, Forall) else "exists"
+        return self.quantifier_solution(quant, f.var, f.sort, f.body)
+
+    def quantifier_solution(self, quantifier: str, var: str, sort: str,
+                            body: Formula) -> QuantifierSolution:
+        formula = (Forall if quantifier == "forall" else Exists)(var, sort, body)
+        key = alpha_key(formula)
+        hit = self.qmemo.get(key)
+        if hit is not None:
+            return hit
+        if self.reach is None:
+            raise MissingQuantifierObject(
+                "interpretation not prepared: run prepare() before "
+                "interpreting quantified formulas")
+        _check_body(body, var, sort)
+        try:
+            return self._solve(formula, key, self._interpret, self.reach.objects,
+                               self.qmemo, self.warnings)
+        except NoQuantifierObject as exc:
+            raise MissingQuantifierObject(str(exc)) from exc
+
+    def _solve(self, f: Forall | Exists, key: tuple, sub, vertexes: Sequence[ObjId],
+               solved: dict[tuple, QuantifierSolution],
+               warnings: list[str] | None) -> QuantifierSolution:
+        if key not in solved:
+            quant = "forall" if isinstance(f, Forall) else "exists"
+            diagram = self._diagram(f.body, f.var, f.sort, sub)
+            obj, family = ref_search_quantifier_object(self.structure, vertexes, quant,
+                                                       diagram, warnings)
+            solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
+        return solved[key]
+
+    def _diagram(self, body: Formula, var: str, sort: str, sub) -> QuantifierDiagram:
+        return QuantifierDiagram(body, var, sort, tuple(
+            (t, sub(substitute(body, t, var))) for t in self.universe.terms(sort)))
+
+    def prepare(self) -> "ReferenceInterpretation":
+        members, qresults, failures = self._reach_fixpoint()
+        self.reach = ReachSet(tuple(members.values()), self.reach_depth)
+        self.reach_failures = failures
+        for key, sol in qresults.items():
+            self.qmemo[key] = sol
+            self.memo[key] = (sol.formula, sol.obj)
+        return self
+
+    def _reach_fixpoint(self):
+        pool = self._quantifier_pool()
+        qbeliefs: dict[tuple, QuantifierSolution] = {}
+        members: dict[int, ReachMember] = {}
+        failures: list[str] = []
+
+        for _ in range(len(self.cat.objects) + 2):
+            members = self._base_members()
+            self._binary_closure(members)
+            for sol in qbeliefs.values():
+                if sol.obj.index not in members:
+                    members[sol.obj.index] = ReachMember(
+                        sol.obj, sol.formula, connective_depth(sol.formula))
+            self._binary_closure(members)
+
+            qnew: dict[tuple, QuantifierSolution] = {}
+            vertexes = [m.obj for m in members.values()]
+            failures = []
+            for f in sorted(pool, key=connective_depth):
+                try:
+                    self._resolve(f, vertexes, qnew)
+                except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
+                    failures.append(f"{f}: {exc}")
+            stable = (qnew.keys() == qbeliefs.keys()
+                      and all(qnew[k].obj == qbeliefs[k].obj for k in qnew))
+            qbeliefs = qnew
+            if stable:
+                break
+        else:
+            self.warnings.append("reach fixpoint did not stabilize within the "
+                                 "object-count bound; results use the last round")
+
+        return members, qbeliefs, failures
+
+    def _resolve(self, f: Formula, vertexes: list[ObjId],
+                 solved: dict[tuple, QuantifierSolution]) -> ObjId:
+        sub = partial(self._resolve, vertexes=vertexes, solved=solved)
+        return self._clause(f, sub, lambda q: self._solve(q, alpha_key(q), sub, vertexes,
+                                                          solved, None))

@@ -70,11 +70,11 @@ GOLDEN = {
     "powerset-4:redundancy":
         "c2e8db99e341f6dddbe09f39f830fe374d00afa5f862fcd466c4a9ddcf2ca6c1",
     "finset-0123:check":
-        "abd48dad4aa61357e180f002139b5755c24055c1233510253fdc7e6efaa5b35a",
+        "f3a9042593aa2c56787ea9d642b52e279a8ceb76f3d6d1e6128c40b30daef1bb",
     "finset-0123:redundancy":
         "aed90cfc273697a615f4940a483bc111b90007ff18c0ef8be609108cffb38fde",
     "finset-012333:check":
-        "5bd975876e424047387d9202ba76f3d56f2ccb81fab023ae07fa71a94660b39a",
+        "66dbacc09c7558d0456a6cb330862f387655c84e2b113be891cd31d48e42ea0c",
     "finset-012333:redundancy":
         "994fafdfd92c0f4b4f5d332efdbdb69e325bba2fe727794d1922e95840a31f62",
 }

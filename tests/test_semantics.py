@@ -26,7 +26,7 @@ from catlogic.semantics import (
 )
 from catlogic.structure import discover_structure
 
-from conftest import subset_of, subset_name
+from conftest import PAIR_CONST_THEORY, make_finset, subset_of, subset_name
 
 
 def _b4_interp(atoms: dict[str, str], depth_k: int = 3,
@@ -269,6 +269,16 @@ def test_powerset3_without_coatom_fails_condition3_only_there():
     base = cat.obj("e1").index
     target = cat.obj("e2").index
     assert (base, target) in st.exponential_failures
+
+
+def test_condition5_lists_each_failure_once():
+    # a quantified subformula shared by several checked formulas was
+    # checked, and its failure listed, once per formula
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    theory = parse_theory(PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
+    verdict = check_conditions(build_interpretation(discover_structure(cat), theory)).verdict(5)
+    assert verdict.status == "FAIL"
+    assert len(set(verdict.details)) == len(verdict.details) == 16
 
 
 def test_condition_checks_are_deterministic(b4_prepared):

@@ -404,6 +404,41 @@ def test_delta_verifies_its_source_product(key, leg, arrow, message):
     assert str(exc.value) == str(chain.value) == message
 
 
+def test_swap_verifies_its_product():
+    # proj2 out of x1n1 was read unchecked, and the error blamed the intact
+    # product (x2n2, x1n1) for the missing mediator of (f1_2_0, f2_1_00)
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat, require_validated=False)
+    st.products[(1, 2)] = replace(st.products[(1, 2)], proj2=cat.arrow("f1_2_0"))
+    message = ("(x1n1, x2n2) with apex x2n2: composing with (f2_1_00, f1_2_0) is not "
+               "a bijection onto the cones")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.swap(cat.objects[1], cat.objects[2])
+
+
+@pytest.mark.parametrize("key, leg, arrow", [
+    ((2, 1), "proj1", "f2_2_00"),   # b x a, a constant proj1
+    ((1, 1), "proj2", "f1_2_0"),    # c x a, a mistyped proj2
+    # a x (b + c), a constant proj2: the table reads answered f3_3_000
+    ((1, 3), "proj2", "f3_3_000"),
+], ids=["b-x-a", "c-x-a", "a-x-bc"])
+def test_delta_inverse_verifies_the_products_it_swaps(key, leg, arrow):
+    # on (x1n1, x2n2, x1n1) the inverse swaps out of b x a, c x a and
+    # a x (b + c); a broken one must fail as the combinator chain fails
+    from catlogic.theorems import _delta_inverse_chain, build_delta_inverse
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat, require_validated=False)
+    a, b, c = (cat.objects[i] for i in (1, 2, 1))
+    st.products[key] = replace(st.products[key], **{leg: cat.arrow(arrow)})
+    with pytest.raises(UniversalityBroken) as chain:
+        _delta_inverse_chain(st, a, b, c)
+    with pytest.raises(UniversalityBroken) as exc:
+        build_delta_inverse(st, a, b, c)
+    assert str(exc.value) == str(chain.value)
+    assert str(exc.value).startswith(
+        f"({cat.objects[key[0]].name}, {cat.objects[key[1]].name}) with apex")
+
+
 def test_every_mistyped_leg_fails_verification():
     # a leg must run from the apex to its pair object (into the apex for a
     # coproduct); a size check alone let 490 products and 24 coproducts
