@@ -30,6 +30,7 @@ from .kernel import (
 from .logic import Theory, free_vars, parse_formula, parse_theory
 from .report import Report
 from .semantics import (
+    DEFAULT_REACH_DEPTH,
     Interpretation,
     build_interpretation,
     check_conditions,
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--theory", required=True, help="theory file")
             sp.add_argument("--depth", type=int, default=None,
                             help="term universe depth (default: theory file)")
-            sp.add_argument("--reach", type=int, default=3,
-                            help="reachable-set formula depth (default 3)")
+            sp.add_argument("--reach", type=int, default=DEFAULT_REACH_DEPTH,
+                            help=f"reachable-set formula depth (default {DEFAULT_REACH_DEPTH})")
         sp.add_argument("--report", default=None, help="also write the report here")
 
     sp = sub.add_parser("validate", help="check the category laws")
@@ -286,10 +287,7 @@ def run_cli(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedInput, TheoryFileError, FormulaSyntaxError, MissingAtom,
-            ScaleExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+            ScaleExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WorkbenchError as exc:

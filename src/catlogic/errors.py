@@ -41,7 +41,9 @@ class NoSuchStructure(WorkbenchError):
 
 
 class UniversalityBroken(WorkbenchError):
-    """A cached witness admitted zero or several mediators: witness corruption."""
+    """A witness stored in a structure table by hand is not universal: some
+    cone has zero or several mediators.  Raised when it is stored, so no
+    stored witness is ever one."""
 
 
 # --- logic frontend ---

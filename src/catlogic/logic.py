@@ -188,24 +188,28 @@ def substitute(f: Formula, t: Term, x: str) -> Formula:
     """Replace every free occurrence of ``x`` by the closed term ``t``."""
     if term_vars(t):
         raise SortMismatch(f"substituted term {t} must be closed")
+    return _subst(f, t, x)
+
+
+def _subst(f: Formula, t: Term, x: str) -> Formula:
     if isinstance(f, (Zero, One)):
         return f
     if isinstance(f, Atom):
         return Atom(f.rel, tuple(_subst_term(a, t, x) for a in f.args))
     if isinstance(f, Times):
-        return Times(substitute(f.left, t, x), substitute(f.right, t, x))
+        return Times(_subst(f.left, t, x), _subst(f.right, t, x))
     if isinstance(f, Plus):
-        return Plus(substitute(f.left, t, x), substitute(f.right, t, x))
+        return Plus(_subst(f.left, t, x), _subst(f.right, t, x))
     if isinstance(f, Arrow):
-        return Arrow(substitute(f.left, t, x), substitute(f.right, t, x))
+        return Arrow(_subst(f.left, t, x), _subst(f.right, t, x))
     if isinstance(f, Forall):
         if f.var == x:
             return f
-        return Forall(f.var, f.sort, substitute(f.body, t, x))
+        return Forall(f.var, f.sort, _subst(f.body, t, x))
     if isinstance(f, Exists):
         if f.var == x:
             return f
-        return Exists(f.var, f.sort, substitute(f.body, t, x))
+        return Exists(f.var, f.sort, _subst(f.body, t, x))
     raise TypeError(f"not a formula: {f!r}")
 
 

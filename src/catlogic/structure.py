@@ -7,7 +7,8 @@ arrow represents a hom-functor (Mac Lane, *Categories for the Working
 Mathematician*, III.1-2).  A candidate is tried only if its column of
 hom-set sizes equals the product of its legs' columns, and it then passes
 iff the map is injective on the arrows into V.  The inverse of that map is
-kept in the witness as its pairing table, so the combinators are lookups.
+kept in the witness as its pairing table, so the combinators are lookups; a
+structure table verifies a hand-built witness the same way when it is stored.
 Terminal objects are the case with no legs; coproducts and the initial
 object are the same search run on the opposite category; exponentials use
 the map m |-> eval . (m x id) over the W that have a product with the base.
@@ -26,8 +27,9 @@ object W and the first family at W that it does not hit exactly once.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, islice, product
 from math import prod
@@ -40,7 +42,7 @@ from .errors import (
     ShapeMismatch,
     UniversalityBroken,
 )
-from .kernel import UNDEFINED, ArrId, FinCategory, ObjId, validate_category
+from .kernel import ArrId, FinCategory, ObjId, validate_category
 
 
 @dataclass(frozen=True)
@@ -84,15 +86,14 @@ class ExponentialWitness:
     # f.index * |Obj| + w.index -> transpose of f : w x A -> C; see _verified
     table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
                                             compare=False)
+    pair = property(lambda self: (self.base, self.target))  # as a structure table keys it
 
 
 def _verified(witness, table: Mapping[int, int]):
-    """``witness`` carrying the table its search verified.
+    """``witness`` carrying the table its search or its store verified.
 
     The table is not an init field: a witness built by hand, or copied with
-    ``dataclasses.replace``, carries none.  It is verified on first use and
-    keeps its table from then on; one that fails is checked again on every
-    use.
+    ``dataclasses.replace``, carries none until a structure table stores it.
     """
     object.__setattr__(witness, "table", table)
     return witness
@@ -316,11 +317,9 @@ def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> CoproductWitness:
     return _pair_witness(_View(cat, op=True), a, b)
 
 
-def _pairing(view: _View, w: ProductWitness | CoproductWitness,
-             p1: ArrId, p2: ArrId) -> Mapping[int, int]:
-    """The pairing table of ``w``, verified on first use if no search built it."""
-    if w.table is not None:
-        return w.table
+def _verify_pair(view: _View, w: ProductWitness | CoproductWitness) -> None:
+    """Give ``w`` its pairing table; UniversalityBroken if it is not universal."""
+    p1, p2 = (w.inj1, w.inj2) if view.op else (w.proj1, w.proj2)
     apex, table = w.apex.index, None
     if all(p.index in view.hom[apex][o.index] for p, o in zip((p1, p2), w.pair)):
         table = _cone_table(view, apex, (p1.index, p2.index))
@@ -328,7 +327,7 @@ def _pairing(view: _View, w: ProductWitness | CoproductWitness,
         raise UniversalityBroken(
             f"({w.pair[0].name}, {w.pair[1].name}) with apex {w.apex.name}: composing "
             f"with ({p1.name}, {p2.name}) is not a bijection onto the cones")
-    return _verified(w, table).table
+    _verified(w, table)
 
 
 # -- exponentials -------------------------------------------------------------------
@@ -337,8 +336,7 @@ def _times_id(view: _View, products: Mapping[tuple[int, int], ProductWitness],
               apex: int, a: int, ws: Sequence[int]) -> list[list[int]]:
     """For each w in ws, the arrows m x id_a : w x a -> apex x a, m : w -> apex."""
     table, n = view.table, len(view.table)
-    pw = products[(apex, a)]
-    pairs = _pairing(view, pw, pw.proj1, pw.proj2)
+    pairs = products[(apex, a)].table
     out = []
     for w in ws:
         ww = products[(w, a)]
@@ -401,36 +399,72 @@ def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Produc
                      a: ObjId, target: ObjId) -> ExponentialWitness:
     """Search apex and eval arrow with the unique-transpose property against every W.
 
-    Requires the binary products involved to be present in ``products``.
+    ``products`` must be the ``products`` of a structure table, whose
+    pairing tables are read; W ranges over the objects with a product with ``a``.
     """
     view = _View(cat)
     return _exponential(view, products, a, target, _with_product(view, products, a))
 
 
+class _Witnesses(dict):
+    """Witnesses by the index pair of their ``pair``.  Whichever mutator
+    stores a witness, ``check(key, witness)`` runs first: it gives a witness
+    that no search built its table, or raises UniversalityBroken.  Reads are
+    dict's own."""
+
+    def __init__(self, check: Callable[[tuple[int, int], object], None]):
+        super().__init__()
+        self._check = check
+
+    def __setitem__(self, key, witness):
+        a, b = witness.pair
+        if key != (a.index, b.index):
+            raise ShapeMismatch(f"a witness for ({a.name}, {b.name}) stored under {key}")
+        self._check(key, witness)
+        super().__setitem__(key, witness)
+
+    def update(self, *args, **kwargs):
+        for key, witness in dict(*args, **kwargs).items():
+            self[key] = witness
+
+    def setdefault(self, key, witness):
+        if key not in self:
+            self[key] = witness
+        return self[key]
+
+    def __ior__(self, other):
+        self.update(other)
+        return self
+
+
 class StructureTable:
-    """Cache of every discovered witness, keyed by object index pairs.
+    """Every discovered witness, keyed by object index pairs.
 
     Built once by :func:`discover_structure`; downstream modules never
-    re-search.  Also hosts the canonical arrow combinators (pairing,
-    copairing, arrow product, transpose, theta), which look the mediator up
-    in the witness's table; a witness no search built is verified before
-    its first use, and a missing mediator raises UniversalityBroken.
+    re-search.  ``products``, ``coproducts`` and ``exponentials`` verify a
+    witness that no search built when it is stored, and a product stored
+    over another verifies the exponentials on its base again, so the
+    canonical arrow combinators (pairing, copairing, arrow product,
+    transpose, theta) are lookups in the stored witnesses' tables.
     """
 
     def __init__(self, cat: FinCategory):
         self.cat = cat
         self.terminal: TerminalWitness | None = None
         self.initial: InitialWitness | None = None
-        self.products: dict[tuple[int, int], ProductWitness] = {}
-        self.coproducts: dict[tuple[int, int], CoproductWitness] = {}
-        self.exponentials: dict[tuple[int, int], ExponentialWitness] = {}
+        self._view = _View(cat)
+        self._op = _View(cat, op=True)
+        # the checks hold the table weakly, so a dropped table is freed at once
+        me = weakref.proxy(self)
+        self.products = _Witnesses(lambda key, w: me._check_product(key, w))
+        self.coproducts = _Witnesses(lambda _, w: w.table is None and _verify_pair(me._op, w))
+        self.exponentials = _Witnesses(
+            lambda _, w: w.table is None and me._verify_exponential(w, me.products))
         self.terminal_failure: str | None = None
         self.initial_failure: str | None = None
         self.product_failures: dict[tuple[int, int], str] = {}
         self.coproduct_failures: dict[tuple[int, int], str] = {}
         self.exponential_failures: dict[tuple[int, int], str] = {}
-        self._view = _View(cat)
-        self._op = _View(cat, op=True)
         self._cones: dict[tuple, tuple[ObjId, tuple[ArrId, ...]] | str] = {}
 
     @property
@@ -520,95 +554,69 @@ class StructureTable:
         w, fam, k = _first_miss(view, vertex.index, ps, ws)
         return self.ob(w), tuple(self.cat.arrows[p] for p in fam), k
 
-    # -- canonical combinators ----------------------------------------------
+    def _check_product(self, key: tuple[int, int], pw: ProductWitness) -> None:
+        if pw.table is None:
+            _verify_pair(self._view, pw)
+        if self.products.get(key) != pw:  # the exponentials on its base read the old products
+            exps = {k: replace(ew) for k, ew in self.exponentials.items() if k[0] == key[1]}
+            for ew in exps.values():
+                self._verify_exponential(ew, {**self.products, key: pw})
+            dict.update(self.exponentials, exps)
 
-    def _pair(self, pw: ProductWitness, f: int, g: int) -> ArrId:
-        """<f, g> into pw's apex, for arrow indices f and g."""
-        k = _pairing(self._view, pw, pw.proj1, pw.proj2).get(f * len(self.cat.arrows) + g)
-        if k is None:
-            arrows = self.cat.arrows
-            raise UniversalityBroken(
-                f"product ({pw.pair[0].name}, {pw.pair[1].name}) admits no mediator "
-                f"for ({arrows[f].name}, {arrows[g].name})")
-        return self.cat.arrows[k]
-
-    def pair(self, f: ArrId, g: ArrId) -> ArrId:
-        """<f, g> : dom f -> cod f x cod g."""
-        if f.dom != g.dom:
-            raise ShapeMismatch(f"pair({f.name}, {g.name}): different domains")
-        return self._pair(self.product(self.ob(f.cod), self.ob(g.cod)), f.index, g.index)
-
-    def copair(self, f: ArrId, g: ArrId) -> ArrId:
-        """[f, g] : dom f + dom g -> cod f."""
-        if f.cod != g.cod:
-            raise ShapeMismatch(f"copair({f.name}, {g.name}): different codomains")
-        cw = self.coproduct(self.ob(f.dom), self.ob(g.dom))
-        k = _pairing(self._op, cw, cw.inj1, cw.inj2).get(
-            f.index * len(self.cat.arrows) + g.index)
-        if k is None:
-            raise UniversalityBroken(
-                f"coproduct ({cw.pair[0].name}, {cw.pair[1].name}) admits no "
-                f"mediator for ({f.name}, {g.name})")
-        return self.cat.arrows[k]
-
-    def arrow_product(self, f: ArrId, g: ArrId) -> ArrId:
-        """f x g = <f . proj1, g . proj2> : dom f x dom g -> cod f x cod g."""
-        src = self.product(self.ob(f.dom), self.ob(g.dom))
-        self.table_of(src)  # verifies the projections read below
-        table = self._view.table
-        return self._pair(self.product(self.ob(f.cod), self.ob(g.cod)),
-                          table[f.index][src.proj1.index], table[g.index][src.proj2.index])
-
-    def swap(self, a: ObjId, b: ObjId) -> ArrId:
-        """The canonical a x b -> b x a built from <proj2, proj1>."""
-        pw = self.product(a, b)
-        self.table_of(pw)  # verifies the projections read below
-        return self._pair(self.product(b, a), pw.proj2.index, pw.proj1.index)
-
-    def transpose(self, f: ArrId, w: ObjId, a: ObjId) -> ArrId:
-        """Unique m : w -> cod(f)^a with eval . (m x id_a) = f, for f : w x a -> cod f."""
-        c = self.ob(f.cod)
-        ew = self.exponential(a, c)
-        pw = self.product(w, a)
-        if f.dom != pw.apex.index:
-            raise ShapeMismatch(
-                f"transpose({f.name}): domain is not the apex of {w.name} x {a.name}")
-        k = self._transposes(ew).get(f.index * len(self.cat.objects) + w.index)
-        if k is None:
-            raise UniversalityBroken(
-                f"exponential {c.name}^{a.name} admits no transpose for {f.name}")
-        return self.cat.arrows[k]
-
-    def table_of(self, w: ProductWitness | CoproductWitness | ExponentialWitness
-                 ) -> Mapping[int, int]:
-        """The pairing, copairing or transpose table of ``w``, verified on
-        first use if no search built it; UniversalityBroken if it fails."""
-        if isinstance(w, ProductWitness):
-            return _pairing(self._view, w, w.proj1, w.proj2)
-        if isinstance(w, CoproductWitness):
-            return _pairing(self._op, w, w.inj1, w.inj2)
-        return self._transposes(w)
-
-    def _transposes(self, ew: ExponentialWitness) -> Mapping[int, int]:
-        """The transpose table of ``ew``, verified on first use if no search
-        built it."""
-        if ew.table is not None:
-            return ew.table
-        view, products, a = self._view, self.products, ew.base
+    def _verify_exponential(self, ew: ExponentialWitness,
+                            products: Mapping[tuple[int, int], ProductWitness]) -> None:
+        """Give ``ew`` its transpose table over ``products``, or raise UniversalityBroken."""
+        view, a = self._view, ew.base
         ws, c, table = _with_product(view, products, a), ew.target.index, None
-        try:
-            if (ew.eval.dom, ew.eval.cod) == (products[(ew.apex.index, a.index)].apex.index, c):
-                _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
-                                                  ws, [ew.eval.index]))
-        except KeyError:  # apex x base is missing, or m x id_base does not pair
-            pass
+        pw = products.get((ew.apex.index, a.index))
+        if pw is not None and (ew.eval.dom, ew.eval.cod) == (pw.apex.index, c):
+            _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
+                                              ws, [ew.eval.index]))
         if table is None or len(table) != sum(
                 view.to[c][products[(w, a.index)].apex.index] for w in ws):
             raise UniversalityBroken(
                 f"exponential {ew.target.name}^{a.name} with apex {ew.apex.name}: "
                 f"composing with {ew.eval.name} is not a bijection onto the arrows "
                 f"into {ew.target.name}")
-        return _verified(ew, table).table
+        _verified(ew, table)
+
+    # -- canonical combinators ----------------------------------------------
+
+    def _mediator(self, w: ProductWitness | CoproductWitness, f: int, g: int) -> ArrId:
+        """The mediator of arrow indices (f, g) for the product or coproduct ``w``."""
+        return self.cat.arrows[w.table[f * len(self.cat.arrows) + g]]
+
+    def pair(self, f: ArrId, g: ArrId) -> ArrId:
+        """<f, g> : dom f -> cod f x cod g."""
+        if f.dom != g.dom:
+            raise ShapeMismatch(f"pair({f.name}, {g.name}): different domains")
+        return self._mediator(self.product(self.ob(f.cod), self.ob(g.cod)), f.index, g.index)
+
+    def copair(self, f: ArrId, g: ArrId) -> ArrId:
+        """[f, g] : dom f + dom g -> cod f."""
+        if f.cod != g.cod:
+            raise ShapeMismatch(f"copair({f.name}, {g.name}): different codomains")
+        return self._mediator(self.coproduct(self.ob(f.dom), self.ob(g.dom)), f.index, g.index)
+
+    def arrow_product(self, f: ArrId, g: ArrId) -> ArrId:
+        """f x g = <f . proj1, g . proj2> : dom f x dom g -> cod f x cod g."""
+        src = self.product(self.ob(f.dom), self.ob(g.dom))
+        table = self._view.table
+        return self._mediator(self.product(self.ob(f.cod), self.ob(g.cod)),
+                              table[f.index][src.proj1.index], table[g.index][src.proj2.index])
+
+    def swap(self, a: ObjId, b: ObjId) -> ArrId:
+        """The canonical a x b -> b x a built from <proj2, proj1>."""
+        pw = self.product(a, b)
+        return self._mediator(self.product(b, a), pw.proj2.index, pw.proj1.index)
+
+    def transpose(self, f: ArrId, w: ObjId, a: ObjId) -> ArrId:
+        """Unique m : w -> cod(f)^a with eval . (m x id_a) = f, for f : w x a -> cod f."""
+        ew = self.exponential(a, self.ob(f.cod))
+        if f.dom != self.product(w, a).apex.index:
+            raise ShapeMismatch(
+                f"transpose({f.name}): domain is not the apex of {w.name} x {a.name}")
+        return self.cat.arrows[ew.table[f.index * len(self.cat.objects) + w.index]]
 
     def theta(self, g: ArrId, a: ObjId, c: ObjId) -> ArrId:
         """theta(g) = eval . (g x id_a) : dom g x a -> c, inverse to transpose."""
@@ -616,20 +624,16 @@ class StructureTable:
         if g.cod != ew.apex.index:
             raise ShapeMismatch(
                 f"theta({g.name}): codomain is not the exponential {c.name}^{a.name}")
-        self.table_of(ew)  # verifies a witness no search built
-        k = self._view.table[ew.eval.index][self.arrow_product(g, self.identity(a)).index]
-        if k == UNDEFINED:
-            raise UniversalityBroken(
-                f"exponential {c.name}^{a.name}: {ew.eval.name} does not compose with "
-                f"{g.name} x id_{a.name}")
-        return self.cat.arrows[k]
+        gxa = self.arrow_product(g, self.identity(a))
+        return self.cat.arrows[self._view.table[ew.eval.index][gxa.index]]
 
 
-def discover_structure(cat: FinCategory, *, require_validated: bool = True) -> StructureTable:
-    """Search terminal/initial objects, then all products and coproducts,
-    then all exponentials; failures are recorded per key rather than raised.
+def discover_structure(cat: FinCategory) -> StructureTable:
+    """Validate ``cat`` unless it is validated (LawViolation if it fails), then
+    search terminal/initial objects, then all products and coproducts, then
+    all exponentials; failures are recorded per key rather than raised.
     """
-    if require_validated and not cat.validated:
+    if not cat.validated:
         report = validate_category(cat)
         if not report.ok:
             raise LawViolation(

@@ -21,8 +21,8 @@ from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
-from .errors import CertificateFailure, MultipleMediators, NoMediator, UniversalityBroken
-from .kernel import UNDEFINED, ArrId, FinCategory, ObjId, mutually_inverse
+from .errors import CertificateFailure, MultipleMediators, NoMediator
+from .kernel import ArrId, FinCategory, ObjId, mutually_inverse
 from .logic import Formula, Times, free_vars
 from .semantics import CoconeFamily, Instance, QuantifierSolution
 from .structure import StructureTable
@@ -88,13 +88,12 @@ def _unique(cat: FinCategory, candidates: Sequence[ArrId], pred, what: str) -> A
 
 # -- distributivity -----------------------------------------------------------------
 #
-# delta and its inverse are computed from the pairing, copairing and
-# transpose tables of the witnesses in the structure table at call time and
-# from the composition rows (``_delta``, ``_delta_inverse``).  They make
-# every check the combinator chains below make.  When one fails -- a
-# witness or table entry is missing (a KeyError), a witness with no table
-# fails verification, or endpoints do not match -- the chain is run only to
-# raise the error of its first failing step.
+# delta and its inverse are read from the pairing, copairing and transpose
+# tables of the witnesses in the structure table and from the composition
+# rows (``_delta``, ``_delta_inverse``).  Every stored witness is universal
+# in a validated category, so each read is defined; a missing witness (a
+# KeyError) runs the combinator chain below, which raises NoSuchStructure
+# for the first witness it looks up and does not find.
 
 def build_delta(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     """The canonical (a x b) + (a x c) -> a x (b + c): copair of the two
@@ -114,80 +113,44 @@ def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Arr
 
 
 def _delta(st: StructureTable, a: int, b: int, c: int) -> int:
-    t, _, dom, cod, ids = st.cat.index()
-    n, products, table_of = len(t), st.products, st.table_of
+    t, n, products = st.cat.index().table, len(st.cat.arrows), st.products
     try:
         bc = st.coproducts[(b, c)]
-        ida, i1, i2 = ids[a], bc.inj1.index, bc.inj2.index
-        # id_a x inj = <id_a . proj1, inj . proj2>, from a x b and from a x c
-        s1, p1 = products[(dom[ida], dom[i1])], products[(cod[ida], cod[i1])]
-        s2, p2 = products[(dom[ida], dom[i2])], products[(cod[ida], cod[i2])]
-        if s1.table is None or s2.table is None:  # as arrow_product verifies its source
-            table_of(s1)
-            table_of(s2)
-        left = (p1.table or table_of(p1))[t[ida][s1.proj1.index] * n + t[i1][s1.proj2.index]]
-        right = (p2.table or table_of(p2))[t[ida][s2.proj1.index] * n + t[i2][s2.proj2.index]]
-        if cod[left] == cod[right]:  # the copair's endpoint check
-            cw = st.coproducts[(dom[left], dom[right])]
-            return (cw.table or table_of(cw))[left * n + right]
-    except (KeyError, UniversalityBroken):
+        ab, ac, into = products[(a, b)], products[(a, c)], products[(a, bc.apex.index)].table
+        # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
+        left = into[ab.proj1.index * n + t[bc.inj1.index][ab.proj2.index]]
+        right = into[ac.proj1.index * n + t[bc.inj2.index][ac.proj2.index]]
+        return st.coproducts[(ab.apex.index, ac.apex.index)].table[left * n + right]
+    except KeyError:
         pass
     _raise_from_chain(_delta_chain, st, a, b, c)
 
 
 def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
-    t, _, dom, cod, ids = st.cat.index()
-    n, no, table_of = len(t), len(st.cat.objects), st.table_of
+    t, n, no = st.cat.index().table, len(st.cat.arrows), len(st.cat.objects)
     products, coproducts, exponentials = st.products, st.coproducts, st.exponentials
     try:
-        ab, ac = products[(a, b)], products[(a, c)]
+        ab, ac, ba, ca = products[(a, b)], products[(a, c)], products[(b, a)], products[(c, a)]
         d_w = coproducts[(ab.apex.index, ac.apex.index)]
-        # swap = <proj2, proj1> : b x a -> a x b, then inj1 . swap; likewise for c
-        ba, ca = products[(b, a)], products[(c, a)]
-        if ba.table is None or ca.table is None:  # as swap verifies its product
-            table_of(ba)
-            table_of(ca)
-        s1 = (ab.table or table_of(ab))[ba.proj2.index * n + ba.proj1.index]
-        s2 = (ac.table or table_of(ac))[ca.proj2.index * n + ca.proj1.index]
-        j1, j2 = d_w.inj1.index, d_w.inj2.index
-        f1, f2 = t[j1][s1], t[j2][s2]
+        # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
+        f1 = t[d_w.inj1.index][ab.table[ba.proj2.index * n + ba.proj1.index]]
+        f2 = t[d_w.inj2.index][ac.table[ca.proj2.index * n + ca.proj1.index]]
         # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
-        e1, e2 = exponentials[(a, cod[f1])], exponentials[(a, cod[f2])]
-        t1 = (e1.table or table_of(e1))[f1 * no + b]
-        t2 = (e2.table or table_of(e2))[f2 * no + c]
-        cw = coproducts[(dom[t1], dom[t2])]
-        h = (cw.table or table_of(cw))[t1 * n + t2]
-        # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
-        bc = coproducts[(b, c)].apex.index
         ew = exponentials[(a, d_w.apex.index)]
-        if ew.table is None:
-            table_of(ew)  # verifies a witness no search built
-        ida = ids[a]
-        src, hx = products[(dom[h], dom[ida])], products[(cod[h], cod[ida])]
-        theta_h = t[ew.eval.index][(hx.table or table_of(hx))[
-            t[h][src.proj1.index] * n + t[ida][src.proj2.index]]]
-        sw, tw = products[(a, bc)], products[(bc, a)]
-        if sw.table is None:
-            table_of(sw)
-        s3 = (tw.table or table_of(tw))[sw.proj2.index * n + sw.proj1.index]
-        inv = t[theta_h][s3]
-        # the chain's other checks: the three composites typed and defined,
-        # each transpose from its product's apex, the copair's and theta's
-        # endpoints
-        if (UNDEFINED not in (f1, f2, theta_h, inv)
-                and cod[s1] == dom[j1] and cod[s2] == dom[j2]
-                and dom[f1] == ba.apex.index and dom[f2] == ca.apex.index
-                and cod[t1] == cod[t2] and cod[h] == ew.apex.index
-                and cod[s3] == dom[theta_h]):
-            return inv
-    except (KeyError, UniversalityBroken):
+        bc = coproducts[(b, c)]
+        h = bc.table[ew.table[f1 * no + b] * n + ew.table[f2 * no + c]]
+        # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
+        bca, sw = products[(bc.apex.index, a)], products[(a, bc.apex.index)]
+        hxa = products[(ew.apex.index, a)].table[t[h][bca.proj1.index] * n + bca.proj2.index]
+        return t[t[ew.eval.index][hxa]][bca.table[sw.proj2.index * n + sw.proj1.index]]
+    except KeyError:
         pass
     _raise_from_chain(_delta_inverse_chain, st, a, b, c)
 
 
 def _raise_from_chain(chain, st: StructureTable, *triple: int) -> NoReturn:
-    """Run the combinator chain for a construction whose table reads failed;
-    the chain raises the error of its first failing step."""
+    """Run the combinator chain for a construction whose table reads missed a
+    witness; the chain raises NoSuchStructure for the first one it looks up."""
     chain(st, *(st.cat.objects[i] for i in triple))
     raise AssertionError("the combinator chain succeeded where table reads failed")
 
@@ -204,17 +167,14 @@ def _delta_inverse_chain(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Ar
     cat = st.cat
     ab = st.product(a, b)
     ac = st.product(a, c)
-    d_w = st.coproduct(ab.apex, ac.apex)
-    d = d_w.apex
-
+    d_w = st.coproduct(ab.apex, ac.apex)             # D = (a x b) + (a x c)
     inj1_sw = cat.compose(d_w.inj1, st.swap(b, a))   # b x a -> D
     inj2_sw = cat.compose(d_w.inj2, st.swap(c, a))   # c x a -> D
     t1 = st.transpose(inj1_sw, b, a)                 # b -> D^a
     t2 = st.transpose(inj2_sw, c, a)                 # c -> D^a
     h = st.copair(t1, t2)                            # b + c -> D^a
-
     bc_apex = st.coproduct(b, c).apex
-    theta_h = st.theta(h, a, d)                      # (b + c) x a -> D
+    theta_h = st.theta(h, a, d_w.apex)               # (b + c) x a -> D
     return cat.compose(theta_h, st.swap(a, bc_apex))
 
 
@@ -223,10 +183,6 @@ def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Delta
     cat = st.cat
     delta = build_delta(st, a, b, c)
     inv = build_delta_inverse(st, a, b, c)
-    if not (delta.dom == inv.cod and delta.cod == inv.dom):
-        raise CertificateFailure(
-            f"delta {delta.name} and its construction {inv.name} have "
-            f"mismatched endpoints on ({a.name},{b.name},{c.name})")
     if not mutually_inverse(cat, delta, inv):
         raise CertificateFailure(
             f"({a.name},{b.name},{c.name}): {inv.name} is not inverse to "
@@ -268,8 +224,11 @@ def build_alpha(interp: "Interpretation", left: Formula, body: Formula,
                 var: str, sort: str) -> ArrId:
     """The unique arrow M(exists x. A x B) -> MA x M(exists x. B) commuting
     with both cocones leg by leg."""
-    ctx = _context(interp, left, body, var, sort)
-    cat = interp.cat
+    return _alpha(interp.structure, _context(interp, left, body, var, sort))
+
+
+def _alpha(st: StructureTable, ctx: _FrobeniusContext) -> ArrId:
+    cat = st.cat
     ex_legs = tuple(arr for _, arr in ctx.sol_ab.family.legs)
     return _unique(
         cat, cat.hom(ctx.sol_ab.obj, ctx.vertex),
@@ -318,42 +277,29 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
     exactly, then sweep initiality: every reachable cocone vertex over the
     product diagram admits exactly one mediator out of MA x M(exists x. B).
     """
-    st = interp.structure
-    cat = interp.cat
+    st, cat = interp.structure, interp.cat
     ctx = _context(interp, left, body, var, sort)
     instance = Instance(left, body, var, sort)
 
-    alpha = build_alpha(interp, left, body, var, sort)
+    alpha = _alpha(st, ctx)
 
     # gamma for the cocone of exists x.(A x B) itself: p_t = exI_t
-    p = CoconeFamily(ctx.sol_ab.obj, ctx.sol_ab.family.legs)
-    gamma = build_gamma(interp, left, body, var, sort, ctx.sol_ab.obj, p)
+    gamma = build_gamma(interp, left, body, var, sort, ctx.sol_ab.obj, ctx.sol_ab.family)
 
     theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.obj)  # M(ex B) x MA -> M(ex AxB)
     beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.obj))
 
-    id_vertex = st.identity(ctx.vertex)
-    id_exab = st.identity(ctx.sol_ab.obj)
-    comp_ab = cat.compose(alpha, beta)
-    comp_ba = cat.compose(beta, alpha)
-    if comp_ab != id_vertex:
+    comp_ab, comp_ba = cat.compose(alpha, beta), cat.compose(beta, alpha)
+    if comp_ab != st.identity(ctx.vertex):
         raise CertificateFailure(
             f"{instance.describe()}: alpha . theta(gamma) = {comp_ab.name}, "
             f"expected id_{ctx.vertex.name} (alpha = {alpha.name}, "
             f"gamma = {gamma.name}, beta = {beta.name})")
-    if comp_ba != id_exab:
+    if comp_ba != st.identity(ctx.sol_ab.obj):
         raise CertificateFailure(
             f"{instance.describe()}: theta(gamma) . alpha = {comp_ba.name}, "
             f"expected id_{ctx.sol_ab.obj.name} (alpha = {alpha.name}, "
             f"gamma = {gamma.name}, beta = {beta.name})")
-
-    # diagram commutation, re-asserted post-construction
-    for (t, e), q in zip(ctx.sol_ab.family.legs, ctx.q_legs):
-        if cat.compose(alpha, e) != q:
-            raise CertificateFailure(
-                f"{instance.describe()}: alpha fails to commute at leg {t}")
-
-    sweep = _initiality_sweep(interp, ctx)
 
     return FrobeniusCertificate(
         instance, alpha, gamma, beta,
@@ -364,7 +310,7 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
         beta_provenance=f"theta({gamma.name}) . swap_{ctx.ma.name}",
         equations=(f"{alpha.name} . {beta.name} = id_{ctx.vertex.name}",
                    f"{beta.name} . {alpha.name} = id_{ctx.sol_ab.obj.name}"),
-        initiality=sweep)
+        initiality=_initiality_sweep(interp, ctx))
 
 
 def _initiality_sweep(interp: "Interpretation", ctx: _FrobeniusContext) -> InitialitySweep:

@@ -84,3 +84,35 @@ def ref_exponential(cat, products, a, c):
     near = ("no candidate eval arrow at all" if best is None else
             f"near miss: {best[1]} passed {best[0]} transpose checks")
     return f"{cat.name}: no exponential with base {a.name}, target {c.name}; {near}"
+
+
+def ref_is_cone(cat, apex, p1, p2, a, b, op=False):
+    """Whether ``apex`` with legs p1, p2 (arrow indices) is a product of
+    (a, b), or with ``op`` a coproduct: every pair of arrows from (into)
+    every object has exactly one mediator."""
+    if p1 not in _hom(cat, apex, a, op) or p2 not in _hom(cat, apex, b, op):
+        return False
+    for w in cat.objects:
+        legs = [_legs(cat, m, (p1, p2), op) for m in _hom(cat, w, apex, op)]
+        if any(legs.count(fg) != 1 for fg in product(_hom(cat, w, a, op), _hom(cat, w, b, op))):
+            return False
+    return True
+
+
+def ref_is_exponential(cat, products, apex, ev, a, c):
+    """Whether ``apex`` with eval arrow index ``ev`` is an exponential with base
+    ``a`` and target ``c``: every f : w x a -> c, for each w with a product
+    in ``products`` (as in ``ref_exponential``), is eval . (m x id_a) for
+    exactly one m : w -> apex."""
+    pw, t = products.get((apex.index, a.index)), cat.index().table
+    if pw is None or ev not in _hom(cat, cat.objects[pw[0]], c, False):
+        return False
+    for w in cat.objects:
+        pww = products.get((w.index, a.index))
+        for f in (_hom(cat, cat.objects[pww[0]], c, False) if pww else ()):
+            ms = [m for m in _hom(cat, w, apex, False) if t[ev][_mediators(
+                cat, cat.index().hom.get((pww[0], pw[0]), ()), pw[1:],
+                (t[m][pww[1]], pww[2]), False)[0]] == f]
+            if len(ms) != 1:
+                return False
+    return True

@@ -2,13 +2,14 @@
 combinator-chain reference in ``delta_reference.py``: equal arrows, texts,
 verdicts and failure messages."""
 
+import re
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from catlogic.errors import WorkbenchError
+from catlogic.errors import UniversalityBroken, WorkbenchError
 from catlogic.kernel import inverses, mutually_inverse, validate_category
 from catlogic.semantics import distributivity_verdict
 from catlogic.structure import discover_structure
@@ -16,6 +17,7 @@ from catlogic.theorems import build_delta, build_delta_inverse, delta_certificat
 
 import delta_reference as ref
 from conftest import REFERENCE_MODELS, make_finset
+from structure_reference import ref_is_cone, ref_is_exponential
 
 
 def _outcome(fn, *args):
@@ -81,30 +83,40 @@ def test_replaced_witnesses_match_reference(kind):
     pw = st.product(one, two)    # apex 2 with projections (constant 0, identity)
     cw = st.coproduct(one, one)  # apex 2 with injections (0, 1)
     ew = st.exponential(one, two)
-    if kind == "universal":
+    cone = "is not a bijection onto the cones"
+    stores = {
         # the other automorphism of 2 as second projection, the injections
         # exchanged and a copy of the exponential
-        st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_10"))
-        st.coproducts[(1, 1)] = replace(cw, inj1=cw.inj2, inj2=cw.inj1)
-        st.exponentials[(1, 2)] = replace(ew)
-    elif kind == "broken":
-        st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_00"))
-        st.coproducts[(1, 1)] = replace(cw, inj2=cw.inj1)
-    else:
+        "universal": [(st.products, (1, 2), replace(pw, proj2=cat.arrow("f2_2_10")), None),
+                      (st.coproducts, (1, 1), replace(cw, inj1=cw.inj2, inj2=cw.inj1), None),
+                      (st.exponentials, (1, 2), replace(ew), None)],
+        "broken": [(st.products, (1, 2), replace(pw, proj2=cat.arrow("f2_2_00")),
+                    f"(x1n1, x2n2) with apex x2n2: composing with (f2_1_00, f2_2_00) {cone}"),
+                   (st.coproducts, (1, 1), replace(cw, inj2=cw.inj1),
+                    f"(x1n1, x1n1) with apex x2n2: composing with (f1_2_0, f1_2_0) {cone}")],
         # legs and apexes on the wrong objects
-        st.coproducts[(1, 1)] = replace(cw, inj1=cat.arrow("f2_2_01"))
-        st.exponentials[(1, 2)] = replace(ew, apex=three)
-        st.products[(2, 1)] = replace(st.product(two, one), apex=three)
+        "mistyped": [(st.coproducts, (1, 1), replace(cw, inj1=cat.arrow("f2_2_01")),
+                      f"(x1n1, x1n1) with apex x2n2: composing with (f2_2_01, f1_2_1) {cone}"),
+                     (st.exponentials, (1, 2), replace(ew, apex=three),
+                      "exponential x2n2^x1n1 with apex x3n3: composing with f2_2_01 is not "
+                      "a bijection onto the arrows into x2n2"),
+                     (st.products, (2, 1), replace(st.product(two, one), apex=three),
+                      f"(x2n2, x1n1) with apex x3n3: composing with (f2_2_01, f2_1_00) {cone}")],
+    }[kind]
+    for witnesses, key, witness, message in stores:
+        if message is None:
+            witnesses[key] = witness
+        else:
+            # refused when stored, which leaves the discovered witness in place
+            kept = witnesses[key]
+            with pytest.raises(UniversalityBroken) as exc:
+                witnesses[key] = witness
+            assert str(exc.value) == message and witnesses[key] is kept
     failed = _assert_matches_reference(st)
-    assert failed == _assert_matches_reference(st)  # again, with the tables kept
     if kind == "universal":
         assert delta_certificate(st, one, one, one).delta_provenance != first.delta_provenance
-    elif kind == "broken":
-        assert failed["UniversalityBroken"] > 0
     else:
-        # swap verifies the product it reads, so the moved apex of 2 x 1 fails
-        # as a broken product, not later as a shape mismatch
-        assert failed["UniversalityBroken"] > 0 and failed["NotComposable"] > 0
+        assert failed == _assert_matches_reference(discover_structure(cat))
 
 
 _FIELDS = {"products": ("apex", "proj1", "proj2"), "coproducts": ("apex", "inj1", "inj2"),
@@ -122,15 +134,34 @@ def _corruption(draw):
             draw(strategies.sampled_from(values)))
 
 
+def _universal(st, kind, w):
+    """The independent hom-set scan's verdict on ``w`` as a witness of ``st``."""
+    if kind == "exponentials":
+        products = {key: (p.apex.index, p.proj1.index, p.proj2.index)
+                    for key, p in st.products.items()}
+        return ref_is_exponential(st.cat, products, w.apex, w.eval.index, w.base, w.target)
+    legs = (w.proj1, w.proj2) if kind == "products" else (w.inj1, w.inj2)
+    return ref_is_cone(st.cat, w.apex, legs[0].index, legs[1].index, *w.pair,
+                       op=kind == "coproducts")
+
+
 @settings(max_examples=30, deadline=None)
 @given(strategies.lists(_corruption(), min_size=1, max_size=4))
 def test_corrupted_witnesses_match_reference(corruptions):
     # witnesses replaced by copies with one leg, eval or apex set to any
-    # arrow or object: well-typed or not, universal or not
+    # arrow or object, well-typed or not: the table refuses exactly those
+    # the hom-set scan finds not universal, and what it accepts gives the
+    # reference's delta on every triple
     st = discover_structure(_FINSET)
     for kind, key, field, value in corruptions:
         witnesses = getattr(st, kind)
-        witnesses[key] = replace(witnesses[key], **{field: value})
+        witness = replace(witnesses[key], **{field: value})
+        try:
+            witnesses[key] = witness
+        except UniversalityBroken:
+            assert not _universal(st, kind, witness)
+        else:
+            assert _universal(st, kind, witness)
     _assert_matches_reference(st)
 
 
@@ -153,8 +184,19 @@ def test_certificates_with_a_moved_apex_match_reference():
     pw = st.product(one, three)
     assert pw.apex == three
     iso = cat.arrow("f4_3_012")
-    st.products[(1, 3)] = replace(pw, apex=copy, proj1=cat.compose(pw.proj1, iso),
-                                  proj2=cat.compose(pw.proj2, iso))
+    moved = replace(pw, apex=copy, proj1=cat.compose(pw.proj1, iso),
+                    proj2=cat.compose(pw.proj2, iso))
+    # 1^3 = 1 evaluates out of 1 x 3, so the move is refused while it is stored
+    ew = st.exponential(three, one)
+    message = ("exponential x1n1^x3n3 with apex x1n1: composing with f3_1_000 is not "
+               "a bijection onto the arrows into x1n1")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.products[(1, 3)] = moved
+    assert st.products[(1, 3)] is pw and st.exponentials[(3, 1)] is ew
+    # and stored after it, with its eval moved along
+    del st.exponentials[(3, 1)]
+    st.products[(1, 3)] = moved
+    st.exponentials[(3, 1)] = replace(ew, eval=cat.compose(ew.eval, iso))
     _assert_matches_reference(st)
     cert = delta_certificate(st, one, three, cat.objects[0])
     assert cert.equations == (f"{cert.delta_inv.name} . {cert.delta.name} = id_{three.name}",

@@ -48,7 +48,7 @@ def test_recount_confirms_every_verdict(name):
 @given(st_.lists(st_.integers(0, 3), min_size=1, max_size=6))
 def test_recount_on_random_finite_sets(sizes):
     cat = make_finset(sizes)
-    seen = recount(cat, discover_structure(cat, require_validated=False))
+    seen = recount(cat, discover_structure(cat))
     # hom-set sizes tell finite sets apart, and a set of the right size is
     # a universal apex, so no failure names an apex that has the sizes
     assert "fits" not in seen
@@ -112,7 +112,7 @@ def test_failure_path_examines_at_most_one_apex(monkeypatch, make, counts):
     cat = make()
     calls = _counted(monkeypatch, "_refutation", "_keys", "_first_miss",
                      "_transpose_tables", "_times_id")
-    st = discover_structure(cat, require_validated=False)
+    st = discover_structure(cat)
     assert calls == Counter(counts)
     assert calls["_refutation"] == (
         len(st.product_failures) + len(st.coproduct_failures)

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -253,16 +255,18 @@ def test_find_coproduct_single(b4):
 
 def test_corrupted_witness_breaks_universality():
     # a witness whose projections are swapped relative to its pair admits no
-    # mediator for some cones, which pairing must report as corruption
+    # mediator for some cones; the table refuses it when it is stored
     from catlogic.structure import ProductWitness
     cat = FinCategory.build(["m"], [("s", "m", "m")],
                             compositions=[("s", "s", "id_m")], name="Z2")
-    assert validate_category(cat).ok
-    st = discover_structure(cat, require_validated=False)
+    st = discover_structure(cat)
     m = cat.obj("m")
     fake = ProductWitness((m, m), m, cat.identity_of(m), cat.arrow("s"))
-    st.products[(m.index, m.index)] = fake
-    with pytest.raises(UniversalityBroken):
+    message = "(m, m) with apex m: composing with (id_m, s) is not a bijection onto the cones"
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.products[(m.index, m.index)] = fake
+    assert (m.index, m.index) not in st.products
+    with pytest.raises(NoSuchStructure):
         st.pair(cat.identity_of(m), cat.identity_of(m))
 
 
@@ -274,19 +278,68 @@ def test_replaced_witness_is_verified_again():
     one, two = cat.objects[1], cat.objects[2]
     pw = st.product(one, two)
     assert pw.apex == two and pw.proj2.name == "f2_2_01"
-    st.products[(one.index, two.index)] = replace(pw, proj2=cat.arrow("f2_2_10"))
+    st.products[(one.index, two.index)] = swapped = replace(pw, proj2=cat.arrow("f2_2_10"))
     for w in cat.objects:
         for f in cat.hom(w, one):
             for g in cat.hom(w, two):
                 assert cat.compose(cat.arrow("f2_2_10"), st.pair(f, g)) == g
-    st.products[(one.index, two.index)] = replace(pw, proj2=cat.arrow("f2_2_00"))
-    with pytest.raises(UniversalityBroken):
-        st.pair(pw.proj1, cat.identity_of(two))
+    message = ("(x1n1, x2n2) with apex x2n2: composing with (f2_1_00, f2_2_00) is not "
+               "a bijection onto the cones")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.products[(one.index, two.index)] = replace(pw, proj2=cat.arrow("f2_2_00"))
+    assert st.products[(one.index, two.index)] is swapped
+
+
+def test_replacing_a_product_verifies_the_exponentials_on_its_base():
+    # the transposes of each c^1 from 2 were read through the old proj1 of
+    # 2 x 1; storing the other automorphism of 2 gives every c^1 a table over it
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    one, two = cat.objects[1], cat.objects[2]
+    st.products[(2, 1)] = replace(st.product(two, one), proj1=cat.arrow("f2_2_10"))
+    checked = 0
+    for (base, target), ew in st.exponentials.items():
+        if base == 1:
+            for f in cat.hom(two, cat.objects[target]):
+                assert st.theta(st.transpose(f, two, one), one, cat.objects[target]) == f
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("kind, key, other", [
+    ("products", (1, 2), (2, 1)),
+    ("coproducts", (1, 2), (2, 1)),
+    ("exponentials", (1, 2), (1, 1)),
+], ids=["product", "coproduct", "exponential"])
+def test_a_witness_is_stored_only_under_its_own_pair(kind, key, other):
+    # the table reads take a stored witness to be one for its key
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    witnesses = getattr(st, kind)
+    kept, moved = witnesses[key], witnesses[other]
+    a, b = (cat.objects[i].name for i in other)
+    with pytest.raises(ShapeMismatch, match=re.escape(f"a witness for ({a}, {b}) stored under {key}")):
+        witnesses[key] = moved
+    assert witnesses[key] is kept
+
+
+def test_a_dropped_structure_table_is_freed_at_once():
+    # the stores' checks must not hold the table strongly: a reference cycle
+    # would keep every dropped table, witness tables and all, until the
+    # cycle collector runs
+    gc.disable()
+    try:
+        st = discover_structure(gen_powerset(2).category())
+        ref = weakref.ref(st)
+        del st
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_table_less_witness_is_verified_once(monkeypatch):
-    # a replaced witness is verified on its first use and keeps its table;
-    # one that fails verification is checked, and raises, on every use
+    # a replaced witness is verified when it is stored and never on use;
+    # one that fails is refused on every store and leaves the table as it was
     cat = make_finset([0, 1, 2, 3], "finset-0123")
     st = discover_structure(cat)
     calls = {"cone": 0, "transpose": 0}
@@ -305,6 +358,7 @@ def test_table_less_witness_is_verified_once(monkeypatch):
     st.products[(1, 2)] = replace(pw)
     st.coproducts[(1, 1)] = replace(cw)
     st.exponentials[(1, 2)] = replace(ew)
+    assert calls == {"cone": 2, "transpose": 1}
     for _ in range(2):
         for w in cat.objects:
             for f in cat.hom(w, one):
@@ -317,14 +371,13 @@ def test_table_less_witness_is_verified_once(monkeypatch):
             for f in cat.hom(st.product(w, one).apex, two):
                 assert st.theta(st.transpose(f, w, one), one, two) == f
     assert calls == {"cone": 2, "transpose": 1}
-    st.products[(1, 2)] = replace(pw)  # a new object is verified again
+    st.products[(1, 2)] = kept = replace(pw)  # a new object is verified again
     st.pair(pw.proj1, pw.proj2)
     assert calls == {"cone": 3, "transpose": 1}
-    st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_00"))
     for k in range(4, 7):
         with pytest.raises(UniversalityBroken):
-            st.pair(pw.proj1, cat.identity_of(two))
-        assert calls["cone"] == k
+            st.products[(1, 2)] = replace(pw, proj2=cat.arrow("f2_2_00"))
+        assert calls["cone"] == k and st.products[(1, 2)] is kept
 
 
 def test_exponential_apex_without_product_breaks_universality():
@@ -335,33 +388,33 @@ def test_exponential_apex_without_product_breaks_universality():
     one, three = cat.objects[1], cat.objects[3]
     ew = st.exponential(three, one)
     assert (3, 3) not in st.products
-    st.exponentials[(3, 1)] = replace(ew, apex=three)
+    message = ("exponential x1n1^x3n3 with apex x3n3: composing with f3_1_000 is not "
+               "a bijection onto the arrows into x1n1")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.exponentials[(3, 1)] = replace(ew, apex=three)
     f = cat.hom(st.product(one, three).apex, one)[0]
-    with pytest.raises(UniversalityBroken):
-        st.transpose(f, one, three)
+    assert st.transpose(f, one, three).cod == ew.apex.index
 
 
 @pytest.mark.parametrize("ev", ["f1_2_0", "f2_3_01"])
 def test_theta_verifies_a_replaced_exponential(ev):
-    # an eval out of 1 (not 2 x 1) makes every theta read UNDEFINED, which
+    # an eval out of 1 (not 2 x 1) made every theta read UNDEFINED, which
     # indexed the arrows from the end; an eval into 3 (not 2) has a table of
-    # the right size but answers into the wrong object.  Both are caught
-    # when the witness is verified.
+    # the right size but answers into the wrong object.  Both are refused
+    # when they are stored, so theta and delta inverse read the intact witness.
     from catlogic.theorems import _delta_inverse_chain, build_delta_inverse
     cat = make_finset([0, 1, 2, 3], "finset-0123")
     st = discover_structure(cat)
     one, two = cat.objects[1], cat.objects[2]
-    st.exponentials[(1, 2)] = replace(st.exponential(one, two), eval=cat.arrow(ev))
-    with pytest.raises(UniversalityBroken):
-        st.theta(cat.identity_of(two), one, two)
-    with pytest.raises(UniversalityBroken):
-        st.table_of(st.exponentials[(1, 2)])
-    # delta inverse on (1, 1, 1) transposes into 2^1: the chain's error
-    with pytest.raises(UniversalityBroken) as chain:
-        _delta_inverse_chain(st, one, one, one)
-    with pytest.raises(UniversalityBroken) as exc:
-        build_delta_inverse(st, one, one, one)
-    assert str(exc.value) == str(chain.value)
+    ew = st.exponential(one, two)
+    message = (f"exponential x2n2^x1n1 with apex x2n2: composing with {ev} is not "
+               f"a bijection onto the arrows into x2n2")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        st.exponentials[(1, 2)] = replace(ew, eval=cat.arrow(ev))
+    assert st.exponentials[(1, 2)] is ew
+    assert st.theta(cat.identity_of(two), one, two) == ew.eval
+    # delta inverse on (1, 1, 1) transposes into 2^1
+    assert build_delta_inverse(st, one, one, one) == _delta_inverse_chain(st, one, one, one)
 
 
 def test_arrow_product_verifies_its_source_product():
@@ -369,15 +422,13 @@ def test_arrow_product_verifies_its_source_product():
     # {-60: 0}, a key no pair of arrows has, and arrow_product read the bad
     # projection unchecked to answer f0_0_
     cat = make_finset([0, 1, 2, 3], "finset-0123")
-    st = discover_structure(cat, require_validated=False)
+    st = discover_structure(cat)
     x0 = cat.objects[0]
-    st.products[(0, 0)] = bad = replace(st.products[(0, 0)], proj1=cat.arrow("f1_1_0"))
     message = ("(x0n0, x0n0) with apex x0n0: composing with (f1_1_0, f0_0_) is not "
                "a bijection onto the cones")
     with pytest.raises(UniversalityBroken, match=re.escape(message)):
-        st.table_of(bad)
-    with pytest.raises(UniversalityBroken, match=re.escape(message)):
-        st.arrow_product(cat.identity_of(x0), cat.identity_of(x0))
+        st.products[(0, 0)] = replace(st.products[(0, 0)], proj1=cat.arrow("f1_1_0"))
+    assert st.arrow_product(cat.identity_of(x0), cat.identity_of(x0)) == cat.identity_of(x0)
 
 
 @pytest.mark.parametrize("key, leg, arrow, message", [
@@ -394,49 +445,49 @@ def test_delta_verifies_its_source_product(key, leg, arrow, message):
     # id_x1n1 x inj projects from x1n1 x b for the b of the triple
     from catlogic.theorems import _delta_chain, build_delta
     cat = make_finset([0, 1, 2, 3], "finset-0123")
-    st = discover_structure(cat, require_validated=False)
+    st = discover_structure(cat)
     a, b = (cat.objects[i] for i in key)
-    st.products[key] = replace(st.products[key], **{leg: cat.arrow(arrow)})
-    with pytest.raises(UniversalityBroken) as chain:
-        _delta_chain(st, a, b, a)
     with pytest.raises(UniversalityBroken) as exc:
-        build_delta(st, a, b, a)
-    assert str(exc.value) == str(chain.value) == message
+        st.products[key] = replace(st.products[key], **{leg: cat.arrow(arrow)})
+    assert str(exc.value) == message
+    assert build_delta(st, a, b, a) == _delta_chain(st, a, b, a)
+    if key == (1, 2):
+        assert build_delta(st, a, b, a).name == "f3_3_012"
 
 
 def test_swap_verifies_its_product():
     # proj2 out of x1n1 was read unchecked, and the error blamed the intact
     # product (x2n2, x1n1) for the missing mediator of (f1_2_0, f2_1_00)
     cat = make_finset([0, 1, 2, 3], "finset-0123")
-    st = discover_structure(cat, require_validated=False)
-    st.products[(1, 2)] = replace(st.products[(1, 2)], proj2=cat.arrow("f1_2_0"))
+    st = discover_structure(cat)
     message = ("(x1n1, x2n2) with apex x2n2: composing with (f2_1_00, f1_2_0) is not "
                "a bijection onto the cones")
     with pytest.raises(UniversalityBroken, match=re.escape(message)):
-        st.swap(cat.objects[1], cat.objects[2])
+        st.products[(1, 2)] = replace(st.products[(1, 2)], proj2=cat.arrow("f1_2_0"))
+    one, two = cat.objects[1], cat.objects[2]
+    assert cat.compose(st.swap(two, one), st.swap(one, two)) == cat.identity_of(two)
 
 
-@pytest.mark.parametrize("key, leg, arrow", [
-    ((2, 1), "proj1", "f2_2_00"),   # b x a, a constant proj1
-    ((1, 1), "proj2", "f1_2_0"),    # c x a, a mistyped proj2
+@pytest.mark.parametrize("key, leg, arrow, legs", [
+    ((2, 1), "proj1", "f2_2_00", "(f2_2_00, f2_1_00)"),    # b x a, a constant proj1
+    ((1, 1), "proj2", "f1_2_0", "(f1_1_0, f1_2_0)"),       # c x a, a mistyped proj2
     # a x (b + c), a constant proj2: the table reads answered f3_3_000
-    ((1, 3), "proj2", "f3_3_000"),
+    ((1, 3), "proj2", "f3_3_000", "(f3_1_000, f3_3_000)"),
 ], ids=["b-x-a", "c-x-a", "a-x-bc"])
-def test_delta_inverse_verifies_the_products_it_swaps(key, leg, arrow):
+def test_delta_inverse_verifies_the_products_it_swaps(key, leg, arrow, legs):
     # on (x1n1, x2n2, x1n1) the inverse swaps out of b x a, c x a and
-    # a x (b + c); a broken one must fail as the combinator chain fails
+    # a x (b + c); a broken one is refused before the inverse can read it
     from catlogic.theorems import _delta_inverse_chain, build_delta_inverse
     cat = make_finset([0, 1, 2, 3], "finset-0123")
-    st = discover_structure(cat, require_validated=False)
+    st = discover_structure(cat)
     a, b, c = (cat.objects[i] for i in (1, 2, 1))
-    st.products[key] = replace(st.products[key], **{leg: cat.arrow(arrow)})
-    with pytest.raises(UniversalityBroken) as chain:
-        _delta_inverse_chain(st, a, b, c)
+    pw = st.products[key]
     with pytest.raises(UniversalityBroken) as exc:
-        build_delta_inverse(st, a, b, c)
-    assert str(exc.value) == str(chain.value)
-    assert str(exc.value).startswith(
-        f"({cat.objects[key[0]].name}, {cat.objects[key[1]].name}) with apex")
+        st.products[key] = replace(pw, **{leg: cat.arrow(arrow)})
+    x, y = (cat.objects[i].name for i in key)
+    assert str(exc.value) == (f"({x}, {y}) with apex {pw.apex.name}: composing with "
+                              f"{legs} is not a bijection onto the cones")
+    assert build_delta_inverse(st, a, b, c) == _delta_inverse_chain(st, a, b, c)
 
 
 def test_every_mistyped_leg_fails_verification():
@@ -444,19 +495,45 @@ def test_every_mistyped_leg_fails_verification():
     # coproduct); a size check alone let 490 products and 24 coproducts
     # with one mistyped leg through
     cat = make_finset([0, 1, 2, 3], "finset-0123")
-    st = discover_structure(cat, require_validated=False)
+    st = discover_structure(cat)
     tried = 0
     for witnesses, legs, op in ((st.products, ("proj1", "proj2"), False),
                                 (st.coproducts, ("inj1", "inj2"), True)):
-        for w in witnesses.values():
+        for key, w in list(witnesses.items()):
             for leg, obj in zip(legs, w.pair):
                 ends = (obj.index, w.apex.index) if op else (w.apex.index, obj.index)
                 for arr in cat.arrows:
                     if (arr.dom, arr.cod) != ends:
                         tried += 1
                         with pytest.raises(UniversalityBroken):
-                            st.table_of(replace(w, **{leg: arr}))
+                            witnesses[key] = replace(w, **{leg: arr})
+                        assert witnesses[key] is w
     assert tried
+
+
+@pytest.mark.parametrize("store", [
+    lambda table, key, w: table.__setitem__(key, w),
+    lambda table, key, w: table.update({key: w}),
+    lambda table, key, w: table.update([(key, w)]),
+    lambda table, key, w: table.setdefault(key, w),
+    lambda table, key, w: table.__ior__({key: w}),
+], ids=["setitem", "update-dict", "update-pairs", "setdefault", "ior"])
+def test_every_mutator_verifies_what_it_stores(store):
+    # 3 x 3 is missing from the finite sets {0,1,2,3}; the product 1 x 3
+    # restated as a product of (3, 3) has a proj1 into 1, not 3
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    three, pw = cat.objects[3], st.products[(1, 3)]
+    before = dict(st.products)
+    message = ("(x3n3, x3n3) with apex x3n3: composing with (f3_1_000, f3_3_012) is not "
+               "a bijection onto the cones")
+    with pytest.raises(UniversalityBroken, match=re.escape(message)):
+        store(st.products, (3, 3), replace(pw, pair=(three, three)))
+    assert st.products == before
+    # a universal copy is stored, and given its table, by any of them
+    del st.products[(1, 3)]
+    store(st.products, (1, 3), copy := replace(pw))
+    assert st.products[(1, 3)] is copy and copy.table == pw.table
 
 
 # -- the search against the mediator-counting reference --------------------------------
@@ -464,8 +541,7 @@ def test_every_mistyped_leg_fails_verification():
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
 def test_witnesses_and_failures_match_reference(name):
     cat = REFERENCE_MODELS[name]()
-    # the finite-set builder composes functions, so only the small models need validating
-    st = discover_structure(cat, require_validated=not name.startswith("finset"))
+    st = discover_structure(cat)
 
     def found(witness, failure, fields):
         return failure if witness is None else tuple(getattr(witness, f).index for f in fields)
