@@ -232,6 +232,17 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type for the integers from ``low`` up."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # a non-integer is an "invalid int value", as with type=int
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="catlogic",
@@ -244,9 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", required=True, help="category file")
         if theory:
             sp.add_argument("--theory", required=True, help="theory file")
-            sp.add_argument("--depth", type=int, default=None,
+            sp.add_argument("--depth", type=_at_least(1), default=None,
                             help="term universe depth (default: theory file)")
-            sp.add_argument("--reach", type=int, default=DEFAULT_REACH_DEPTH,
+            sp.add_argument("--reach", type=_at_least(0), default=DEFAULT_REACH_DEPTH,
                             help=f"reachable-set formula depth (default {DEFAULT_REACH_DEPTH})")
         sp.add_argument("--report", default=None, help="also write the report here")
 

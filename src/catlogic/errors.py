@@ -36,8 +36,10 @@ class CategoryFileError(MalformedInput):
 # --- structure discovery ---
 
 class NoSuchStructure(WorkbenchError):
-    """No candidate satisfied the universal property; the message says why by
-    counting hom-sets, or names the first family the first fitting apex misses."""
+    """No candidate satisfied the universal property.  Raised by the search,
+    its message saying why by counting hom-sets or naming the first family
+    the first fitting apex misses, and by reading a missing witness from a
+    structure table, with that recorded failure if there is one."""
 
 
 class UniversalityBroken(WorkbenchError):

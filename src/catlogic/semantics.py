@@ -230,8 +230,8 @@ class Interpretation:
         self.cat = structure.cat
         self.theory = theory
         self.reach_depth = reach_depth
-        self.universe = enumerate_closed_terms(theory.signature,
-                                               universe_depth or theory.depth)
+        self.universe = enumerate_closed_terms(
+            theory.signature, theory.depth if universe_depth is None else universe_depth)
         self.warnings: list[str] = []
         for s in self.universe.empty_sorts:
             self.warnings.append(f"sort {s} has no closed terms up to depth "

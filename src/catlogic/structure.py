@@ -15,7 +15,10 @@ the map m |-> eval . (m x id) over the W that have a product with the base.
 Quantifier objects (cones and cocones over any number of legs) are the
 same search against a given set of test objects, through
 ``StructureTable.find_cone``; their re-checks and the frobenius initiality
-sweep check one given cone the same way, through ``StructureTable.cone_miss``.
+sweep check one given cone the same way, through ``StructureTable.cone_miss``,
+and the frobenius mediators are the arrows of one hom-set whose key is the
+given family's, through ``StructureTable.mediators``.  Reading a witness a
+structure table lacks raises NoSuchStructure with its recorded failure.
 
 Searches are deterministic: candidates are tried in index order and the
 first verified one wins, so two runs on the same input produce identical
@@ -409,12 +412,20 @@ def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Produc
 class _Witnesses(dict):
     """Witnesses by the index pair of their ``pair``.  Whichever mutator
     stores a witness, ``check(key, witness)`` runs first: it gives a witness
-    that no search built its table, or raises UniversalityBroken.  Reads are
-    dict's own."""
+    that no search built its table, or raises UniversalityBroken.  A hit is
+    dict's own read; a miss raises NoSuchStructure with the failure recorded
+    under the key, or ``missing`` formatted with the names of its objects."""
 
-    def __init__(self, check: Callable[[tuple[int, int], object], None]):
+    def __init__(self, check: Callable[[tuple[int, int], object], None],
+                 failures: dict[tuple[int, int], str], missing: str,
+                 objects: Sequence[ObjId]):
         super().__init__()
-        self._check = check
+        self._check, self._failures = check, failures
+        self._missing, self._objects = missing, objects
+
+    def __missing__(self, key):
+        raise NoSuchStructure(self._failures.get(key) or self._missing.format(
+            *(self._objects[i].name for i in key)))
 
     def __setitem__(self, key, witness):
         a, b = witness.pair
@@ -454,18 +465,28 @@ class StructureTable:
         self.initial: InitialWitness | None = None
         self._view = _View(cat)
         self._op = _View(cat, op=True)
-        # the checks hold the table weakly, so a dropped table is freed at once
-        me = weakref.proxy(self)
-        self.products = _Witnesses(lambda key, w: me._check_product(key, w))
-        self.coproducts = _Witnesses(lambda _, w: w.table is None and _verify_pair(me._op, w))
-        self.exponentials = _Witnesses(
-            lambda _, w: w.table is None and me._verify_exponential(w, me.products))
         self.terminal_failure: str | None = None
         self.initial_failure: str | None = None
         self.product_failures: dict[tuple[int, int], str] = {}
         self.coproduct_failures: dict[tuple[int, int], str] = {}
         self.exponential_failures: dict[tuple[int, int], str] = {}
+        # the checks hold the table weakly, so a dropped table is freed at once
+        me, objects = weakref.proxy(self), cat.objects
+        self.products = _Witnesses(lambda key, w: me._check_product(key, w),
+                                   self.product_failures, "no product for ({}, {})", objects)
+        self.coproducts = _Witnesses(
+            lambda _, w: w.table is None and _verify_pair(me._op, w),
+            self.coproduct_failures, "no coproduct for ({}, {})", objects)
+        self.exponentials = _Witnesses(
+            lambda _, w: w.table is None and me._verify_exponential(w, me.products),
+            self.exponential_failures, "no exponential base {} target {}", objects)
         self._cones: dict[tuple, tuple[ObjId, tuple[ArrId, ...]] | str] = {}
+
+    def __reduce__(self):
+        """A copy or an unpickled table is rebuilt from the category, the
+        stored witnesses and the failures, with store checks of its own."""
+        return _rebuild, (self.cat, {name: getattr(self, name) for name in _SCALARS},
+                          *(dict(getattr(self, name)) for name in _STORES))
 
     @property
     def complete(self) -> bool:
@@ -476,29 +497,13 @@ class StructureTable:
     # -- witness lookups ---------------------------------------------------
 
     def product(self, a: ObjId, b: ObjId) -> ProductWitness:
-        try:
-            return self.products[(a.index, b.index)]
-        except KeyError:
-            raise NoSuchStructure(
-                self.product_failures.get((a.index, b.index),
-                                          f"no product for ({a.name}, {b.name})")) from None
+        return self.products[(a.index, b.index)]
 
     def coproduct(self, a: ObjId, b: ObjId) -> CoproductWitness:
-        try:
-            return self.coproducts[(a.index, b.index)]
-        except KeyError:
-            raise NoSuchStructure(
-                self.coproduct_failures.get((a.index, b.index),
-                                            f"no coproduct for ({a.name}, {b.name})")) from None
+        return self.coproducts[(a.index, b.index)]
 
     def exponential(self, base: ObjId, target: ObjId) -> ExponentialWitness:
-        try:
-            return self.exponentials[(base.index, target.index)]
-        except KeyError:
-            raise NoSuchStructure(
-                self.exponential_failures.get(
-                    (base.index, target.index),
-                    f"no exponential base {base.name} target {target.name}")) from None
+        return self.exponentials[(base.index, target.index)]
 
     def terminal_obj(self) -> ObjId:
         if self.terminal is None:
@@ -553,6 +558,16 @@ class StructureTable:
             return None
         w, fam, k = _first_miss(view, vertex.index, ps, ws)
         return self.ob(w), tuple(self.cat.arrows[p] for p in fam), k
+
+    def mediators(self, vertex: ObjId, legs: Sequence[ArrId], w: ObjId,
+                  family: Sequence[ArrId], *, op: bool = False) -> list[ArrId]:
+        """The arrows m : w -> ``vertex`` with (p_i . m)_i equal to ``family``,
+        in index order: at most one if ``vertex`` with ``legs`` is universal."""
+        view = self._op if op else self._view
+        ms, n = view.hom[w.index][vertex.index], len(view.table)
+        key = reduce(lambda k, f: k * n + f.index, family, 0)
+        return [self.cat.arrows[m] for m, k in zip(ms, _keys(view, [p.index for p in legs], ms))
+                if k == key]
 
     def _check_product(self, key: tuple[int, int], pw: ProductWitness) -> None:
         if pw.table is None:
@@ -626,6 +641,20 @@ class StructureTable:
                 f"theta({g.name}): codomain is not the exponential {c.name}^{a.name}")
         gxa = self.arrow_product(g, self.identity(a))
         return self.cat.arrows[self._view.table[ew.eval.index][gxa.index]]
+
+
+_SCALARS = ("terminal", "initial", "terminal_failure", "initial_failure")
+# failures first, and products before the exponentials that read them
+_STORES = ("product_failures", "coproduct_failures", "exponential_failures",
+           "products", "coproducts", "exponentials")
+
+
+def _rebuild(cat: FinCategory, scalars: dict, *stores: dict) -> StructureTable:
+    st = StructureTable(cat)
+    vars(st).update(scalars)
+    for name, store in zip(_STORES, stores):
+        getattr(st, name).update(store)
+    return st
 
 
 def discover_structure(cat: FinCategory) -> StructureTable:

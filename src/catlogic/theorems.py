@@ -9,9 +9,11 @@ Two results are reproduced arrow by arrow rather than assumed:
   has an inverse theta(gamma) built from the co-universal arrow gamma of the
   transposed cocone, so the product-through-existential axiom is redundant.
 
-Every mediating arrow is found by exhaustive hom-set search with a
-uniqueness assertion, and every certificate stores the full provenance of
-its composites so a failed equation can be replayed by hand.
+Every mediating arrow is found by the cone key check of the structure
+table: the arrows of one hom-set whose composites with the legs are the
+given family (``StructureTable.mediators``), of which there must be exactly
+one.  Every certificate stores the full provenance of its composites so a
+failed equation can be replayed by hand.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, NoReturn, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import CertificateFailure, MultipleMediators, NoMediator
-from .kernel import ArrId, FinCategory, ObjId, mutually_inverse
+from .kernel import ArrId, ObjId, mutually_inverse
 from .logic import Formula, Times, free_vars
 from .semantics import CoconeFamily, Instance, QuantifierSolution
 from .structure import StructureTable
@@ -76,8 +78,8 @@ class FrobeniusCertificate:
     initiality: InitialitySweep
 
 
-def _unique(cat: FinCategory, candidates: Sequence[ArrId], pred, what: str) -> ArrId:
-    ms = [m for m in candidates if pred(m)]
+def _unique(ms: Sequence[ArrId], what: str) -> ArrId:
+    """The one mediator of ``ms``, the arrows a key check found."""
     if not ms:
         raise NoMediator(f"no mediating arrow {what}")
     if len(ms) > 1:
@@ -90,15 +92,23 @@ def _unique(cat: FinCategory, candidates: Sequence[ArrId], pred, what: str) -> A
 #
 # delta and its inverse are read from the pairing, copairing and transpose
 # tables of the witnesses in the structure table and from the composition
-# rows (``_delta``, ``_delta_inverse``).  Every stored witness is universal
-# in a validated category, so each read is defined; a missing witness (a
-# KeyError) runs the combinator chain below, which raises NoSuchStructure
-# for the first witness it looks up and does not find.
+# rows.  The witnesses are read in the order the combinators (arrow_product,
+# copair, swap, transpose, theta) would look them up, so the first missing
+# one raises its NoSuchStructure, as a store read does.
 
 def build_delta(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     """The canonical (a x b) + (a x c) -> a x (b + c): copair of the two
     arrow products of the identity with a coproduct injection."""
-    return st.cat.arrows[_delta(st, a.index, b.index, c.index)]
+    t, n, products = st.cat.index().table, len(st.cat.arrows), st.products
+    a, b, c = a.index, b.index, c.index
+    bc = st.coproducts[(b, c)]
+    # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
+    ab = products[(a, b)]
+    into = products[(a, bc.apex.index)].table
+    left = into[ab.proj1.index * n + t[bc.inj1.index][ab.proj2.index]]
+    ac = products[(a, c)]
+    right = into[ac.proj1.index * n + t[bc.inj2.index][ac.proj2.index]]
+    return st.cat.arrows[st.coproducts[(ab.apex.index, ac.apex.index)].table[left * n + right]]
 
 
 def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
@@ -109,73 +119,24 @@ def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Arr
     into h : b + c -> D^a, then return theta(h) composed with the canonical
     factor swap, giving a x (b + c) -> D.
     """
-    return st.cat.arrows[_delta_inverse(st, a.index, b.index, c.index)]
-
-
-def _delta(st: StructureTable, a: int, b: int, c: int) -> int:
-    t, n, products = st.cat.index().table, len(st.cat.arrows), st.products
-    try:
-        bc = st.coproducts[(b, c)]
-        ab, ac, into = products[(a, b)], products[(a, c)], products[(a, bc.apex.index)].table
-        # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
-        left = into[ab.proj1.index * n + t[bc.inj1.index][ab.proj2.index]]
-        right = into[ac.proj1.index * n + t[bc.inj2.index][ac.proj2.index]]
-        return st.coproducts[(ab.apex.index, ac.apex.index)].table[left * n + right]
-    except KeyError:
-        pass
-    _raise_from_chain(_delta_chain, st, a, b, c)
-
-
-def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
     t, n, no = st.cat.index().table, len(st.cat.arrows), len(st.cat.objects)
-    products, coproducts, exponentials = st.products, st.coproducts, st.exponentials
-    try:
-        ab, ac, ba, ca = products[(a, b)], products[(a, c)], products[(b, a)], products[(c, a)]
-        d_w = coproducts[(ab.apex.index, ac.apex.index)]
-        # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
-        f1 = t[d_w.inj1.index][ab.table[ba.proj2.index * n + ba.proj1.index]]
-        f2 = t[d_w.inj2.index][ac.table[ca.proj2.index * n + ca.proj1.index]]
-        # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
-        ew = exponentials[(a, d_w.apex.index)]
-        bc = coproducts[(b, c)]
-        h = bc.table[ew.table[f1 * no + b] * n + ew.table[f2 * no + c]]
-        # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
-        bca, sw = products[(bc.apex.index, a)], products[(a, bc.apex.index)]
-        hxa = products[(ew.apex.index, a)].table[t[h][bca.proj1.index] * n + bca.proj2.index]
-        return t[t[ew.eval.index][hxa]][bca.table[sw.proj2.index * n + sw.proj1.index]]
-    except KeyError:
-        pass
-    _raise_from_chain(_delta_inverse_chain, st, a, b, c)
-
-
-def _raise_from_chain(chain, st: StructureTable, *triple: int) -> NoReturn:
-    """Run the combinator chain for a construction whose table reads missed a
-    witness; the chain raises NoSuchStructure for the first one it looks up."""
-    chain(st, *(st.cat.objects[i] for i in triple))
-    raise AssertionError("the combinator chain succeeded where table reads failed")
-
-
-def _delta_chain(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
-    bc = st.coproduct(b, c)
-    ida = st.identity(a)
-    left = st.arrow_product(ida, bc.inj1)    # a x b -> a x (b + c)
-    right = st.arrow_product(ida, bc.inj2)   # a x c -> a x (b + c)
-    return st.copair(left, right)
-
-
-def _delta_inverse_chain(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
-    cat = st.cat
-    ab = st.product(a, b)
-    ac = st.product(a, c)
-    d_w = st.coproduct(ab.apex, ac.apex)             # D = (a x b) + (a x c)
-    inj1_sw = cat.compose(d_w.inj1, st.swap(b, a))   # b x a -> D
-    inj2_sw = cat.compose(d_w.inj2, st.swap(c, a))   # c x a -> D
-    t1 = st.transpose(inj1_sw, b, a)                 # b -> D^a
-    t2 = st.transpose(inj2_sw, c, a)                 # c -> D^a
-    h = st.copair(t1, t2)                            # b + c -> D^a
-    bc_apex = st.coproduct(b, c).apex
-    theta_h = st.theta(h, a, d_w.apex)               # (b + c) x a -> D
-    return cat.compose(theta_h, st.swap(a, bc_apex))
+    products, coproducts = st.products, st.coproducts
+    a, b, c = a.index, b.index, c.index
+    ab, ac = products[(a, b)], products[(a, c)]
+    d_w = coproducts[(ab.apex.index, ac.apex.index)]
+    # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
+    ba, ca = products[(b, a)], products[(c, a)]
+    f1 = t[d_w.inj1.index][ab.table[ba.proj2.index * n + ba.proj1.index]]
+    f2 = t[d_w.inj2.index][ac.table[ca.proj2.index * n + ca.proj1.index]]
+    # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
+    ew = st.exponentials[(a, d_w.apex.index)]
+    bc = coproducts[(b, c)]
+    h = bc.table[ew.table[f1 * no + b] * n + ew.table[f2 * no + c]]
+    # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
+    bca = products[(bc.apex.index, a)]
+    hxa = products[(ew.apex.index, a)].table[t[h][bca.proj1.index] * n + bca.proj2.index]
+    sw = products[(a, bc.apex.index)]
+    return st.cat.arrows[t[t[ew.eval.index][hxa]][bca.table[sw.proj2.index * n + sw.proj1.index]]]
 
 
 def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> DeltaCertificate:
@@ -228,11 +189,9 @@ def build_alpha(interp: "Interpretation", left: Formula, body: Formula,
 
 
 def _alpha(st: StructureTable, ctx: _FrobeniusContext) -> ArrId:
-    cat = st.cat
     ex_legs = tuple(arr for _, arr in ctx.sol_ab.family.legs)
     return _unique(
-        cat, cat.hom(ctx.sol_ab.obj, ctx.vertex),
-        lambda m: all(cat.compose(m, e) == q for e, q in zip(ex_legs, ctx.q_legs)),
+        st.mediators(ctx.sol_ab.obj, ex_legs, ctx.vertex, ctx.q_legs, op=True),
         f"from {ctx.sol_ab.obj.name} to {ctx.vertex.name} commuting with "
         f"{len(ex_legs)} legs")
 
@@ -244,29 +203,29 @@ def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
 
     Each leg p_t : MA x M(B[t/x]) -> C is swapped and transposed to
     M(B[t/x]) -> C^MA; the stored cocone of exists x. B then forces a unique
-    mediator, found by search.
+    mediator, found by its key.
     """
-    st = interp.structure
-    cat = interp.cat
     ma = interp.interpret(left)
     if interp.reach is not None and c not in interp.reach:
         raise CertificateFailure(
             f"cocone vertex {c.name} is not reachable; the subcategory only "
             f"contains interpretations of closed formulas")
     sol_b = interp.quantifier_solution("exists", var, sort, body)
+    return _gamma(interp.structure, ma, sol_b, c, p)
+
+
+def _gamma(st: StructureTable, ma: ObjId, sol_b: QuantifierSolution, c: ObjId,
+           p: CoconeFamily) -> ArrId:
+    cat = st.cat
     exp_w = st.exponential(ma, c)
-
-    transposed = []
-    for (t, leg_obj_arr), (_, p_t) in zip(sol_b.family.legs, p.legs):
-        w = cat.objects[leg_obj_arr.dom]  # M(B[t/x])
+    delta_legs, transposed = [], []
+    for (_, delta_t), (_, p_t) in zip(sol_b.family.legs, p.legs):
+        w = cat.objects[delta_t.dom]  # M(B[t/x])
         swapped = cat.compose(p_t, st.swap(w, ma))  # w x MA -> C
+        delta_legs.append(delta_t)
         transposed.append(st.transpose(swapped, w, ma))
-
-    delta_legs = tuple(arr for _, arr in sol_b.family.legs)
     return _unique(
-        cat, cat.hom(sol_b.obj, exp_w.apex),
-        lambda m: all(cat.compose(m, d) == tr
-                      for d, tr in zip(delta_legs, transposed)),
+        st.mediators(sol_b.obj, delta_legs, exp_w.apex, transposed, op=True),
         f"from {sol_b.obj.name} to {exp_w.apex.name} commuting with the "
         f"transposed legs")
 
@@ -283,8 +242,9 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
 
     alpha = _alpha(st, ctx)
 
-    # gamma for the cocone of exists x.(A x B) itself: p_t = exI_t
-    gamma = build_gamma(interp, left, body, var, sort, ctx.sol_ab.obj, ctx.sol_ab.family)
+    # gamma for the cocone of exists x.(A x B) itself, p_t = exI_t, whose
+    # vertex the quantifier search took from the reachable set
+    gamma = _gamma(st, ctx.ma, ctx.sol_b, ctx.sol_ab.obj, ctx.sol_ab.family)
 
     theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.obj)  # M(ex B) x MA -> M(ex AxB)
     beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.obj))

@@ -201,3 +201,91 @@ def test_certificates_with_a_moved_apex_match_reference():
     cert = delta_certificate(st, one, three, cat.objects[0])
     assert cert.equations == (f"{cert.delta_inv.name} . {cert.delta.name} = id_{three.name}",
                               f"{cert.delta.name} . {cert.delta_inv.name} = id_{copy.name}")
+
+
+# The witnesses each construction reads on (a, b, c), in the order the
+# combinator chains of delta_reference first look them up.  ``_NAMED`` names
+# the apex a read finds, for the reads after it.
+_DELTA_READS = ("C b c", "P a b", "P a b+c", "P a c", "C a*b a*c")
+_INVERSE_READS = ("P a b", "P a c", "C a*b a*c", "P b a", "P c a", "E a D", "C b c",
+                  "P b+c a", "P D^a a", "P a b+c")
+_NAMED = {"C b c": "b+c", "P a b": "a*b", "P a c": "a*c", "C a*b a*c": "D", "E a D": "D^a"}
+_KINDS = {"P": "product", "C": "coproduct", "E": "exponential"}
+
+
+def _reads(st, triple, spec):
+    """(kind, key) of each distinct witness of ``spec`` on ``triple``, up to
+    and including the first one ``st`` lacks."""
+    objects, out = dict(zip("abc", triple)), []
+    for read in spec:
+        letter, x, y = read.split()
+        kind, key = _KINDS[letter], (objects[x].index, objects[y].index)
+        if (kind, key) not in out:
+            out.append((kind, key))
+        witness = getattr(st, kind + "s").get(key)
+        if witness is None:
+            break
+        if read in _NAMED:
+            objects[_NAMED[read]] = witness.apex
+    return out
+
+
+def _without(st, deleted, text):
+    """Delete the witnesses ``deleted`` from ``st``, each with a failure text
+    of its own if ``text`` and none otherwise; returns the undo."""
+    saved = []
+    for kind, key in deleted:
+        witnesses, failures = getattr(st, kind + "s"), getattr(st, kind + "_failures")
+        saved.append((witnesses, failures, key, witnesses.pop(key, None), failures.pop(key, None)))
+        if text:
+            failures[key] = f"{kind} {key} deleted"
+
+    def undo():
+        for witnesses, failures, key, witness, failure in reversed(saved):
+            failures.pop(key, None)
+            if failure is not None:
+                failures[key] = failure
+            if witness is not None:
+                dict.__setitem__(witnesses, key, witness)  # as it was, verified
+    return undo
+
+
+def _default(objects, kind, key):
+    """The message of a missing witness with no recorded failure."""
+    x, y = (objects[i].name for i in key)
+    if kind == "exponential":
+        return f"no exponential base {x} target {y}"
+    return f"no {kind} for ({x}, {y})"
+
+
+@pytest.mark.parametrize("name", ["finset-0123", "suite-powerset-3"])
+def test_a_missing_witness_raises_what_the_chain_raises(name):
+    # delete one witness a construction reads, and then that witness with
+    # every witness read after it: either way the construction must raise
+    # the chain's NoSuchStructure for it, so reading any two witnesses in
+    # another order than the chain fails here
+    st = discover_structure(REFERENCE_MODELS[name]())
+    objects = st.cat.objects
+    constructions = ((build_delta, ref.build_delta, _DELTA_READS),
+                     (build_delta_inverse, ref.build_delta_inverse, _INVERSE_READS),
+                     (delta_certificate, ref.delta_certificate,
+                      _DELTA_READS + _INVERSE_READS + ("C b c",)))
+    checked = 0
+    for triple in ((a, b, c) for a in objects for b in objects for c in objects):
+        for new, old, spec in constructions:
+            reads = _reads(st, triple, spec)
+            for i, (kind, key) in enumerate(reads):
+                for deleted in (reads[i:i + 1], reads[i:]):
+                    for text in (True, False):
+                        undo = _without(st, deleted, text)
+                        try:
+                            outcome = _outcome(new, st, *triple)
+                            assert outcome == _outcome(old, st, *triple)
+                        finally:
+                            undo()
+                        assert outcome == ("NoSuchStructure", f"{kind} {key} deleted"
+                                           if text else _default(objects, kind, key))
+                        checked += 1
+    assert _assert_matches_reference(st) == _assert_matches_reference(
+        discover_structure(st.cat))
+    assert checked > 1000

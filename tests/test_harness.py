@@ -313,3 +313,29 @@ def test_report_is_self_contained(workdir, tmp_path):
     assert run_cli(["check", "--model", str(m2), "--theory", str(t2),
                     "--report", str(r2)]) == 0
     assert strip_timing(r2.read_text()) == strip_timing(text)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--depth", "-1", "argument --depth: must be at least 1, got -1"),
+    ("--depth", "0", "argument --depth: must be at least 1, got 0"),
+    ("--reach", "-1", "argument --reach: must be at least 0, got -1"),
+    ("--depth", "one", "argument --depth: invalid int value: 'one'"),
+])
+def test_cli_out_of_range_depth_and_reach_exit_2(option, value, message, workdir, capsys):
+    # --depth 0 ran at the theory's depth, --depth -1 ended in a traceback
+    # and --reach -1 was taken as given
+    _, model, theory = workdir
+    for command in ("check", "redundancy", "interpret"):
+        extra = ["--formula", "P"] if command == "interpret" else []
+        assert run_cli([command, "--model", str(model), "--theory", str(theory),
+                        option, value, *extra]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
+
+
+def test_cli_lowest_depth_and_reach_are_accepted(workdir, capsys):
+    _, model, theory = workdir
+    assert run_cli(["check", "--model", str(model), "--theory", str(theory),
+                    "--depth", "1", "--reach", "0"]) in (0, 1)
+    out = capsys.readouterr().out
+    assert "universe.depth = 1" in out and "reach.depth = 0" in out

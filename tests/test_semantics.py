@@ -330,3 +330,13 @@ def test_quantifier_tiebreak_between_isomorphic_candidates():
     assert got.name == "x"  # deterministic tie-break by object index
     f, g = cat.arrow("f"), cat.arrow("g")
     assert mutually_inverse(cat, f, g)  # the unchosen candidate is isomorphic
+
+
+def test_only_none_universe_depth_means_the_theory_depth(b4_prepared):
+    # a universe depth of 0 was read as "use the theory's depth"
+    _, _, st, interp = b4_prepared
+    theory = interp.theory
+    assert Interpretation(st, theory).universe.depth == theory.depth
+    assert Interpretation(st, theory, universe_depth=2).universe.depth == 2
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        Interpretation(st, theory, universe_depth=0)

@@ -1,7 +1,11 @@
+import copy
 import gc
+import pickle
 import re
 import weakref
+from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -337,6 +341,80 @@ def test_a_dropped_structure_table_is_freed_at_once():
         gc.enable()
 
 
+_STORES = ("products", "coproducts", "exponentials")
+
+
+def _contents(st):
+    """Every witness with its table, and every failure, of ``st``."""
+    return ({kind: {k: (w, w.table) for k, w in getattr(st, kind).items()} for kind in _STORES},
+            st.terminal, st.initial, st.terminal_failure, st.initial_failure,
+            st.product_failures, st.coproduct_failures, st.exponential_failures)
+
+
+def _transposes_invert_theta(st):
+    """theta(transpose(f)) = f for every f : w x a -> c with c^a stored."""
+    cat = st.cat
+    for (a, c), ew in st.exponentials.items():
+        for w in cat.objects:
+            if (w.index, a) in st.products:
+                for f in cat.hom(st.product(w, ew.base).apex, ew.target):
+                    if st.theta(st.transpose(f, w, ew.base), ew.base, ew.target) != f:
+                        return False
+    return True
+
+
+@pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda st: pickle.loads(pickle.dumps(st))],
+                         ids=["deepcopy", "pickle"])
+def test_a_store_into_a_copy_leaves_the_original_unchanged(duplicate):
+    # the stores' checks ran on the original table: storing the other 2 x 1
+    # product into a deep copy verified the original's exponentials on base
+    # 1 again, against the copy's product, and 18 of its transposes then
+    # stopped inverting theta
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    before = _contents(st)
+    twin = duplicate(st)
+    assert _contents(twin) == before
+    other = replace(twin.products[(2, 1)], proj1=twin.cat.arrow("f2_2_10"))
+    twin.products[(2, 1)] = other
+    assert twin.products[(2, 1)] is other and st.products[(2, 1)] != other
+    assert _contents(st) == before
+    assert _transposes_invert_theta(st) and _transposes_invert_theta(twin)
+    # the copy refuses a broken witness by itself, and the original is untouched
+    with pytest.raises(UniversalityBroken):
+        twin.products[(1, 2)] = replace(twin.products[(1, 2)], proj2=cat.arrow("f2_2_00"))
+    assert _contents(st) == before
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_a_pickled_structure_table_round_trips(name):
+    st = discover_structure(REFERENCE_MODELS[name]())
+    back = pickle.loads(pickle.dumps(st))
+    assert _contents(back) == _contents(st)
+    assert _transposes_invert_theta(back)
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["cone", "cocone"])
+def test_mediators_match_a_hom_set_scan(op):
+    # every two legs among the sets {0, 1, 2} and every family at every W:
+    # the key check finds what composing each arrow of the hom-set finds,
+    # in the same order, universal cone or not
+    cat = make_finset([0, 1, 2, 3], "finset-0123")
+    st = discover_structure(cat)
+    small = cat.objects[:3]
+    homs = (lambda x, y: cat.hom(y, x)) if op else cat.hom
+    after = (lambda p, m: cat.compose(m, p)) if op else cat.compose
+    found = Counter()
+    for v, a, b, w in product(small, repeat=4):
+        for legs in product(homs(v, a), homs(v, b)):
+            for family in product(homs(w, a), homs(w, b)):
+                ms = st.mediators(v, legs, w, family, op=op)
+                assert ms == [m for m in homs(w, v)
+                              if all(after(p, m) == f for p, f in zip(legs, family))]
+                found[min(len(ms), 2)] += 1
+    assert found[0] and found[1] and found[2]
+
+
 def test_table_less_witness_is_verified_once(monkeypatch):
     # a replaced witness is verified when it is stored and never on use;
     # one that fails is refused on every store and leaves the table as it was
@@ -402,7 +480,8 @@ def test_theta_verifies_a_replaced_exponential(ev):
     # indexed the arrows from the end; an eval into 3 (not 2) has a table of
     # the right size but answers into the wrong object.  Both are refused
     # when they are stored, so theta and delta inverse read the intact witness.
-    from catlogic.theorems import _delta_inverse_chain, build_delta_inverse
+    from catlogic.theorems import build_delta_inverse
+    from delta_reference import build_delta_inverse as _delta_inverse_chain
     cat = make_finset([0, 1, 2, 3], "finset-0123")
     st = discover_structure(cat)
     one, two = cat.objects[1], cat.objects[2]
@@ -443,7 +522,8 @@ def test_arrow_product_verifies_its_source_product():
 ], ids=["mistyped", "constant"])
 def test_delta_verifies_its_source_product(key, leg, arrow, message):
     # id_x1n1 x inj projects from x1n1 x b for the b of the triple
-    from catlogic.theorems import _delta_chain, build_delta
+    from catlogic.theorems import build_delta
+    from delta_reference import build_delta as _delta_chain
     cat = make_finset([0, 1, 2, 3], "finset-0123")
     st = discover_structure(cat)
     a, b = (cat.objects[i] for i in key)
@@ -477,7 +557,8 @@ def test_swap_verifies_its_product():
 def test_delta_inverse_verifies_the_products_it_swaps(key, leg, arrow, legs):
     # on (x1n1, x2n2, x1n1) the inverse swaps out of b x a, c x a and
     # a x (b + c); a broken one is refused before the inverse can read it
-    from catlogic.theorems import _delta_inverse_chain, build_delta_inverse
+    from catlogic.theorems import build_delta_inverse
+    from delta_reference import build_delta_inverse as _delta_inverse_chain
     cat = make_finset([0, 1, 2, 3], "finset-0123")
     st = discover_structure(cat)
     a, b, c = (cat.objects[i] for i in (1, 2, 1))
