@@ -21,7 +21,6 @@ from .errors import (
     ScaleExceeded,
     ShapeMismatch,
     SortMismatch,
-    UniversalityBroken,
     WorkbenchError,
 )
 from .kernel import (

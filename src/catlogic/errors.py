@@ -42,12 +42,6 @@ class NoSuchStructure(WorkbenchError):
     structure table, with that recorded failure if there is one."""
 
 
-class UniversalityBroken(WorkbenchError):
-    """A witness stored in a structure table by hand is not universal: some
-    cone has zero or several mediators.  Raised when it is stored, so no
-    stored witness is ever one."""
-
-
 # --- logic frontend ---
 
 class FormulaSyntaxError(WorkbenchError):

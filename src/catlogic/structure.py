@@ -7,8 +7,9 @@ arrow represents a hom-functor (Mac Lane, *Categories for the Working
 Mathematician*, III.1-2).  A candidate is tried only if its column of
 hom-set sizes equals the product of its legs' columns, and it then passes
 iff the map is injective on the arrows into V.  The inverse of that map is
-kept in the witness as its pairing table, so the combinators are lookups; a
-structure table verifies a hand-built witness the same way when it is stored.
+kept in the witness as its pairing table, so the combinators are lookups.
+Discovery is the only writer of a structure table: its stores refuse every
+other write, so each witness a table holds is one a search verified.
 Terminal objects are the case with no legs; coproducts and the initial
 object are the same search run on the opposite category; exponentials use
 the map m |-> eval . (m x id) over the W that have a product with the base.
@@ -30,21 +31,15 @@ object W and the first family at W that it does not hit exactly once.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, islice, product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    LawViolation,
-    NoSuchStructure,
-    ShapeMismatch,
-    UniversalityBroken,
-)
+from .errors import LawViolation, NoSuchStructure, ShapeMismatch
 from .kernel import ArrId, FinCategory, ObjId, validate_category
 
 
@@ -89,14 +84,13 @@ class ExponentialWitness:
     # f.index * |Obj| + w.index -> transpose of f : w x A -> C; see _verified
     table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
                                             compare=False)
-    pair = property(lambda self: (self.base, self.target))  # as a structure table keys it
 
 
 def _verified(witness, table: Mapping[int, int]):
-    """``witness`` carrying the table its search or its store verified.
+    """``witness`` carrying the table its search verified.
 
     The table is not an init field: a witness built by hand, or copied with
-    ``dataclasses.replace``, carries none until a structure table stores it.
+    ``dataclasses.replace``, carries none.
     """
     object.__setattr__(witness, "table", table)
     return witness
@@ -320,19 +314,6 @@ def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> CoproductWitness:
     return _pair_witness(_View(cat, op=True), a, b)
 
 
-def _verify_pair(view: _View, w: ProductWitness | CoproductWitness) -> None:
-    """Give ``w`` its pairing table; UniversalityBroken if it is not universal."""
-    p1, p2 = (w.inj1, w.inj2) if view.op else (w.proj1, w.proj2)
-    apex, table = w.apex.index, None
-    if all(p.index in view.hom[apex][o.index] for p, o in zip((p1, p2), w.pair)):
-        table = _cone_table(view, apex, (p1.index, p2.index))
-    if table is None:
-        raise UniversalityBroken(
-            f"({w.pair[0].name}, {w.pair[1].name}) with apex {w.apex.name}: composing "
-            f"with ({p1.name}, {p2.name}) is not a bijection onto the cones")
-    _verified(w, table)
-
-
 # -- exponentials -------------------------------------------------------------------
 
 def _times_id(view: _View, products: Mapping[tuple[int, int], ProductWitness],
@@ -410,53 +391,37 @@ def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Produc
 
 
 class _Witnesses(dict):
-    """Witnesses by the index pair of their ``pair``.  Whichever mutator
-    stores a witness, ``check(key, witness)`` runs first: it gives a witness
-    that no search built its table, or raises UniversalityBroken.  A hit is
+    """Witnesses by the index pair of their objects, written only by
+    :func:`discover_structure`: every mutator raises TypeError.  A hit is
     dict's own read; a miss raises NoSuchStructure with the failure recorded
     under the key, or ``missing`` formatted with the names of its objects."""
 
-    def __init__(self, check: Callable[[tuple[int, int], object], None],
-                 failures: dict[tuple[int, int], str], missing: str,
-                 objects: Sequence[ObjId]):
-        super().__init__()
-        self._check, self._failures = check, failures
-        self._missing, self._objects = missing, objects
+    def __init__(self, failures: dict[tuple[int, int], str], missing: str,
+                 objects: Sequence[ObjId], witnesses: Iterable = ()):
+        super().__init__(witnesses)
+        self._failures, self._missing, self._objects = failures, missing, objects
 
     def __missing__(self, key):
         raise NoSuchStructure(self._failures.get(key) or self._missing.format(
             *(self._objects[i].name for i in key)))
 
-    def __setitem__(self, key, witness):
-        a, b = witness.pair
-        if key != (a.index, b.index):
-            raise ShapeMismatch(f"a witness for ({a.name}, {b.name}) stored under {key}")
-        self._check(key, witness)
-        super().__setitem__(key, witness)
+    def __reduce__(self):
+        return _Witnesses, (self._failures, self._missing, self._objects, dict(self))
 
-    def update(self, *args, **kwargs):
-        for key, witness in dict(*args, **kwargs).items():
-            self[key] = witness
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a structure table is written only by discover_structure")
 
-    def setdefault(self, key, witness):
-        if key not in self:
-            self[key] = witness
-        return self[key]
-
-    def __ior__(self, other):
-        self.update(other)
-        return self
+    __setitem__ = __delitem__ = update = setdefault = pop = popitem = clear = __ior__ = _refuse
 
 
 class StructureTable:
     """Every discovered witness, keyed by object index pairs.
 
-    Built once by :func:`discover_structure`; downstream modules never
-    re-search.  ``products``, ``coproducts`` and ``exponentials`` verify a
-    witness that no search built when it is stored, and a product stored
-    over another verifies the exponentials on its base again, so the
-    canonical arrow combinators (pairing, copairing, arrow product,
-    transpose, theta) are lookups in the stored witnesses' tables.
+    Built once by :func:`discover_structure`, the only writer of
+    ``products``, ``coproducts`` and ``exponentials``; downstream modules
+    never re-search.  Each stored witness carries the table its search
+    verified, so the canonical arrow combinators (pairing, copairing, arrow
+    product, transpose, theta) are lookups in those tables.
     """
 
     def __init__(self, cat: FinCategory):
@@ -470,23 +435,13 @@ class StructureTable:
         self.product_failures: dict[tuple[int, int], str] = {}
         self.coproduct_failures: dict[tuple[int, int], str] = {}
         self.exponential_failures: dict[tuple[int, int], str] = {}
-        # the checks hold the table weakly, so a dropped table is freed at once
-        me, objects = weakref.proxy(self), cat.objects
-        self.products = _Witnesses(lambda key, w: me._check_product(key, w),
-                                   self.product_failures, "no product for ({}, {})", objects)
-        self.coproducts = _Witnesses(
-            lambda _, w: w.table is None and _verify_pair(me._op, w),
-            self.coproduct_failures, "no coproduct for ({}, {})", objects)
-        self.exponentials = _Witnesses(
-            lambda _, w: w.table is None and me._verify_exponential(w, me.products),
-            self.exponential_failures, "no exponential base {} target {}", objects)
+        objects = cat.objects
+        self.products = _Witnesses(self.product_failures, "no product for ({}, {})", objects)
+        self.coproducts = _Witnesses(self.coproduct_failures, "no coproduct for ({}, {})",
+                                     objects)
+        self.exponentials = _Witnesses(self.exponential_failures,
+                                       "no exponential base {} target {}", objects)
         self._cones: dict[tuple, tuple[ObjId, tuple[ArrId, ...]] | str] = {}
-
-    def __reduce__(self):
-        """A copy or an unpickled table is rebuilt from the category, the
-        stored witnesses and the failures, with store checks of its own."""
-        return _rebuild, (self.cat, {name: getattr(self, name) for name in _SCALARS},
-                          *(dict(getattr(self, name)) for name in _STORES))
 
     @property
     def complete(self) -> bool:
@@ -569,32 +524,6 @@ class StructureTable:
         return [self.cat.arrows[m] for m, k in zip(ms, _keys(view, [p.index for p in legs], ms))
                 if k == key]
 
-    def _check_product(self, key: tuple[int, int], pw: ProductWitness) -> None:
-        if pw.table is None:
-            _verify_pair(self._view, pw)
-        if self.products.get(key) != pw:  # the exponentials on its base read the old products
-            exps = {k: replace(ew) for k, ew in self.exponentials.items() if k[0] == key[1]}
-            for ew in exps.values():
-                self._verify_exponential(ew, {**self.products, key: pw})
-            dict.update(self.exponentials, exps)
-
-    def _verify_exponential(self, ew: ExponentialWitness,
-                            products: Mapping[tuple[int, int], ProductWitness]) -> None:
-        """Give ``ew`` its transpose table over ``products``, or raise UniversalityBroken."""
-        view, a = self._view, ew.base
-        ws, c, table = _with_product(view, products, a), ew.target.index, None
-        pw = products.get((ew.apex.index, a.index))
-        if pw is not None and (ew.eval.dom, ew.eval.cod) == (pw.apex.index, c):
-            _, table = next(_transpose_tables(view, products, ew.apex.index, a.index,
-                                              ws, [ew.eval.index]))
-        if table is None or len(table) != sum(
-                view.to[c][products[(w, a.index)].apex.index] for w in ws):
-            raise UniversalityBroken(
-                f"exponential {ew.target.name}^{a.name} with apex {ew.apex.name}: "
-                f"composing with {ew.eval.name} is not a bijection onto the arrows "
-                f"into {ew.target.name}")
-        _verified(ew, table)
-
     # -- canonical combinators ----------------------------------------------
 
     def _mediator(self, w: ProductWitness | CoproductWitness, f: int, g: int) -> ArrId:
@@ -643,20 +572,6 @@ class StructureTable:
         return self.cat.arrows[self._view.table[ew.eval.index][gxa.index]]
 
 
-_SCALARS = ("terminal", "initial", "terminal_failure", "initial_failure")
-# failures first, and products before the exponentials that read them
-_STORES = ("product_failures", "coproduct_failures", "exponential_failures",
-           "products", "coproducts", "exponentials")
-
-
-def _rebuild(cat: FinCategory, scalars: dict, *stores: dict) -> StructureTable:
-    st = StructureTable(cat)
-    vars(st).update(scalars)
-    for name, store in zip(_STORES, stores):
-        getattr(st, name).update(store)
-    return st
-
-
 def discover_structure(cat: FinCategory) -> StructureTable:
     """Validate ``cat`` unless it is validated (LawViolation if it fails), then
     search terminal/initial objects, then all products and coproducts, then
@@ -670,7 +585,7 @@ def discover_structure(cat: FinCategory) -> StructureTable:
                 f"structure search requires a validated category")
 
     st = StructureTable(cat)
-    view, op = st._view, st._op
+    view, op, put = st._view, st._op, dict.__setitem__
     try:
         st.terminal = find_terminal(cat)
     except NoSuchStructure as exc:
@@ -683,11 +598,11 @@ def discover_structure(cat: FinCategory) -> StructureTable:
     for a in cat.objects:
         for b in cat.objects:
             try:
-                st.products[(a.index, b.index)] = _pair_witness(view, a, b)
+                put(st.products, (a.index, b.index), _pair_witness(view, a, b))
             except NoSuchStructure as exc:
                 st.product_failures[(a.index, b.index)] = str(exc)
             try:
-                st.coproducts[(a.index, b.index)] = _pair_witness(op, a, b)
+                put(st.coproducts, (a.index, b.index), _pair_witness(op, a, b))
             except NoSuchStructure as exc:
                 st.coproduct_failures[(a.index, b.index)] = str(exc)
 
@@ -695,7 +610,8 @@ def discover_structure(cat: FinCategory) -> StructureTable:
         ws = _with_product(view, st.products, a)
         for c in cat.objects:
             try:
-                st.exponentials[(a.index, c.index)] = _exponential(view, st.products, a, c, ws)
+                put(st.exponentials, (a.index, c.index),
+                    _exponential(view, st.products, a, c, ws))
             except NoSuchStructure as exc:
                 st.exponential_failures[(a.index, c.index)] = str(exc)
 

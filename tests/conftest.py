@@ -153,6 +153,20 @@ def with_copy(cat: FinCategory, name: str, copy: str) -> FinCategory:
                              name=f"{cat.name}+{copy}")
 
 
+def with_arrow_order(cat: FinCategory, order) -> FinCategory:
+    """``cat`` rebuilt with its arrows listed in ``order``, a permutation of
+    their indices: the same objects, names and composites, so every search
+    that breaks ties by arrow index may pick another witness."""
+    objects = [x.name for x in cat.objects]
+    arrows = [cat.arrows[i] for i in order]
+    return FinCategory.build(
+        objects, [(f.name, objects[f.dom], objects[f.cod]) for f in arrows],
+        identities={x.name: cat.identity_of(x).name for x in cat.objects},
+        compositions=[(g.name, f.name, cat.compose(g, f).name)
+                      for f in cat.arrows for g in cat.arrows if f.cod == g.dom],
+        name=cat.name)
+
+
 # the models the reference tests compare on, thin and non-thin
 REFERENCE_MODELS = {
     "powerset-4": lambda: gen_powerset(4).category(),

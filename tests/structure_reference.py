@@ -1,12 +1,15 @@
 """The mediator-counting universal-property search that ``catlogic.structure``
 replaced, kept as the reference its witnesses and failure messages must match.
 
-Each function returns the witness as a tuple of object and arrow indices, or
+Each search returns the witness as a tuple of object and arrow indices, or
 the failure message; ``op`` searches the opposite category (coproducts, the
-initial object).
+initial object).  ``assert_discovery_matches`` holds a discovered structure
+table to them.
 """
 
 from itertools import product
+
+from hom_recount import recount
 
 
 def _hom(cat, x, y, op):
@@ -86,33 +89,35 @@ def ref_exponential(cat, products, a, c):
     return f"{cat.name}: no exponential with base {a.name}, target {c.name}; {near}"
 
 
-def ref_is_cone(cat, apex, p1, p2, a, b, op=False):
-    """Whether ``apex`` with legs p1, p2 (arrow indices) is a product of
-    (a, b), or with ``op`` a coproduct: every pair of arrows from (into)
-    every object has exactly one mediator."""
-    if p1 not in _hom(cat, apex, a, op) or p2 not in _hom(cat, apex, b, op):
-        return False
-    for w in cat.objects:
-        legs = [_legs(cat, m, (p1, p2), op) for m in _hom(cat, w, apex, op)]
-        if any(legs.count(fg) != 1 for fg in product(_hom(cat, w, a, op), _hom(cat, w, b, op))):
-            return False
-    return True
+def assert_discovery_matches(st):
+    """Every witness and failure of the structure table ``st`` against the
+    searches above: the same witness, or both fail; ``recount`` checks the
+    failure messages."""
+    cat = st.cat
 
+    def found(witness, failure, fields):
+        return failure if witness is None else tuple(getattr(witness, f).index for f in fields)
 
-def ref_is_exponential(cat, products, apex, ev, a, c):
-    """Whether ``apex`` with eval arrow index ``ev`` is an exponential with base
-    ``a`` and target ``c``: every f : w x a -> c, for each w with a product
-    in ``products`` (as in ``ref_exponential``), is eval . (m x id_a) for
-    exactly one m : w -> apex."""
-    pw, t = products.get((apex.index, a.index)), cat.index().table
-    if pw is None or ev not in _hom(cat, cat.objects[pw[0]], c, False):
-        return False
-    for w in cat.objects:
-        pww = products.get((w.index, a.index))
-        for f in (_hom(cat, cat.objects[pww[0]], c, False) if pww else ()):
-            ms = [m for m in _hom(cat, w, apex, False) if t[ev][_mediators(
-                cat, cat.index().hom.get((pww[0], pw[0]), ()), pw[1:],
-                (t[m][pww[1]], pww[2]), False)[0]] == f]
-            if len(ms) != 1:
-                return False
-    return True
+    def same(got, ref):
+        return isinstance(got, str) if isinstance(ref, str) else got == ref
+
+    assert same(found(st.terminal, st.terminal_failure, ["obj"]), ref_universal_object(cat))
+    assert same(found(st.initial, st.initial_failure, ["obj"]),
+                ref_universal_object(cat, op=True))
+    ref_products = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            key = (a.index, b.index)
+            ref = ref_cone(cat, a, b)
+            assert same(found(st.products.get(key), st.product_failures.get(key),
+                              ["apex", "proj1", "proj2"]), ref)
+            if not isinstance(ref, str):
+                ref_products[key] = ref
+            assert same(found(st.coproducts.get(key), st.coproduct_failures.get(key),
+                              ["apex", "inj1", "inj2"]), ref_cone(cat, a, b, op=True))
+    for a in cat.objects:
+        for c in cat.objects:
+            key = (a.index, c.index)
+            assert same(found(st.exponentials.get(key), st.exponential_failures.get(key),
+                              ["apex", "eval"]), ref_exponential(cat, ref_products, a, c))
+    recount(cat, st)
