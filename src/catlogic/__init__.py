@@ -86,7 +86,6 @@ from .semantics import (
     check_conditions,
     derive_instances,
     interpret,
-    reach_fixpoint,
 )
 from .theorems import (
     DeltaCertificate,

@@ -77,7 +77,6 @@ def _universe_section(report: Report, interp: Interpretation) -> None:
         terms = " ".join(str(t) for t in interp.universe.terms(sort)) or "(none)"
         report.add(f"universe.sort.{sort}", terms)
     report.add("reach.depth", interp.reach_depth)
-    assert interp.reach is not None
     report.add("reach.size", len(interp.reach.members))
     for i, m in enumerate(interp.reach.members, 1):
         report.add(f"reach.member.{i:03d}", f"{m.obj.name} <- {m.provenance}")

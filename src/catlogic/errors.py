@@ -39,7 +39,7 @@ class NoSuchStructure(WorkbenchError):
     """No candidate satisfied the universal property.  Raised by the search,
     its message saying why by counting hom-sets or naming the first family
     the first fitting apex misses, and by reading a missing witness from a
-    structure table, with that recorded failure if there is one."""
+    structure table, with the failure discovery recorded under its key."""
 
 
 # --- logic frontend ---

@@ -86,17 +86,13 @@ def thin_category_from_leq(elements: tuple[str, ...] | list[str],
 
 
 def heyting_from_leq(name: str, elements: list[str],
-                     leq_pairs: set[tuple[int, int]] | None = None,
-                     leq: list[list[bool]] | None = None) -> HeytingModel:
+                     leq: list[list[bool]]) -> HeytingModel:
     """Derive the operation tables from an order relation, verifying that the
     meets, joins and relative pseudo-complements all exist.
     """
     n = len(elements)
     if n > MAX_OBJECTS:
         raise ScaleExceeded(f"{name}: {n} elements exceeds desk scale {MAX_OBJECTS}")
-    if leq is None:
-        assert leq_pairs is not None
-        leq = [[(i, j) in leq_pairs or i == j for j in range(n)] for i in range(n)]
 
     def glb(sat: list[int]) -> int:
         lower = [x for x in range(n) if all(leq[x][y] for y in sat)]
@@ -174,8 +170,9 @@ def gen_powerset(k: int) -> HeytingModel:
 def gen_diamond() -> HeytingModel:
     """The four-element 2x2 lattice: bot < left, right < top."""
     names = ["bot", "left", "right", "top"]
-    pairs = {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}
-    return heyting_from_leq("diamond", names, leq_pairs=pairs)
+    # bot is below every element and top above every element
+    leq = [[i == j or i == 0 or j == 3 for j in range(4)] for i in range(4)]
+    return heyting_from_leq("diamond", names, leq=leq)
 
 
 # -- the independent lattice oracle ---------------------------------------------

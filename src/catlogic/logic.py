@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .errors import (
     FormulaSyntaxError,
@@ -681,14 +681,18 @@ def canonical_var(sig: Signature, sort: str) -> str:
     return f"x{sig.sorts.index(sort)}"
 
 
-def enumerate_formulas(sig: Signature, universe: TermUniverse,
-                       max_depth: int = 3,
-                       level_caps: Sequence[int | None] = (None, None, 300, 200),
-                       pool_cap: int = 80) -> list[Formula]:
-    """Deterministically enumerate closed formulas of connective depth <= max_depth.
+# enumerate_formulas: the deepest level, the closed formulas kept at each
+# level (None: all) and the formulas, open or closed, each level passes on
+_MAX_DEPTH = 3
+_LEVEL_CAPS = (None, None, 300, 200)
+_POOL_CAP = 80
+
+
+def enumerate_formulas(sig: Signature, universe: TermUniverse) -> list[Formula]:
+    """Deterministically enumerate closed formulas of connective depth <= 3.
 
     Levels 0 and 1 are complete over the capped pools; deeper levels keep the
-    first ``level_caps[d]`` formulas in generation order, which interleaves
+    first ``_LEVEL_CAPS[d]`` formulas in generation order, which interleaves
     every connective and both quantifiers.
     """
     free_pool: list[tuple[Formula, frozenset]] = []
@@ -711,11 +715,11 @@ def enumerate_formulas(sig: Signature, universe: TermUniverse,
                 leaves.append(atom)
 
     pools: list[list[tuple[Formula, frozenset]]] = [
-        ([(f, frozenset()) for f in leaves] + free_pool)[:pool_cap]]
+        ([(f, frozenset()) for f in leaves] + free_pool)[:_POOL_CAP]]
     out: list[Formula] = list(leaves)
 
-    for depth_level in range(1, max_depth + 1):
-        cap = level_caps[depth_level] if depth_level < len(level_caps) else None
+    for depth_level in range(1, _MAX_DEPTH + 1):
+        cap = _LEVEL_CAPS[depth_level]
         fresh: list[tuple[Formula, frozenset]] = []
         seen: set[Formula] = set()
         closed_count = 0
@@ -764,6 +768,6 @@ def enumerate_formulas(sig: Signature, universe: TermUniverse,
                         break
                 if done:
                     break
-        pools.append(fresh[:pool_cap])
+        pools.append(fresh[:_POOL_CAP])
 
     return out

@@ -30,11 +30,8 @@ class Report:
     def add_timing(self, key: str, millis: float) -> None:
         self._timing.append((f"{TIMING_PREFIX}{key}", f"{millis:.1f}"))
 
-    def render(self, include_timing: bool = True) -> str:
-        rows = list(self._lines)
-        if include_timing:
-            rows += self._timing
-        return "".join(f"{k} = {v}\n" for k, v in rows)
+    def render(self) -> str:
+        return "".join(f"{k} = {v}\n" for k, v in self._lines + self._timing)
 
     def get(self, key: str) -> str | None:
         for k, v in self._lines:

@@ -13,7 +13,9 @@ fixpoint iterates rounds: close the object set under product, coproduct and
 exponential apexes, resolve every pooled quantifier formula against the
 current set, and repeat until the quantifier answers stop moving.  On thin
 models this converges in two rounds because the binary closure is already a
-subalgebra.
+subalgebra.  An Interpretation runs the fixpoint when it is built, at the
+reach depth it is built with, so every Interpretation holds its reachable
+set and answers quantified queries; another depth is another Interpretation.
 """
 
 from __future__ import annotations
@@ -56,8 +58,6 @@ from .logic import (
 from .structure import StructureTable
 
 DEFAULT_REACH_DEPTH = 3
-_NOT_PREPARED = ("interpretation not prepared: run prepare() before "
-                 "interpreting quantified formulas")
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ class _Scope:
     """Where the evaluator searches quantifier objects and what it keeps:
     values by (node, the environment's terms for the node's free variables),
     solutions by the alpha key of the closed quantified formula."""
-    vertexes: Sequence[ObjId] | None  # None before prepare()
+    vertexes: Sequence[ObjId]
     memo: dict[tuple[_Node, tuple[Term, ...]], ObjId]
     solved: dict[tuple, QuantifierSolution]
     warnings: list[str] | None
@@ -215,12 +215,13 @@ class _Scope:
 class Interpretation:
     """The map from formulas to objects, with its memo and reachable set.
 
-    ``prepare()`` runs the reach fixpoint; afterwards every query is
-    read-only apart from memo fills, which are deterministic.  A formula is
-    valued as an interned node under an environment of closed terms: a
-    quantifier leg is its body under one more binding, and a closed instance
-    B[t/x] is built only for a quantified formula's alpha key (``qmemo``),
-    a solution's formula and diagram body, and error messages.
+    The constructor runs the reach fixpoint, so an Interpretation answers
+    queries once built; every query is read-only apart from memo fills,
+    which are deterministic.  A formula is valued as an interned node under
+    an environment of closed terms: a quantifier leg is its body under one
+    more binding, and a closed instance B[t/x] is built only for a
+    quantified formula's alpha key (``qmemo``), a solution's formula and
+    diagram body, and error messages.
     """
 
     def __init__(self, structure: StructureTable, theory: Theory, *,
@@ -249,11 +250,12 @@ class Interpretation:
         self._check_atom_coverage()
 
         self.memo: dict[tuple[_Node, tuple[Term, ...]], ObjId] = {}
-        self.qmemo: dict[tuple, QuantifierSolution] = {}
-        self.reach: ReachSet | None = None
-        self.reach_failures: list[str] = []
         self._nodes: dict[object, _Node] = {}
         self._instances: dict[tuple[_Node, tuple[Term, ...]], Formula] = {}
+        members, self.qmemo, self.reach_failures = self._fixpoint()
+        self.reach = ReachSet(tuple(members.values()), reach_depth)
+        # queries search quantifier objects among the reach
+        self._scope = _Scope(self.reach.objects, self.memo, self.qmemo, self.warnings)
 
     def _check_atom_coverage(self) -> None:
         missing = []
@@ -310,21 +312,16 @@ class Interpretation:
 
     # -- the evaluator ---------------------------------------------------------------
 
-    def _scope(self) -> _Scope:
-        """The scope of queries: quantifiers are searched among the reach."""
-        return _Scope(None if self.reach is None else self.reach.objects,
-                      self.memo, self.qmemo, self.warnings)
-
     def interpret(self, f: Formula) -> ObjId:
         node = self._node(f)
         if node.fv:
             raise MalformedInput(f"interpret needs a closed formula, got {f}")
-        return self._value(node, (), self._scope())
+        return self._value(node, (), self._scope)
 
     def _interpret(self, f: Formula) -> ObjId:
         """``interpret`` for a formula known to be closed; the condition
         checks use it, so their work is not counted as queries."""
-        return self._value(self._node(f), (), self._scope())
+        return self._value(self._node(f), (), self._scope)
 
     def _value(self, node: _Node, env: _Env, scope: _Scope) -> ObjId:
         terms = tuple([_bound(env, name) for name in node.fv]) if node.fv else ()
@@ -359,11 +356,9 @@ class Interpretation:
 
     def quantifier_solution(self, quantifier: str, var: str, sort: str,
                             body: Formula) -> QuantifierSolution:
-        if self.reach is None:
-            raise MissingQuantifierObject(_NOT_PREPARED)
         _check_body(body, var, sort)
         formula = (Forall if quantifier == "forall" else Exists)(var, sort, body)
-        return self._solution(self._node(formula), (), (), self._scope())
+        return self._solution(self._node(formula), (), (), self._scope)
 
     def _solution(self, node: _Node, env: _Env, terms: tuple[Term, ...],
                   scope: _Scope) -> QuantifierSolution:
@@ -374,8 +369,6 @@ class Interpretation:
         key = alpha_key(f)
         sol = scope.solved.get(key)
         if sol is None:
-            if scope.vertexes is None:
-                raise MissingQuantifierObject(_NOT_PREPARED)
             quant = "forall" if isinstance(f, Forall) else "exists"
             diagram = self._diagram(node.kids[0], f.body, f.var, f.sort, env, scope)
             try:
@@ -396,13 +389,6 @@ class Interpretation:
             for t in self.universe.terms(sort)))
 
     # -- reach fixpoint ------------------------------------------------------------
-
-    def prepare(self) -> "Interpretation":
-        members, qresults, failures = self._reach_fixpoint()
-        self.reach = ReachSet(tuple(members.values()), self.reach_depth)
-        self.reach_failures = failures
-        self.qmemo.update(qresults)
-        return self
 
     def _base_members(self) -> dict[int, ReachMember]:
         st = self.structure
@@ -472,7 +458,10 @@ class Interpretation:
                     add(sub)
         return pool
 
-    def _reach_fixpoint(self):
+    def _fixpoint(self):
+        """The reach members, quantifier solutions and pool failures of the
+        first round whose quantifier answers repeat the round before's (or of
+        the last round, with a warning)."""
         pool = self._quantifier_pool()
         qbeliefs: dict[tuple, QuantifierSolution] = {}
         members: dict[int, ReachMember] = {}
@@ -511,26 +500,12 @@ class Interpretation:
 def build_interpretation(structure: StructureTable, theory: Theory, *,
                          reach_depth: int = DEFAULT_REACH_DEPTH,
                          universe_depth: int | None = None) -> Interpretation:
-    interp = Interpretation(structure, theory, reach_depth=reach_depth,
-                            universe_depth=universe_depth)
-    return interp.prepare()
+    return Interpretation(structure, theory, reach_depth=reach_depth,
+                          universe_depth=universe_depth)
 
 
 def interpret(interp: Interpretation, f: Formula) -> ObjId:
     return interp.interpret(f)
-
-
-def reach_fixpoint(interp: Interpretation, formula_depth: int | None = None) -> ReachSet:
-    """The least fixpoint of the closure rules, recomputed on demand."""
-    if formula_depth is not None and formula_depth != interp.reach_depth:
-        interp.reach_depth = formula_depth
-        interp.memo.clear()
-        interp.qmemo.clear()
-        interp.prepare()
-    elif interp.reach is None:
-        interp.prepare()
-    assert interp.reach is not None
-    return interp.reach
 
 
 def build_diagram(interp: Interpretation, body: Formula, var: str,
@@ -538,7 +513,7 @@ def build_diagram(interp: Interpretation, body: Formula, var: str,
     """Legs in universe order, one per closed term t, each the value of
     ``body`` with var bound to t."""
     _check_body(body, var, sort)
-    return interp._diagram(interp._node(body), body, var, sort, (), interp._scope())
+    return interp._diagram(interp._node(body), body, var, sort, (), interp._scope)
 
 
 def _check_body(body: Formula, var: str, sort: str) -> None:
@@ -647,23 +622,15 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
     # (2) finite coproducts: initial object plus all binary coproducts;
     # (3) exponentiation for every (base, target) pair
     for number, name, failures, missing in (
-            (1, "products", st.product_failures,
-             st.terminal is None and (st.terminal_failure or "no terminal object")),
-            (2, "coproducts", st.coproduct_failures,
-             st.initial is None and (st.initial_failure or "no initial object")),
+            (1, "products", st.product_failures, st.terminal_failure),
+            (2, "coproducts", st.coproduct_failures, st.initial_failure),
             (3, "exponentials", st.exponential_failures, None)):
         details = ([missing] if missing else []) + [msg for _, msg in sorted(failures.items())]
         verdicts.append(ConditionVerdict(number, name, "PASS" if not details else "FAIL",
                                          tuple(details)))
 
-    reach = interp.reach
-
     # (4) distributivity over every reachable triple
-    if reach is None:
-        verdicts.append(ConditionVerdict(4, "distributivity", "BLOCKED",
-                                         ("interpretation not prepared",)))
-    else:
-        verdicts.append(distributivity_verdict(st, reach.objects))
+    verdicts.append(distributivity_verdict(st, interp.reach.objects))
 
     # (5) quantifier objects for every closed quantified subformula of the
     # checked set, each once up to renaming of bound variables
@@ -691,37 +658,33 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
     details = []
     status = "PASS"
     try:
-        z = interp.interpret(Zero())
-        if st.initial is None or z != st.initial.obj:
+        if interp.interpret(Zero()) != st.initial.obj:
             status = "FAIL"
             details.append("value of 0 is not the initial object")
-        o = interp.interpret(One())
-        if st.terminal is None or o != st.terminal.obj:
+        if interp.interpret(One()) != st.terminal.obj:
             status = "FAIL"
             details.append("value of 1 is not the terminal object")
     except NoSuchStructure as exc:
         status = "BLOCKED"
         details.append(str(exc))
     # a quantified formula's clause is its stored solution, re-checked below
-    scope = interp._scope()
     for (node, terms), obj in list(interp.memo.items()):
         if isinstance(node.f, (Forall, Exists)):
             continue
         try:
-            want = interp._clause(node, tuple(zip(node.fv, terms)), terms, scope)
+            want = interp._clause(node, tuple(zip(node.fv, terms)), terms, interp._scope)
         except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
             continue
         if want != obj:
             status = "FAIL"
             details.append(f"memo holds {obj.name} for {interp._instance(node, terms)}, "
                            f"clauses give {want.name}")
-    if reach is not None:
-        for sol in interp.qmemo.values():
-            bad = revalidate_quantifier(st, reach.objects, sol)
-            if bad:
-                status = "FAIL"
-                details.append(f"{sol.formula}: stored quantifier object "
-                               f"{sol.obj.name} no longer unique: {bad}")
+    for sol in interp.qmemo.values():
+        bad = revalidate_quantifier(st, interp.reach.objects, sol)
+        if bad:
+            status = "FAIL"
+            details.append(f"{sol.formula}: stored quantifier object "
+                           f"{sol.obj.name} no longer unique: {bad}")
     verdicts.append(ConditionVerdict(6, "interpretation-clauses", status,
                                      tuple(details[:16])))
 

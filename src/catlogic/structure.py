@@ -8,8 +8,9 @@ Mathematician*, III.1-2).  A candidate is tried only if its column of
 hom-set sizes equals the product of its legs' columns, and it then passes
 iff the map is injective on the arrows into V.  The inverse of that map is
 kept in the witness as its pairing table, so the combinators are lookups.
-Discovery is the only writer of a structure table: its stores refuse every
-other write, so each witness a table holds is one a search verified.
+Discovery is the only writer of a structure table and records a witness or
+a failure under every key it searches; the table refuses every other
+write, so each witness it holds is one a search verified.
 Terminal objects are the case with no legs; coproducts and the initial
 object are the same search run on the opposite category; exponentials use
 the map m |-> eval . (m x id) over the W that have a product with the base.
@@ -37,6 +38,7 @@ from functools import reduce
 from itertools import chain, islice, product
 from math import prod
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import LawViolation, NoSuchStructure, ShapeMismatch
@@ -390,57 +392,70 @@ def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Produc
     return _exponential(view, products, a, target, _with_product(view, products, a))
 
 
-class _Witnesses(dict):
-    """Witnesses by the index pair of their objects, written only by
-    :func:`discover_structure`: every mutator raises TypeError.  A hit is
-    dict's own read; a miss raises NoSuchStructure with the failure recorded
-    under the key, or ``missing`` formatted with the names of its objects."""
+def _refuse(*args, **kwargs):
+    raise TypeError("a structure table is written only by discover_structure")
 
-    def __init__(self, failures: dict[tuple[int, int], str], missing: str,
-                 objects: Sequence[ObjId], witnesses: Iterable = ()):
+
+class _Witnesses(dict):
+    """Witnesses by key, written only by :func:`discover_structure`, which
+    records under every key it searches either the witness or the failure:
+    every mutator raises TypeError.  A hit is dict's own read; a miss raises
+    NoSuchStructure with the failure recorded under the key."""
+
+    def __init__(self, witnesses: Iterable = (), failures: Iterable = ()):
         super().__init__(witnesses)
-        self._failures, self._missing, self._objects = failures, missing, objects
+        self._failures: dict[object, str] = dict(failures)
 
     def __missing__(self, key):
-        raise NoSuchStructure(self._failures.get(key) or self._missing.format(
-            *(self._objects[i].name for i in key)))
+        raise NoSuchStructure(self._failures[key])
 
     def __reduce__(self):
-        return _Witnesses, (self._failures, self._missing, self._objects, dict(self))
+        return _Witnesses, (dict(self), self._failures)
 
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a structure table is written only by discover_structure")
+    def _record(self, key, search: Callable, *args) -> None:
+        """Store under ``key`` what ``search(*args)`` finds, or its failure."""
+        try:
+            dict.__setitem__(self, key, search(*args))
+        except NoSuchStructure as exc:
+            self._failures[key] = str(exc)
 
     __setitem__ = __delitem__ = update = setdefault = pop = popitem = clear = __ior__ = _refuse
+
+
+def _read_only(read: Callable) -> property:
+    """A structure table attribute that ``read`` gives and no one writes."""
+    return property(read, _refuse, _refuse)
 
 
 class StructureTable:
     """Every discovered witness, keyed by object index pairs.
 
-    Built once by :func:`discover_structure`, the only writer of
-    ``products``, ``coproducts`` and ``exponentials``; downstream modules
-    never re-search.  Each stored witness carries the table its search
-    verified, so the canonical arrow combinators (pairing, copairing, arrow
-    product, transpose, theta) are lookups in those tables.
+    Built once by :func:`discover_structure`, the only writer of the table:
+    under each object index pair each of ``products``, ``coproducts`` and
+    ``exponentials`` holds a witness or its ``*_failures`` entry holds why
+    there is none, and ``terminal`` or ``terminal_failure`` is set (likewise
+    ``initial``).  Every other write raises TypeError, and downstream
+    modules never re-search.  Each stored witness carries the table its
+    search verified, so the canonical arrow combinators (pairing,
+    copairing, arrow product, transpose, theta) are lookups in those tables.
     """
+
+    terminal = _read_only(lambda st: st._ends.get("terminal"))
+    initial = _read_only(lambda st: st._ends.get("initial"))
+    terminal_failure = _read_only(lambda st: st._ends._failures.get("terminal"))
+    initial_failure = _read_only(lambda st: st._ends._failures.get("initial"))
+    product_failures = _read_only(lambda st: MappingProxyType(st.products._failures))
+    coproduct_failures = _read_only(lambda st: MappingProxyType(st.coproducts._failures))
+    exponential_failures = _read_only(lambda st: MappingProxyType(st.exponentials._failures))
 
     def __init__(self, cat: FinCategory):
         self.cat = cat
-        self.terminal: TerminalWitness | None = None
-        self.initial: InitialWitness | None = None
         self._view = _View(cat)
         self._op = _View(cat, op=True)
-        self.terminal_failure: str | None = None
-        self.initial_failure: str | None = None
-        self.product_failures: dict[tuple[int, int], str] = {}
-        self.coproduct_failures: dict[tuple[int, int], str] = {}
-        self.exponential_failures: dict[tuple[int, int], str] = {}
-        objects = cat.objects
-        self.products = _Witnesses(self.product_failures, "no product for ({}, {})", objects)
-        self.coproducts = _Witnesses(self.coproduct_failures, "no coproduct for ({}, {})",
-                                     objects)
-        self.exponentials = _Witnesses(self.exponential_failures,
-                                       "no exponential base {} target {}", objects)
+        self._ends = _Witnesses()  # the terminal and initial witnesses, by name
+        self.products = _Witnesses()
+        self.coproducts = _Witnesses()
+        self.exponentials = _Witnesses()
         self._cones: dict[tuple, tuple[ObjId, tuple[ArrId, ...]] | str] = {}
 
     @property
@@ -461,14 +476,10 @@ class StructureTable:
         return self.exponentials[(base.index, target.index)]
 
     def terminal_obj(self) -> ObjId:
-        if self.terminal is None:
-            raise NoSuchStructure(self.terminal_failure or "no terminal object")
-        return self.terminal.obj
+        return self._ends["terminal"].obj
 
     def initial_obj(self) -> ObjId:
-        if self.initial is None:
-            raise NoSuchStructure(self.initial_failure or "no initial object")
-        return self.initial.obj
+        return self._ends["initial"].obj
 
     def identity(self, o: ObjId) -> ArrId:
         return self.cat.identity_of(o)
@@ -585,34 +596,16 @@ def discover_structure(cat: FinCategory) -> StructureTable:
                 f"structure search requires a validated category")
 
     st = StructureTable(cat)
-    view, op, put = st._view, st._op, dict.__setitem__
-    try:
-        st.terminal = find_terminal(cat)
-    except NoSuchStructure as exc:
-        st.terminal_failure = str(exc)
-    try:
-        st.initial = find_initial(cat)
-    except NoSuchStructure as exc:
-        st.initial_failure = str(exc)
-
+    view, op = st._view, st._op
+    st._ends._record("terminal", find_terminal, cat)
+    st._ends._record("initial", find_initial, cat)
     for a in cat.objects:
         for b in cat.objects:
-            try:
-                put(st.products, (a.index, b.index), _pair_witness(view, a, b))
-            except NoSuchStructure as exc:
-                st.product_failures[(a.index, b.index)] = str(exc)
-            try:
-                put(st.coproducts, (a.index, b.index), _pair_witness(op, a, b))
-            except NoSuchStructure as exc:
-                st.coproduct_failures[(a.index, b.index)] = str(exc)
-
+            st.products._record((a.index, b.index), _pair_witness, view, a, b)
+            st.coproducts._record((a.index, b.index), _pair_witness, op, a, b)
     for a in cat.objects:
         ws = _with_product(view, st.products, a)
         for c in cat.objects:
-            try:
-                put(st.exponentials, (a.index, c.index),
-                    _exponential(view, st.products, a, c, ws))
-            except NoSuchStructure as exc:
-                st.exponential_failures[(a.index, c.index)] = str(exc)
-
+            st.exponentials._record((a.index, c.index), _exponential,
+                                    view, st.products, a, c, ws)
     return st

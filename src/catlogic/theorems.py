@@ -12,8 +12,9 @@ Two results are reproduced arrow by arrow rather than assumed:
 Every mediating arrow is found by the cone key check of the structure
 table: the arrows of one hom-set whose composites with the legs are the
 given family (``StructureTable.mediators``), of which there must be exactly
-one.  Every certificate stores the full provenance of its composites so a
-failed equation can be replayed by hand.
+one.  Every certificate names its arrows and their inverse equations, and a
+delta certificate the combinators it was built from, so a failed equation
+can be replayed by hand.
 """
 
 from __future__ import annotations
@@ -71,9 +72,6 @@ class FrobeniusCertificate:
     alpha: ArrId
     gamma: ArrId
     beta: ArrId
-    alpha_provenance: str
-    gamma_provenance: str
-    beta_provenance: str
     equations: tuple[str, str]
     initiality: InitialitySweep
 
@@ -206,7 +204,7 @@ def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
     mediator, found by its key.
     """
     ma = interp.interpret(left)
-    if interp.reach is not None and c not in interp.reach:
+    if c not in interp.reach:
         raise CertificateFailure(
             f"cocone vertex {c.name} is not reachable; the subcategory only "
             f"contains interpretations of closed formulas")
@@ -263,11 +261,6 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
 
     return FrobeniusCertificate(
         instance, alpha, gamma, beta,
-        alpha_provenance=(f"mediator({ctx.sol_ab.obj.name} -> {ctx.vertex.name} "
-                          f"over {len(ctx.q_legs)} legs)"),
-        gamma_provenance=(f"mediator({ctx.sol_b.obj.name} -> "
-                          f"{ctx.sol_ab.obj.name}^{ctx.ma.name} over transposed legs)"),
-        beta_provenance=f"theta({gamma.name}) . swap_{ctx.ma.name}",
         equations=(f"{alpha.name} . {beta.name} = id_{ctx.vertex.name}",
                    f"{beta.name} . {alpha.name} = id_{ctx.sol_ab.obj.name}"),
         initiality=_initiality_sweep(interp, ctx))
@@ -280,7 +273,6 @@ def _initiality_sweep(interp: "Interpretation", ctx: _FrobeniusContext) -> Initi
     A vertex counts as checked when it carries at least one leg family.
     """
     cat = interp.cat
-    assert interp.reach is not None
     vertexes = interp.reach.objects
     miss = interp.structure.cone_miss(ctx.vertex, ctx.q_legs, vertexes, op=True)
     if miss is not None:

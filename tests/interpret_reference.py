@@ -43,7 +43,6 @@ from catlogic.semantics import (
     QuantifierDiagram,
     QuantifierSolution,
     ReachMember,
-    ReachSet,
 )
 from catlogic.structure import StructureTable, _indices, _universal_cone
 
@@ -91,6 +90,11 @@ class ReferenceInterpretation(Interpretation):
     """An Interpretation whose evaluator, memos and reach fixpoint are the
     substitution ones: ``memo`` and ``qmemo`` are keyed by ``alpha_key``."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for key, sol in self.qmemo.items():
+            self.memo[key] = (sol.formula, sol.obj)
+
     def interpret(self, f: Formula) -> ObjId:
         if free_vars(f):
             raise MalformedInput(f"interpret needs a closed formula, got {f}")
@@ -133,10 +137,6 @@ class ReferenceInterpretation(Interpretation):
         hit = self.qmemo.get(key)
         if hit is not None:
             return hit
-        if self.reach is None:
-            raise MissingQuantifierObject(
-                "interpretation not prepared: run prepare() before "
-                "interpreting quantified formulas")
         _check_body(body, var, sort)
         try:
             return self._solve(formula, key, self._interpret, self.reach.objects,
@@ -159,16 +159,7 @@ class ReferenceInterpretation(Interpretation):
         return QuantifierDiagram(body, var, sort, tuple(
             (t, sub(substitute(body, t, var))) for t in self.universe.terms(sort)))
 
-    def prepare(self) -> "ReferenceInterpretation":
-        members, qresults, failures = self._reach_fixpoint()
-        self.reach = ReachSet(tuple(members.values()), self.reach_depth)
-        self.reach_failures = failures
-        for key, sol in qresults.items():
-            self.qmemo[key] = sol
-            self.memo[key] = (sol.formula, sol.obj)
-        return self
-
-    def _reach_fixpoint(self):
+    def _fixpoint(self):
         pool = self._quantifier_pool()
         qbeliefs: dict[tuple, QuantifierSolution] = {}
         members: dict[int, ReachMember] = {}

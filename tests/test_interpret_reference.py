@@ -113,7 +113,7 @@ def pair(request):
     assert validate_category(cat).ok
     st = discover_structure(cat)
     return (request.param, build_interpretation(st, theory),
-            ReferenceInterpretation(st, theory).prepare())
+            ReferenceInterpretation(st, theory))
 
 
 def _outcome(run):

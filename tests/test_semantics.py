@@ -21,7 +21,6 @@ from catlogic.semantics import (
     build_interpretation,
     check_conditions,
     derive_instances,
-    reach_fixpoint,
     search_quantifier_object,
 )
 from catlogic.structure import discover_structure
@@ -291,10 +290,10 @@ def test_condition_checks_are_deterministic(b4_prepared):
 
 
 def test_reach_fixpoint_recompute():
-    interp = _b4_interp({"B(c)": "e1", "B(d)": "e1", "P": "e1"})
-    before = {m.obj.name for m in reach_fixpoint(interp).members}
+    atoms = {"B(c)": "e1", "B(d)": "e1", "P": "e1"}
+    before = {m.obj.name for m in _b4_interp(atoms).reach.members}
     assert before == {"e", "e1", "e2", "e12"}
-    after = {m.obj.name for m in reach_fixpoint(interp, 0).members}
+    after = {m.obj.name for m in _b4_interp(atoms, depth_k=0).reach.members}
     assert after == {"e", "e1", "e12"}  # just 0, 1 and the atom image
 
 

@@ -2,6 +2,7 @@ import copy
 import gc
 import operator
 import pickle
+import random
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -21,7 +22,7 @@ from catlogic.structure import (
     find_terminal,
 )
 
-from conftest import REFERENCE_MODELS, make_finset, subset_name, subset_of
+from conftest import REFERENCE_MODELS, make_finset, subset_name, subset_of, with_arrow_order
 from structure_reference import assert_discovery_matches
 
 
@@ -349,6 +350,62 @@ def test_a_store_into_a_copy_leaves_the_original_unchanged(duplicate):
         for kind in _STORES:
             _refused(twin, mutator, kind)
     assert _contents(st) == before and _transposes_invert_theta(twin)
+
+
+_ENDS = ("terminal", "initial")
+
+
+@pytest.mark.parametrize("name", ["finset-0123", "Z2"])
+def test_every_record_write_is_refused(name):
+    # the terminal and initial records and the failures a missing witness
+    # raises are discovery's alone too: finset-0123 has both ends and fails
+    # some keys of every store, Z2 has neither end
+    st = discover_structure(REFERENCE_MODELS[name]())
+    before = _contents(st)
+    ends = {end: _outcome(getattr(st, end + "_obj")) for end in _ENDS}
+    for attr in (*_ENDS, *(end + "_failure" for end in _ENDS),
+                 *(kind[:-1] + "_failures" for kind in _STORES)):
+        for write in (setattr, lambda obj, attr, _: delattr(obj, attr)):
+            with pytest.raises(TypeError, match="written only by discover_structure"):
+                write(st, attr, "forged")
+    for kind in _STORES:
+        failures = getattr(st, kind[:-1] + "_failures")
+        assert failures
+        for key, text in failures.items():
+            for write in (operator.setitem, lambda view, key, _: operator.delitem(view, key)):
+                with pytest.raises(TypeError):
+                    write(failures, key, "forged")
+            assert _outcome(lambda: getattr(st, kind)[key]) == ("NoSuchStructure", text)
+    assert {end: _outcome(getattr(st, end + "_obj")) for end in _ENDS} == ends
+    assert _contents(st) == before
+
+
+def _outcome(read):
+    try:
+        return read()
+    except NoSuchStructure as exc:
+        return "NoSuchStructure", str(exc)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["built", "relabelled"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_every_key_holds_a_witness_or_its_failure(name, relabel):
+    # each store holds exactly one of a witness and a failure under each of
+    # its n^2 keys, and each end exactly one of a witness and a failure: a
+    # read of a missing witness never needs a text of its own
+    cat = REFERENCE_MODELS[name]()
+    if relabel:
+        order = list(range(len(cat.arrows)))
+        random.Random(name).shuffle(order)
+        cat = with_arrow_order(cat, order)
+    st = discover_structure(cat)
+    keys = set(product(range(len(cat.objects)), repeat=2))
+    for kind in _STORES:
+        witnesses, failures = getattr(st, kind), getattr(st, kind[:-1] + "_failures")
+        assert witnesses.keys() | failures.keys() == keys
+        assert not witnesses.keys() & failures.keys()
+    for end in _ENDS:
+        assert (getattr(st, end) is None) == (getattr(st, end + "_failure") is not None)
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
