@@ -27,7 +27,7 @@ from .kernel import (
     parse_category,
     validate_category,
 )
-from .logic import Theory, free_vars, parse_formula, parse_theory
+from .logic import MAX_NESTING, Theory, free_vars, parse_formula, parse_theory
 from .report import Report
 from .semantics import (
     DEFAULT_REACH_DEPTH,
@@ -93,6 +93,20 @@ def _validation_section(report: Report, cat: FinCategory) -> bool:
     return rep.ok
 
 
+def _interpretation(args, cat: FinCategory, theory: Theory) -> Interpretation:
+    """Discover the structure of ``cat`` and interpret ``theory`` in it at
+    the depths ``args`` gives.  A term universe over desk scale is blamed
+    on ``--depth`` or else on the theory file's depth line."""
+    st = discover_structure(cat)
+    try:
+        return build_interpretation(st, theory, reach_depth=args.reach,
+                                    universe_depth=args.depth)
+    except ScaleExceeded as exc:
+        if args.depth is not None:
+            raise ScaleExceeded(f"--depth {args.depth}: {exc}") from None
+        raise TheoryFileError(str(exc), theory.depth_line) from None
+
+
 def _prepare(args) -> tuple[Report, Interpretation | None]:
     """The steps ``check`` and ``redundancy`` share: load the model and the
     theory, validate, discover and interpret, with the report so far.  The
@@ -105,8 +119,7 @@ def _prepare(args) -> tuple[Report, Interpretation | None]:
     if not _validation_section(report, cat):
         _emit(report, args)
         return report, None
-    interp = build_interpretation(discover_structure(cat), theory, reach_depth=args.reach,
-                                  universe_depth=args.depth)
+    interp = _interpretation(args, cat, theory)
     _universe_section(report, interp)
     return report, interp
 
@@ -131,10 +144,7 @@ def cmd_interpret(args) -> int:
     if free_vars(formula):
         print("error: interpret needs a closed formula", file=sys.stderr)
         return 2
-    st = discover_structure(cat)
-    interp = build_interpretation(st, theory, reach_depth=args.reach,
-                                  universe_depth=args.depth)
-    obj = interp.interpret(formula)
+    obj = _interpretation(args, cat, theory).interpret(formula)
     print(obj.name)
     return 0
 
@@ -231,12 +241,14 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _at_least(low: int):
-    """An argparse type for the integers from ``low`` up."""
+def _bounded(low: int, high: int | None = None):
+    """An argparse type for the integers from ``low`` up, to ``high`` if given."""
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     parse.__name__ = "int"  # a non-integer is an "invalid int value", as with type=int
     return parse
@@ -254,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", required=True, help="category file")
         if theory:
             sp.add_argument("--theory", required=True, help="theory file")
-            sp.add_argument("--depth", type=_at_least(1), default=None,
+            sp.add_argument("--depth", type=_bounded(1, MAX_NESTING), default=None,
                             help="term universe depth (default: theory file)")
-            sp.add_argument("--reach", type=_at_least(0), default=DEFAULT_REACH_DEPTH,
+            sp.add_argument("--reach", type=_bounded(0), default=DEFAULT_REACH_DEPTH,
                             help=f"reachable-set formula depth (default {DEFAULT_REACH_DEPTH})")
         sp.add_argument("--report", default=None, help="also write the report here")
 

@@ -8,12 +8,15 @@ Concrete syntax: ``&`` / ``|`` / ``->`` (right associative, precedence
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from functools import cached_property
+from typing import Mapping
 
 from .errors import (
     FormulaSyntaxError,
+    ScaleExceeded,
     SortError,
     SortMismatch,
     TheoryFileError,
@@ -115,17 +118,20 @@ class Signature:
     relations: tuple[RelDecl, ...]
     axioms: tuple[Formula, ...] = ()
 
+    # the first declaration of a name is the one it names
+    @cached_property
+    def _functions_by_name(self) -> dict[str, FunDecl]:
+        return {f.name: f for f in reversed(self.functions)}
+
+    @cached_property
+    def _relations_by_name(self) -> dict[str, RelDecl]:
+        return {r.name: r for r in reversed(self.relations)}
+
     def function(self, name: str) -> FunDecl | None:
-        for f in self.functions:
-            if f.name == name:
-                return f
-        return None
+        return self._functions_by_name.get(name)
 
     def relation(self, name: str) -> RelDecl | None:
-        for r in self.relations:
-            if r.name == name:
-                return r
-        return None
+        return self._relations_by_name.get(name)
 
 
 AtomKey = tuple[str, tuple[Term, ...]]
@@ -138,6 +144,7 @@ class Theory:
     depth: int
     atom_interp: dict[AtomKey, str]  # closed atom -> object name
     theory_id: str = "theory"
+    depth_line: int | None = None  # the line of the file's depth, if it has one
 
 
 # -- basic formula operations -------------------------------------------------
@@ -283,30 +290,18 @@ def format_formula(f: Formula, _parent: int = 0) -> str:
 
 # -- parsing -----------------------------------------------------------------
 
-# one alternative per token shape; whitespace is skipped and any other
-# character is an error
-_TOKEN_RE = re.compile(r"\s+|(->|[()&|.,:*=]|[A-Za-z_][A-Za-z0-9_']*|[01])|(.)", re.S)
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-
-
-class _Tok(NamedTuple):
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str, line_offset: int = 0) -> list[_Tok]:
-    toks = []
-    for lineno, line in enumerate(text.splitlines() or [""], 1 + line_offset):
-        for m in _TOKEN_RE.finditer(line):
-            tok, bad = m.groups()
-            if tok:
-                toks.append(_Tok(tok, lineno, m.start() + 1))
-            elif bad:
-                raise FormulaSyntaxError(f"unexpected character {bad!r}",
-                                         lineno, m.start() + 1)
-    return toks
-
+_TOKEN_RE = re.compile(r"->|[()&|.,:*=]|[A-Za-z_][A-Za-z0-9_']*|[01]")
+# tokens and whitespace from the start of the text: the match stops at the
+# first character no token begins with
+_SCAN_RE = re.compile(rf"(?:\s+|{_TOKEN_RE.pattern})*")
+# the line boundaries of str.splitlines
+_BREAK_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# the tokens that are not names, and "", which marks the end of input
+_NOT_NAMES = frozenset(("->", "(", ")", "&", "|", ".", ",", ":", "*", "=", "0", "1", ""))
+# binary connectives: precedence (& binds tightest), the least precedence
+# of a connective inside the right operand (-> takes another -> there: it
+# associates to the right), and constructor
+_BINARY = {"&": (3, 4, Times), "|": (2, 3, Plus), "->": (1, 1, Arrow)}
 
 # Deepest nesting a formula may have, both as the height of its syntax tree
 # (connectives, quantifiers and argument lists) and as the depth to which the
@@ -315,175 +310,16 @@ def _tokenize(text: str, line_offset: int = 0) -> list[_Tok]:
 # (interpretation, substitution, printing) then stay far inside the
 # interpreter's recursion limit.
 MAX_NESTING = 100
+_TOO_DEEP = f"formula nested more than {MAX_NESTING} levels deep"
 
 
-def _height(f: Formula | Term) -> int:
-    """Height of the syntax tree of ``f``, terms included, without recursion."""
-    height, stack = 0, [(f, 0)]
-    while stack:
-        node, h = stack.pop()
-        height = max(height, h)
-        if isinstance(node, (Times, Plus, Arrow)):
-            stack += [(node.left, h + 1), (node.right, h + 1)]
-        elif isinstance(node, (Forall, Exists)):
-            stack.append((node.body, h + 1))
-        elif isinstance(node, (Atom, App)):
-            stack += [(t, h + 1) for t in node.args]
-    return height
-
-
-class _FormulaParser:
-    def __init__(self, toks: list[_Tok], sig: Signature, env: dict[str, str]):
-        self.toks = toks
-        self.pos = 0
-        self.sig = sig
-        self.env = dict(env)  # variable name -> sort (innermost binding wins)
-        self.depth = 0  # enclosing formulas and argument lists
-
-    def check_depth(self) -> None:
-        if self.depth > MAX_NESTING:
-            tok = self.peek()
-            raise FormulaSyntaxError(f"formula nested more than {MAX_NESTING} levels deep",
-                                     *((tok.line, tok.col) if tok else ()))
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError(
-                f"unexpected end of input" + (f", expected {expected!r}" if expected else ""))
-        if expected is not None and tok.text != expected:
-            raise FormulaSyntaxError(f"expected {expected!r}, found {tok.text!r}",
-                                     tok.line, tok.col)
-        self.pos += 1
-        return tok
-
-    def accept(self, text: str) -> bool:
-        """Take the next token if it is ``text``."""
-        if (tok := self.peek()) and tok.text == text:
-            self.pos += 1
-            return True
-        return False
-
-    def formula(self) -> Formula:
-        # parentheses, the right of ->, and quantifier scopes parse a formula
-        # one level down
-        self.check_depth()
-        self.depth += 1
-        left = self.disjunction()
-        if self.accept("->"):
-            left = Arrow(left, self.formula())  # right associative
-        self.depth -= 1
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.accept("|"):
-            left = Plus(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.unit()
-        while self.accept("&"):
-            left = Times(left, self.unit())
-        return left
-
-    def unit(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise FormulaSyntaxError("unexpected end of input")
-        if tok.text == "0":
-            self.take()
-            return Zero()
-        if tok.text == "1":
-            self.take()
-            return One()
-        if tok.text == "(":
-            self.take()
-            f = self.formula()
-            self.take(")")
-            return f
-        if tok.text in ("forall", "exists"):
-            return self.quantifier()
-        if _NAME_RE.fullmatch(tok.text):
-            return self.atom()
-        raise FormulaSyntaxError(f"expected a formula, found {tok.text!r}",
-                                 tok.line, tok.col)
-
-    def quantifier(self) -> Formula:
-        kw = self.take().text
-        var = self.take()
-        if not _NAME_RE.fullmatch(var.text):
-            raise FormulaSyntaxError(f"expected a variable after {kw}, "
-                                     f"found {var.text!r}", var.line, var.col)
-        self.take(":")
-        sort = self.take()
-        if sort.text not in self.sig.sorts:
-            raise SortError(f"unknown sort {sort.text}", sort.line, sort.col)
-        self.take(".")
-        saved = self.env.get(var.text)
-        self.env[var.text] = sort.text
-        body = self.formula()  # scope extends as far right as possible
-        if saved is None:
-            del self.env[var.text]
-        else:
-            self.env[var.text] = saved
-        cls = Forall if kw == "forall" else Exists
-        return cls(var.text, sort.text, body)
-
-    def atom(self) -> Formula:
-        name = self.take()
-        rel = self.sig.relation(name.text)
-        if rel is None:
-            raise UnknownSymbol(f"unknown relation {name.text}", name.line, name.col)
-        args = self.arguments()
-        if len(args) != len(rel.arg_sorts):
-            raise SortError(f"relation {rel.name} expects {len(rel.arg_sorts)} "
-                            f"arguments, got {len(args)}", name.line, name.col)
-        for got, want in zip(args, rel.arg_sorts):
-            if got.sort != want:
-                raise SortError(f"argument {format_term(got)} of {rel.name} has sort "
-                                f"{got.sort}, expected {want}", name.line, name.col)
-        return Atom(rel.name, tuple(args))
-
-    def arguments(self) -> list[Term]:
-        """The parenthesized argument list that follows, if any, one level down."""
-        args: list[Term] = []
-        if self.accept("("):
-            self.check_depth()
-            self.depth += 1
-            if self.peek() and self.peek().text != ")":
-                args.append(self.term())
-                while self.accept(","):
-                    args.append(self.term())
-            self.depth -= 1
-            self.take(")")
-        return args
-
-    def term(self) -> Term:
-        name = self.take()
-        if not _NAME_RE.fullmatch(name.text):
-            raise FormulaSyntaxError(f"expected a term, found {name.text!r}",
-                                     name.line, name.col)
-        # bound and declared variables shadow function symbols
-        if name.text in self.env and not (self.peek() and self.peek().text == "("):
-            return Var(name.text, self.env[name.text])
-        fn = self.sig.function(name.text)
-        if fn is None:
-            if name.text in self.env:
-                return Var(name.text, self.env[name.text])
-            raise UnknownSymbol(f"unknown term symbol {name.text}", name.line, name.col)
-        args = self.arguments()
-        if len(args) != len(fn.arg_sorts):
-            raise SortError(f"function {fn.name} expects {len(fn.arg_sorts)} "
-                            f"arguments, got {len(args)}", name.line, name.col)
-        for got, want in zip(args, fn.arg_sorts):
-            if got.sort != want:
-                raise SortError(f"argument {format_term(got)} of {fn.name} has sort "
-                                f"{got.sort}, expected {want}", name.line, name.col)
-        return App(fn.name, tuple(args), fn.result)
+def _position(text: str, offset: int, line_offset: int) -> tuple[int, int]:
+    """Line and 1-based column of ``text[offset]``, with the lines numbered
+    from ``line_offset + 1`` as ``str.splitlines`` splits them."""
+    line, start = line_offset + 1, 0
+    for m in _BREAK_RE.finditer(text, 0, offset):
+        line, start = line + 1, m.end()
+    return line, offset - start + 1
 
 
 def parse_formula(text: str, sig: Signature,
@@ -492,18 +328,166 @@ def parse_formula(text: str, sig: Signature,
     """Parse and sort-check a formula; ``env`` declares free variables.
 
     Raises FormulaSyntaxError if the formula nests more than MAX_NESTING
-    levels deep.
+    levels deep.  The tokens come from one ``findall`` over the text, and
+    the parser walks them by index; a line and column are computed only for
+    an error.
     """
-    toks = _tokenize(text, _line_offset)
-    p = _FormulaParser(toks, sig, dict(env or {}))
-    f = p.formula()
-    if (tok := p.peek()) is not None:
-        raise FormulaSyntaxError(f"trailing input starting at {tok.text!r}",
-                                 tok.line, tok.col)
-    # a syntax tree of height h has at least h + 1 tokens
-    if len(toks) > MAX_NESTING and _height(f) > MAX_NESTING:
-        raise FormulaSyntaxError(f"formula nested more than {MAX_NESTING} levels deep",
-                                 toks[0].line, toks[0].col)
+    toks = _TOKEN_RE.findall(text)
+    # findall skips what no token matches: whitespace, and any character
+    # no token begins with
+    if len("".join(toks)) != len("".join(text.split())):
+        bad = _SCAN_RE.match(text).end()
+        raise FormulaSyntaxError(f"unexpected character {text[bad]!r}",
+                                 *_position(text, bad, _line_offset))
+    end = len(toks)
+    toks.append("")
+    relations, functions, sorts = sig._relations_by_name, sig._functions_by_name, sig.sorts
+    scope = dict(env or {})  # variable name -> sort (innermost binding wins)
+    i = depth = 0  # the next token; enclosing formulas and argument lists
+
+    def fail(cls: type, message: str, at: int):
+        """Raise ``cls`` at token ``at``: with no position at the end of input."""
+        if at == end:
+            raise cls(message)
+        offset = next(itertools.islice(_TOKEN_RE.finditer(text), at, None)).start()
+        raise cls(message, *_position(text, offset, _line_offset))
+
+    def missing(tok: str):
+        """Raise that the next token is not ``tok``."""
+        fail(FormulaSyntaxError, f"unexpected end of input, expected {tok!r}" if i == end
+             else f"expected {tok!r}, found {toks[i]!r}", i)
+
+    # Each step returns the tree it parsed and the tree's height, terms
+    # included.
+    def formula(floor: int = 1) -> tuple[Formula, int]:
+        """An operand, then the connectives of precedence ``floor`` or more
+        with their right operands: & and | associate to the left, -> to the
+        right.  With ``floor`` 1 this is a whole formula, one level down:
+        parentheses, the right of ->, and quantifier scopes parse one."""
+        nonlocal i, depth
+        if floor == 1:
+            if depth > MAX_NESTING:
+                fail(FormulaSyntaxError, _TOO_DEEP, i)
+            depth += 1
+        tok = toks[i]
+        if tok == "(":
+            i += 1
+            left, h = formula()
+            if toks[i] != ")":
+                missing(")")
+            i += 1
+        elif tok == "forall" or tok == "exists":
+            left, h = quantifier(tok)
+        elif tok not in _NOT_NAMES:
+            rel = relations.get(tok)
+            if rel is None:
+                fail(UnknownSymbol, f"unknown relation {tok}", i)
+            i += 1
+            if toks[i] == "(" or rel.arg_sorts:
+                args, h = arguments("relation", rel, i - 1)
+                left = Atom(rel.name, args)
+            else:
+                left, h = Atom(tok), 0
+        elif tok == "0" or tok == "1":
+            i += 1
+            left, h = (Zero() if tok == "0" else One()), 0
+        else:
+            fail(FormulaSyntaxError, "unexpected end of input" if i == end
+                 else f"expected a formula, found {tok!r}", i)
+        while (op := _BINARY.get(toks[i])) and op[0] >= floor:
+            i += 1
+            right, hr = formula(op[1])
+            left, h = op[2](left, right), 1 + (h if h > hr else hr)
+        if floor == 1:
+            depth -= 1
+        return left, h
+
+    def quantifier(kw: str) -> tuple[Formula, int]:
+        nonlocal i
+        var = toks[i + 1]
+        if var in _NOT_NAMES:
+            fail(FormulaSyntaxError, "unexpected end of input" if i + 1 == end
+                 else f"expected a variable after {kw}, found {var!r}", i + 1)
+        if toks[i + 2] != ":":
+            i += 2
+            missing(":")
+        i += 3
+        sort = toks[i]
+        if i == end:
+            fail(FormulaSyntaxError, "unexpected end of input", i)
+        if sort not in sorts:
+            fail(SortError, f"unknown sort {sort}", i)
+        if toks[i + 1] != ".":
+            i += 1
+            missing(".")
+        i += 2
+        saved = scope.get(var)
+        scope[var] = sort
+        body, h = formula()  # scope extends as far right as possible
+        if saved is None:
+            del scope[var]
+        else:
+            scope[var] = saved
+        return (Forall if kw == "forall" else Exists)(var, sort, body), h + 1
+
+    def arguments(kind: str, decl: FunDecl | RelDecl, at: int) -> tuple[tuple[Term, ...], int]:
+        """The arguments of the symbol ``decl`` at token ``at``: the
+        parenthesized list that follows, if any, one level down, and its
+        height (0 if it is empty), checked against the declaration."""
+        nonlocal i, depth
+        args, h = [], -1
+        if toks[i] == "(":
+            i += 1
+            if depth > MAX_NESTING:
+                fail(FormulaSyntaxError, _TOO_DEEP, i)
+            depth += 1
+            if toks[i] != ")" and i < end:
+                t, h = term()
+                args.append(t)
+                while toks[i] == ",":
+                    i += 1
+                    t, ht = term()
+                    args.append(t)
+                    h = h if h > ht else ht
+            depth -= 1
+            if toks[i] != ")":
+                missing(")")
+            i += 1
+        want = decl.arg_sorts
+        if len(args) != len(want):
+            fail(SortError, f"{kind} {decl.name} expects {len(want)} "
+                 f"arguments, got {len(args)}", at)
+        for got, sort in zip(args, want):
+            if got.sort != sort:
+                fail(SortError, f"argument {format_term(got)} of {decl.name} has sort "
+                     f"{got.sort}, expected {sort}", at)
+        return tuple(args), h + 1
+
+    def term() -> tuple[Term, int]:
+        nonlocal i
+        name = toks[i]
+        if name in _NOT_NAMES:
+            fail(FormulaSyntaxError, "unexpected end of input" if i == end
+                 else f"expected a term, found {name!r}", i)
+        i += 1
+        # bound and declared variables shadow function symbols
+        if name in scope and toks[i] != "(":
+            return Var(name, scope[name]), 0
+        fn = functions.get(name)
+        if fn is None:
+            if name in scope:
+                return Var(name, scope[name]), 0
+            fail(UnknownSymbol, f"unknown term symbol {name}", i - 1)
+        if toks[i] != "(" and not fn.arg_sorts:
+            return App(name, (), fn.result), 0
+        args, h = arguments("function", fn, i - 1)
+        return App(name, args, fn.result), h
+
+    f, height = formula()
+    if i < end:
+        fail(FormulaSyntaxError, f"trailing input starting at {toks[i]!r}", i)
+    if height > MAX_NESTING:
+        fail(FormulaSyntaxError, _TOO_DEEP, 0)
     return f
 
 
@@ -526,7 +510,7 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
     relations: list[RelDecl] = []
     axiom_srcs: list[tuple[str, int]] = []
     interp_srcs: list[tuple[str, str, int]] = []
-    depth = 2
+    depth, depth_line = 2, None
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -577,6 +561,9 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
                 raise TheoryFileError("depth needs an integer", lineno) from None
             if depth < 1:
                 raise TheoryFileError("depth must be >= 1", lineno)
+            if depth > MAX_NESTING:
+                raise TheoryFileError(f"depth must be <= {MAX_NESTING}", lineno)
+            depth_line = lineno
         elif head == "interp":
             m = _INTERP_RE.match(line)
             if not m:
@@ -602,7 +589,7 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
             raise TheoryFileError(f"atom {src} interpreted twice", lineno)
         atom_interp[key] = objname
 
-    return Theory(sig, depth, atom_interp, theory_id)
+    return Theory(sig, depth, atom_interp, theory_id, depth_line)
 
 
 def parse_signature(text: str) -> Signature:
@@ -611,6 +598,10 @@ def parse_signature(text: str) -> Signature:
 
 
 # -- closed term enumeration ---------------------------------------------------
+
+# the most closed terms a term universe may hold
+MAX_TERMS = 4096
+
 
 @dataclass
 class TermUniverse:
@@ -628,48 +619,43 @@ def enumerate_closed_terms(sig: Signature, depth: int) -> TermUniverse:
     """All closed terms of nesting depth <= depth, ordered by depth then
     declaration/argument order.  A constant has depth 1.  ``saturated`` is
     set iff depth+1 would add nothing; sorts without closed terms are flagged.
+
+    Each depth is counted before it is built: ScaleExceeded if ``depth``
+    exceeds MAX_NESTING, which no formula can hold, or the universe would
+    hold more than MAX_TERMS terms.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-
-    def grow(levels: dict[str, list[list[Term]]], d: int) -> dict[str, list[Term]]:
-        # terms whose nesting depth is exactly d
+    if depth > MAX_NESTING:
+        raise ScaleExceeded(f"term depth {depth} exceeds {MAX_NESTING}, "
+                            f"the deepest nesting a formula may have")
+    built = {s: [] for s in sig.sorts}  # by depth, then as the loop below makes them
+    older = dict.fromkeys(sig.sorts, 0)  # how many of them are shallower than the last depth
+    for d in range(1, depth + 2):
+        # a term of depth exactly d is a constant if d is 1, and otherwise
+        # has an argument of depth d - 1: every argument tuple but those of
+        # older terms only
+        size = sum(math.prod(len(built[s]) for s in fn.arg_sorts)
+                   - (math.prod(older[s] for s in fn.arg_sorts) if d > 1 else 0)
+                   for fn in sig.functions)
+        if d > depth:
+            break
+        total = size + sum(map(len, built.values()))
+        if total > MAX_TERMS:
+            raise ScaleExceeded(f"the closed terms up to depth {d} number {total}, more than "
+                                f"the {MAX_TERMS} a term universe may hold")
         fresh: dict[str, list[Term]] = {s: [] for s in sig.sorts}
         for fn in sig.functions:
-            if d == 1:
-                if not fn.arg_sorts:
-                    fresh[fn.result].append(App(fn.name, (), fn.result))
-                continue
-            if not fn.arg_sorts:
-                continue
-            pools = [list(itertools.chain.from_iterable(levels[s][1:d]))
-                     for s in fn.arg_sorts]
-            if any(not p for p in pools):
-                continue
+            pools = [[(t, k >= older[s]) for k, t in enumerate(built[s])] for s in fn.arg_sorts]
             for combo in itertools.product(*pools):
-                if max(_term_depth(t) for t in combo) == d - 1:
-                    fresh[fn.result].append(App(fn.name, tuple(combo), fn.result))
-        return fresh
-
-    levels: dict[str, list[list[Term]]] = {s: [[]] for s in sig.sorts}
-    for d in range(1, depth + 2):
-        fresh = grow(levels, d)
+                if d == 1 or any(last for _, last in combo):
+                    fresh[fn.result].append(App(fn.name, tuple(t for t, _ in combo), fn.result))
         for s in sig.sorts:
-            levels[s].append(fresh[s])
-
-    by_sort = {s: tuple(itertools.chain.from_iterable(levels[s][1:depth + 1]))
-               for s in sig.sorts}
-    saturated = all(not levels[s][depth + 1] for s in sig.sorts)
+            older[s] = len(built[s])
+            built[s] += fresh[s]
+    by_sort = {s: tuple(built[s]) for s in sig.sorts}
     empty = tuple(s for s in sig.sorts if not by_sort[s])
-    return TermUniverse(by_sort, depth, saturated, empty)
-
-
-def _term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    if not t.args:
-        return 1
-    return 1 + max(_term_depth(a) for a in t.args)
+    return TermUniverse(by_sort, depth, size == 0, empty)
 
 
 # -- bounded closed-formula enumeration ----------------------------------------

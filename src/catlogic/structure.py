@@ -422,11 +422,6 @@ class _Witnesses(dict):
     __setitem__ = __delitem__ = update = setdefault = pop = popitem = clear = __ior__ = _refuse
 
 
-def _read_only(read: Callable) -> property:
-    """A structure table attribute that ``read`` gives and no one writes."""
-    return property(read, _refuse, _refuse)
-
-
 class StructureTable:
     """Every discovered witness, keyed by object index pairs.
 
@@ -434,29 +429,30 @@ class StructureTable:
     under each object index pair each of ``products``, ``coproducts`` and
     ``exponentials`` holds a witness or its ``*_failures`` entry holds why
     there is none, and ``terminal`` or ``terminal_failure`` is set (likewise
-    ``initial``).  Every other write raises TypeError, and downstream
-    modules never re-search.  Each stored witness carries the table its
-    search verified, so the canonical arrow combinators (pairing,
-    copairing, arrow product, transpose, theta) are lookups in those tables.
+    ``initial``).  Every other write, rebinding an attribute included,
+    raises TypeError, and downstream modules never re-search.  Each stored
+    witness carries the table its search verified, so the canonical arrow
+    combinators (pairing, copairing, arrow product, transpose, theta) are
+    lookups in those tables.
     """
 
-    terminal = _read_only(lambda st: st._ends.get("terminal"))
-    initial = _read_only(lambda st: st._ends.get("initial"))
-    terminal_failure = _read_only(lambda st: st._ends._failures.get("terminal"))
-    initial_failure = _read_only(lambda st: st._ends._failures.get("initial"))
-    product_failures = _read_only(lambda st: MappingProxyType(st.products._failures))
-    coproduct_failures = _read_only(lambda st: MappingProxyType(st.coproducts._failures))
-    exponential_failures = _read_only(lambda st: MappingProxyType(st.exponentials._failures))
+    terminal = property(lambda st: st._ends.get("terminal"))
+    initial = property(lambda st: st._ends.get("initial"))
+    terminal_failure = property(lambda st: st._ends._failures.get("terminal"))
+    initial_failure = property(lambda st: st._ends._failures.get("initial"))
+    product_failures = property(lambda st: MappingProxyType(st.products._failures))
+    coproduct_failures = property(lambda st: MappingProxyType(st.coproducts._failures))
+    exponential_failures = property(lambda st: MappingProxyType(st.exponentials._failures))
 
     def __init__(self, cat: FinCategory):
-        self.cat = cat
-        self._view = _View(cat)
-        self._op = _View(cat, op=True)
-        self._ends = _Witnesses()  # the terminal and initial witnesses, by name
-        self.products = _Witnesses()
-        self.coproducts = _Witnesses()
-        self.exponentials = _Witnesses()
-        self._cones: dict[tuple, tuple[ObjId, tuple[ArrId, ...]] | str] = {}
+        # the only attribute writes: a read stays a plain instance lookup
+        vars(self).update(
+            cat=cat, _view=_View(cat), _op=_View(cat, op=True),
+            _ends=_Witnesses(),  # the terminal and initial witnesses, by name
+            products=_Witnesses(), coproducts=_Witnesses(), exponentials=_Witnesses(),
+            _cones={})  # find_cone's outcomes, by diagram
+
+    __setattr__ = __delattr__ = _refuse
 
     @property
     def complete(self) -> bool:

@@ -22,11 +22,25 @@ from catlogic.logic import (
     Times,
     Var,
     Zero,
-    _height,
     format_term,
 )
 
 _TOKEN_RE = re.compile(r"->|[()&|.,:*=]|[A-Za-z_][A-Za-z0-9_']*|[01]")
+
+
+def _height(f: Formula | Term) -> int:
+    """Height of the syntax tree of ``f``, terms included, without recursion."""
+    height, stack = 0, [(f, 0)]
+    while stack:
+        node, h = stack.pop()
+        height = max(height, h)
+        if isinstance(node, (Times, Plus, Arrow)):
+            stack += [(node.left, h + 1), (node.right, h + 1)]
+        elif isinstance(node, (Forall, Exists)):
+            stack.append((node.body, h + 1))
+        elif isinstance(node, (Atom, App)):
+            stack += [(t, h + 1) for t in node.args]
+    return height
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import catlogic
 
 from catlogic.bundles import bundled_suites
 from catlogic.cli import run_cli
@@ -13,7 +19,14 @@ from catlogic.heyting import (
     oracle_interpret,
 )
 from catlogic.kernel import format_category, parse_category, validate_category
-from catlogic.logic import MAX_NESTING, Zero, parse_formula
+from catlogic.logic import (
+    MAX_NESTING,
+    MAX_TERMS,
+    Zero,
+    enumerate_closed_terms,
+    parse_formula,
+    parse_theory,
+)
 from catlogic.report import Report, strip_timing
 from catlogic.semantics import check_conditions
 from catlogic.structure import discover_structure
@@ -317,6 +330,7 @@ def test_report_is_self_contained(workdir, tmp_path):
 @pytest.mark.parametrize("option, value, message", [
     ("--depth", "-1", "argument --depth: must be at least 1, got -1"),
     ("--depth", "0", "argument --depth: must be at least 1, got 0"),
+    ("--depth", "2000", f"argument --depth: must be at most {MAX_NESTING}, got 2000"),
     ("--reach", "-1", "argument --reach: must be at least 0, got -1"),
     ("--depth", "one", "argument --depth: invalid int value: 'one'"),
 ])
@@ -338,3 +352,64 @@ def test_cli_lowest_depth_and_reach_are_accepted(workdir, capsys):
                     "--depth", "1", "--reach", "0"]) in (0, 1)
     out = capsys.readouterr().out
     assert "universe.depth = 1" in out and "reach.depth = 0" in out
+
+
+def _python_m_catlogic(*argv, cwd):
+    """``python -m catlogic argv`` in a fresh interpreter, stopped after 20 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(catlogic.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "catlogic", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=20)
+
+
+def test_python_m_catlogic_runs_the_cli(workdir):
+    tmp, model, _ = workdir
+    done = _python_m_catlogic("validate", "--model", str(model), cwd=tmp)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "validation = PASS" in done.stdout
+
+
+_WIDE = "sort s\nfun c : s\nfun g : s * s -> s\nrel P\ninterp P = e1\n"
+# 4 ** (d - 1) closed terms of each depth d: 5,461 up to depth 7
+_UNARY = "sort s\nfun c : s\n" + "".join(f"fun f{k} : s -> s\n" for k in range(4))
+
+
+def test_an_oversized_term_universe_exits_2(workdir):
+    # depth 6 built depth 7's terms only to see whether any exist, and ran
+    # for minutes
+    tmp, model, theory = workdir
+    theory.write_text(_WIDE + "depth 6\n")
+    done = _python_m_catlogic("check", "--model", str(model), "--theory", str(theory), cwd=tmp)
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr == (f"error: line 6: the closed terms up to depth 6 number 458330, "
+                           f"more than the {MAX_TERMS} a term universe may hold\n")
+
+
+def test_a_term_universe_over_the_cap_names_its_depth(workdir, capsys):
+    _, model, theory = workdir
+    theory.write_text(_UNARY + "rel P\ninterp P = e1\n")
+    for command in ("check", "redundancy", "interpret"):
+        extra = ["--formula", "P"] if command == "interpret" else []
+        assert run_cli([command, "--model", str(model), "--theory", str(theory),
+                        "--depth", "7", *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --depth 7: the closed terms up to depth 7 number 5461, "
+            f"more than the {MAX_TERMS} a term universe may hold\n")
+    theory.write_text(_WIDE + f"depth {MAX_NESTING + 1}\n")
+    assert run_cli(["check", "--model", str(model), "--theory", str(theory)]) == 2
+    assert capsys.readouterr().err == f"error: line 6: depth must be <= {MAX_NESTING}\n"
+
+
+def test_term_universe_counts_a_depth_before_building_it():
+    # three constants and a binary function: 147 terms up to depth 3, and
+    # depth 4 would bring the count to 21,612
+    sig = parse_theory("sort s\nfun a : s\nfun b : s\nfun c : s\nfun g : s * s -> s\n").signature
+    universe = enumerate_closed_terms(sig, 3)
+    assert len(universe.terms("s")) == 147 and not universe.saturated
+    sig = parse_theory(_UNARY).signature
+    assert len(enumerate_closed_terms(sig, 6).terms("s")) == 1365
+    with pytest.raises(ScaleExceeded, match="up to depth 7 number 5461, more than the 4096"):
+        enumerate_closed_terms(sig, 7)
+    unary = parse_theory("sort s\nfun c : s\nfun f : s -> s\n").signature
+    assert len(enumerate_closed_terms(unary, MAX_NESTING).terms("s")) == MAX_NESTING
+    with pytest.raises(ScaleExceeded, match=f"term depth 2000 exceeds {MAX_NESTING}"):
+        enumerate_closed_terms(unary, 2000)

@@ -2,9 +2,10 @@
 replaced (``parser_reference.py``): on mutated formula strings both give
 equal trees, or errors of equal type, message, line and column."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from catlogic.errors import WorkbenchError
+from catlogic.errors import UnknownSymbol, WorkbenchError
 from catlogic.logic import MAX_NESTING, parse_formula, parse_theory
 
 from parser_reference import ref_parse_formula
@@ -30,14 +31,20 @@ SEEDS = (
     "forall c:s. B(c) & B(c(d))",
     "exists x:s.\n  B(x) &\r\n  P",
     "(" * (MAX_NESTING + 1) + "P" + ")" * (MAX_NESTING + 1),
+    # a parse error comes before the nesting error, and at the end of input
+    # an error has no position
+    " & ".join(["P"] * MAX_NESTING + ["Q"]),
+    "forall x:",
 )
 
 # pieces a mutation inserts: tokens, near-tokens, and characters of every
-# class the tokenizer treats apart (whitespace of several kinds, line breaks,
-# digits besides 0 and 1, non-ASCII letters)
+# class the tokenizer treats apart (whitespace of several kinds, every line
+# break, digits besides 0 and 1, non-ASCII letters)
 PIECES = ("(", ")", "&", "|", "->", "-", ">", ".", ",", ":", "*", "=", "0", "1", "2",
           "forall", "exists", "x", "y", "x'", "_z", "s", "t", "c", "f", "g", "k", "B",
-          "P", "R", "Q", " ", "\t", "\n", "\r\n", "\x0b", " ", "\xa0", "é", "#", "$")
+          "P", "R", "Q", " ", "\t", "\n", "\r\n", "\x0b", " ", "\xa0", "é", "#", "$",
+          # the other line boundaries of str.splitlines, and a space that is none
+          "\r", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2029", "\x1f")
 
 
 @st.composite
@@ -63,3 +70,10 @@ def _outcome(parse, text, env, offset):
 def test_parser_matches_reference(text, env, offset):
     assert _outcome(parse_formula, text, env, offset) == \
         _outcome(ref_parse_formula, text, env, offset)
+
+
+def test_an_axiom_error_keeps_its_theory_line():
+    text = "sort s\nrel P\n\n  axiom P &\tQ  # Q is not declared\n"
+    with pytest.raises(UnknownSymbol) as err:
+        parse_theory(text)
+    assert (str(err.value), err.value.line, err.value.col) == ("unknown relation Q at 4:5", 4, 5)

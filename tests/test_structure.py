@@ -380,6 +380,19 @@ def test_every_record_write_is_refused(name):
     assert _contents(st) == before
 
 
+def test_the_category_and_the_stores_cannot_be_rebound():
+    # rebinding a store once turned every later read of it into a KeyError
+    st = discover_structure(make_finset([0, 1, 2, 3], "finset-0123"))
+    before = _contents(st)
+    cat, a, b = st.cat, *st.cat.objects[:2]
+    for attr in ("cat", *_STORES):
+        for write in (setattr, lambda obj, attr, _: delattr(obj, attr)):
+            with pytest.raises(TypeError, match="written only by discover_structure"):
+                write(st, attr, {})
+    assert st.cat is cat and _contents(st) == before
+    assert st.product(a, b) is st.products[(a.index, b.index)]
+
+
 def _outcome(read):
     try:
         return read()
