@@ -40,14 +40,10 @@ from .structure import discover_structure
 from .theorems import delta_certificate, verify_frobenius
 
 
-def _load_model(path: str) -> tuple[FinCategory, str]:
+def _load(path: str, parse):
+    """``parse`` of the file at ``path``, named by its stem, and its text."""
     text = Path(path).read_text()
-    return parse_category(text, name=Path(path).stem), text
-
-
-def _load_theory(path: str) -> tuple[Theory, str]:
-    text = Path(path).read_text()
-    return parse_theory(text, theory_id=Path(path).stem), text
+    return parse(text, Path(path).stem), text
 
 
 def _emit(report: Report, args) -> None:
@@ -104,7 +100,7 @@ def _interpretation(args, cat: FinCategory, theory: Theory) -> Interpretation:
     except ScaleExceeded as exc:
         if args.depth is not None:
             raise ScaleExceeded(f"--depth {args.depth}: {exc}") from None
-        raise TheoryFileError(str(exc), theory.depth_line) from None
+        raise TheoryFileError(str(exc), theory.lines.get("depth")) from None
 
 
 def _prepare(args) -> tuple[Report, Interpretation | None]:
@@ -112,8 +108,8 @@ def _prepare(args) -> tuple[Report, Interpretation | None]:
     theory, validate, discover and interpret, with the report so far.  The
     interpretation is None, and the report already emitted, if validation
     fails."""
-    cat, model_text = _load_model(args.model)
-    theory, theory_text = _load_theory(args.theory)
+    cat, model_text = _load(args.model, parse_category)
+    theory, theory_text = _load(args.theory, parse_theory)
     report = Report()
     _header(report, cat, model_text, theory, theory_text)
     if not _validation_section(report, cat):
@@ -125,7 +121,7 @@ def _prepare(args) -> tuple[Report, Interpretation | None]:
 
 
 def cmd_validate(args) -> int:
-    cat, model_text = _load_model(args.model)
+    cat, model_text = _load(args.model, parse_category)
     report = Report()
     _header(report, cat, model_text)
     ok = _validation_section(report, cat)
@@ -134,12 +130,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_interpret(args) -> int:
-    cat, _ = _load_model(args.model)
+    cat, _ = _load(args.model, parse_category)
     rep = validate_category(cat)
     if not rep.ok:
         print(f"error: model fails validation: {rep.violations[0]}", file=sys.stderr)
         return 1
-    theory, _ = _load_theory(args.theory)
+    theory, _ = _load(args.theory, parse_theory)
     formula = parse_formula(args.formula, theory.signature)
     if free_vars(formula):
         print("error: interpret needs a closed formula", file=sys.stderr)
@@ -319,3 +315,7 @@ def run_cli(argv=None) -> int:
 
 def console_main() -> None:
     raise SystemExit(run_cli())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -8,17 +8,20 @@ cross-check for the whole pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Sequence
 
 from .errors import ScaleExceeded, WorkbenchError
 from .kernel import MAX_OBJECTS, FinCategory
 from .logic import (
     Arrow,
     Atom,
+    Binary,
     Exists,
     Forall,
     Formula,
-    One,
     Plus,
+    Quantifier,
     TermUniverse,
     Times,
     Zero,
@@ -94,24 +97,19 @@ def heyting_from_leq(name: str, elements: list[str],
     if n > MAX_OBJECTS:
         raise ScaleExceeded(f"{name}: {n} elements exceeds desk scale {MAX_OBJECTS}")
 
-    def glb(sat: list[int]) -> int:
-        lower = [x for x in range(n) if all(leq[x][y] for y in sat)]
-        best = [x for x in lower if all(leq[y][x] for y in lower)]
+    def bound(sat: Sequence[int], order: Sequence[Sequence[bool]], what: str) -> int:
+        """The greatest lower bound of ``sat`` in ``order``: in the
+        transpose of ``leq``, the least upper bound."""
+        lower = [x for x in range(n) if all(order[x][y] for y in sat)]
+        best = [x for x in lower if all(order[y][x] for y in lower)]
         if len(best) != 1:
-            raise WorkbenchError(f"{name}: no greatest lower bound for "
-                                 f"{[elements[y] for y in sat]}")
+            raise WorkbenchError(f"{name}: no {what} for {[elements[y] for y in sat]}")
         return best[0]
 
-    def lub(sat: list[int]) -> int:
-        upper = [x for x in range(n) if all(leq[y][x] for y in sat)]
-        best = [x for x in upper if all(leq[x][y] for y in upper)]
-        if len(best) != 1:
-            raise WorkbenchError(f"{name}: no least upper bound for "
-                                 f"{[elements[y] for y in sat]}")
-        return best[0]
+    glb = partial(bound, order=leq, what="greatest lower bound")
+    lub = partial(bound, order=[list(row) for row in zip(*leq)], what="least upper bound")
 
-    bottom = glb(list(range(n)))
-    top = lub(list(range(n)))
+    bottom, top = glb(range(n)), lub(range(n))
     meet = [[glb([i, j]) for j in range(n)] for i in range(n)]
     join = [[lub([i, j]) for j in range(n)] for i in range(n)]
 
@@ -190,35 +188,28 @@ def oracle_interpret(model: HeytingModel, universe: TermUniverse,
     return _oracle_eval(model, universe, atom_elems, formula)
 
 
+# the lattice table of each connective, and of each quantifier the table it
+# folds over the term universe and the element the fold starts from
+_TABLES = {Times: "meet", Plus: "join", Arrow: "impl"}
+_FOLDS = {Forall: ("meet", "top"), Exists: ("join", "bottom")}
+
+
 def _oracle_eval(model: HeytingModel, universe: TermUniverse,
                  atom_elems: dict, f: Formula) -> int:
-    if isinstance(f, Zero):
-        return model.bottom
-    if isinstance(f, One):
-        return model.top
+    value = partial(_oracle_eval, model, universe, atom_elems)
+    if isinstance(f, Binary):
+        return getattr(model, _TABLES[type(f)])[value(f.left)][value(f.right)]
+    if isinstance(f, Quantifier):
+        table, acc = (getattr(model, field) for field in _FOLDS[type(f)])
+        for t in universe.terms(f.sort):
+            acc = table[acc][value(substitute(f.body, t, f.var))]
+        return acc
     if isinstance(f, Atom):
         key = (f.rel, f.args)
         if key not in atom_elems:
             raise WorkbenchError(f"oracle has no value for atom {f}")
         return atom_elems[key]
-    if isinstance(f, Times):
-        return model.meet[_oracle_eval(model, universe, atom_elems, f.left)][
-            _oracle_eval(model, universe, atom_elems, f.right)]
-    if isinstance(f, Plus):
-        return model.join[_oracle_eval(model, universe, atom_elems, f.left)][
-            _oracle_eval(model, universe, atom_elems, f.right)]
-    if isinstance(f, Arrow):
-        return model.impl[_oracle_eval(model, universe, atom_elems, f.left)][
-            _oracle_eval(model, universe, atom_elems, f.right)]
-    if isinstance(f, (Forall, Exists)):
-        acc = model.top if isinstance(f, Forall) else model.bottom
-        table = model.meet if isinstance(f, Forall) else model.join
-        for t in universe.terms(f.sort):
-            v = _oracle_eval(model, universe, atom_elems,
-                             substitute(f.body, t, f.var))
-            acc = table[acc][v]
-        return acc
-    raise TypeError(f"not a formula: {f!r}")
+    return model.bottom if isinstance(f, Zero) else model.top
 
 
 def oracle_atom_map(model: HeytingModel, atom_interp: dict) -> dict:

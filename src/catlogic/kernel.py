@@ -559,7 +559,7 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
 
     for oname in objects:
         if oname not in ids:
-            raise CategoryFileError(f"object {oname} has no id line")
+            raise CategoryFileError(f"object {oname} has no id line", seen_obj[oname])
 
     resolved: list[tuple[str, str, str]] = []
     auto_names = {f"id_{o}" for o, a in ids.items() if a == "auto"}

@@ -1,8 +1,11 @@
 """Sorted signatures, formulas, substitution and closed-term enumeration.
 
-Concrete syntax: ``&`` / ``|`` / ``->`` (right associative, precedence
-``&`` > ``|`` > ``->``), constants ``0`` and ``1``, and ``forall x:s.`` /
-``exists x:s.`` whose body extends as far right as possible.
+Concrete syntax: ``&``, ``|`` and ``->``, binding tightest first, ``->`` to
+the right and the others to the left; constants ``0`` and ``1``; and
+``forall x:s.`` / ``exists x:s.`` whose body extends as far right as
+possible.  Each formula class states its own syntax in class constants, so
+every walk over formulas branches on three shapes: a leaf, a ``Binary``
+connective or a ``Quantifier``.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import ClassVar, Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,
@@ -51,12 +54,12 @@ class Formula:
 
 @dataclass(frozen=True)
 class Zero(Formula):
-    pass
+    symbol = "0"
 
 
 @dataclass(frozen=True)
 class One(Formula):
-    pass
+    symbol = "1"
 
 
 @dataclass(frozen=True)
@@ -66,35 +69,44 @@ class Atom(Formula):
 
 
 @dataclass(frozen=True)
-class Times(Formula):
+class Binary(Formula):
+    """A connective: its ``symbol``, its precedence ``prec`` (& binds
+    tightest), and the least precedence that stands bare as its left and as
+    its right operand (``floors``: & and | associate to the left, -> right)."""
     left: Formula
     right: Formula
+    symbol: ClassVar[str]
+    prec: ClassVar[int]
+    floors: ClassVar[tuple[int, int]]
+
+
+class Times(Binary):
+    symbol, prec, floors = "&", 3, (3, 4)
+
+
+class Plus(Binary):
+    symbol, prec, floors = "|", 2, (2, 3)
+
+
+class Arrow(Binary):
+    symbol, prec, floors = "->", 1, (2, 1)
 
 
 @dataclass(frozen=True)
-class Plus(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Arrow(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Forall(Formula):
+class Quantifier(Formula):
+    """``symbol var:sort. body``."""
     var: str
     sort: str
     body: Formula
+    symbol: ClassVar[str]
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    sort: str
-    body: Formula
+class Forall(Quantifier):
+    symbol = "forall"
+
+
+class Exists(Quantifier):
+    symbol = "exists"
 
 
 @dataclass(frozen=True)
@@ -144,7 +156,8 @@ class Theory:
     depth: int
     atom_interp: dict[AtomKey, str]  # closed atom -> object name
     theory_id: str = "theory"
-    depth_line: int | None = None  # the line of the file's depth, if it has one
+    # the file line of each interpreted atom and of "depth", if the file has one
+    lines: dict[AtomKey | str, int] = field(default_factory=dict)
 
 
 # -- basic formula operations -------------------------------------------------
@@ -157,27 +170,33 @@ def term_vars(t: Term) -> frozenset[tuple[str, str]]:
 
 def free_vars(f: Formula) -> frozenset[tuple[str, str]]:
     """Free (variable, sort) pairs; binders remove their variable by name."""
-    if isinstance(f, (Zero, One)):
-        return frozenset()
-    if isinstance(f, Atom):
-        if not f.args:
-            return frozenset()
-        return frozenset().union(*[term_vars(t) for t in f.args])
-    if isinstance(f, (Times, Plus, Arrow)):
+    if isinstance(f, Binary):
         return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Quantifier):
         return frozenset((n, s) for n, s in free_vars(f.body) if n != f.var)
+    if isinstance(f, Atom):
+        return frozenset().union(*[term_vars(t) for t in f.args])
+    if isinstance(f, Formula):
+        return frozenset()
     raise TypeError(f"not a formula: {f!r}")
 
 
 def connective_depth(f: Formula) -> int:
-    if isinstance(f, (Zero, One, Atom)):
-        return 0
-    if isinstance(f, (Times, Plus, Arrow)):
+    if isinstance(f, Binary):
         return 1 + max(connective_depth(f.left), connective_depth(f.right))
-    if isinstance(f, (Forall, Exists)):
+    if isinstance(f, Quantifier):
         return 1 + connective_depth(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return 0
+
+
+def subformulas(f: Formula) -> Iterator[Formula]:
+    """``f`` and its subformulas, depth first, left before right."""
+    yield f
+    if isinstance(f, Binary):
+        yield from subformulas(f.left)
+        yield from subformulas(f.right)
+    elif isinstance(f, Quantifier):
+        yield from subformulas(f.body)
 
 
 def _subst_term(t: Term, repl: Term, x: str) -> Term:
@@ -199,46 +218,24 @@ def substitute(f: Formula, t: Term, x: str) -> Formula:
 
 
 def _subst(f: Formula, t: Term, x: str) -> Formula:
-    if isinstance(f, (Zero, One)):
-        return f
+    if isinstance(f, Binary):
+        return type(f)(_subst(f.left, t, x), _subst(f.right, t, x))
+    if isinstance(f, Quantifier):
+        return f if f.var == x else type(f)(f.var, f.sort, _subst(f.body, t, x))
     if isinstance(f, Atom):
         return Atom(f.rel, tuple(_subst_term(a, t, x) for a in f.args))
-    if isinstance(f, Times):
-        return Times(_subst(f.left, t, x), _subst(f.right, t, x))
-    if isinstance(f, Plus):
-        return Plus(_subst(f.left, t, x), _subst(f.right, t, x))
-    if isinstance(f, Arrow):
-        return Arrow(_subst(f.left, t, x), _subst(f.right, t, x))
-    if isinstance(f, Forall):
-        if f.var == x:
-            return f
-        return Forall(f.var, f.sort, _subst(f.body, t, x))
-    if isinstance(f, Exists):
-        if f.var == x:
-            return f
-        return Exists(f.var, f.sort, _subst(f.body, t, x))
-    raise TypeError(f"not a formula: {f!r}")
+    return f
 
 
 def alpha_key(f: Formula, _env: tuple[str, ...] = ()) -> tuple:
     """Hashable key identifying formulas up to renaming of bound variables."""
-    if isinstance(f, Zero):
-        return ("0",)
-    if isinstance(f, One):
-        return ("1",)
+    if isinstance(f, Binary):
+        return (f.symbol, alpha_key(f.left, _env), alpha_key(f.right, _env))
+    if isinstance(f, Quantifier):
+        return (f.symbol, f.sort, alpha_key(f.body, _env + (f.var,)))
     if isinstance(f, Atom):
         return ("R", f.rel, tuple(_term_key(t, _env) for t in f.args))
-    if isinstance(f, Times):
-        return ("*", alpha_key(f.left, _env), alpha_key(f.right, _env))
-    if isinstance(f, Plus):
-        return ("+", alpha_key(f.left, _env), alpha_key(f.right, _env))
-    if isinstance(f, Arrow):
-        return (">", alpha_key(f.left, _env), alpha_key(f.right, _env))
-    if isinstance(f, Forall):
-        return ("A", f.sort, alpha_key(f.body, _env + (f.var,)))
-    if isinstance(f, Exists):
-        return ("E", f.sort, alpha_key(f.body, _env + (f.var,)))
-    raise TypeError(f"not a formula: {f!r}")
+    return (f.symbol,)
 
 
 def _term_key(t: Term, env: tuple[str, ...]) -> tuple:
@@ -260,32 +257,19 @@ def format_term(t: Term) -> str:
     return f"{t.func}({', '.join(format_term(a) for a in t.args)})"
 
 
-_PREC = {Arrow: 1, Plus: 2, Times: 3}
-
-
-def format_formula(f: Formula, _parent: int = 0) -> str:
-    if isinstance(f, Zero):
-        return "0"
-    if isinstance(f, One):
-        return "1"
+def format_formula(f: Formula, _floor: int = 0) -> str:
+    """``f`` with the fewest parentheses that parse back to it: ``_floor``
+    is the least precedence that stands bare where ``f`` stands."""
+    if isinstance(f, Binary):
+        left, right = f.floors
+        text = f"{format_formula(f.left, left)} {f.symbol} {format_formula(f.right, right)}"
+        return f"({text})" if f.prec < _floor else text
+    if isinstance(f, Quantifier):
+        text = f"{f.symbol} {f.var}:{f.sort}. {format_formula(f.body)}"
+        return f"({text})" if _floor > 0 else text
     if isinstance(f, Atom):
-        if not f.args:
-            return f.rel
-        return f"{f.rel}({', '.join(format_term(t) for t in f.args)})"
-    if isinstance(f, (Forall, Exists)):
-        kw = "forall" if isinstance(f, Forall) else "exists"
-        body = format_formula(f.body, 0)
-        text = f"{kw} {f.var}:{f.sort}. {body}"
-        return f"({text})" if _parent > 0 else text
-    prec = _PREC[type(f)]
-    if isinstance(f, Arrow):
-        text = (f"{format_formula(f.left, prec + 1)} -> "
-                f"{format_formula(f.right, prec)}")
-    else:
-        op = "&" if isinstance(f, Times) else "|"
-        text = (f"{format_formula(f.left, prec)} {op} "
-                f"{format_formula(f.right, prec + 1)}")
-    return f"({text})" if prec < _parent else text
+        return f"{f.rel}({', '.join(format_term(t) for t in f.args)})" if f.args else f.rel
+    return f.symbol
 
 
 # -- parsing -----------------------------------------------------------------
@@ -298,10 +282,8 @@ _SCAN_RE = re.compile(rf"(?:\s+|{_TOKEN_RE.pattern})*")
 _BREAK_RE = re.compile(r"\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
 # the tokens that are not names, and "", which marks the end of input
 _NOT_NAMES = frozenset(("->", "(", ")", "&", "|", ".", ",", ":", "*", "=", "0", "1", ""))
-# binary connectives: precedence (& binds tightest), the least precedence
-# of a connective inside the right operand (-> takes another -> there: it
-# associates to the right), and constructor
-_BINARY = {"&": (3, 4, Times), "|": (2, 3, Plus), "->": (1, 1, Arrow)}
+_BINARY = {c.symbol: c for c in (Times, Plus, Arrow)}
+_QUANTIFIERS = {c.symbol: c for c in (Forall, Exists)}
 
 # Deepest nesting a formula may have, both as the height of its syntax tree
 # (connectives, quantifiers and argument lists) and as the depth to which the
@@ -376,8 +358,8 @@ def parse_formula(text: str, sig: Signature,
             if toks[i] != ")":
                 missing(")")
             i += 1
-        elif tok == "forall" or tok == "exists":
-            left, h = quantifier(tok)
+        elif tok in _QUANTIFIERS:
+            left, h = quantifier(_QUANTIFIERS[tok])
         elif tok not in _NOT_NAMES:
             rel = relations.get(tok)
             if rel is None:
@@ -394,20 +376,20 @@ def parse_formula(text: str, sig: Signature,
         else:
             fail(FormulaSyntaxError, "unexpected end of input" if i == end
                  else f"expected a formula, found {tok!r}", i)
-        while (op := _BINARY.get(toks[i])) and op[0] >= floor:
+        while (op := _BINARY.get(toks[i])) and op.prec >= floor:
             i += 1
-            right, hr = formula(op[1])
-            left, h = op[2](left, right), 1 + (h if h > hr else hr)
+            right, hr = formula(op.floors[1])
+            left, h = op(left, right), 1 + (h if h > hr else hr)
         if floor == 1:
             depth -= 1
         return left, h
 
-    def quantifier(kw: str) -> tuple[Formula, int]:
+    def quantifier(kind: type[Quantifier]) -> tuple[Formula, int]:
         nonlocal i
         var = toks[i + 1]
         if var in _NOT_NAMES:
             fail(FormulaSyntaxError, "unexpected end of input" if i + 1 == end
-                 else f"expected a variable after {kw}, found {var!r}", i + 1)
+                 else f"expected a variable after {kind.symbol}, found {var!r}", i + 1)
         if toks[i + 2] != ":":
             i += 2
             missing(":")
@@ -428,7 +410,7 @@ def parse_formula(text: str, sig: Signature,
             del scope[var]
         else:
             scope[var] = saved
-        return (Forall if kw == "forall" else Exists)(var, sort, body), h + 1
+        return kind(var, sort, body), h + 1
 
     def arguments(kind: str, decl: FunDecl | RelDecl, at: int) -> tuple[tuple[Term, ...], int]:
         """The arguments of the symbol ``decl`` at token ``at``: the
@@ -510,7 +492,7 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
     relations: list[RelDecl] = []
     axiom_srcs: list[tuple[str, int]] = []
     interp_srcs: list[tuple[str, str, int]] = []
-    depth, depth_line = 2, None
+    depth, lines = 2, {}
 
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -563,7 +545,7 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
                 raise TheoryFileError("depth must be >= 1", lineno)
             if depth > MAX_NESTING:
                 raise TheoryFileError(f"depth must be <= {MAX_NESTING}", lineno)
-            depth_line = lineno
+            lines["depth"] = lineno
         elif head == "interp":
             m = _INTERP_RE.match(line)
             if not m:
@@ -573,13 +555,21 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
             raise TheoryFileError(f"unrecognized line: {line}", lineno)
 
     bare_sig = Signature(tuple(sorts), tuple(functions), tuple(relations))
-    axioms = [parse_formula(src, bare_sig, _line_offset=lineno - 1)
-              for src, lineno in axiom_srcs]
+
+    def formula(src: str, lineno: int) -> Formula:
+        try:
+            return parse_formula(src, bare_sig, _line_offset=lineno - 1)
+        except FormulaSyntaxError as exc:
+            if exc.line:
+                raise
+            raise TheoryFileError(str(exc), lineno) from None  # it ended early
+
+    axioms = [formula(src, lineno) for src, lineno in axiom_srcs]
     sig = Signature(tuple(sorts), tuple(functions), tuple(relations), tuple(axioms))
 
     atom_interp: dict[AtomKey, str] = {}
     for src, objname, lineno in interp_srcs:
-        f = parse_formula(src, bare_sig, _line_offset=lineno - 1)
+        f = formula(src, lineno)
         if not isinstance(f, Atom):
             raise TheoryFileError(f"interp left side must be an atom, got {src}", lineno)
         if free_vars(f):
@@ -587,9 +577,9 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
         key = (f.rel, f.args)
         if key in atom_interp:
             raise TheoryFileError(f"atom {src} interpreted twice", lineno)
-        atom_interp[key] = objname
+        atom_interp[key], lines[key] = objname, lineno
 
-    return Theory(sig, depth, atom_interp, theory_id, depth_line)
+    return Theory(sig, depth, atom_interp, theory_id, lines)
 
 
 def parse_signature(text: str) -> Signature:
@@ -721,38 +711,25 @@ def enumerate_formulas(sig: Signature, universe: TermUniverse) -> list[Formula]:
                 closed_count += 1
             return cap is not None and closed_count >= cap
 
-        done = False
         # quantifiers first (they matter most for coverage) but leave at
         # least two thirds of the level budget to the binary connectives
         quant_budget = None if cap is None else max(cap // 3, 1)
-        for sort in sig.sorts:
+        for sort, (body, fv) in itertools.product(sig.sorts, pools[depth_level - 1]):
             var = canonical_var(sig, sort)
-            for (body, fv) in pools[depth_level - 1]:
-                if not (fv <= {(var, sort)}):
-                    continue
-                rest = frozenset(p for p in fv if p != (var, sort))
-                push(Forall(var, sort, body), rest)
-                push(Exists(var, sort, body), rest)
-                if quant_budget is not None and closed_count >= quant_budget:
-                    done = True
-                    break
-            if done:
+            if not (fv <= {(var, sort)}):
+                continue
+            rest = frozenset(p for p in fv if p != (var, sort))
+            push(Forall(var, sort, body), rest)
+            push(Exists(var, sort, body), rest)
+            if quant_budget is not None and closed_count >= quant_budget:
                 break
-        done = cap is not None and closed_count >= cap
         # binaries: r ranges over the deepest pool so the result has this depth,
         # l cycles quickly through every shallower depth for shape diversity
-        if not done:
+        if cap is None or closed_count < cap:
             combined = [p for pool in pools[:depth_level] for p in pool]
-            for (r, fvr) in pools[depth_level - 1]:
-                for (l, fvl) in combined:
-                    fv = fvl | fvr
-                    for ctor in (Times, Plus, Arrow):
-                        if push(ctor(l, r), fv) or (l != r and push(ctor(r, l), fv)):
-                            done = True
-                            break
-                    if done:
-                        break
-                if done:
+            for (r, fvr), (l, fvl), kind in itertools.product(
+                    pools[depth_level - 1], combined, _BINARY.values()):
+                if push(kind(l, r), fvl | fvr) or (l != r and push(kind(r, l), fvl | fvr)):
                     break
         pools.append(fresh[:_POOL_CAP])
 

@@ -16,6 +16,11 @@ models this converges in two rounds because the binary closure is already a
 subalgebra.  An Interpretation runs the fixpoint when it is built, at the
 reach depth it is built with, so every Interpretation holds its reachable
 set and answers quantified queries; another depth is another Interpretation.
+
+One map, ``_STORES``, gives the structure store of each connective, for the
+clauses and the reach closure alike.  Each condition check yields its
+failures as (FAIL or BLOCKED, detail) outcomes, and one rule, ``_verdict``,
+turns them into its verdict.
 """
 
 from __future__ import annotations
@@ -32,17 +37,20 @@ from .errors import (
     NoMediator,
     NoQuantifierObject,
     NoSuchStructure,
+    TheoryFileError,
 )
 from .kernel import ArrId, ObjId, inverses
 from .logic import (
     Arrow,
     Atom,
     AtomKey,
+    Binary,
     Exists,
     Forall,
     Formula,
     One,
     Plus,
+    Quantifier,
     Term,
     Theory,
     Times,
@@ -53,11 +61,16 @@ from .logic import (
     connective_depth,
     enumerate_closed_terms,
     free_vars,
+    subformulas,
     substitute,
 )
 from .structure import StructureTable
 
 DEFAULT_REACH_DEPTH = 3
+
+# the structure store of each connective: the value of a formula is the
+# apex of the witness stored under the values of its two operands
+_STORES = {Times: "products", Plus: "coproducts", Arrow: "exponentials"}
 
 
 @dataclass(frozen=True)
@@ -246,7 +259,10 @@ class Interpretation:
 
         self.atom_map: dict[AtomKey, ObjId] = {}
         for key, objname in theory.atom_interp.items():
-            self.atom_map[key] = self.cat.obj(objname)
+            try:
+                self.atom_map[key] = self.cat.obj(objname)
+            except MalformedInput as exc:
+                raise TheoryFileError(str(exc), theory.lines.get(key)) from None
         self._check_atom_coverage()
 
         self.memo: dict[tuple[_Node, tuple[Term, ...]], ObjId] = {}
@@ -273,28 +289,25 @@ class Interpretation:
 
     def _node(self, f: Formula) -> _Node:
         """The interned node of ``f``, interning its subformulas first."""
-        kind = type(f)
-        if kind is Times or kind is Plus or kind is Arrow:
+        if isinstance(f, Binary):
             left, right = self._node(f.left), self._node(f.right)
-            key = (kind, left, right)
+            key = (type(f), left, right)
             node = self._nodes.get(key)
             if node is None:
                 fv = tuple(sorted({*left.fv, *right.fv}))
-                node = self._nodes[key] = _Node(kind(left.f, right.f), (left, right), fv)
-        elif kind is Forall or kind is Exists:
+                node = self._nodes[key] = _Node(type(f)(left.f, right.f), (left, right), fv)
+        elif isinstance(f, Quantifier):
             body = self._node(f.body)
-            key = (kind, f.var, f.sort, body)
+            key = (type(f), f.var, f.sort, body)
             node = self._nodes.get(key)
             if node is None:
                 fv = tuple(n for n in body.fv if n != f.var)
-                node = self._nodes[key] = _Node(kind(f.var, f.sort, body.f), (body,), fv)
-        elif kind is Atom or kind is Zero or kind is One:
+                node = self._nodes[key] = _Node(type(f)(f.var, f.sort, body.f), (body,), fv)
+        else:
             node = self._nodes.get(f)
             if node is None:
                 fv = tuple(sorted({n for n, _ in free_vars(f)}))
                 node = self._nodes[f] = _Node(f, (), fv)
-        else:
-            raise TypeError(f"not a formula: {f!r}")
         return node
 
     def _instance(self, node: _Node, terms: tuple[Term, ...]) -> Formula:
@@ -337,22 +350,19 @@ class Interpretation:
         under ``env`` (whose values at ``node``'s free variables are
         ``terms``), with each direct subformula valued through the memo."""
         f, st = node.f, self.structure
-        kind = type(f)
-        if kind is Atom:
+        if isinstance(f, Binary):
+            left, right = node.kids
+            a, b = self._value(left, env, scope), self._value(right, env, scope)
+            return getattr(st, _STORES[type(f)])[(a.index, b.index)].apex
+        if isinstance(f, Quantifier):
+            return self._solution(node, env, terms, scope).obj
+        if isinstance(f, Atom):
             a = self._instance(node, terms)
             obj = self.atom_map.get((a.rel, a.args))
             if obj is None:
                 raise MissingAtom(f"no interpretation for atom {a}")
             return obj
-        if kind is Times or kind is Plus or kind is Arrow:
-            find = {Times: st.product, Plus: st.coproduct, Arrow: st.exponential}[kind]
-            left, right = node.kids
-            return find(self._value(left, env, scope), self._value(right, env, scope)).apex
-        if kind is Zero:
-            return st.initial_obj()
-        if kind is One:
-            return st.terminal_obj()
-        return self._solution(node, env, terms, scope).obj
+        return st.initial_obj() if isinstance(f, Zero) else st.terminal_obj()
 
     def quantifier_solution(self, quantifier: str, var: str, sort: str,
                             body: Formula) -> QuantifierSolution:
@@ -369,14 +379,13 @@ class Interpretation:
         key = alpha_key(f)
         sol = scope.solved.get(key)
         if sol is None:
-            quant = "forall" if isinstance(f, Forall) else "exists"
             diagram = self._diagram(node.kids[0], f.body, f.var, f.sort, env, scope)
             try:
                 obj, family = search_quantifier_object(
-                    self.structure, scope.vertexes, quant, diagram, scope.warnings)
+                    self.structure, scope.vertexes, f.symbol, diagram, scope.warnings)
             except NoQuantifierObject as exc:
                 raise MissingQuantifierObject(str(exc)) from exc
-            sol = scope.solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
+            sol = scope.solved[key] = QuantifierSolution(f.symbol, f, diagram, obj, family)
         return sol
 
     def _diagram(self, node: _Node, body: Formula, var: str, sort: str, env: _Env,
@@ -402,7 +411,7 @@ class Interpretation:
 
     def _binary_closure(self, members: dict[int, ReachMember]) -> None:
         k = self.reach_depth
-        st = self.structure
+        stores = [(kind, getattr(self.structure, name)) for kind, name in _STORES.items()]
         changed = True
         while changed:
             changed = False
@@ -412,13 +421,11 @@ class Interpretation:
                     d = 1 + max(m1.depth, m2.depth)
                     if d > k:
                         continue
-                    for table, ctor in ((st.products, Times),
-                                        (st.coproducts, Plus),
-                                        (st.exponentials, Arrow)):
-                        w = table.get((m1.obj.index, m2.obj.index))
+                    for kind, store in stores:
+                        w = store.get((m1.obj.index, m2.obj.index))
                         if w is not None and w.apex.index not in members:
                             members[w.apex.index] = ReachMember(
-                                w.apex, ctor(m1.provenance, m2.provenance), d)
+                                w.apex, kind(m1.provenance, m2.provenance), d)
                             changed = True
 
     def _quantifier_pool(self) -> list[Formula]:
@@ -454,7 +461,7 @@ class Interpretation:
 
         for f in sig.axioms:
             for sub in subformulas(f):
-                if isinstance(sub, (Forall, Exists)):
+                if isinstance(sub, Quantifier):
                     add(sub)
         return pool
 
@@ -522,15 +529,6 @@ def _check_body(body: Formula, var: str, sort: str) -> None:
         raise MalformedInput(
             f"diagram body {body} has free variables {sorted(extra)} besides "
             f"{var}:{sort}")
-
-
-def subformulas(f: Formula) -> Iterable[Formula]:
-    yield f
-    if isinstance(f, (Times, Plus, Arrow)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from subformulas(f.body)
 
 
 # -- the instance suite -------------------------------------------------------------
@@ -612,12 +610,8 @@ class ConditionReport:
 
 def check_conditions(interp: Interpretation) -> ConditionReport:
     """Verdicts for all seven defining conditions, with witnesses for failures."""
-    from . import theorems  # late import: theorems builds on this module's types
-
     st = interp.structure
-    cat = interp.cat
-    verdicts: list[ConditionVerdict] = []
-
+    verdicts = []
     # (1) finite products: terminal object plus all binary products;
     # (2) finite coproducts: initial object plus all binary coproducts;
     # (3) exponentiation for every (base, target) pair
@@ -626,90 +620,29 @@ def check_conditions(interp: Interpretation) -> ConditionReport:
             (2, "coproducts", st.coproduct_failures, st.initial_failure),
             (3, "exponentials", st.exponential_failures, None)):
         details = ([missing] if missing else []) + [msg for _, msg in sorted(failures.items())]
-        verdicts.append(ConditionVerdict(number, name, "PASS" if not details else "FAIL",
-                                         tuple(details)))
-
-    # (4) distributivity over every reachable triple
-    verdicts.append(distributivity_verdict(st, interp.reach.objects))
-
-    # (5) quantifier objects for every closed quantified subformula of the
-    # checked set, each once up to renaming of bound variables
-    quantified: dict[tuple, Formula] = {}
-    for f in checked_formulas(interp):
-        for sub in subformulas(f):
-            if isinstance(sub, (Forall, Exists)) and not free_vars(sub):
-                quantified.setdefault(alpha_key(sub), sub)
-    details = []
-    status = "PASS"
-    for sub in quantified.values():
-        try:
-            interp._interpret(sub)
-        except MissingQuantifierObject as exc:
-            status = "FAIL"
-            details.append(f"{sub}: {exc}")
-        except (NoSuchStructure, MissingAtom) as exc:
-            if status == "PASS":
-                status = "BLOCKED"
-            details.append(f"{sub}: {exc}")
-    verdicts.append(ConditionVerdict(5, "quantifier-objects", status,
-                                     tuple(details[:16])))
-
-    # (6) the interpretation clauses, re-asserted over everything memoized
-    details = []
-    status = "PASS"
-    try:
-        if interp.interpret(Zero()) != st.initial.obj:
-            status = "FAIL"
-            details.append("value of 0 is not the initial object")
-        if interp.interpret(One()) != st.terminal.obj:
-            status = "FAIL"
-            details.append("value of 1 is not the terminal object")
-    except NoSuchStructure as exc:
-        status = "BLOCKED"
-        details.append(str(exc))
-    # a quantified formula's clause is its stored solution, re-checked below
-    for (node, terms), obj in list(interp.memo.items()):
-        if isinstance(node.f, (Forall, Exists)):
-            continue
-        try:
-            want = interp._clause(node, tuple(zip(node.fv, terms)), terms, interp._scope)
-        except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
-            continue
-        if want != obj:
-            status = "FAIL"
-            details.append(f"memo holds {obj.name} for {interp._instance(node, terms)}, "
-                           f"clauses give {want.name}")
-    for sol in interp.qmemo.values():
-        bad = revalidate_quantifier(st, interp.reach.objects, sol)
-        if bad:
-            status = "FAIL"
-            details.append(f"{sol.formula}: stored quantifier object "
-                           f"{sol.obj.name} no longer unique: {bad}")
-    verdicts.append(ConditionVerdict(6, "interpretation-clauses", status,
-                                     tuple(details[:16])))
-
-    # (7) the product-through-existential comparison arrow has an inverse,
-    # checked by building the mediating arrow and searching for an inverse
-    details = []
-    status = "PASS"
-    for inst in derive_instances(interp.theory):
-        try:
-            alpha = theorems.build_alpha(interp, inst.left, inst.body,
-                                         inst.var, inst.sort)
-        except (MissingQuantifierObject, NoSuchStructure, MissingAtom,
-                NoMediator, MultipleMediators) as exc:
-            if status == "PASS":
-                status = "BLOCKED"
-            details.append(f"{inst.describe()}: {exc}")
-            continue
-        invs = inverses(cat, alpha)
-        if len(invs) != 1:
-            status = "FAIL"
-            details.append(f"{inst.describe()}: {len(invs)} inverses for "
-                           f"{alpha.name}")
-    verdicts.append(ConditionVerdict(7, "frobenius", status, tuple(details[:16])))
-
+        verdicts.append(_verdict(number, name, [("FAIL", d) for d in details], None))
+    # (4) to (7), in order: condition 6 re-walks the memo that condition 5 fills
+    verdicts += [distributivity_verdict(st, interp.reach.objects),
+                 _verdict(5, "quantifier-objects", _quantifier_outcomes(interp), MAX_DETAILS),
+                 _verdict(6, "interpretation-clauses", _clause_outcomes(interp), MAX_DETAILS),
+                 _verdict(7, "frobenius", _frobenius_outcomes(interp), MAX_DETAILS)]
     return ConditionReport(tuple(verdicts))
+
+
+# a condition's failures as they are found: (FAIL or BLOCKED, detail)
+_Outcomes = Iterable[tuple[str, str]]
+# the most details conditions 4 to 7 report
+MAX_DETAILS = 16
+
+
+def _verdict(number: int, name: str, outcomes: _Outcomes, cap: int | None) -> ConditionVerdict:
+    """The verdict on ``(status, detail)`` outcomes, each status FAIL or
+    BLOCKED: FAIL if any outcome fails, else BLOCKED if there is any, else
+    PASS; the first ``cap`` details (all if None) in the order found."""
+    outcomes = list(outcomes)
+    found = {status for status, _ in outcomes}
+    status = "FAIL" if "FAIL" in found else "BLOCKED" if found else "PASS"
+    return ConditionVerdict(number, name, status, tuple(d for _, d in outcomes[:cap]))
 
 
 def distributivity_verdict(st: StructureTable, objects: Sequence[ObjId]) -> ConditionVerdict:
@@ -717,26 +650,86 @@ def distributivity_verdict(st: StructureTable, objects: Sequence[ObjId]) -> Cond
     (a x b) + (a x c) -> a x (b + c) has exactly one inverse, found by
     scanning every arrow back (independent of the constructive inverse in
     the theorems module)."""
+    return _verdict(4, "distributivity", _distributivity_outcomes(st, objects), MAX_DETAILS)
+
+
+def _distributivity_outcomes(st: StructureTable, objects: Sequence[ObjId]) -> _Outcomes:
     from . import theorems  # late import: theorems builds on this module's types
 
-    details = []
-    status = "PASS"
     for a in objects:
         for b in objects:
             for c in objects:
                 try:
                     delta = theorems.build_delta(st, a, b, c)
                 except NoSuchStructure as exc:
-                    status = "BLOCKED" if status == "PASS" else status
-                    details.append(f"({a.name},{b.name},{c.name}): {exc}")
+                    yield "BLOCKED", f"({a.name},{b.name},{c.name}): {exc}"
                     continue
                 invs = inverses(st.cat, delta)
                 if len(invs) != 1:
-                    status = "FAIL"
-                    details.append(
-                        f"({a.name},{b.name},{c.name}): {len(invs)} inverses "
-                        f"for {delta.name}")
-    return ConditionVerdict(4, "distributivity", status, tuple(details[:16]))
+                    yield "FAIL", (f"({a.name},{b.name},{c.name}): {len(invs)} inverses "
+                                   f"for {delta.name}")
+
+
+def _quantifier_outcomes(interp: Interpretation) -> _Outcomes:
+    """(5) quantifier objects for every closed quantified subformula of the
+    checked set, each once up to renaming of bound variables."""
+    quantified: dict[tuple, Formula] = {}
+    for f in checked_formulas(interp):
+        for sub in subformulas(f):
+            if isinstance(sub, Quantifier) and not free_vars(sub):
+                quantified.setdefault(alpha_key(sub), sub)
+    for sub in quantified.values():
+        try:
+            interp._interpret(sub)
+        except MissingQuantifierObject as exc:
+            yield "FAIL", f"{sub}: {exc}"
+        except (NoSuchStructure, MissingAtom) as exc:
+            yield "BLOCKED", f"{sub}: {exc}"
+
+
+def _clause_outcomes(interp: Interpretation) -> _Outcomes:
+    """(6) the interpretation clauses, re-asserted over everything memoized:
+    ``memo`` and ``atom_map`` are public, so their entries may have moved."""
+    st = interp.structure
+    try:
+        for constant, end in ((Zero(), "initial"), (One(), "terminal")):
+            if interp.interpret(constant) != getattr(st, end).obj:
+                yield "FAIL", f"value of {constant} is not the {end} object"
+    except NoSuchStructure as exc:
+        yield "BLOCKED", str(exc)
+    # a quantified formula's clause is its stored solution, re-checked below
+    for (node, terms), obj in list(interp.memo.items()):
+        if isinstance(node.f, Quantifier):
+            continue
+        try:
+            want = interp._clause(node, tuple(zip(node.fv, terms)), terms, interp._scope)
+        except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
+            continue
+        if want != obj:
+            yield "FAIL", (f"memo holds {obj.name} for {interp._instance(node, terms)}, "
+                           f"clauses give {want.name}")
+    for sol in interp.qmemo.values():
+        bad = revalidate_quantifier(st, interp.reach.objects, sol)
+        if bad:
+            yield "FAIL", (f"{sol.formula}: stored quantifier object "
+                           f"{sol.obj.name} no longer unique: {bad}")
+
+
+def _frobenius_outcomes(interp: Interpretation) -> _Outcomes:
+    """(7) the product-through-existential comparison arrow has an inverse,
+    checked by building the mediating arrow and searching for an inverse."""
+    from . import theorems  # late import: theorems builds on this module's types
+
+    for inst in derive_instances(interp.theory):
+        try:
+            alpha = theorems.build_alpha(interp, inst.left, inst.body, inst.var, inst.sort)
+        except (MissingQuantifierObject, NoSuchStructure, MissingAtom,
+                NoMediator, MultipleMediators) as exc:
+            yield "BLOCKED", f"{inst.describe()}: {exc}"
+            continue
+        invs = inverses(interp.cat, alpha)
+        if len(invs) != 1:
+            yield "FAIL", f"{inst.describe()}: {len(invs)} inverses for {alpha.name}"
 
 
 def checked_formulas(interp: Interpretation) -> tuple[Formula, ...]:

@@ -247,17 +247,14 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
     theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.obj)  # M(ex B) x MA -> M(ex AxB)
     beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.obj))
 
-    comp_ab, comp_ba = cat.compose(alpha, beta), cat.compose(beta, alpha)
-    if comp_ab != st.identity(ctx.vertex):
-        raise CertificateFailure(
-            f"{instance.describe()}: alpha . theta(gamma) = {comp_ab.name}, "
-            f"expected id_{ctx.vertex.name} (alpha = {alpha.name}, "
-            f"gamma = {gamma.name}, beta = {beta.name})")
-    if comp_ba != st.identity(ctx.sol_ab.obj):
-        raise CertificateFailure(
-            f"{instance.describe()}: theta(gamma) . alpha = {comp_ba.name}, "
-            f"expected id_{ctx.sol_ab.obj.name} (alpha = {alpha.name}, "
-            f"gamma = {gamma.name}, beta = {beta.name})")
+    for first, then, composite, end in (
+            ("alpha", "theta(gamma)", cat.compose(alpha, beta), ctx.vertex),
+            ("theta(gamma)", "alpha", cat.compose(beta, alpha), ctx.sol_ab.obj)):
+        if composite != st.identity(end):
+            raise CertificateFailure(
+                f"{instance.describe()}: {first} . {then} = {composite.name}, "
+                f"expected id_{end.name} (alpha = {alpha.name}, "
+                f"gamma = {gamma.name}, beta = {beta.name})")
 
     return FrobeniusCertificate(
         instance, alpha, gamma, beta,

@@ -26,6 +26,69 @@ from catlogic.report import strip_timing
 from conftest import PAIR_CONST_THEORY, make_finset
 
 
+# a catbench.gen.theory_text output (seed 1) for finset-0123's objects, copied
+# so that tier-1 does not import catbench: function terms, six-leg
+# quantifier diagrams and a binary relation on a non-thin model
+THREE_CONST_THEORY = """\
+# benchmark theory: three constants, f at depth 2, B, P and R
+sort s
+fun c : s
+fun d : s
+fun e : s
+fun f : s -> s
+rel B : s
+rel P
+rel R : s * s
+depth 2
+axiom exists x:s. (P & B(x))
+axiom forall x:s. (R(x, d) -> B(f(d)))
+axiom exists y:s. (R(c, y) & (P | B(e)))
+interp B(c) = x0n0
+interp B(d) = x1n1
+interp B(e) = x2n2
+interp B(f(c)) = x3n3
+interp B(f(d)) = x0n0
+interp B(f(e)) = x1n1
+interp P = x2n2
+interp R(c, c) = x3n3
+interp R(c, d) = x0n0
+interp R(c, e) = x1n1
+interp R(c, f(c)) = x2n2
+interp R(c, f(d)) = x3n3
+interp R(c, f(e)) = x0n0
+interp R(d, c) = x1n1
+interp R(d, d) = x2n2
+interp R(d, e) = x3n3
+interp R(d, f(c)) = x0n0
+interp R(d, f(d)) = x1n1
+interp R(d, f(e)) = x2n2
+interp R(e, c) = x3n3
+interp R(e, d) = x0n0
+interp R(e, e) = x1n1
+interp R(e, f(c)) = x2n2
+interp R(e, f(d)) = x3n3
+interp R(e, f(e)) = x0n0
+interp R(f(c), c) = x1n1
+interp R(f(c), d) = x2n2
+interp R(f(c), e) = x3n3
+interp R(f(c), f(c)) = x0n0
+interp R(f(c), f(d)) = x1n1
+interp R(f(c), f(e)) = x2n2
+interp R(f(d), c) = x3n3
+interp R(f(d), d) = x0n0
+interp R(f(d), e) = x1n1
+interp R(f(d), f(c)) = x2n2
+interp R(f(d), f(d)) = x3n3
+interp R(f(d), f(e)) = x0n0
+interp R(f(e), c) = x1n1
+interp R(f(e), d) = x2n2
+interp R(f(e), e) = x3n3
+interp R(f(e), f(c)) = x0n0
+interp R(f(e), f(d)) = x1n1
+interp R(f(e), f(e)) = x2n2
+"""
+
+
 def _cases():
     cases = {s.suite_id: (lambda s=s: (s.model.category(), s.theory_text))
              for s in bundled_suites()}
@@ -33,6 +96,8 @@ def _cases():
                                    PAIR_CONST_THEORY.format("e1", "e2", "e3"))
     cases["finset-0123"] = lambda: (make_finset([0, 1, 2, 3], "finset-0123"),
                                     PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
+    cases["finset-0123/three-const"] = lambda: (make_finset([0, 1, 2, 3], "finset-0123"),
+                                                THREE_CONST_THEORY)
     cases["finset-012333"] = lambda: (make_finset([0, 1, 2, 3, 3, 3], "finset-012333"),
                                       PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
     return cases
@@ -73,6 +138,10 @@ GOLDEN = {
         "f3a9042593aa2c56787ea9d642b52e279a8ceb76f3d6d1e6128c40b30daef1bb",
     "finset-0123:redundancy":
         "aed90cfc273697a615f4940a483bc111b90007ff18c0ef8be609108cffb38fde",
+    "finset-0123/three-const:check":
+        "5584d39ccb07ae36aa2e7e40b1c53fc67a656a67442667b789ded909cf91ea4e",
+    "finset-0123/three-const:redundancy":
+        "03057f0ff467604357437a252354ebf2343e738d1fd0ea9a7882f42ebedd20bc",
     "finset-012333:check":
         "66dbacc09c7558d0456a6cb330862f387655c84e2b113be891cd31d48e42ea0c",
     "finset-012333:redundancy":

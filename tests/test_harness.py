@@ -354,10 +354,10 @@ def test_cli_lowest_depth_and_reach_are_accepted(workdir, capsys):
     assert "universe.depth = 1" in out and "reach.depth = 0" in out
 
 
-def _python_m_catlogic(*argv, cwd):
-    """``python -m catlogic argv`` in a fresh interpreter, stopped after 20 s."""
+def _python_m_catlogic(*argv, cwd, module="catlogic"):
+    """``python -m module argv`` in a fresh interpreter, stopped after 20 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(catlogic.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "catlogic", *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=20)
 
 
@@ -366,6 +366,38 @@ def test_python_m_catlogic_runs_the_cli(workdir):
     done = _python_m_catlogic("validate", "--model", str(model), cwd=tmp)
     assert (done.returncode, done.stderr) == (0, "")
     assert "validation = PASS" in done.stdout
+
+
+def test_python_m_catlogic_cli_runs_the_cli(workdir):
+    # cli.py had no __main__ block: the command exited 0 and did nothing.
+    # runpy still warns on stderr that the package imported catlogic.cli
+    # before running it.
+    tmp, model, _ = workdir
+    done = _python_m_catlogic("validate", "--model", str(model), cwd=tmp,
+                              module="catlogic.cli")
+    assert done.returncode == 0
+    assert "validation = PASS" in done.stdout
+
+
+@pytest.mark.parametrize("model, theory, message", [
+    ("object a\nobject b\nid a = auto\n", None, "line 2: object b has no id line"),
+    (None, "sort s\nrel P\ninterp P = nosuch\n", "line 3: unknown object nosuch"),
+    (None, "sort s\nrel P\ninterp P = e1\naxiom P &\n", "line 4: unexpected end of input"),
+    (None, "sort s\nrel P\ninterp P = e1\naxiom (P\n",
+     "line 4: unexpected end of input, expected ')'"),
+    (None, "sort s\nrel P\ninterp P = e1\n\naxiom\n", "line 5: unexpected end of input"),
+], ids=["no-id-line", "unknown-object", "trailing-connective", "open-parenthesis", "empty-axiom"])
+def test_cli_input_errors_name_their_line(model, theory, message, workdir, capsys):
+    # these exited 2 with no line: the id check ran after the loop over the
+    # lines, an unknown object was met only while interpreting, and a
+    # formula that ends early has no token to place its error at
+    tmp, model_path, theory_path = workdir
+    if model is not None:
+        model_path.write_text(model)
+    if theory is not None:
+        theory_path.write_text(theory)
+    assert run_cli(["check", "--model", str(model_path), "--theory", str(theory_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _WIDE = "sort s\nfun c : s\nfun g : s * s -> s\nrel P\ninterp P = e1\n"

@@ -157,6 +157,46 @@ def test_alpha_key_identifies_renamed_binders(sig):
     assert alpha_key(f1) != alpha_key(g)
 
 
+# the formula classes that share a base and differ only in their class
+# constants, each with a way to build one over a body
+SIBLINGS = {"connectives": ((Times, Plus, Arrow), lambda kind, body: kind(body, Atom("P"))),
+            "quantifiers": ((Forall, Exists), lambda kind, body: kind("y", "s", body))}
+
+
+@pytest.mark.parametrize("family", sorted(SIBLINGS))
+def test_siblings_over_the_same_children_stay_apart(family):
+    kinds, build = SIBLINGS[family]
+    b_x, c = Atom("B", (Var("x", "s"),)), App("c", (), "s")
+    open_ = [build(kind, b_x) for kind in kinds]
+    closed = [substitute(f, c, "x") for f in open_]
+    assert closed == [build(kind, Atom("B", (c,))) for kind in kinds]
+    assert [type(f) for f in closed] == list(kinds)
+    for f, g in itertools.combinations(open_ + closed, 2):
+        assert f != g and alpha_key(f) != alpha_key(g)
+
+
+# each connective's symbol and precedence, & binding tightest; & and |
+# associate to the left and -> to the right
+RANK = {Times: ("&", 3), Plus: ("|", 2), Arrow: ("->", 1)}
+
+
+@pytest.mark.parametrize("outer, inner, side", [
+    (outer, inner, side) for outer in RANK for inner in RANK for side in (0, 1)])
+def test_a_connective_inside_another_prints_and_parses_back(outer, inner, side, sig):
+    p = Atom("P")
+    f = outer(inner(p, p), p) if side == 0 else outer(p, inner(p, p))
+    (outer_symbol, outer_rank), (inner_symbol, inner_rank) = RANK[outer], RANK[inner]
+    associates = 1 if outer is Arrow else 0  # the side a repeat stands bare on
+    bracketed = inner_rank < outer_rank or (inner is outer and side != associates)
+    assert bracketed == (inner.prec < outer.floors[side])
+    operand = f"P {inner_symbol} P"
+    if bracketed:
+        operand = f"({operand})"
+    want = f"{operand} {outer_symbol} P" if side == 0 else f"P {outer_symbol} {operand}"
+    assert format_formula(f) == want
+    assert parse_formula(want, sig) == f
+
+
 # -- closed term enumeration -----------------------------------------------------
 
 def test_enumerate_constants_only():
