@@ -7,6 +7,8 @@ check the seven defining conditions, and certify constructively that the two
 distributivity conditions follow from the others.
 """
 
+import importlib
+
 from .errors import (
     CertificateFailure,
     LawViolation,
@@ -36,12 +38,9 @@ from .kernel import (
     validate_category,
 )
 from .structure import (
-    CoproductWitness,
+    Cone,
     ExponentialWitness,
-    InitialWitness,
-    ProductWitness,
     StructureTable,
-    TerminalWitness,
     discover_structure,
     find_coproduct,
     find_exponential,
@@ -75,8 +74,6 @@ from .logic import (
 )
 from .semantics import (
     ConditionReport,
-    ConeFamily,
-    CoconeFamily,
     Instance,
     Interpretation,
     QuantifierDiagram,
@@ -108,6 +105,15 @@ from .heyting import (
     thin_category_from_leq,
 )
 from .bundles import Suite, bundled_models, bundled_suites
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """``cli`` and ``run_cli``, imported on first use, so that
+    ``python -m catlogic.cli`` runs cli.py once, as ``__main__``."""
+    if name not in ("cli", "run_cli"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global run_cli
+    run_cli = importlib.import_module(f"{__name__}.cli").run_cli
+    return globals()[name]

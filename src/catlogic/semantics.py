@@ -1,12 +1,12 @@
 """The interpretation map, the reachable-object fixpoint, quantifier diagrams
 and their cone/cocone searches, and the seven condition checkers.
 
-A quantifier object is searched, never assumed: a candidate vertex must carry
-a (co)cone over the diagram and admit exactly one leg-commuting arrow from
-(resp. to) every reachable vertex.  Candidate vertexes are restricted to the
-reachable set, the decidable stand-in for "interpretation of some closed
-formula", and each reachable object carries the closed formula that witnesses
-it.
+A quantifier object is searched, never assumed: it is the apex of a
+universal ``structure.Cone`` over the diagram (a cocone for exists), which
+admits exactly one leg-commuting arrow from (resp. to) every reachable
+vertex.  Candidate vertexes are restricted to the reachable set, the
+decidable stand-in for "interpretation of some closed formula", and each
+reachable object carries the closed formula that witnesses it.
 
 The reachable set and the quantifier objects depend on each other, so the
 fixpoint iterates rounds: close the object set under product, coproduct and
@@ -39,7 +39,7 @@ from .errors import (
     NoSuchStructure,
     TheoryFileError,
 )
-from .kernel import ArrId, ObjId, inverses
+from .kernel import ObjId, inverses
 from .logic import (
     Arrow,
     Atom,
@@ -56,6 +56,7 @@ from .logic import (
     Times,
     Var,
     Zero,
+    _QUANTIFIERS,
     alpha_key,
     canonical_var,
     connective_depth,
@@ -64,7 +65,7 @@ from .logic import (
     subformulas,
     substitute,
 )
-from .structure import StructureTable
+from .structure import Cone, StructureTable
 
 DEFAULT_REACH_DEPTH = 3
 
@@ -84,18 +85,6 @@ class QuantifierDiagram:
     @property
     def empty(self) -> bool:
         return not self.legs
-
-
-@dataclass(frozen=True)
-class ConeFamily:
-    vertex: ObjId
-    legs: tuple[tuple[Term, ArrId], ...]  # arrows vertex -> leg object
-
-
-@dataclass(frozen=True)
-class CoconeFamily:
-    vertex: ObjId
-    legs: tuple[tuple[Term, ArrId], ...]  # arrows leg object -> vertex
 
 
 @dataclass(frozen=True)
@@ -125,7 +114,7 @@ class QuantifierSolution:
     formula: Formula
     diagram: QuantifierDiagram
     obj: ObjId
-    family: ConeFamily | CoconeFamily
+    family: Cone  # a cocone for exists; one leg per term of diagram.legs
 
 
 @dataclass(frozen=True)
@@ -142,22 +131,24 @@ class Instance:
 
 # -- quantifier object search ----------------------------------------------------
 
+def _quantifier(name: str) -> type[Quantifier]:
+    """Forall for "forall" and Exists for "exists"; MalformedInput otherwise."""
+    if name not in _QUANTIFIERS:
+        raise MalformedInput(f"unknown quantifier {name!r}, expected {' or '.join(_QUANTIFIERS)}")
+    return _QUANTIFIERS[name]
+
+
 def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
                              quantifier: str, diagram: QuantifierDiagram,
-                             warnings: list[str] | None = None,
-                             ) -> tuple[ObjId, ConeFamily | CoconeFamily]:
-    """Find the terminal cone vertex (forall) or initial cocone vertex (exists)
-    among the given vertexes.
-
-    A candidate (V, legs) wins when composing with its legs is a bijection
-    from the arrows W -> V (V -> W for a cocone) onto the leg families at
-    W, for every vertex W: each family then has exactly one mediator.
-    Candidates are tried in object index order, leg families
-    lexicographically, so ties between isomorphic candidates break
-    deterministically.  NoQuantifierObject gives the count that refutes
-    every candidate (see ``StructureTable.find_cone``).
+                             warnings: list[str] | None = None) -> Cone:
+    """The terminal cone (forall) or initial cocone (exists) over the diagram,
+    its legs in the order of ``diagram.legs``, with the apex and the test
+    objects taken from the given vertexes (``StructureTable.find_cone``):
+    each leg family at each vertex then has exactly one mediator, and ties
+    between isomorphic candidates break by index.  NoQuantifierObject gives
+    the count that refutes every candidate.
     """
-    op = quantifier == "exists"
+    op = _quantifier(quantifier) is Exists
     ordered = sorted(set(vertexes), key=lambda o: o.index)
 
     if diagram.empty and warnings is not None:
@@ -167,13 +158,11 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
             f"object relative to the reachable vertexes")
 
     try:
-        v, fam = st.find_cone([obj for _, obj in diagram.legs], ordered, op=op)
+        return st.find_cone([obj for _, obj in diagram.legs], ordered, op=op)
     except NoSuchStructure as exc:
         raise NoQuantifierObject(
             f"no {quantifier} object over {diagram.body} among "
             f"{[o.name for o in ordered]}: {exc}") from None
-    pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
-    return v, (CoconeFamily(v, pairs) if op else ConeFamily(v, pairs))
 
 
 def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
@@ -182,12 +171,12 @@ def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
 
     Returns None when still valid, else the failure description.
     """
-    op = sol.quantifier == "exists"
-    miss = st.cone_miss(sol.obj, [arr for _, arr in sol.family.legs], vertexes, op=op)
+    miss = st.cone_miss(sol.family, vertexes)
     if miss is None:
         return None
     w, _, k = miss
-    return f"vertex {w.name} has {k} leg-commuting arrows {'out of' if op else 'into'} it"
+    side = "out of" if sol.family.op else "into"
+    return f"vertex {w.name} has {k} leg-commuting arrows {side} it"
 
 
 # -- the interpretation ------------------------------------------------------------
@@ -367,7 +356,7 @@ class Interpretation:
     def quantifier_solution(self, quantifier: str, var: str, sort: str,
                             body: Formula) -> QuantifierSolution:
         _check_body(body, var, sort)
-        formula = (Forall if quantifier == "forall" else Exists)(var, sort, body)
+        formula = _quantifier(quantifier)(var, sort, body)
         return self._solution(self._node(formula), (), (), self._scope)
 
     def _solution(self, node: _Node, env: _Env, terms: tuple[Term, ...],
@@ -381,11 +370,11 @@ class Interpretation:
         if sol is None:
             diagram = self._diagram(node.kids[0], f.body, f.var, f.sort, env, scope)
             try:
-                obj, family = search_quantifier_object(
+                cone = search_quantifier_object(
                     self.structure, scope.vertexes, f.symbol, diagram, scope.warnings)
             except NoQuantifierObject as exc:
                 raise MissingQuantifierObject(str(exc)) from exc
-            sol = scope.solved[key] = QuantifierSolution(f.symbol, f, diagram, obj, family)
+            sol = scope.solved[key] = QuantifierSolution(f.symbol, f, diagram, cone.apex, cone)
         return sol
 
     def _diagram(self, node: _Node, body: Formula, var: str, sort: str, env: _Env,
@@ -401,7 +390,7 @@ class Interpretation:
 
     def _base_members(self) -> dict[int, ReachMember]:
         st = self.structure
-        base = [(w.obj, f) for w, f in ((st.initial, Zero()), (st.terminal, One()))
+        base = [(w.apex, f) for w, f in ((st.initial, Zero()), (st.terminal, One()))
                 if w is not None]
         base += [(obj, Atom(rel, args)) for (rel, args), obj in self.atom_map.items()]
         members: dict[int, ReachMember] = {}
@@ -693,7 +682,7 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
     st = interp.structure
     try:
         for constant, end in ((Zero(), "initial"), (One(), "terminal")):
-            if interp.interpret(constant) != getattr(st, end).obj:
+            if interp.interpret(constant) != getattr(st, end).apex:
                 yield "FAIL", f"value of {constant} is not the {end} object"
     except NoSuchStructure as exc:
         yield "BLOCKED", str(exc)

@@ -11,16 +11,17 @@ kept in the witness as its pairing table, so the combinators are lookups.
 Discovery is the only writer of a structure table and records a witness or
 a failure under every key it searches; the table refuses every other
 write, so each witness it holds is one a search verified.
-Terminal objects are the case with no legs; coproducts and the initial
-object are the same search run on the opposite category; exponentials use
-the map m |-> eval . (m x id) over the W that have a product with the base.
-Quantifier objects (cones and cocones over any number of legs) are the
-same search against a given set of test objects, through
-``StructureTable.find_cone``; their re-checks and the frobenius initiality
-sweep check one given cone the same way, through ``StructureTable.cone_miss``,
-and the frobenius mediators are the arrows of one hom-set whose key is the
-given family's, through ``StructureTable.mediators``.  Reading a witness a
-structure table lacks raises NoSuchStructure with its recorded failure.
+
+Every witness but an exponential is one type, :class:`Cone`: a terminal
+object is a cone with no legs and a product one with two, and with ``op``
+the same search run on the opposite category gives the initial object and
+coproducts as cocones.  Quantifier objects are cones or cocones over any
+number of legs, searched against a given set of test objects
+(``StructureTable.find_cone``).  A given cone is re-checked (``cone_miss``)
+and its mediators are found by their key (``mediators``) on the side it
+carries.  Exponentials use the map m |-> eval . (m x id) over the W that
+have a product with the base.  Reading a witness a structure table lacks
+raises NoSuchStructure with its recorded failure.
 
 Searches are deterministic: candidates are tried in index order and the
 first verified one wins, so two runs on the same input produce identical
@@ -33,7 +34,7 @@ object W and the first family at W that it does not hit exactly once.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import chain, islice, product
 from math import prod
@@ -46,35 +47,18 @@ from .kernel import ArrId, FinCategory, ObjId, validate_category
 
 
 @dataclass(frozen=True)
-class ProductWitness:
-    pair: tuple[ObjId, ObjId]
+class Cone:
+    """A universal cone: ``legs`` are arrows apex -> leg object, or with
+    ``op`` a cocone, arrows leg object -> apex.  Terminal and initial objects
+    have no legs, products and coproducts two, quantifier objects one per
+    closed term."""
     apex: ObjId
-    proj1: ArrId
-    proj2: ArrId
-    # f.index * |Arr| + g.index -> <f, g>; see _verified
+    legs: tuple[ArrId, ...]
+    op: bool = False
+    # (p_i . m)_i in radix |Arr| -> m: f.index * |Arr| + g.index -> <f, g>
+    # for two legs; see _verified
     table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
                                             compare=False)
-
-
-@dataclass(frozen=True)
-class CoproductWitness:
-    pair: tuple[ObjId, ObjId]
-    apex: ObjId
-    inj1: ArrId
-    inj2: ArrId
-    # f.index * |Arr| + g.index -> [f, g]; see _verified
-    table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
-                                            compare=False)
-
-
-@dataclass(frozen=True)
-class TerminalWitness:
-    obj: ObjId
-
-
-@dataclass(frozen=True)
-class InitialWitness:
-    obj: ObjId
 
 
 @dataclass(frozen=True)
@@ -251,25 +235,25 @@ def _refutation(view: _View, sizes: Sequence[int], ws: tuple[int, ...],
 
 
 def _universal_cone(view: _View, legs: Sequence[int], what: str,
-                    ws: tuple[int, ...] | None = None
-                    ) -> tuple[int, tuple[int, ...], dict[int, int]]:
-    """Apex, legs and pairing table of the first universal cone over the
-    objects ``legs``, with both the apex and the test objects taken from
-    ``ws`` (every object by default); NoSuchStructure, its message ``what``
-    followed by the refuting count, if there is none.
+                    ws: tuple[int, ...] | None = None) -> Cone:
+    """The first universal cone over the objects ``legs``, a cocone on the
+    opposite view, carrying its pairing table, with both the apex and the
+    test objects taken from ``ws`` (every object by default);
+    NoSuchStructure, its message ``what`` followed by the refuting count,
+    if there is none.
 
     Only apexes whose hom-set sizes from ``ws`` are the products of the
     legs' are tried, in index order, each with its families of legs
     lexicographically by arrow index.
     """
-    ws = view.objects if ws is None else ws
+    ws, cat = view.objects if ws is None else ws, view.cat
     sizes = _sizes(view, legs, ws)
     for apex in view.columns(ws).get(tuple(sizes), ()):
         for fam in product(*(view.hom[apex][leg] for leg in legs)):
             table = _cone_table(view, apex, fam, ws, sizes)
             if table is not None:
-                return apex, fam, table
-    cat = view.cat
+                legs = tuple(cat.arrows[p] for p in fam)
+                return _verified(Cone(cat.objects[apex], legs, view.op), table)
 
     def explain(apex: int) -> str:
         # apex is in ws and has the sizes, so each hom(apex, leg) is inhabited
@@ -285,53 +269,47 @@ def _universal_cone(view: _View, legs: Sequence[int], what: str,
 
 # -- terminal and initial objects, products and coproducts --------------------------
 
-def find_terminal(cat: FinCategory) -> TerminalWitness:
-    return TerminalWitness(
-        cat.objects[_universal_cone(_View(cat), (), f"{cat.name}: no terminal object; ")[0]])
+def find_terminal(cat: FinCategory) -> Cone:
+    return _universal_cone(_View(cat), (), f"{cat.name}: no terminal object; ")
 
 
-def find_initial(cat: FinCategory) -> InitialWitness:
-    return InitialWitness(cat.objects[_universal_cone(
-        _View(cat, op=True), (), f"{cat.name}: no initial object; ")[0]])
+def find_initial(cat: FinCategory) -> Cone:
+    return _universal_cone(_View(cat, op=True), (), f"{cat.name}: no initial object; ")
 
 
-def _pair_witness(view: _View, a: ObjId, b: ObjId) -> ProductWitness | CoproductWitness:
+def _pair_cone(view: _View, a: ObjId, b: ObjId) -> Cone:
     """The product of (a, b), or on the opposite view the coproduct."""
-    what, kind = ("coproduct", CoproductWitness) if view.op else ("product", ProductWitness)
-    apex, (p1, p2), table = _universal_cone(
-        view, (a.index, b.index), f"{view.cat.name}: no {what} for ({a.name}, {b.name}); ")
-    arrows = view.cat.arrows
-    return _verified(kind((a, b), view.cat.objects[apex], arrows[p1], arrows[p2]), table)
+    return _universal_cone(view, (a.index, b.index), f"{view.cat.name}: no "
+                           f"{'coproduct' if view.op else 'product'} for ({a.name}, {b.name}); ")
 
 
-def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> ProductWitness:
+def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> Cone:
     """Search apex and projections satisfying the product UMP against every object.
 
     Deterministic: lowest apex index first, then lowest projection indices.
     """
-    return _pair_witness(_View(cat), a, b)
+    return _pair_cone(_View(cat), a, b)
 
 
-def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> CoproductWitness:
-    return _pair_witness(_View(cat, op=True), a, b)
+def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> Cone:
+    return _pair_cone(_View(cat, op=True), a, b)
 
 
 # -- exponentials -------------------------------------------------------------------
 
-def _times_id(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+def _times_id(view: _View, products: Mapping[tuple[int, int], Cone],
               apex: int, a: int, ws: Sequence[int]) -> list[list[int]]:
     """For each w in ws, the arrows m x id_a : w x a -> apex x a, m : w -> apex."""
     table, n = view.table, len(view.table)
     pairs = products[(apex, a)].table
     out = []
     for w in ws:
-        ww = products[(w, a)]
-        q1, q2 = ww.proj1.index, ww.proj2.index
-        out.append([pairs[table[m][q1] * n + q2] for m in view.hom[w][apex]])
+        q1, q2 = products[(w, a)].legs
+        out.append([pairs[table[m][q1.index] * n + q2.index] for m in view.hom[w][apex]])
     return out
 
 
-def _transpose_tables(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+def _transpose_tables(view: _View, products: Mapping[tuple[int, int], Cone],
                       apex: int, a: int, ws: Sequence[int],
                       evs: Iterable[int]) -> Iterator[tuple[int, dict[int, int] | None]]:
     """Each eval candidate ev : apex x a -> C with the inverse of
@@ -346,7 +324,7 @@ def _transpose_tables(view: _View, products: Mapping[tuple[int, int], ProductWit
         yield ev, _invert([row[k] * n + w for w, k in zip(w_of, m_x_id)], ms)
 
 
-def _exponential(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+def _exponential(view: _View, products: Mapping[tuple[int, int], Cone],
                  a: ObjId, target: ObjId, ws: tuple[int, ...]) -> ExponentialWitness:
     """``ws`` are the objects with a product with ``a``."""
     cat, hom = view.cat, view.hom
@@ -376,12 +354,12 @@ def _exponential(view: _View, products: Mapping[tuple[int, int], ProductWitness]
         + _refutation(view, sizes, ws, explain, f"object with a product with {a.name}"))
 
 
-def _with_product(view: _View, products: Mapping[tuple[int, int], ProductWitness],
+def _with_product(view: _View, products: Mapping[tuple[int, int], Cone],
                   a: ObjId) -> tuple[int, ...]:
     return tuple(w for w in view.objects if (w, a.index) in products)
 
 
-def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], ProductWitness],
+def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Cone],
                      a: ObjId, target: ObjId) -> ExponentialWitness:
     """Search apex and eval arrow with the unique-transpose property against every W.
 
@@ -462,20 +440,20 @@ class StructureTable:
 
     # -- witness lookups ---------------------------------------------------
 
-    def product(self, a: ObjId, b: ObjId) -> ProductWitness:
+    def product(self, a: ObjId, b: ObjId) -> Cone:
         return self.products[(a.index, b.index)]
 
-    def coproduct(self, a: ObjId, b: ObjId) -> CoproductWitness:
+    def coproduct(self, a: ObjId, b: ObjId) -> Cone:
         return self.coproducts[(a.index, b.index)]
 
     def exponential(self, base: ObjId, target: ObjId) -> ExponentialWitness:
         return self.exponentials[(base.index, target.index)]
 
     def terminal_obj(self) -> ObjId:
-        return self._ends["terminal"].obj
+        return self._ends["terminal"].apex
 
     def initial_obj(self) -> ObjId:
-        return self._ends["initial"].obj
+        return self._ends["initial"].apex
 
     def identity(self, o: ObjId) -> ArrId:
         return self.cat.identity_of(o)
@@ -484,22 +462,19 @@ class StructureTable:
         return self.cat.objects[index]
 
     # -- cones over any family of objects ----------------------------------
-    # With ``op`` each of these works on the opposite category: on cocones,
-    # with arrows out of the vertex counted in place of arrows into it.
 
     def find_cone(self, legs: Sequence[ObjId], among: Iterable[ObjId], *,
-                  op: bool = False) -> tuple[ObjId, tuple[ArrId, ...]]:
-        """Vertex and legs of the first universal cone over ``legs``, with
-        both the vertex and the test objects taken from ``among``;
+                  op: bool = False) -> Cone:
+        """The first universal cone (with ``op``, cocone) over ``legs``, with
+        both the apex and the test objects taken from ``among``;
         NoSuchStructure, its message the refuting count, if there is none.
-        Each outcome is kept by (legs, among, op): a diagram met again is
-        not searched again."""
+        Each outcome is kept by (legs, among, op), the cone without its
+        table: a diagram met again is not searched again."""
         ps, ws = tuple(o.index for o in legs), _indices(among)
         found = self._cones.get((ps, ws, op))
         if found is None:
             try:
-                apex, fam, _ = _universal_cone(self._op if op else self._view, ps, "", ws)
-                found = self.ob(apex), tuple(self.cat.arrows[p] for p in fam)
+                found = replace(_universal_cone(self._op if op else self._view, ps, "", ws))
             except NoSuchStructure as exc:
                 found = str(exc)
             self._cones[ps, ws, op] = found
@@ -507,33 +482,33 @@ class StructureTable:
             raise NoSuchStructure(found)
         return found
 
-    def cone_miss(self, vertex: ObjId, legs: Sequence[ArrId], among: Iterable[ObjId], *,
-                  op: bool = False) -> tuple[ObjId, tuple[ArrId, ...], int] | None:
-        """None if ``vertex`` with ``legs`` is a universal cone against the
-        test objects ``among``.  Otherwise the first test object W, the
-        lexicographically first family of arrows from W to the leg objects
-        that is not the composite of the legs with exactly one arrow
-        W -> vertex, and that number of arrows."""
-        view, ws = self._op if op else self._view, _indices(among)
-        ps = [p.index for p in legs]
-        if _cone_table(view, vertex.index, ps, ws) is not None:
+    def cone_miss(self, cone: Cone, among: Iterable[ObjId]
+                  ) -> tuple[ObjId, tuple[ArrId, ...], int] | None:
+        """None if ``cone`` is universal against the test objects ``among``.
+        Otherwise the first test object W, the lexicographically first
+        family of arrows from W to the leg objects (the other way for a
+        cocone) that is not the composite of the legs with exactly one arrow
+        W -> apex (apex -> W), and that number of arrows."""
+        view, ws = self._op if cone.op else self._view, _indices(among)
+        apex, ps = cone.apex.index, [p.index for p in cone.legs]
+        if _cone_table(view, apex, ps, ws) is not None:
             return None
-        w, fam, k = _first_miss(view, vertex.index, ps, ws)
+        w, fam, k = _first_miss(view, apex, ps, ws)
         return self.ob(w), tuple(self.cat.arrows[p] for p in fam), k
 
-    def mediators(self, vertex: ObjId, legs: Sequence[ArrId], w: ObjId,
-                  family: Sequence[ArrId], *, op: bool = False) -> list[ArrId]:
-        """The arrows m : w -> ``vertex`` with (p_i . m)_i equal to ``family``,
-        in index order: at most one if ``vertex`` with ``legs`` is universal."""
-        view = self._op if op else self._view
-        ms, n = view.hom[w.index][vertex.index], len(view.table)
+    def mediators(self, cone: Cone, w: ObjId, family: Sequence[ArrId]) -> list[ArrId]:
+        """The arrows m : w -> apex (apex -> w for a cocone) whose composites
+        with the legs are ``family``, in index order: at most one if
+        ``cone`` is universal."""
+        view = self._op if cone.op else self._view
+        ms, n = view.hom[w.index][cone.apex.index], len(view.table)
         key = reduce(lambda k, f: k * n + f.index, family, 0)
-        return [self.cat.arrows[m] for m, k in zip(ms, _keys(view, [p.index for p in legs], ms))
-                if k == key]
+        legs = [p.index for p in cone.legs]
+        return [self.cat.arrows[m] for m, k in zip(ms, _keys(view, legs, ms)) if k == key]
 
     # -- canonical combinators ----------------------------------------------
 
-    def _mediator(self, w: ProductWitness | CoproductWitness, f: int, g: int) -> ArrId:
+    def _mediator(self, w: Cone, f: int, g: int) -> ArrId:
         """The mediator of arrow indices (f, g) for the product or coproduct ``w``."""
         return self.cat.arrows[w.table[f * len(self.cat.arrows) + g]]
 
@@ -551,15 +526,15 @@ class StructureTable:
 
     def arrow_product(self, f: ArrId, g: ArrId) -> ArrId:
         """f x g = <f . proj1, g . proj2> : dom f x dom g -> cod f x cod g."""
-        src = self.product(self.ob(f.dom), self.ob(g.dom))
+        p1, p2 = self.product(self.ob(f.dom), self.ob(g.dom)).legs
         table = self._view.table
         return self._mediator(self.product(self.ob(f.cod), self.ob(g.cod)),
-                              table[f.index][src.proj1.index], table[g.index][src.proj2.index])
+                              table[f.index][p1.index], table[g.index][p2.index])
 
     def swap(self, a: ObjId, b: ObjId) -> ArrId:
         """The canonical a x b -> b x a built from <proj2, proj1>."""
-        pw = self.product(a, b)
-        return self._mediator(self.product(b, a), pw.proj2.index, pw.proj1.index)
+        p1, p2 = self.product(a, b).legs
+        return self._mediator(self.product(b, a), p2.index, p1.index)
 
     def transpose(self, f: ArrId, w: ObjId, a: ObjId) -> ArrId:
         """Unique m : w -> cod(f)^a with eval . (m x id_a) = f, for f : w x a -> cod f."""
@@ -597,8 +572,8 @@ def discover_structure(cat: FinCategory) -> StructureTable:
     st._ends._record("initial", find_initial, cat)
     for a in cat.objects:
         for b in cat.objects:
-            st.products._record((a.index, b.index), _pair_witness, view, a, b)
-            st.coproducts._record((a.index, b.index), _pair_witness, op, a, b)
+            st.products._record((a.index, b.index), _pair_cone, view, a, b)
+            st.coproducts._record((a.index, b.index), _pair_cone, op, a, b)
     for a in cat.objects:
         ws = _with_product(view, st.products, a)
         for c in cat.objects:

@@ -10,11 +10,11 @@ Two results are reproduced arrow by arrow rather than assumed:
   transposed cocone, so the product-through-existential axiom is redundant.
 
 Every mediating arrow is found by the cone key check of the structure
-table: the arrows of one hom-set whose composites with the legs are the
-given family (``StructureTable.mediators``), of which there must be exactly
-one.  Every certificate names its arrows and their inverse equations, and a
-delta certificate the combinators it was built from, so a failed equation
-can be replayed by hand.
+table: the arrows of one hom-set whose composites with the legs of a stored
+``Cone`` are the given family (``StructureTable.mediators``, out of the apex
+of a cocone), of which there must be exactly one.  Every certificate names
+its arrows and their inverse equations, and a delta certificate the
+combinators it was built from, so a failed equation can be replayed by hand.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import CertificateFailure, MultipleMediators, NoMediator
+from .errors import CertificateFailure, MultipleMediators, NoMediator, ShapeMismatch
 from .kernel import ArrId, ObjId, mutually_inverse
 from .logic import Formula, Times, free_vars
-from .semantics import CoconeFamily, Instance, QuantifierSolution
-from .structure import StructureTable
+from .semantics import Instance, QuantifierSolution
+from .structure import Cone, StructureTable
 
 if TYPE_CHECKING:
     from .semantics import Interpretation
@@ -100,12 +100,13 @@ def build_delta(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     t, n, products = st.cat.index().table, len(st.cat.arrows), st.products
     a, b, c = a.index, b.index, c.index
     bc = st.coproducts[(b, c)]
-    # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
     ab = products[(a, b)]
     into = products[(a, bc.apex.index)].table
-    left = into[ab.proj1.index * n + t[bc.inj1.index][ab.proj2.index]]
     ac = products[(a, c)]
-    right = into[ac.proj1.index * n + t[bc.inj2.index][ac.proj2.index]]
+    # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
+    (i1, i2), (p1, p2), (q1, q2) = bc.legs, ab.legs, ac.legs
+    left = into[p1.index * n + t[i1.index][p2.index]]
+    right = into[q1.index * n + t[i2.index][q2.index]]
     return st.cat.arrows[st.coproducts[(ab.apex.index, ac.apex.index)].table[left * n + right]]
 
 
@@ -123,18 +124,19 @@ def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Arr
     ab, ac = products[(a, b)], products[(a, c)]
     d_w = coproducts[(ab.apex.index, ac.apex.index)]
     # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
-    ba, ca = products[(b, a)], products[(c, a)]
-    f1 = t[d_w.inj1.index][ab.table[ba.proj2.index * n + ba.proj1.index]]
-    f2 = t[d_w.inj2.index][ac.table[ca.proj2.index * n + ca.proj1.index]]
+    (i1, i2), (p1, p2), (q1, q2) = d_w.legs, products[(b, a)].legs, products[(c, a)].legs
+    f1 = t[i1.index][ab.table[p2.index * n + p1.index]]
+    f2 = t[i2.index][ac.table[q2.index * n + q1.index]]
     # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
     ew = st.exponentials[(a, d_w.apex.index)]
     bc = coproducts[(b, c)]
     h = bc.table[ew.table[f1 * no + b] * n + ew.table[f2 * no + c]]
     # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
     bca = products[(bc.apex.index, a)]
-    hxa = products[(ew.apex.index, a)].table[t[h][bca.proj1.index] * n + bca.proj2.index]
-    sw = products[(a, bc.apex.index)]
-    return st.cat.arrows[t[t[ew.eval.index][hxa]][bca.table[sw.proj2.index * n + sw.proj1.index]]]
+    p1, p2 = bca.legs
+    hxa = products[(ew.apex.index, a)].table[t[h][p1.index] * n + p2.index]
+    q1, q2 = products[(a, bc.apex.index)].legs
+    return st.cat.arrows[t[t[ew.eval.index][hxa]][bca.table[q2.index * n + q1.index]]]
 
 
 def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> DeltaCertificate:
@@ -148,8 +150,7 @@ def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Delta
             f"{delta.name}: {inv.name}.{delta.name} = "
             f"{cat.compose(inv, delta).name}, {delta.name}.{inv.name} = "
             f"{cat.compose(delta, inv).name}")
-    bc = st.coproduct(b, c)
-    return DeltaCertificate((a, b, c), delta, inv, (bc.inj1, bc.inj2),
+    return DeltaCertificate((a, b, c), delta, inv, st.coproduct(b, c).legs,
                             (cat.objects[delta.dom], cat.objects[delta.cod]))
 
 
@@ -174,8 +175,7 @@ def _context(interp: "Interpretation", left: Formula, body: Formula,
     sol_ab = interp.quantifier_solution("exists", var, sort, Times(left, body))
     vertex = st.product(ma, sol_b.obj).apex
     ida = st.identity(ma)
-    q_legs = tuple(st.arrow_product(ida, delta_t)
-                   for _, delta_t in sol_b.family.legs)
+    q_legs = tuple(st.arrow_product(ida, delta_t) for delta_t in sol_b.family.legs)
     return _FrobeniusContext(ma, sol_b, sol_ab, vertex, q_legs)
 
 
@@ -187,21 +187,21 @@ def build_alpha(interp: "Interpretation", left: Formula, body: Formula,
 
 
 def _alpha(st: StructureTable, ctx: _FrobeniusContext) -> ArrId:
-    ex_legs = tuple(arr for _, arr in ctx.sol_ab.family.legs)
+    ex = ctx.sol_ab.family
     return _unique(
-        st.mediators(ctx.sol_ab.obj, ex_legs, ctx.vertex, ctx.q_legs, op=True),
+        st.mediators(ex, ctx.vertex, ctx.q_legs),
         f"from {ctx.sol_ab.obj.name} to {ctx.vertex.name} commuting with "
-        f"{len(ex_legs)} legs")
+        f"{len(ex.legs)} legs")
 
 
 def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
-                var: str, sort: str, c: ObjId, p: CoconeFamily) -> ArrId:
+                var: str, sort: str, c: ObjId, p: Cone) -> ArrId:
     """The co-universal arrow M(exists x. B) -> C^MA mediating the cocone of
     transposed legs.
 
-    Each leg p_t : MA x M(B[t/x]) -> C is swapped and transposed to
-    M(B[t/x]) -> C^MA; the stored cocone of exists x. B then forces a unique
-    mediator, found by its key.
+    Each leg p_t : MA x M(B[t/x]) -> C of ``p``, one per leg of the stored
+    cocone of exists x. B, is swapped and transposed to M(B[t/x]) -> C^MA;
+    that cocone then forces a unique mediator, found by its key.
     """
     ma = interp.interpret(left)
     if c not in interp.reach:
@@ -209,21 +209,25 @@ def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
             f"cocone vertex {c.name} is not reachable; the subcategory only "
             f"contains interpretations of closed formulas")
     sol_b = interp.quantifier_solution("exists", var, sort, body)
+    if len(p.legs) != len(sol_b.family.legs) or any(leg.cod != c.index for leg in p.legs):
+        raise ShapeMismatch(
+            f"build_gamma: a cocone into {c.name} over the {len(sol_b.family.legs)} "
+            f"legs of {sol_b.formula} was expected, got legs "
+            f"({', '.join(leg.name for leg in p.legs)})")
     return _gamma(interp.structure, ma, sol_b, c, p)
 
 
 def _gamma(st: StructureTable, ma: ObjId, sol_b: QuantifierSolution, c: ObjId,
-           p: CoconeFamily) -> ArrId:
+           p: Cone) -> ArrId:
     cat = st.cat
     exp_w = st.exponential(ma, c)
-    delta_legs, transposed = [], []
-    for (_, delta_t), (_, p_t) in zip(sol_b.family.legs, p.legs):
+    transposed = []
+    for delta_t, p_t in zip(sol_b.family.legs, p.legs):
         w = cat.objects[delta_t.dom]  # M(B[t/x])
         swapped = cat.compose(p_t, st.swap(w, ma))  # w x MA -> C
-        delta_legs.append(delta_t)
         transposed.append(st.transpose(swapped, w, ma))
     return _unique(
-        st.mediators(sol_b.obj, delta_legs, exp_w.apex, transposed, op=True),
+        st.mediators(sol_b.family, exp_w.apex, transposed),
         f"from {sol_b.obj.name} to {exp_w.apex.name} commuting with the "
         f"transposed legs")
 
@@ -271,7 +275,7 @@ def _initiality_sweep(interp: "Interpretation", ctx: _FrobeniusContext) -> Initi
     """
     cat = interp.cat
     vertexes = interp.reach.objects
-    miss = interp.structure.cone_miss(ctx.vertex, ctx.q_legs, vertexes, op=True)
+    miss = interp.structure.cone_miss(Cone(ctx.vertex, ctx.q_legs, op=True), vertexes)
     if miss is not None:
         v, fam, k = miss
         raise CertificateFailure(

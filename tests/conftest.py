@@ -4,7 +4,7 @@ import pytest
 
 from catlogic.bundles import bundled_suites
 from catlogic.heyting import gen_chain, gen_powerset
-from catlogic.kernel import FinCategory, validate_category
+from catlogic.kernel import ArrId, FinCategory, validate_category
 from catlogic.semantics import build_interpretation
 from catlogic.structure import discover_structure
 
@@ -165,6 +165,19 @@ def with_arrow_order(cat: FinCategory, order) -> FinCategory:
         compositions=[(g.name, f.name, cat.compose(g, f).name)
                       for f in cat.arrows for g in cat.arrows if f.cod == g.dom],
         name=cat.name)
+
+
+def opposite(cat: FinCategory) -> FinCategory:
+    """C^op, built from the table: the same objects and arrow indices and
+    names, the ends of every arrow swapped, and g . f in C^op the composite
+    f . g of C."""
+    arrows = [ArrId(f.index, f.name, f.cod, f.dom) for f in cat.arrows]
+    identity = [cat.identity_of(o).index for o in cat.objects]
+    table = cat.index().table
+    op = FinCategory(f"{cat.name}-op", cat.objects, arrows, identity,
+                     [[table[f][g] for f in range(len(arrows))] for g in range(len(arrows))])
+    assert validate_category(op).ok
+    return op
 
 
 # the models the reference tests compare on, thin and non-thin

@@ -41,10 +41,10 @@ def inverses(c, f):
 
 
 def build_delta(st, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
-    bc = st.coproduct(b, c)
+    inj1, inj2 = st.coproduct(b, c).legs
     ida = st.identity(a)
-    left = st.arrow_product(ida, bc.inj1)    # a x b -> a x (b + c)
-    right = st.arrow_product(ida, bc.inj2)   # a x c -> a x (b + c)
+    left = st.arrow_product(ida, inj1)       # a x b -> a x (b + c)
+    right = st.arrow_product(ida, inj2)      # a x c -> a x (b + c)
     return st.copair(left, right)
 
 
@@ -55,8 +55,9 @@ def build_delta_inverse(st, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     d_w = st.coproduct(ab.apex, ac.apex)
     d = d_w.apex
 
-    inj1_sw = cat.compose(d_w.inj1, st.swap(b, a))   # b x a -> D
-    inj2_sw = cat.compose(d_w.inj2, st.swap(c, a))   # c x a -> D
+    inj1, inj2 = d_w.legs
+    inj1_sw = cat.compose(inj1, st.swap(b, a))       # b x a -> D
+    inj2_sw = cat.compose(inj2, st.swap(c, a))       # c x a -> D
     t1 = st.transpose(inj1_sw, b, a)                 # b -> D^a
     t2 = st.transpose(inj2_sw, c, a)                 # c -> D^a
     h = st.copair(t1, t2)                            # b + c -> D^a
@@ -80,13 +81,13 @@ def delta_certificate(st, a: ObjId, b: ObjId, c: ObjId) -> RefDeltaCertificate:
             f"{delta.name}: {inv.name}.{delta.name} = "
             f"{cat.compose(inv, delta).name}, {delta.name}.{inv.name} = "
             f"{cat.compose(delta, inv).name}")
-    bc = st.coproduct(b, c)
+    inj1, inj2 = st.coproduct(b, c).legs
     src = cat.objects[delta.dom]
     tgt = cat.objects[delta.cod]
     return RefDeltaCertificate(
         (a, b, c), delta, inv,
-        delta_provenance=(f"copair(id_{a.name} x {bc.inj1.name}, "
-                          f"id_{a.name} x {bc.inj2.name})"),
+        delta_provenance=(f"copair(id_{a.name} x {inj1.name}, "
+                          f"id_{a.name} x {inj2.name})"),
         inverse_provenance=(f"theta(copair(transpose(inj1 . swap), "
                             f"transpose(inj2 . swap))) . swap_{a.name}"),
         equations=(f"{inv.name} . {delta.name} = id_{src.name}",

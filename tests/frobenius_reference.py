@@ -25,7 +25,7 @@ def _unique(cat, candidates, pred, what):
 
 def _alpha(st, ctx):
     cat = st.cat
-    ex_legs = tuple(arr for _, arr in ctx.sol_ab.family.legs)
+    ex_legs = ctx.sol_ab.family.legs
     return _unique(
         cat, cat.hom(ctx.sol_ab.obj, ctx.vertex),
         lambda m: all(cat.compose(m, e) == q for e, q in zip(ex_legs, ctx.q_legs)),
@@ -49,12 +49,12 @@ def build_gamma(interp, left, body, var, sort, c, p):
     exp_w = st.exponential(ma, c)
 
     transposed = []
-    for (t, leg_obj_arr), (_, p_t) in zip(sol_b.family.legs, p.legs):
+    for leg_obj_arr, p_t in zip(sol_b.family.legs, p.legs):
         w = cat.objects[leg_obj_arr.dom]  # M(B[t/x])
         swapped = cat.compose(p_t, st.swap(w, ma))  # w x MA -> C
         transposed.append(st.transpose(swapped, w, ma))
 
-    delta_legs = tuple(arr for _, arr in sol_b.family.legs)
+    delta_legs = sol_b.family.legs
     return _unique(
         cat, cat.hom(sol_b.obj, exp_w.apex),
         lambda m: all(cat.compose(m, d) == tr

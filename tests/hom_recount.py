@@ -38,9 +38,10 @@ def _times_id(cat, st, m, a):
     """m x id_a : w x a -> v x a for m : w -> v, found by its two composites."""
     src = st.products[(m.dom, a.index)]
     tgt = st.products[(m.cod, a.index)]
-    want = (cat.compose(m, src.proj1), src.proj2)
+    (p1, p2), (q1, q2) = src.legs, tgt.legs
+    want = (cat.compose(m, p1), p2)
     [u] = [u for u in cat.hom(src.apex, tgt.apex)
-           if (cat.compose(tgt.proj1, u), cat.compose(tgt.proj2, u)) == want]
+           if (cat.compose(q1, u), cat.compose(q2, u)) == want]
     return u
 
 
@@ -112,7 +113,7 @@ def recount(cat, st) -> Counter:
 
     for op, found, failure in ((False, st.terminal, st.terminal_failure),
                                (True, st.initial, st.initial_failure)):
-        check(found and found.obj, failure, [1] * len(objs), objs, op)
+        check(found and found.apex, failure, [1] * len(objs), objs, op)
     for a in objs:
         for b in objs:
             key = (a.index, b.index)

@@ -37,28 +37,24 @@ from catlogic.logic import (
     substitute,
 )
 from catlogic.semantics import (
-    CoconeFamily,
-    ConeFamily,
     Interpretation,
     QuantifierDiagram,
     QuantifierSolution,
     ReachMember,
 )
-from catlogic.structure import StructureTable, _indices, _universal_cone
+from catlogic.structure import Cone, StructureTable, _indices, _universal_cone
 
 
 def _find_cone(st: StructureTable, legs: Sequence[ObjId], among: Sequence[ObjId], *,
-               op: bool = False):
+               op: bool = False) -> Cone:
     """``StructureTable.find_cone`` without its cache."""
-    apex, fam, _ = _universal_cone(st._op if op else st._view, [o.index for o in legs], "",
-                                   _indices(among))
-    return st.ob(apex), tuple(st.cat.arrows[p] for p in fam)
+    return _universal_cone(st._op if op else st._view, [o.index for o in legs], "",
+                           _indices(among))
 
 
 def ref_search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
                                  quantifier: str, diagram: QuantifierDiagram,
-                                 warnings: list[str] | None = None,
-                                 ) -> tuple[ObjId, ConeFamily | CoconeFamily]:
+                                 warnings: list[str] | None = None) -> Cone:
     op = quantifier == "exists"
     ordered = sorted(set(vertexes), key=lambda o: o.index)
 
@@ -69,13 +65,11 @@ def ref_search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
             f"object relative to the reachable vertexes")
 
     try:
-        v, fam = _find_cone(st, [obj for _, obj in diagram.legs], ordered, op=op)
+        return _find_cone(st, [obj for _, obj in diagram.legs], ordered, op=op)
     except NoSuchStructure as exc:
         raise NoQuantifierObject(
             f"no {quantifier} object over {diagram.body} among "
             f"{[o.name for o in ordered]}: {exc}") from None
-    pairs = tuple((t, arr) for (t, _), arr in zip(diagram.legs, fam))
-    return v, (CoconeFamily(v, pairs) if op else ConeFamily(v, pairs))
 
 
 def _check_body(body: Formula, var: str, sort: str) -> None:
@@ -150,9 +144,9 @@ class ReferenceInterpretation(Interpretation):
         if key not in solved:
             quant = "forall" if isinstance(f, Forall) else "exists"
             diagram = self._diagram(f.body, f.var, f.sort, sub)
-            obj, family = ref_search_quantifier_object(self.structure, vertexes, quant,
-                                                       diagram, warnings)
-            solved[key] = QuantifierSolution(quant, f, diagram, obj, family)
+            family = ref_search_quantifier_object(self.structure, vertexes, quant,
+                                                  diagram, warnings)
+            solved[key] = QuantifierSolution(quant, f, diagram, family.apex, family)
         return solved[key]
 
     def _diagram(self, body: Formula, var: str, sort: str, sub) -> QuantifierDiagram:

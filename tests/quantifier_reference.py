@@ -47,7 +47,7 @@ def ref_search(cat, vertexes, quantifier, legs):
 
 def ref_revalidate(cat, vertexes, sol):
     direction = "cone" if sol.quantifier == "forall" else "cocone"
-    fam = tuple(arr for _, arr in sol.family.legs)
+    fam = sol.family.legs
     legs = [obj for _, obj in sol.diagram.legs]
     verdict = ref_family_mediates(cat, sorted(set(vertexes), key=lambda o: o.index),
                                   sol.obj, fam, legs, direction)

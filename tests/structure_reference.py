@@ -9,6 +9,7 @@ table to them.
 
 from itertools import product
 
+from catlogic.structure import Cone
 from hom_recount import recount
 
 
@@ -95,29 +96,30 @@ def assert_discovery_matches(st):
     failure messages."""
     cat = st.cat
 
-    def found(witness, failure, fields):
-        return failure if witness is None else tuple(getattr(witness, f).index for f in fields)
+    def found(witness, failure):
+        if witness is None:
+            return failure
+        arrows = witness.legs if isinstance(witness, Cone) else (witness.eval,)
+        return (witness.apex.index, *(f.index for f in arrows))
 
     def same(got, ref):
         return isinstance(got, str) if isinstance(ref, str) else got == ref
 
-    assert same(found(st.terminal, st.terminal_failure, ["obj"]), ref_universal_object(cat))
-    assert same(found(st.initial, st.initial_failure, ["obj"]),
-                ref_universal_object(cat, op=True))
+    assert same(found(st.terminal, st.terminal_failure), ref_universal_object(cat))
+    assert same(found(st.initial, st.initial_failure), ref_universal_object(cat, op=True))
     ref_products = {}
     for a in cat.objects:
         for b in cat.objects:
             key = (a.index, b.index)
             ref = ref_cone(cat, a, b)
-            assert same(found(st.products.get(key), st.product_failures.get(key),
-                              ["apex", "proj1", "proj2"]), ref)
+            assert same(found(st.products.get(key), st.product_failures.get(key)), ref)
             if not isinstance(ref, str):
                 ref_products[key] = ref
-            assert same(found(st.coproducts.get(key), st.coproduct_failures.get(key),
-                              ["apex", "inj1", "inj2"]), ref_cone(cat, a, b, op=True))
+            assert same(found(st.coproducts.get(key), st.coproduct_failures.get(key)),
+                        ref_cone(cat, a, b, op=True))
     for a in cat.objects:
         for c in cat.objects:
             key = (a.index, c.index)
-            assert same(found(st.exponentials.get(key), st.exponential_failures.get(key),
-                              ["apex", "eval"]), ref_exponential(cat, ref_products, a, c))
+            assert same(found(st.exponentials.get(key), st.exponential_failures.get(key)),
+                        ref_exponential(cat, ref_products, a, c))
     recount(cat, st)

@@ -111,10 +111,9 @@ def test_alpha_with_replaced_legs_matches_reference(name):
             ctx = _context(interp, inst.left, inst.body, inst.var, inst.sort)
         except WorkbenchError:
             continue
-        terms = [t for t, _ in ctx.sol_ab.family.legs]
         for fam in product(*(cat.hom(cat.objects[e.dom], cat.objects[e.cod])
-                             for _, e in ctx.sol_ab.family.legs)):
-            family = replace(ctx.sol_ab.family, legs=tuple(zip(terms, fam)))
+                             for e in ctx.sol_ab.family.legs)):
+            family = replace(ctx.sol_ab.family, legs=fam)
             compare(replace(ctx, sol_ab=replace(ctx.sol_ab, family=family)))
         for i, q in enumerate(ctx.q_legs):
             for other in cat.hom(cat.objects[q.dom], cat.objects[q.cod]):

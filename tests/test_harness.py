@@ -355,10 +355,11 @@ def test_cli_lowest_depth_and_reach_are_accepted(workdir, capsys):
 
 
 def _python_m_catlogic(*argv, cwd, module="catlogic"):
-    """``python -m module argv`` in a fresh interpreter, stopped after 20 s."""
+    """``python -m module argv`` in a fresh interpreter with runtime warnings
+    raised as errors, stopped after 20 s."""
     env = dict(os.environ, PYTHONPATH=str(Path(catlogic.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=20)
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", module, *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=20)
 
 
 def test_python_m_catlogic_runs_the_cli(workdir):
@@ -370,12 +371,13 @@ def test_python_m_catlogic_runs_the_cli(workdir):
 
 def test_python_m_catlogic_cli_runs_the_cli(workdir):
     # cli.py had no __main__ block: the command exited 0 and did nothing.
-    # runpy still warns on stderr that the package imported catlogic.cli
-    # before running it.
+    # Then runpy warned that the package had imported catlogic.cli before
+    # running it, so cli.py ran as two modules; as an error, that warning
+    # fails the command.
     tmp, model, _ = workdir
     done = _python_m_catlogic("validate", "--model", str(model), cwd=tmp,
                               module="catlogic.cli")
-    assert done.returncode == 0
+    assert (done.returncode, done.stderr) == (0, "")
     assert "validation = PASS" in done.stdout
 
 

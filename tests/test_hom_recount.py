@@ -75,7 +75,7 @@ def test_apex_with_the_sizes_of_an_exponential_is_named():
     cat = make_fork()
     st = discover_structure(cat)
     a, c = cat.obj("a"), cat.obj("c")
-    ref_products = {k: (w.apex.index, w.proj1.index, w.proj2.index)
+    ref_products = {k: (w.apex.index, *(p.index for p in w.legs))
                     for k, w in st.products.items()}
     assert isinstance(ref_exponential(cat, ref_products, a, c), str)
     assert st.exponential_failures[(a.index, c.index)] == (

@@ -72,13 +72,13 @@ def test_search_and_revalidation_match_reference(prepared):
             want = ref_search(cat, vertexes, quant, legs)
             searched += 1
             try:
-                v, family = search_quantifier_object(st, vertexes, quant, diagram)
+                family = search_quantifier_object(st, vertexes, quant, diagram)
             except NoQuantifierObject as exc:
                 assert isinstance(want, str)
                 failed[check_quantifier_failure(cat, str(exc), quant, diagram.body,
                                                 vertexes, legs)] += 1
                 continue
-            assert (v, tuple(arr for _, arr in family.legs)) == want
+            assert (family.apex, family.legs) == want
     for sol in interp.qmemo.values():
         for vertexes in (interp.reach.objects, everything):
             assert (revalidate_quantifier(st, vertexes, sol)
@@ -124,7 +124,7 @@ def _sweep(interp, ctx):
 
 
 def _ref_sweep(cat, interp, ctx):
-    leg_objects = [cat.objects[e.dom] for _, e in ctx.sol_ab.family.legs]
+    leg_objects = [cat.objects[e.dom] for e in ctx.sol_ab.family.legs]
     return ref_sweep(cat, interp.reach.objects, ctx.vertex, ctx.q_legs, leg_objects)
 
 

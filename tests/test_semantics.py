@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -170,15 +171,29 @@ def test_diagram_rejects_extra_free_vars(b4_prepared):
         build_diagram(interp, f, "x", "s")
 
 
+@pytest.mark.parametrize("name", ["Forall", "EXISTS", ""])
+def test_an_unknown_quantifier_name_is_refused(b4_prepared, name):
+    # a name other than the two was taken for one side: "Forall" gave the
+    # exists object e12 here
+    _, _, st, interp = b4_prepared
+    body = parse_formula("B(x)", interp.theory.signature, env={"x": "s"})
+    diagram = build_diagram(interp, body, "x", "s")
+    for ask in (lambda: interp.quantifier_solution(name, "x", "s", body),
+                lambda: search_quantifier_object(st, interp.reach.objects, name, diagram)):
+        with pytest.raises(MalformedInput, match=re.escape(f"unknown quantifier {name!r}")):
+            ask()
+
+
 def test_search_quantifier_object_returns_cocone(b4_prepared):
     _, cat, st, interp = b4_prepared
     th = interp.theory
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
     diagram = build_diagram(interp, body, "x", "s")
-    obj, family = search_quantifier_object(st, interp.reach.objects, "exists", diagram)
+    family = search_quantifier_object(st, interp.reach.objects, "exists", diagram)
+    obj = family.apex
     assert obj == interp.interpret(Exists("x", "s", body))
-    for (t, leg_obj), (t2, arr) in zip(diagram.legs, family.legs):
-        assert t == t2
+    assert family.op and len(family.legs) == len(diagram.legs)
+    for (_, leg_obj), arr in zip(diagram.legs, family.legs):
         assert arr.dom == leg_obj.index and arr.cod == obj.index
 
 

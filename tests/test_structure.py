@@ -14,6 +14,7 @@ from catlogic.errors import NoSuchStructure, ShapeMismatch
 from catlogic.heyting import gen_powerset
 from catlogic.kernel import FinCategory, validate_category
 from catlogic.structure import (
+    Cone,
     discover_structure,
     find_coproduct,
     find_exponential,
@@ -22,7 +23,14 @@ from catlogic.structure import (
     find_terminal,
 )
 
-from conftest import REFERENCE_MODELS, make_finset, subset_name, subset_of, with_arrow_order
+from conftest import (
+    REFERENCE_MODELS,
+    make_finset,
+    opposite,
+    subset_name,
+    subset_of,
+    with_arrow_order,
+)
 from structure_reference import assert_discovery_matches
 
 
@@ -42,7 +50,7 @@ def test_h2_products(h2, h2_structure):
     st = h2_structure
     w = st.product(h2.obj("top"), h2.obj("bot"))
     assert w.apex.name == "bot"
-    assert w.proj1.name == "u" and w.proj2.name == "id_bot"
+    assert [p.name for p in w.legs] == ["u", "id_bot"] and not w.op
     assert st.product(h2.obj("top"), h2.obj("top")).apex.name == "top"
 
 
@@ -54,8 +62,8 @@ def test_h2_terminal_initial(h2_structure):
 def test_single_object_category_initial_is_that_object():
     cat = FinCategory.build(["star"], [], name="one")
     assert validate_category(cat).ok
-    assert find_initial(cat).obj.name == "star"
-    assert find_terminal(cat).obj.name == "star"
+    assert find_initial(cat).apex.name == "star"
+    assert find_terminal(cat).apex.name == "star"
 
 
 def test_empty_category_has_no_terminal_or_initial_object():
@@ -219,8 +227,8 @@ def test_tiebreak_prefers_lowest_index():
         ["x", "y"], [("f", "x", "y"), ("g", "y", "x")],
         compositions=[("g", "f", "id_x"), ("f", "g", "id_y")], name="iso")
     assert validate_category(cat).ok
-    assert find_terminal(cat).obj.name == "x"
-    assert find_initial(cat).obj.name == "x"
+    assert find_terminal(cat).apex.name == "x"
+    assert find_initial(cat).apex.name == "x"
     w = find_product(cat, cat.obj("x"), cat.obj("y"))
     assert w.apex.name == "x"
 
@@ -252,8 +260,10 @@ def test_exponential_needs_products_first(b4):
 def test_find_coproduct_single(b4):
     w = find_coproduct(b4, b4.obj("e1"), b4.obj("e2"))
     assert w.apex.name == "e12"
-    assert w.inj1.dom == b4.obj("e1").index
-    assert w.inj2.dom == b4.obj("e2").index
+    inj1, inj2 = w.legs
+    assert inj1.dom == b4.obj("e1").index
+    assert inj2.dom == b4.obj("e2").index
+    assert w.op
 
 
 @pytest.mark.parametrize("kind", ["products", "coproducts", "exponentials"],
@@ -266,8 +276,11 @@ def test_a_witness_is_stored_only_under_its_own_pair(kind):
         witnesses = getattr(discover_structure(make()), kind)
         assert witnesses or name == "Z2"
         for key, w in witnesses.items():
-            ends = (w.base, w.target) if kind == "exponentials" else w.pair
-            assert key == tuple(o.index for o in ends)
+            if kind == "exponentials":
+                ends = (w.base.index, w.target.index)
+            else:  # the leg objects: codomains of a cone, domains of a cocone
+                ends = tuple(p.dom if w.op else p.cod for p in w.legs)
+            assert key == ends
 
 
 def test_a_dropped_structure_table_is_freed_at_once():
@@ -443,11 +456,41 @@ def test_mediators_match_a_hom_set_scan(op):
     for v, a, b, w in product(small, repeat=4):
         for legs in product(homs(v, a), homs(v, b)):
             for family in product(homs(w, a), homs(w, b)):
-                ms = st.mediators(v, legs, w, family, op=op)
+                ms = st.mediators(Cone(v, legs, op), w, family)
                 assert ms == [m for m in homs(w, v)
                               if all(after(p, m) == f for p, f in zip(legs, family))]
                 found[min(len(ms), 2)] += 1
     assert found[0] and found[1] and found[2]
+
+
+def _named(cone):
+    """``cone`` by the names of its apex and legs and its side; None for a failure."""
+    if isinstance(cone, Cone):
+        return cone.apex.name, tuple(p.name for p in cone.legs), cone.op
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MODELS))
+def test_a_cocone_is_a_cone_of_the_opposite_category(name):
+    # the one op flag against an explicit C^op built from the table: every
+    # cocone of C is by name the cone of C^op on the other side, and each
+    # search fails in one exactly when it fails in the other
+    cat = REFERENCE_MODELS[name]()
+    st, st_op = discover_structure(cat), discover_structure(opposite(cat))
+    pairs = [(st.initial, st_op.terminal), (st.terminal, st_op.initial)]
+    for key in product(range(len(cat.objects)), repeat=2):
+        pairs += [(st.coproducts.get(key), st_op.products.get(key)),
+                  (st.products.get(key), st_op.coproducts.get(key))]
+    for a, b in product(cat.objects, repeat=2):
+        for op in (False, True):
+            pairs.append(tuple(_outcome(lambda: s.find_cone([a, b], cat.objects, op=side))
+                               for s, side in ((st, op), (st_op, not op))))
+    for mine, theirs in pairs:
+        mine, theirs = _named(mine), _named(theirs)
+        assert (mine is None) == (theirs is None)
+        if mine is not None:
+            assert mine[:2] == theirs[:2] and mine[2] != theirs[2]
+    assert any(_named(mine) for mine, _ in pairs) or name == "Z2"
 
 
 # -- the search against the mediator-counting reference --------------------------------
@@ -464,19 +507,21 @@ def test_pairing_and_transpose_tables(make):
     cat = make()
     st = discover_structure(cat)
     for pw in st.products.values():
-        a, b = pw.pair
+        p1, p2 = pw.legs
+        a, b = cat.objects[p1.cod], cat.objects[p2.cod]
         for w in cat.objects:
             for f in cat.hom(w, a):
                 for g in cat.hom(w, b):
                     m = st.pair(f, g)
-                    assert (cat.compose(pw.proj1, m), cat.compose(pw.proj2, m)) == (f, g)
+                    assert (cat.compose(p1, m), cat.compose(p2, m)) == (f, g)
     for cw in st.coproducts.values():
-        a, b = cw.pair
+        i1, i2 = cw.legs
+        a, b = cat.objects[i1.dom], cat.objects[i2.dom]
         for w in cat.objects:
             for f in cat.hom(a, w):
                 for g in cat.hom(b, w):
                     m = st.copair(f, g)
-                    assert (cat.compose(m, cw.inj1), cat.compose(m, cw.inj2)) == (f, g)
+                    assert (cat.compose(m, i1), cat.compose(m, i2)) == (f, g)
     checked = 0
     for ew in st.exponentials.values():
         a, c = ew.base, ew.target

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from catlogic.errors import CertificateFailure
+from catlogic.errors import CertificateFailure, ShapeMismatch
 from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import mutually_inverse, validate_category
 from catlogic.logic import Atom, Exists, One, Times, parse_formula
@@ -142,7 +144,7 @@ def test_gamma_with_own_vertex(b4_prepared):
     assert gamma.dom == sol_b.obj.index
     assert gamma.cod == exp_w.apex.index
     # gamma mediates the transposed cocone leg by leg
-    for (t, delta_t) in sol_b.family.legs:
+    for delta_t in sol_b.family.legs:
         assert cat.compose(gamma, delta_t).cod == exp_w.apex.index
 
 
@@ -163,6 +165,25 @@ def test_gamma_rejects_unreachable_vertex():
         build_gamma(interp, a, body, "x", "s", cat.obj("e2"), sol.family)
 
 
+def test_gamma_refuses_a_cocone_that_does_not_fit_the_diagram(prepared_suites):
+    # the given legs were zipped with the stored ones, so a one-leg cocone
+    # over this two-leg diagram was cut to fit and gave id_c1
+    interp = next(interp for suite, _, _, interp in prepared_suites
+                  if suite.suite_id == "chain-4/pair-const")
+    body = parse_formula("P & B(x)", interp.theory.signature, env={"x": "s"})
+    sol = interp.quantifier_solution("exists", "x", "s", Times(One(), body))
+    assert len(sol.family.legs) == 2
+    args = (interp, One(), body, "x", "s")
+    assert build_gamma(*args, sol.obj, sol.family) is not None
+    short = replace(sol.family, legs=sol.family.legs[:1])
+    with pytest.raises(ShapeMismatch, match="over the 2 legs"):
+        build_gamma(*args, sol.obj, short)
+    # a fitting cocone given with a vertex its legs do not end at
+    other = next(o for o in interp.reach.objects if o != sol.obj)
+    with pytest.raises(ShapeMismatch, match=f"a cocone into {other.name} "):
+        build_gamma(*args, other, sol.family)
+
+
 def test_verify_frobenius_all_bundled_instances(prepared_suites):
     total = 0
     for suite, cat, st, interp in prepared_suites:
@@ -174,7 +195,7 @@ def test_verify_frobenius_all_bundled_instances(prepared_suites):
             model = suite.model
             ma = interp.interpret(inst.left).index
             legs = [cat.objects[arr.dom].index
-                    for _, arr in interp.quantifier_solution(
+                    for arr in interp.quantifier_solution(
                         "exists", inst.var, inst.sort, inst.body).family.legs]
             join_all = legs[0] if legs else model.bottom
             for leg in legs[1:]:
@@ -213,7 +234,7 @@ def test_alpha_commutes_with_cocone_legs(b4_prepared):
     sol_ab = interp.quantifier_solution("exists", "x", "s", Times(a, body))
     sol_b = interp.quantifier_solution("exists", "x", "s", body)
     ma = interp.interpret(a)
-    for (t, e), (t2, d) in zip(sol_ab.family.legs, sol_b.family.legs):
+    for e, d in zip(sol_ab.family.legs, sol_b.family.legs):
         assert cat.compose(alpha, e) == st.arrow_product(cat.identity_of(ma), d)
 
 
