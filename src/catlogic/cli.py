@@ -27,7 +27,7 @@ from .kernel import (
     parse_category,
     validate_category,
 )
-from .logic import MAX_NESTING, Theory, free_vars, parse_formula, parse_theory
+from .logic import MAX_NESTING, Theory, parse_formula, parse_theory
 from .report import Report
 from .semantics import (
     DEFAULT_REACH_DEPTH,
@@ -137,7 +137,7 @@ def cmd_interpret(args) -> int:
         return 1
     theory, _ = _load(args.theory, parse_theory)
     formula = parse_formula(args.formula, theory.signature)
-    if free_vars(formula):
+    if formula.fv:
         print("error: interpret needs a closed formula", file=sys.stderr)
         return 2
     obj = _interpretation(args, cat, theory).interpret(formula)

@@ -25,7 +25,6 @@ from .logic import (
     TermUniverse,
     Times,
     Zero,
-    free_vars,
     substitute,
 )
 
@@ -183,7 +182,7 @@ def oracle_interpret(model: HeytingModel, universe: TermUniverse,
     finite meet/join over the term universe.  Returns an element index and
     never consults the categorical engine.
     """
-    if free_vars(formula):
+    if formula.fv:
         raise WorkbenchError(f"oracle needs a closed formula, got {formula}")
     return _oracle_eval(model, universe, atom_elems, formula)
 

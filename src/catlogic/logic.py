@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .errors import (
     FormulaSyntaxError,
@@ -29,46 +31,116 @@ from .errors import (
 
 # -- terms and formulas -------------------------------------------------------
 
-class Term:
+# every live syntax node, by (class, *fields): one object per term and formula
+_NODES: dict[tuple, _Ref] = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that keeps the node's table key."""
+    __slots__ = ("key",)
+
+
+def _drop(ref: _Ref) -> None:
+    # a node died: its entry goes, atomically, if it holds a dead reference
+    _remove_dead_weakref(_NODES, ref.key)
+
+
+class _Interned(type):
+    """Builds each syntax node once per class and fields while it lives, so
+    equality is identity and a hash costs O(1); a node nothing else holds
+    leaves the table.  The key holds only strings, tuples and nodes, none of
+    which hashes or compares in Python code, so ``setdefault`` inserts
+    atomically: two threads get one node."""
+
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls.__match_args__):
+            # the class's own __init__ binds keyword and default fields
+            made = type.__call__(cls, *args, **kwargs)
+            return cls(*(getattr(made, name) for name in cls.__match_args__))
+        key = (cls, *args)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = type.__call__(cls, *args)
+            ref = _Ref(node, _drop)
+            ref.key = key
+            while (held := _NODES.setdefault(key, ref)) is not ref:
+                if (other := held()) is not None:
+                    return other  # another thread built it first
+                _remove_dead_weakref(_NODES, key)  # dead, its callback pending
+        return node
+
+
+def _union(parts: Iterable[tuple]) -> tuple[tuple[str, str], ...]:
+    """The sorted union of sorted free-variable tuples."""
+    out: tuple = ()
+    for fv in parts:
+        if fv and fv != out:
+            out = tuple(sorted({*out, *fv})) if out else fv
+    return out
+
+
+class _Syntax(metaclass=_Interned):
+    """A term or formula; ``fv`` holds the sorted (name, sort) pairs of its
+    free variables, set once when the node is built."""
+    __slots__ = ("fv", "__weakref__")
+
+    def __post_init__(self) -> None:
+        # an application's or atom's arguments' (0 and 1 have none)
+        object.__setattr__(self, "fv", _union(t.fv for t in getattr(self, "args", ())))
+
+    def __reduce__(self):
+        # pickle and copy rebuild the node through its constructor
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Term(_Syntax):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var(Term):
     name: str
     sort: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fv", ((self.name, self.sort),))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, slots=True)
 class App(Term):
     func: str
     args: tuple[Term, ...]
     sort: str
 
 
-class Formula:
+class Formula(_Syntax):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Zero(Formula):
     symbol = "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class One(Formula):
     symbol = "1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Atom(Formula):
     rel: str
     args: tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Binary(Formula):
     """A connective: its ``symbol``, its precedence ``prec`` (& binds
     tightest), and the least precedence that stands bare as its left and as
@@ -79,33 +151,44 @@ class Binary(Formula):
     prec: ClassVar[int]
     floors: ClassVar[tuple[int, int]]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fv", _union((self.left.fv, self.right.fv)))
+
 
 class Times(Binary):
+    __slots__ = ()
     symbol, prec, floors = "&", 3, (3, 4)
 
 
 class Plus(Binary):
+    __slots__ = ()
     symbol, prec, floors = "|", 2, (2, 3)
 
 
 class Arrow(Binary):
+    __slots__ = ()
     symbol, prec, floors = "->", 1, (2, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Quantifier(Formula):
-    """``symbol var:sort. body``."""
+    """``symbol var:sort. body``; the binder removes its variable by name."""
     var: str
     sort: str
     body: Formula
     symbol: ClassVar[str]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fv", tuple(p for p in self.body.fv if p[0] != self.var))
+
 
 class Forall(Quantifier):
+    __slots__ = ()
     symbol = "forall"
 
 
 class Exists(Quantifier):
+    __slots__ = ()
     symbol = "exists"
 
 
@@ -162,23 +245,11 @@ class Theory:
 
 # -- basic formula operations -------------------------------------------------
 
-def term_vars(t: Term) -> frozenset[tuple[str, str]]:
-    if isinstance(t, Var):
-        return frozenset({(t.name, t.sort)})
-    return frozenset().union(*[term_vars(a) for a in t.args]) if t.args else frozenset()
-
-
 def free_vars(f: Formula) -> frozenset[tuple[str, str]]:
     """Free (variable, sort) pairs; binders remove their variable by name."""
-    if isinstance(f, Binary):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, Quantifier):
-        return frozenset((n, s) for n, s in free_vars(f.body) if n != f.var)
-    if isinstance(f, Atom):
-        return frozenset().union(*[term_vars(t) for t in f.args])
-    if isinstance(f, Formula):
-        return frozenset()
-    raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return frozenset(f.fv)
 
 
 def connective_depth(f: Formula) -> int:
@@ -199,32 +270,33 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.body)
 
 
-def _subst_term(t: Term, repl: Term, x: str) -> Term:
-    if isinstance(t, Var):
-        if t.name == x:
-            if t.sort != repl.sort:
-                raise SortMismatch(
-                    f"cannot substitute {repl} : {repl.sort} for {x} : {t.sort}")
-            return repl
-        return t
-    return App(t.func, tuple(_subst_term(a, repl, x) for a in t.args), t.sort)
-
-
 def substitute(f: Formula, t: Term, x: str) -> Formula:
     """Replace every free occurrence of ``x`` by the closed term ``t``."""
-    if term_vars(t):
+    if t.fv:
         raise SortMismatch(f"substituted term {t} must be closed")
-    return _subst(f, t, x)
+    for name, sort in f.fv:
+        if name == x and sort != t.sort:
+            raise SortMismatch(f"cannot substitute {t} : {t.sort} for {x} : {sort}")
+    return _subst(f, t, (x, t.sort))
 
 
-def _subst(f: Formula, t: Term, x: str) -> Formula:
+def _subst(f: Formula, t: Term, v: tuple[str, str]) -> Formula:
+    """``f`` with ``t`` for the free variable ``v``, a (name, sort) pair."""
+    if v not in f.fv:
+        return f
     if isinstance(f, Binary):
-        return type(f)(_subst(f.left, t, x), _subst(f.right, t, x))
+        return type(f)(_subst(f.left, t, v), _subst(f.right, t, v))
     if isinstance(f, Quantifier):
-        return f if f.var == x else type(f)(f.var, f.sort, _subst(f.body, t, x))
-    if isinstance(f, Atom):
-        return Atom(f.rel, tuple(_subst_term(a, t, x) for a in f.args))
-    return f
+        return type(f)(f.var, f.sort, _subst(f.body, t, v))
+    return Atom(f.rel, tuple(_subst_term(a, t, v) for a in f.args))
+
+
+def _subst_term(u: Term, t: Term, v: tuple[str, str]) -> Term:
+    if v not in u.fv:
+        return u
+    if isinstance(u, Var):
+        return t
+    return App(u.func, tuple(_subst_term(a, t, v) for a in u.args), u.sort)
 
 
 def alpha_key(f: Formula, _env: tuple[str, ...] = ()) -> tuple:
@@ -369,7 +441,7 @@ def parse_formula(text: str, sig: Signature,
                 args, h = arguments("relation", rel, i - 1)
                 left = Atom(rel.name, args)
             else:
-                left, h = Atom(tok), 0
+                left, h = Atom(tok, ()), 0
         elif tok == "0" or tok == "1":
             i += 1
             left, h = (Zero() if tok == "0" else One()), 0
@@ -572,7 +644,7 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
         f = formula(src, lineno)
         if not isinstance(f, Atom):
             raise TheoryFileError(f"interp left side must be an atom, got {src}", lineno)
-        if free_vars(f):
+        if f.fv:
             raise TheoryFileError(f"interp atom must be closed: {src}", lineno)
         key = (f.rel, f.args)
         if key in atom_interp:
@@ -671,7 +743,7 @@ def enumerate_formulas(sig: Signature, universe: TermUniverse) -> list[Formula]:
     first ``_LEVEL_CAPS[d]`` formulas in generation order, which interleaves
     every connective and both quantifiers.
     """
-    free_pool: list[tuple[Formula, frozenset]] = []
+    free_pool: list[Formula] = []
     leaves: list[Formula] = [Zero(), One()]
     for rel in sig.relations:
         arg_options = []
@@ -684,53 +756,47 @@ def enumerate_formulas(sig: Signature, universe: TermUniverse) -> list[Formula]:
             continue
         for combo in itertools.product(*arg_options):
             atom = Atom(rel.name, tuple(combo))
-            fv = free_vars(atom)
-            if fv:
-                free_pool.append((atom, fv))
+            if atom.fv:
+                free_pool.append(atom)
             else:
                 leaves.append(atom)
 
-    pools: list[list[tuple[Formula, frozenset]]] = [
-        ([(f, frozenset()) for f in leaves] + free_pool)[:_POOL_CAP]]
+    pools: list[list[Formula]] = [(leaves + free_pool)[:_POOL_CAP]]
     out: list[Formula] = list(leaves)
 
     for depth_level in range(1, _MAX_DEPTH + 1):
         cap = _LEVEL_CAPS[depth_level]
-        fresh: list[tuple[Formula, frozenset]] = []
-        seen: set[Formula] = set()
+        fresh: dict[Formula, None] = {}  # in the order pushed
         closed_count = 0
 
-        def push(f: Formula, fv: frozenset) -> bool:
+        def push(f: Formula) -> bool:
             nonlocal closed_count
-            if f in seen:
-                return cap is not None and closed_count >= cap
-            seen.add(f)
-            fresh.append((f, fv))
-            if not fv:
-                out.append(f)
-                closed_count += 1
+            if f not in fresh:
+                fresh[f] = None
+                if not f.fv:
+                    out.append(f)
+                    closed_count += 1
             return cap is not None and closed_count >= cap
 
         # quantifiers first (they matter most for coverage) but leave at
         # least two thirds of the level budget to the binary connectives
         quant_budget = None if cap is None else max(cap // 3, 1)
-        for sort, (body, fv) in itertools.product(sig.sorts, pools[depth_level - 1]):
+        for sort, body in itertools.product(sig.sorts, pools[depth_level - 1]):
             var = canonical_var(sig, sort)
-            if not (fv <= {(var, sort)}):
+            if not set(body.fv) <= {(var, sort)}:
                 continue
-            rest = frozenset(p for p in fv if p != (var, sort))
-            push(Forall(var, sort, body), rest)
-            push(Exists(var, sort, body), rest)
+            push(Forall(var, sort, body))
+            push(Exists(var, sort, body))
             if quant_budget is not None and closed_count >= quant_budget:
                 break
         # binaries: r ranges over the deepest pool so the result has this depth,
         # l cycles quickly through every shallower depth for shape diversity
         if cap is None or closed_count < cap:
-            combined = [p for pool in pools[:depth_level] for p in pool]
-            for (r, fvr), (l, fvl), kind in itertools.product(
-                    pools[depth_level - 1], combined, _BINARY.values()):
-                if push(kind(l, r), fvl | fvr) or (l != r and push(kind(r, l), fvl | fvr)):
+            combined = [f for pool in pools[:depth_level] for f in pool]
+            for r, l, kind in itertools.product(pools[depth_level - 1], combined,
+                                                _BINARY.values()):
+                if push(kind(l, r)) or (l != r and push(kind(r, l))):
                     break
-        pools.append(fresh[:_POOL_CAP])
+        pools.append(list(fresh)[:_POOL_CAP])
 
     return out

@@ -18,9 +18,10 @@ reach depth it is built with, so every Interpretation holds its reachable
 set and answers quantified queries; another depth is another Interpretation.
 
 One map, ``_STORES``, gives the structure store of each connective, for the
-clauses and the reach closure alike.  Each condition check yields its
-failures as (FAIL or BLOCKED, detail) outcomes, and one rule, ``_verdict``,
-turns them into its verdict.
+clauses and the reach closure alike.  The memo keys a value by the formula
+object, one per formula (``logic``), and its free variables' closed terms.
+Each condition check yields its failures as (FAIL or BLOCKED, detail)
+outcomes, and one rule, ``_verdict``, turns them into its verdict.
 """
 
 from __future__ import annotations
@@ -113,7 +114,6 @@ class QuantifierSolution:
     quantifier: str  # "forall" | "exists"
     formula: Formula
     diagram: QuantifierDiagram
-    obj: ObjId
     family: Cone  # a cocone for exists; one leg per term of diagram.legs
 
 
@@ -181,18 +181,6 @@ def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
 
 # -- the interpretation ------------------------------------------------------------
 
-@dataclass(eq=False, slots=True)
-class _Node:
-    """A formula interned by an Interpretation: ``f`` is the one formula
-    object kept for its shape, ``kids`` its interned direct subformulas and
-    ``fv`` the names of its free variables, sorted.  Nodes hash and compare
-    by identity, which is sound while the Interpretation that interned them
-    lives: it never drops one."""
-    f: Formula
-    kids: tuple[_Node, ...]
-    fv: tuple[str, ...]
-
-
 # An environment: (variable, closed term) pairs, the innermost binding last.
 _Env = tuple[tuple[str, Term], ...]
 
@@ -203,13 +191,20 @@ def _bound(env: _Env, name: str) -> Term:
             return t
 
 
+def _instance(f: Formula, terms: tuple[Term, ...]) -> Formula:
+    """``f`` with ``terms`` put for its free variables, in ``f.fv`` order."""
+    for (name, _), t in zip(f.fv, terms):
+        f = substitute(f, t, name)
+    return f
+
+
 @dataclass
 class _Scope:
     """Where the evaluator searches quantifier objects and what it keeps:
-    values by (node, the environment's terms for the node's free variables),
-    solutions by the alpha key of the closed quantified formula."""
+    values by (formula, the environment's terms for the formula's free
+    variables), solutions by the alpha key of the closed quantified formula."""
     vertexes: Sequence[ObjId]
-    memo: dict[tuple[_Node, tuple[Term, ...]], ObjId]
+    memo: dict[tuple[Formula, tuple[Term, ...]], ObjId]
     solved: dict[tuple, QuantifierSolution]
     warnings: list[str] | None
 
@@ -219,11 +214,12 @@ class Interpretation:
 
     The constructor runs the reach fixpoint, so an Interpretation answers
     queries once built; every query is read-only apart from memo fills,
-    which are deterministic.  A formula is valued as an interned node under
-    an environment of closed terms: a quantifier leg is its body under one
-    more binding, and a closed instance B[t/x] is built only for a
-    quantified formula's alpha key (``qmemo``), a solution's formula and
-    diagram body, and error messages.
+    which are deterministic.  A formula is valued under an environment of
+    closed terms and memoized by itself and the terms its free variables
+    take: a quantifier leg is its body under one more binding, and a closed
+    instance B[t/x] is built only for an atom's lookup, a quantified
+    formula's alpha key (``qmemo``), a solution's formula and diagram body,
+    and error messages.
     """
 
     def __init__(self, structure: StructureTable, theory: Theory, *,
@@ -254,9 +250,7 @@ class Interpretation:
                 raise TheoryFileError(str(exc), theory.lines.get(key)) from None
         self._check_atom_coverage()
 
-        self.memo: dict[tuple[_Node, tuple[Term, ...]], ObjId] = {}
-        self._nodes: dict[object, _Node] = {}
-        self._instances: dict[tuple[_Node, tuple[Term, ...]], Formula] = {}
+        self.memo: dict[tuple[Formula, tuple[Term, ...]], ObjId] = {}
         members, self.qmemo, self.reach_failures = self._fixpoint()
         self.reach = ReachSet(tuple(members.values()), reach_depth)
         # queries search quantifier objects among the reach
@@ -274,79 +268,39 @@ class Interpretation:
                 f"atom interpretation does not cover every closed instance; "
                 f"missing: {', '.join(missing)}")
 
-    # -- interned nodes and their closed instances -----------------------------------
-
-    def _node(self, f: Formula) -> _Node:
-        """The interned node of ``f``, interning its subformulas first."""
-        if isinstance(f, Binary):
-            left, right = self._node(f.left), self._node(f.right)
-            key = (type(f), left, right)
-            node = self._nodes.get(key)
-            if node is None:
-                fv = tuple(sorted({*left.fv, *right.fv}))
-                node = self._nodes[key] = _Node(type(f)(left.f, right.f), (left, right), fv)
-        elif isinstance(f, Quantifier):
-            body = self._node(f.body)
-            key = (type(f), f.var, f.sort, body)
-            node = self._nodes.get(key)
-            if node is None:
-                fv = tuple(n for n in body.fv if n != f.var)
-                node = self._nodes[key] = _Node(type(f)(f.var, f.sort, body.f), (body,), fv)
-        else:
-            node = self._nodes.get(f)
-            if node is None:
-                fv = tuple(sorted({n for n, _ in free_vars(f)}))
-                node = self._nodes[f] = _Node(f, (), fv)
-        return node
-
-    def _instance(self, node: _Node, terms: tuple[Term, ...]) -> Formula:
-        """``node``'s formula with ``terms`` put for its free variables."""
-        if not terms:
-            return node.f
-        key = (node, terms)
-        f = self._instances.get(key)
-        if f is None:
-            f = node.f
-            for name, t in zip(node.fv, terms):
-                f = substitute(f, t, name)
-            self._instances[key] = f
-        return f
-
     # -- the evaluator ---------------------------------------------------------------
 
     def interpret(self, f: Formula) -> ObjId:
-        node = self._node(f)
-        if node.fv:
+        if free_vars(f):
             raise MalformedInput(f"interpret needs a closed formula, got {f}")
-        return self._value(node, (), self._scope)
+        return self._value(f, (), self._scope)
 
     def _interpret(self, f: Formula) -> ObjId:
         """``interpret`` for a formula known to be closed; the condition
         checks use it, so their work is not counted as queries."""
-        return self._value(self._node(f), (), self._scope)
+        return self._value(f, (), self._scope)
 
-    def _value(self, node: _Node, env: _Env, scope: _Scope) -> ObjId:
-        terms = tuple([_bound(env, name) for name in node.fv]) if node.fv else ()
-        key = (node, terms)
+    def _value(self, f: Formula, env: _Env, scope: _Scope) -> ObjId:
+        terms = tuple([_bound(env, name) for name, _ in f.fv]) if f.fv else ()
+        key = (f, terms)
         obj = scope.memo.get(key)
         if obj is None:
-            obj = scope.memo[key] = self._clause(node, env, terms, scope)
+            obj = scope.memo[key] = self._clause(f, env, terms, scope)
         return obj
 
-    def _clause(self, node: _Node, env: _Env, terms: tuple[Term, ...],
+    def _clause(self, f: Formula, env: _Env, terms: tuple[Term, ...],
                 scope: _Scope) -> ObjId:
-        """The object the clause for the outermost connective of ``node`` gives
-        under ``env`` (whose values at ``node``'s free variables are
+        """The object the clause for the outermost connective of ``f`` gives
+        under ``env`` (whose values at ``f``'s free variables are
         ``terms``), with each direct subformula valued through the memo."""
-        f, st = node.f, self.structure
+        st = self.structure
         if isinstance(f, Binary):
-            left, right = node.kids
-            a, b = self._value(left, env, scope), self._value(right, env, scope)
+            a, b = self._value(f.left, env, scope), self._value(f.right, env, scope)
             return getattr(st, _STORES[type(f)])[(a.index, b.index)].apex
         if isinstance(f, Quantifier):
-            return self._solution(node, env, terms, scope).obj
+            return self._solution(f, env, terms, scope).family.apex
         if isinstance(f, Atom):
-            a = self._instance(node, terms)
+            a = _instance(f, terms)
             obj = self.atom_map.get((a.rel, a.args))
             if obj is None:
                 raise MissingAtom(f"no interpretation for atom {a}")
@@ -357,33 +311,33 @@ class Interpretation:
                             body: Formula) -> QuantifierSolution:
         _check_body(body, var, sort)
         formula = _quantifier(quantifier)(var, sort, body)
-        return self._solution(self._node(formula), (), (), self._scope)
+        return self._solution(formula, (), (), self._scope)
 
-    def _solution(self, node: _Node, env: _Env, terms: tuple[Term, ...],
+    def _solution(self, f: Quantifier, env: _Env, terms: tuple[Term, ...],
                   scope: _Scope) -> QuantifierSolution:
-        """The quantifier object of ``node`` under ``env``, found among the
+        """The quantifier object of ``f`` under ``env``, found among the
         scope's vertexes over the diagram of its body's values, one leg per
         closed term; kept under the alpha key of the closed formula."""
-        f = self._instance(node, terms)
-        key = alpha_key(f)
+        closed = _instance(f, terms)
+        key = alpha_key(closed)
         sol = scope.solved.get(key)
         if sol is None:
-            diagram = self._diagram(node.kids[0], f.body, f.var, f.sort, env, scope)
+            diagram = self._diagram(f.body, closed.body, f.var, f.sort, env, scope)
             try:
                 cone = search_quantifier_object(
                     self.structure, scope.vertexes, f.symbol, diagram, scope.warnings)
             except NoQuantifierObject as exc:
                 raise MissingQuantifierObject(str(exc)) from exc
-            sol = scope.solved[key] = QuantifierSolution(f.symbol, f, diagram, cone.apex, cone)
+            sol = scope.solved[key] = QuantifierSolution(f.symbol, closed, diagram, cone)
         return sol
 
-    def _diagram(self, node: _Node, body: Formula, var: str, sort: str, env: _Env,
+    def _diagram(self, body: Formula, shown: Formula, var: str, sort: str, env: _Env,
                  scope: _Scope) -> QuantifierDiagram:
-        """The diagram over ``var:sort`` of ``body``, whose node is ``node``
-        and whose other free variables ``env`` binds: one leg per closed
-        term t in universe order, valued under ``env`` extended by var -> t."""
-        return QuantifierDiagram(body, var, sort, tuple(
-            (t, self._value(node, env + ((var, t),), scope))
+        """The diagram over ``var:sort`` of ``body``, shown as ``shown``, whose
+        other free variables ``env`` binds: one leg per closed term t in
+        universe order, valued under ``env`` extended by var -> t."""
+        return QuantifierDiagram(shown, var, sort, tuple(
+            (t, self._value(body, env + ((var, t),), scope))
             for t in self.universe.terms(sort)))
 
     # -- reach fixpoint ------------------------------------------------------------
@@ -419,16 +373,11 @@ class Interpretation:
 
     def _quantifier_pool(self) -> list[Formula]:
         sig = self.theory.signature
-        pool: list[Formula] = []
-        seen: set[tuple] = set()
+        pool: dict[tuple, Formula] = {}  # closed formulas by alpha key
 
         def add(f: Formula) -> None:
-            if connective_depth(f) > self.reach_depth:
-                return
-            key = alpha_key(f)
-            if key not in seen and not free_vars(f):
-                seen.add(key)
-                pool.append(f)
+            if connective_depth(f) <= self.reach_depth and not f.fv:
+                pool.setdefault(alpha_key(f), f)
 
         for rel in sig.relations:
             for sort in sig.sorts:
@@ -452,7 +401,7 @@ class Interpretation:
             for sub in subformulas(f):
                 if isinstance(sub, Quantifier):
                     add(sub)
-        return pool
+        return list(pool.values())
 
     def _fixpoint(self):
         """The reach members, quantifier solutions and pool failures of the
@@ -467,9 +416,10 @@ class Interpretation:
             members = self._base_members()
             self._binary_closure(members)
             for sol in qbeliefs.values():
-                if sol.obj.index not in members:
-                    members[sol.obj.index] = ReachMember(
-                        sol.obj, sol.formula, connective_depth(sol.formula))
+                apex = sol.family.apex
+                if apex.index not in members:
+                    members[apex.index] = ReachMember(
+                        apex, sol.formula, connective_depth(sol.formula))
             self._binary_closure(members)
 
             # this round's quantifiers are searched among this round's members
@@ -478,11 +428,11 @@ class Interpretation:
             failures = []
             for f in sorted(pool, key=connective_depth):
                 try:
-                    self._value(self._node(f), (), scope)
+                    self._value(f, (), scope)
                 except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
                     failures.append(f"{f}: {exc}")
             stable = (qnew.keys() == qbeliefs.keys()
-                      and all(qnew[k].obj == qbeliefs[k].obj for k in qnew))
+                      and all(qnew[k].family.apex == qbeliefs[k].family.apex for k in qnew))
             qbeliefs = qnew
             if stable:
                 break
@@ -509,7 +459,7 @@ def build_diagram(interp: Interpretation, body: Formula, var: str,
     """Legs in universe order, one per closed term t, each the value of
     ``body`` with var bound to t."""
     _check_body(body, var, sort)
-    return interp._diagram(interp._node(body), body, var, sort, (), interp._scope)
+    return interp._diagram(body, body, var, sort, (), interp._scope)
 
 
 def _check_body(body: Formula, var: str, sort: str) -> None:
@@ -665,7 +615,7 @@ def _quantifier_outcomes(interp: Interpretation) -> _Outcomes:
     quantified: dict[tuple, Formula] = {}
     for f in checked_formulas(interp):
         for sub in subformulas(f):
-            if isinstance(sub, Quantifier) and not free_vars(sub):
+            if isinstance(sub, Quantifier) and not sub.fv:
                 quantified.setdefault(alpha_key(sub), sub)
     for sub in quantified.values():
         try:
@@ -687,21 +637,22 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
     except NoSuchStructure as exc:
         yield "BLOCKED", str(exc)
     # a quantified formula's clause is its stored solution, re-checked below
-    for (node, terms), obj in list(interp.memo.items()):
-        if isinstance(node.f, Quantifier):
+    for (f, terms), obj in list(interp.memo.items()):
+        if isinstance(f, Quantifier):
             continue
         try:
-            want = interp._clause(node, tuple(zip(node.fv, terms)), terms, interp._scope)
+            env = tuple((name, t) for (name, _), t in zip(f.fv, terms))
+            want = interp._clause(f, env, terms, interp._scope)
         except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
             continue
         if want != obj:
-            yield "FAIL", (f"memo holds {obj.name} for {interp._instance(node, terms)}, "
+            yield "FAIL", (f"memo holds {obj.name} for {_instance(f, terms)}, "
                            f"clauses give {want.name}")
     for sol in interp.qmemo.values():
         bad = revalidate_quantifier(st, interp.reach.objects, sol)
         if bad:
             yield "FAIL", (f"{sol.formula}: stored quantifier object "
-                           f"{sol.obj.name} no longer unique: {bad}")
+                           f"{sol.family.apex.name} no longer unique: {bad}")
 
 
 def _frobenius_outcomes(interp: Interpretation) -> _Outcomes:

@@ -173,7 +173,7 @@ def _context(interp: "Interpretation", left: Formula, body: Formula,
     ma = interp.interpret(left)
     sol_b = interp.quantifier_solution("exists", var, sort, body)
     sol_ab = interp.quantifier_solution("exists", var, sort, Times(left, body))
-    vertex = st.product(ma, sol_b.obj).apex
+    vertex = st.product(ma, sol_b.family.apex).apex
     ida = st.identity(ma)
     q_legs = tuple(st.arrow_product(ida, delta_t) for delta_t in sol_b.family.legs)
     return _FrobeniusContext(ma, sol_b, sol_ab, vertex, q_legs)
@@ -190,7 +190,7 @@ def _alpha(st: StructureTable, ctx: _FrobeniusContext) -> ArrId:
     ex = ctx.sol_ab.family
     return _unique(
         st.mediators(ex, ctx.vertex, ctx.q_legs),
-        f"from {ctx.sol_ab.obj.name} to {ctx.vertex.name} commuting with "
+        f"from {ctx.sol_ab.family.apex.name} to {ctx.vertex.name} commuting with "
         f"{len(ex.legs)} legs")
 
 
@@ -228,7 +228,7 @@ def _gamma(st: StructureTable, ma: ObjId, sol_b: QuantifierSolution, c: ObjId,
         transposed.append(st.transpose(swapped, w, ma))
     return _unique(
         st.mediators(sol_b.family, exp_w.apex, transposed),
-        f"from {sol_b.obj.name} to {exp_w.apex.name} commuting with the "
+        f"from {sol_b.family.apex.name} to {exp_w.apex.name} commuting with the "
         f"transposed legs")
 
 
@@ -246,14 +246,14 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
 
     # gamma for the cocone of exists x.(A x B) itself, p_t = exI_t, whose
     # vertex the quantifier search took from the reachable set
-    gamma = _gamma(st, ctx.ma, ctx.sol_b, ctx.sol_ab.obj, ctx.sol_ab.family)
+    gamma = _gamma(st, ctx.ma, ctx.sol_b, ctx.sol_ab.family.apex, ctx.sol_ab.family)
 
-    theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.obj)  # M(ex B) x MA -> M(ex AxB)
-    beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.obj))
+    theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.family.apex)  # M(ex B) x MA -> M(ex AxB)
+    beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.family.apex))
 
     for first, then, composite, end in (
             ("alpha", "theta(gamma)", cat.compose(alpha, beta), ctx.vertex),
-            ("theta(gamma)", "alpha", cat.compose(beta, alpha), ctx.sol_ab.obj)):
+            ("theta(gamma)", "alpha", cat.compose(beta, alpha), ctx.sol_ab.family.apex)):
         if composite != st.identity(end):
             raise CertificateFailure(
                 f"{instance.describe()}: {first} . {then} = {composite.name}, "
@@ -263,7 +263,7 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
     return FrobeniusCertificate(
         instance, alpha, gamma, beta,
         equations=(f"{alpha.name} . {beta.name} = id_{ctx.vertex.name}",
-                   f"{beta.name} . {alpha.name} = id_{ctx.sol_ab.obj.name}"),
+                   f"{beta.name} . {alpha.name} = id_{ctx.sol_ab.family.apex.name}"),
         initiality=_initiality_sweep(interp, ctx))
 
 

@@ -27,9 +27,9 @@ def _alpha(st, ctx):
     cat = st.cat
     ex_legs = ctx.sol_ab.family.legs
     return _unique(
-        cat, cat.hom(ctx.sol_ab.obj, ctx.vertex),
+        cat, cat.hom(ctx.sol_ab.family.apex, ctx.vertex),
         lambda m: all(cat.compose(m, e) == q for e, q in zip(ex_legs, ctx.q_legs)),
-        f"from {ctx.sol_ab.obj.name} to {ctx.vertex.name} commuting with "
+        f"from {ctx.sol_ab.family.apex.name} to {ctx.vertex.name} commuting with "
         f"{len(ex_legs)} legs")
 
 
@@ -56,10 +56,10 @@ def build_gamma(interp, left, body, var, sort, c, p):
 
     delta_legs = sol_b.family.legs
     return _unique(
-        cat, cat.hom(sol_b.obj, exp_w.apex),
+        cat, cat.hom(sol_b.family.apex, exp_w.apex),
         lambda m: all(cat.compose(m, d) == tr
                       for d, tr in zip(delta_legs, transposed)),
-        f"from {sol_b.obj.name} to {exp_w.apex.name} commuting with the "
+        f"from {sol_b.family.apex.name} to {exp_w.apex.name} commuting with the "
         f"transposed legs")
 
 
@@ -70,19 +70,19 @@ def frobenius_arrows(interp, inst):
     left, body, var, sort = inst.left, inst.body, inst.var, inst.sort
     ctx = _context(interp, left, body, var, sort)
     alpha = _alpha(st, ctx)
-    gamma = build_gamma(interp, left, body, var, sort, ctx.sol_ab.obj, ctx.sol_ab.family)
-    theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.obj)
-    beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.obj))
+    gamma = build_gamma(interp, left, body, var, sort, ctx.sol_ab.family.apex, ctx.sol_ab.family)
+    theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.family.apex)
+    beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.family.apex))
     comp_ab, comp_ba = cat.compose(alpha, beta), cat.compose(beta, alpha)
     if comp_ab != st.identity(ctx.vertex):
         raise CertificateFailure(
             f"{inst.describe()}: alpha . theta(gamma) = {comp_ab.name}, "
             f"expected id_{ctx.vertex.name} (alpha = {alpha.name}, "
             f"gamma = {gamma.name}, beta = {beta.name})")
-    if comp_ba != st.identity(ctx.sol_ab.obj):
+    if comp_ba != st.identity(ctx.sol_ab.family.apex):
         raise CertificateFailure(
             f"{inst.describe()}: theta(gamma) . alpha = {comp_ba.name}, "
-            f"expected id_{ctx.sol_ab.obj.name} (alpha = {alpha.name}, "
+            f"expected id_{ctx.sol_ab.family.apex.name} (alpha = {alpha.name}, "
             f"gamma = {gamma.name}, beta = {beta.name})")
     _initiality_sweep(interp, ctx)
     return alpha, gamma, beta

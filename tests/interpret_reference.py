@@ -87,7 +87,7 @@ class ReferenceInterpretation(Interpretation):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         for key, sol in self.qmemo.items():
-            self.memo[key] = (sol.formula, sol.obj)
+            self.memo[key] = (sol.formula, sol.family.apex)
 
     def interpret(self, f: Formula) -> ObjId:
         if free_vars(f):
@@ -117,7 +117,7 @@ class ReferenceInterpretation(Interpretation):
             find = {Times: st.product, Plus: st.coproduct, Arrow: st.exponential}[type(f)]
             return find(sub(f.left), sub(f.right)).apex
         if isinstance(f, (Forall, Exists)):
-            return quantify(f).obj
+            return quantify(f).family.apex
         raise TypeError(f"not a formula: {f!r}")
 
     def _reached(self, f: Forall | Exists) -> QuantifierSolution:
@@ -146,7 +146,7 @@ class ReferenceInterpretation(Interpretation):
             diagram = self._diagram(f.body, f.var, f.sort, sub)
             family = ref_search_quantifier_object(self.structure, vertexes, quant,
                                                   diagram, warnings)
-            solved[key] = QuantifierSolution(quant, f, diagram, family.apex, family)
+            solved[key] = QuantifierSolution(quant, f, diagram, family)
         return solved[key]
 
     def _diagram(self, body: Formula, var: str, sort: str, sub) -> QuantifierDiagram:
@@ -163,9 +163,9 @@ class ReferenceInterpretation(Interpretation):
             members = self._base_members()
             self._binary_closure(members)
             for sol in qbeliefs.values():
-                if sol.obj.index not in members:
-                    members[sol.obj.index] = ReachMember(
-                        sol.obj, sol.formula, connective_depth(sol.formula))
+                if sol.family.apex.index not in members:
+                    members[sol.family.apex.index] = ReachMember(
+                        sol.family.apex, sol.formula, connective_depth(sol.formula))
             self._binary_closure(members)
 
             qnew: dict[tuple, QuantifierSolution] = {}
@@ -177,7 +177,7 @@ class ReferenceInterpretation(Interpretation):
                 except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
                     failures.append(f"{f}: {exc}")
             stable = (qnew.keys() == qbeliefs.keys()
-                      and all(qnew[k].obj == qbeliefs[k].obj for k in qnew))
+                      and all(qnew[k].family.apex == qbeliefs[k].family.apex for k in qnew))
             qbeliefs = qnew
             if stable:
                 break

@@ -50,7 +50,7 @@ def ref_revalidate(cat, vertexes, sol):
     fam = sol.family.legs
     legs = [obj for _, obj in sol.diagram.legs]
     verdict = ref_family_mediates(cat, sorted(set(vertexes), key=lambda o: o.index),
-                                  sol.obj, fam, legs, direction)
+                                  sol.family.apex, fam, legs, direction)
     return None if verdict is True else verdict
 
 

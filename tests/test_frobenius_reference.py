@@ -55,7 +55,7 @@ def _assert_matches_reference(interp):
         sol_ab = _outcome(interp.quantifier_solution, "exists", inst.var, inst.sort,
                           Times(inst.left, inst.body))
         if not isinstance(sol_ab, tuple):
-            gamma_args = (*args, sol_ab.obj, sol_ab.family)
+            gamma_args = (*args, sol_ab.family.apex, sol_ab.family)
             assert _outcome(build_gamma, *gamma_args) == _outcome(ref.build_gamma, *gamma_args)
         if isinstance(cert[0], str):
             failed.append(cert[0])

@@ -1,4 +1,10 @@
+import copy
+import dataclasses
 import itertools
+import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,10 +20,14 @@ from catlogic.logic import (
     App,
     Arrow,
     Atom,
+    Binary,
     Exists,
     Forall,
+    Formula,
     One,
     Plus,
+    Quantifier,
+    Term,
     Times,
     Var,
     Zero,
@@ -134,6 +144,24 @@ def test_substitute_requires_closed_term(sig):
         substitute(Atom("B", (Var("x", "s"),)), Var("y", "s"), "x")
 
 
+def test_substitute_checks_the_sort_of_the_variable():
+    sig2 = parse_theory("sort s\nsort t\nfun c : s\nrel B : s\nrel Q : t\n").signature
+    f = parse_formula("Q(x) & forall x:s. B(x)", sig2, env={"x": "t"})
+    c = App("c", (), "s")
+    with pytest.raises(SortMismatch, match=r"cannot substitute c : s for x : t"):
+        substitute(f, c, "x")
+    # the bound x:s is no free occurrence, so there is nothing to check
+    assert substitute(f.right, c, "x") is f.right
+
+
+def test_fv_holds_the_sorted_free_variables(sig):
+    f = parse_formula("R(y, x) & (exists x:s. B(x)) | P", sig, env={"x": "s", "y": "s"})
+    assert f.fv == (("x", "s"), ("y", "s")) and free_vars(f) == frozenset(f.fv)
+    assert f.left.left.fv == f.fv and f.left.right.fv == f.right.fv == ()
+    with pytest.raises(TypeError, match="not a formula"):
+        free_vars(Var("x", "s"))
+
+
 def test_substitution_commutes_for_distinct_vars(sig):
     c, d = App("c", (), "s"), App("d", (), "s")
     f = parse_formula("R(x, y)", sig, env={"x": "s", "y": "s"})
@@ -172,7 +200,8 @@ def test_siblings_over_the_same_children_stay_apart(family):
     assert closed == [build(kind, Atom("B", (c,))) for kind in kinds]
     assert [type(f) for f in closed] == list(kinds)
     for f, g in itertools.combinations(open_ + closed, 2):
-        assert f != g and alpha_key(f) != alpha_key(g)
+        assert f != g and f is not g and alpha_key(f) != alpha_key(g)
+    assert substitute(b_x, c, "x") is Atom("B", (c,))
 
 
 # each connective's symbol and precedence, & binding tightest; & and |
@@ -195,6 +224,84 @@ def test_a_connective_inside_another_prints_and_parses_back(outer, inner, side, 
     want = f"{operand} {outer_symbol} P" if side == 0 else f"P {outer_symbol} {operand}"
     assert format_formula(f) == want
     assert parse_formula(want, sig) == f
+
+
+# -- one object per term and formula ------------------------------------------------
+
+# every syntax class, abstract bases included
+SYNTAX_CLASSES = (Term, Var, App, Formula, Atom, Zero, One, Binary, Times, Plus,
+                  Arrow, Quantifier, Forall, Exists)
+
+
+def test_a_node_is_built_once_whatever_the_call():
+    assert Atom("P") is Atom("P", ()) is Atom(rel="P")
+    assert App("c", (), "s") is App(func="c", sort="s", args=())
+    assert Forall("x", "s", One()) is Forall(body=One(), var="x", sort="s")
+    assert Zero() is Zero()
+
+
+def test_syntax_compares_and_hashes_by_identity():
+    for cls in SYNTAX_CLASSES:
+        assert cls.__eq__ is object.__eq__, cls
+        assert cls.__hash__ is object.__hash__, cls
+
+
+def test_copies_and_replacements_are_the_interned_node(sig):
+    f = parse_formula("forall x:s. exists y:s. R(x, g(y, c)) -> P | 0", sig)
+    for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f),
+                   dataclasses.replace(f)):
+        assert copied is f
+    assert dataclasses.replace(f, var="z").body is f.body
+    assert dataclasses.replace(f, var="z") is parse_formula(
+        "forall z:s. exists y:s. R(x, g(y, c)) -> P | 0", sig, env={"x": "s"})
+
+
+def test_a_node_nothing_holds_leaves_the_table():
+    from catlogic.logic import _NODES
+    f = Atom("Fleeting", (App("once", (), "s"),))
+    gone = weakref.ref(f)
+    assert (Atom, "Fleeting", f.args) in _NODES
+    del f
+    assert gone() is None
+    assert not any("Fleeting" in key or "once" in key for key in _NODES)
+
+
+def test_a_dead_entry_is_replaced():
+    # an entry whose node died but whose callback has not run yet
+    from catlogic.logic import _NODES, _Ref
+
+    class Dead:
+        pass
+
+    ghost = Dead()
+    ref = _Ref(ghost)
+    ref.key = key = (Atom, "Ghost", ())
+    _NODES[key] = ref
+    del ghost
+    node = Atom("Ghost")
+    assert isinstance(node, Atom) and node.rel == "Ghost"
+    assert _NODES[key]() is node and Atom("Ghost", ()) is node
+
+
+def test_threads_building_the_same_nodes_get_one_object():
+    # names no other test builds, so every node starts missing from the table
+    def build(out):
+        out.extend(Atom(f"Threaded{i}", (App(f"t{i}", (), "s"),)) for i in range(3000))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(r,)) for r in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for r in results:
+        assert len(r) == 3000 and all(a is b for a, b in zip(r, results[0]))
 
 
 # -- closed term enumeration -----------------------------------------------------
@@ -278,6 +385,7 @@ def test_parse_print_roundtrip(data):
     sig = parse_theory(THEORY).signature
     f = data.draw(closed_formulas(sig))
     assert parse_formula(format_formula(f), sig) == f
+    assert parse_formula(str(f), sig) is f
 
 
 def test_roundtrip_bundled_axioms():

@@ -12,6 +12,7 @@ from catlogic.logic import (
     Forall,
     One,
     Times,
+    Var,
     Zero,
     parse_formula,
     parse_theory,
@@ -115,6 +116,13 @@ def test_interpret_requires_closed_formula(b4_prepared):
     f = parse_formula("B(x)", th.signature, env={"x": "s"})
     with pytest.raises(MalformedInput):
         interp.interpret(f)
+
+
+@pytest.mark.parametrize("thing", ["P", Var("x", "s")], ids=["string", "variable"])
+def test_interpret_refuses_what_is_not_a_formula(b4_prepared, thing):
+    _, _, _, interp = b4_prepared
+    with pytest.raises(TypeError, match=re.escape(f"not a formula: {thing!r}")):
+        interp.interpret(thing)
 
 
 def test_missing_atom_is_reported():

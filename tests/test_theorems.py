@@ -137,11 +137,11 @@ def test_gamma_with_own_vertex(b4_prepared):
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
     sol_ab = interp.quantifier_solution("exists", "x", "s",
                                         Times(a, body))
-    gamma = build_gamma(interp, a, body, "x", "s", sol_ab.obj, sol_ab.family)
+    gamma = build_gamma(interp, a, body, "x", "s", sol_ab.family.apex, sol_ab.family)
     ma = interp.interpret(a)
-    exp_w = st.exponential(ma, sol_ab.obj)
+    exp_w = st.exponential(ma, sol_ab.family.apex)
     sol_b = interp.quantifier_solution("exists", "x", "s", body)
-    assert gamma.dom == sol_b.obj.index
+    assert gamma.dom == sol_b.family.apex.index
     assert gamma.cod == exp_w.apex.index
     # gamma mediates the transposed cocone leg by leg
     for delta_t in sol_b.family.legs:
@@ -174,12 +174,12 @@ def test_gamma_refuses_a_cocone_that_does_not_fit_the_diagram(prepared_suites):
     sol = interp.quantifier_solution("exists", "x", "s", Times(One(), body))
     assert len(sol.family.legs) == 2
     args = (interp, One(), body, "x", "s")
-    assert build_gamma(*args, sol.obj, sol.family) is not None
+    assert build_gamma(*args, sol.family.apex, sol.family) is not None
     short = replace(sol.family, legs=sol.family.legs[:1])
     with pytest.raises(ShapeMismatch, match="over the 2 legs"):
-        build_gamma(*args, sol.obj, short)
+        build_gamma(*args, sol.family.apex, short)
     # a fitting cocone given with a vertex its legs do not end at
-    other = next(o for o in interp.reach.objects if o != sol.obj)
+    other = next(o for o in interp.reach.objects if o != sol.family.apex)
     with pytest.raises(ShapeMismatch, match=f"a cocone into {other.name} "):
         build_gamma(*args, other, sol.family)
 
