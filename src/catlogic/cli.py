@@ -171,6 +171,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_redundancy(args) -> int:
+    """A delta certificate per object triple, a passing one's four lines added
+    as one rendered row (parsed names hold no newline), then the frobenius ones."""
     t0 = time.monotonic()
     report, interp = _prepare(args)
     if interp is None:
@@ -182,16 +184,16 @@ def cmd_redundancy(args) -> int:
     report.add("delta.count", len(triples))
     for i, (a, b, c) in enumerate(triples, 1):
         key = f"delta.{i:04d}"
-        report.add(f"{key}.triple", f"({a.name}, {b.name}, {c.name})")
+        row = f"{key}.triple = ({a.name}, {b.name}, {c.name})\n"
         try:
             cert = delta_certificate(st, a, b, c)
         except WorkbenchError as exc:
             failed += 1
+            report.add_rendered(row)
             report.add(f"{key}.verdict", f"FAIL: {exc}")
             continue
-        report.add(f"{key}.arrow", cert.delta.name)
-        report.add(f"{key}.inverse", cert.delta_inv.name)
-        report.add(f"{key}.verdict", "PASS")
+        report.add_rendered(f"{row}{key}.arrow = {cert.delta.name}\n"
+                            f"{key}.inverse = {cert.delta_inv.name}\n{key}.verdict = PASS\n")
 
     instances = derive_instances(interp.theory)
     report.add("frobenius.count", len(instances))

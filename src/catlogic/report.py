@@ -1,7 +1,8 @@
 """Structured, line-oriented key = value reports.
 
 Stable ordering makes reports diffable certificates; the timing section is
-rendered last and stripped before any byte-for-byte comparison.
+rendered last and stripped before any byte-for-byte comparison.  A line is
+rendered when it is added, so ``render`` only joins the lines.
 """
 
 from __future__ import annotations
@@ -11,36 +12,31 @@ TIMING_PREFIX = "timing."
 
 class Report:
     def __init__(self) -> None:
-        self._lines: list[tuple[str, str]] = []
-        self._timing: list[tuple[str, str]] = []
+        self._lines: list[str] = []
+        self._timing: list[str] = []
 
     def add(self, key: str, value: object) -> None:
         text = str(value)
         if "\n" in text:
             raise ValueError(f"report value for {key} must be a single line")
-        self._lines.append((key, text))
+        self._lines.append(f"{key} = {text}\n")
+
+    def add_rendered(self, text: str) -> None:
+        """Append whole ``key = value\\n`` lines whose values hold no newline."""
+        self._lines.append(text)
 
     def add_block(self, prefix: str, text: str) -> None:
         """Embed a multi-line input under zero-padded numbered keys."""
-        lines = text.splitlines()
+        lines = text.splitlines()  # so no line holds a newline
         width = max(3, len(str(len(lines))))
-        for i, line in enumerate(lines, 1):
-            self.add(f"{prefix}.{i:0{width}d}", line)
+        self._lines.extend(f"{prefix}.{i:0{width}d} = {line}\n"
+                           for i, line in enumerate(lines, 1))
 
     def add_timing(self, key: str, millis: float) -> None:
-        self._timing.append((f"{TIMING_PREFIX}{key}", f"{millis:.1f}"))
+        self._timing.append(f"{TIMING_PREFIX}{key} = {millis:.1f}\n")
 
     def render(self) -> str:
-        return "".join(f"{k} = {v}\n" for k, v in self._lines + self._timing)
-
-    def get(self, key: str) -> str | None:
-        for k, v in self._lines:
-            if k == key:
-                return v
-        return None
-
-    def keys(self) -> list[str]:
-        return [k for k, _ in self._lines]
+        return "".join(self._lines + self._timing)
 
 
 def strip_timing(text: str) -> str:

@@ -586,15 +586,16 @@ def _verdict(number: int, name: str, outcomes: _Outcomes, cap: int | None) -> Co
 
 def distributivity_verdict(st: StructureTable, objects: Sequence[ObjId]) -> ConditionVerdict:
     """Condition 4 over every triple of ``objects``: the canonical arrow
-    (a x b) + (a x c) -> a x (b + c) has exactly one inverse, found by
-    scanning every arrow back (independent of the constructive inverse in
-    the theorems module)."""
+    (a x b) + (a x c) -> a x (b + c) has exactly one inverse, found by scanning
+    every arrow back once per distinct delta arrow (independent of the
+    constructive inverse in the theorems module)."""
     return _verdict(4, "distributivity", _distributivity_outcomes(st, objects), MAX_DETAILS)
 
 
 def _distributivity_outcomes(st: StructureTable, objects: Sequence[ObjId]) -> _Outcomes:
     from . import theorems  # late import: theorems builds on this module's types
 
+    found: dict[int, int] = {}  # delta's arrow index -> its number of inverses
     for a in objects:
         for b in objects:
             for c in objects:
@@ -603,10 +604,11 @@ def _distributivity_outcomes(st: StructureTable, objects: Sequence[ObjId]) -> _O
                 except NoSuchStructure as exc:
                     yield "BLOCKED", f"({a.name},{b.name},{c.name}): {exc}"
                     continue
-                invs = inverses(st.cat, delta)
-                if len(invs) != 1:
-                    yield "FAIL", (f"({a.name},{b.name},{c.name}): {len(invs)} inverses "
-                                   f"for {delta.name}")
+                k = found.get(delta.index)
+                if k is None:
+                    k = found[delta.index] = len(inverses(st.cat, delta))
+                if k != 1:
+                    yield "FAIL", f"({a.name},{b.name},{c.name}): {k} inverses for {delta.name}"
 
 
 def _quantifier_outcomes(interp: Interpretation) -> _Outcomes:

@@ -64,3 +64,18 @@ def test_the_library_pipeline_and_what_its_tracer_counts(make, complete):
             assert interp.interpret(catlogic.parse_formula(text, theory.signature)) in cat.objects
         except catlogic.NoSuchStructure as exc:
             assert not complete and str(exc) in recorded
+
+
+def test_redundancy_builds_one_delta_certificate_per_triple(tmp_path, monkeypatch, capsys):
+    # the tracer counts certificates by wrapping the name the CLI looks up
+    built = catlogic.gen_powerset(2).category()
+    model, theory = tmp_path / "b4.cat", tmp_path / "pair-const.th"
+    model.write_text(catlogic.format_category(built))
+    theory.write_text(PAIR_CONST_THEORY.format(*(o.name for o in built.objects[-3:])))
+    calls = []
+    certify = catlogic.cli.delta_certificate
+    monkeypatch.setattr(catlogic.cli, "delta_certificate",
+                        lambda *args: calls.append(args[1:]) or certify(*args))
+    assert catlogic.run_cli(["redundancy", "--model", str(model), "--theory", str(theory)]) == 0
+    assert "delta.count = 64\n" in capsys.readouterr().out
+    assert len(calls) == 64 == len(set(calls))

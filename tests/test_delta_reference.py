@@ -8,7 +8,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies
 
+from catlogic import semantics
 from catlogic.errors import WorkbenchError
+from catlogic.heyting import gen_chain, gen_powerset, thin_category_from_leq
 from catlogic.kernel import inverses, mutually_inverse, validate_category
 from catlogic.semantics import distributivity_verdict
 from catlogic.structure import discover_structure
@@ -70,6 +72,40 @@ def test_condition4_on_reach_matches_reference(prepared_suites):
     for _, _, st, interp in prepared_suites:
         verdict = distributivity_verdict(st, interp.reach.objects)
         assert (verdict.status, verdict.details) == ref.ref_condition4(st, interp.reach.objects)
+
+
+# the two five-element lattices that are not distributive, on 0 < a, b, c < 1:
+# in M3 a, b and c are incomparable, in N5 a < b; the failing triples, and
+# the delta arrow two of them share
+_M3_N5 = {"M3": (set(), 6, "le_0_a"), "N5": ({("a", "b")}, 2, "le_a_b")}
+
+
+@pytest.mark.parametrize("name", sorted(_M3_N5))
+def test_condition4_fails_on_the_non_distributive_lattices(name):
+    below, failing, shared = _M3_N5[name]
+    elements = ("0", "a", "b", "c", "1")
+    leq = tuple(tuple(x == y or x == "0" or y == "1" or (x, y) in below for y in elements)
+                for x in elements)
+    cat = thin_category_from_leq(elements, leq, name=name)
+    assert validate_category(cat).ok
+    st = discover_structure(cat)
+    verdict = distributivity_verdict(st, cat.objects)
+    assert (verdict.status, verdict.details) == ref.ref_condition4(st, cat.objects)
+    assert verdict.status == "FAIL" and len(verdict.details) == failing
+    assert sum(d.endswith(f": 0 inverses for {shared}") for d in verdict.details) == 2
+
+
+@pytest.mark.parametrize("model", [gen_chain(8), gen_powerset(3)], ids=["chain-8", "powerset-3"])
+def test_condition4_scans_each_delta_arrow_once(model, monkeypatch):
+    # 512 triples, whose delta arrows are the 8 identities: a scan per
+    # triple would make 512
+    cat = model.category()
+    st = discover_structure(cat)
+    scanned = []
+    scan = semantics.inverses
+    monkeypatch.setattr(semantics, "inverses", lambda c, f: scanned.append(f) or scan(c, f))
+    assert distributivity_verdict(st, cat.objects).status == "PASS"
+    assert len(scanned) == 8 == len(set(scanned))
 
 
 _FINSET = make_finset([0, 1, 2, 3], "finset-0123")

@@ -129,16 +129,34 @@ def test_report_rendering_and_strip():
     r.add("alpha", 1)
     r.add("beta.gamma", "x y")
     r.add_timing("total_ms", 12.34)
+    r.add_rendered("delta.0001.arrow = f\ndelta.0001.verdict = PASS\n")
     text = r.render()
     assert "alpha = 1\n" in text
     assert "timing.total_ms = 12.3\n" in text
-    assert strip_timing(text) == "alpha = 1\nbeta.gamma = x y\n"
+    assert strip_timing(text) == ("alpha = 1\nbeta.gamma = x y\n"
+                                  "delta.0001.arrow = f\ndelta.0001.verdict = PASS\n")
+    assert text.endswith("PASS\ntiming.total_ms = 12.3\n")
 
 
 def test_report_rejects_multiline_values():
     r = Report()
     with pytest.raises(ValueError):
         r.add("key", "two\nlines")
+
+
+def test_report_block_splits_at_every_line_boundary():
+    r = Report()
+    r.add_block("input.model", "a\rb\r\nc\x0bd\x0ce\u2028f\n\ng")
+    r.add("tail", "x")
+    assert r.render() == ("input.model.001 = a\n"
+                          "input.model.002 = b\n"
+                          "input.model.003 = c\n"
+                          "input.model.004 = d\n"
+                          "input.model.005 = e\n"
+                          "input.model.006 = f\n"
+                          "input.model.007 = \n"
+                          "input.model.008 = g\n"
+                          "tail = x\n")
 
 
 # -- the CLI ----------------------------------------------------------------------------
