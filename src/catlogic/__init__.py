@@ -76,7 +76,6 @@ from .semantics import (
     ConditionReport,
     Instance,
     Interpretation,
-    QuantifierDiagram,
     ReachSet,
     build_diagram,
     build_interpretation,

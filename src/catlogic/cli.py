@@ -201,8 +201,7 @@ def cmd_redundancy(args) -> int:
         key = f"frobenius.{i:03d}"
         report.add(f"{key}.instance", inst.describe())
         try:
-            cert = verify_frobenius(interp, inst.left, inst.body,
-                                    inst.var, inst.sort)
+            cert = verify_frobenius(interp, inst)
         except WorkbenchError as exc:
             failed += 1
             report.add(f"{key}.verdict", f"FAIL: {exc}")

@@ -4,7 +4,8 @@ and their cone/cocone searches, and the seven condition checkers.
 A quantifier object is searched, never assumed: it is the apex of a
 universal ``structure.Cone`` over the diagram (a cocone for exists), which
 admits exactly one leg-commuting arrow from (resp. to) every reachable
-vertex.  Candidate vertexes are restricted to the reachable set, the
+vertex, and it is named by its closed formula, which gives the side, sort
+and body.  Candidate vertexes are restricted to the reachable set, the
 decidable stand-in for "interpretation of some closed formula", and each
 reachable object carries the closed formula that witnesses it.
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -57,7 +59,6 @@ from .logic import (
     Times,
     Var,
     Zero,
-    _QUANTIFIERS,
     alpha_key,
     canonical_var,
     connective_depth,
@@ -76,19 +77,6 @@ _STORES = {Times: "products", Plus: "coproducts", Arrow: "exponentials"}
 
 
 @dataclass(frozen=True)
-class QuantifierDiagram:
-    """The discrete diagram of a quantifier: one leg per universe term."""
-    body: Formula
-    var: str
-    sort: str
-    legs: tuple[tuple[Term, ObjId], ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.legs
-
-
-@dataclass(frozen=True)
 class ReachMember:
     obj: ObjId
     provenance: Formula
@@ -99,22 +87,19 @@ class ReachMember:
 class ReachSet:
     """Objects witnessed as interpretations of closed formulas of depth <= k."""
     members: tuple[ReachMember, ...]
-    formula_depth: int
 
-    @property
+    @cached_property
     def objects(self) -> tuple[ObjId, ...]:
         return tuple(m.obj for m in self.members)
 
     def __contains__(self, obj: ObjId) -> bool:
-        return any(m.obj == obj for m in self.members)
+        return obj in self.objects
 
 
 @dataclass(frozen=True)
 class QuantifierSolution:
-    quantifier: str  # "forall" | "exists"
-    formula: Formula
-    diagram: QuantifierDiagram
-    family: Cone  # a cocone for exists; one leg per term of diagram.legs
+    formula: Quantifier  # closed
+    family: Cone  # a cocone for exists; one leg per closed term of the sort
 
 
 @dataclass(frozen=True)
@@ -128,40 +113,38 @@ class Instance:
     def describe(self) -> str:
         return f"A = {self.left} ; B = {self.body} ; {self.var}:{self.sort}"
 
+    @property
+    def existentials(self) -> tuple[Exists, Exists]:
+        """exists x. (A & B) and exists x. B, the comparison arrow's ends."""
+        return (Exists(self.var, self.sort, Times(self.left, self.body)),
+                Exists(self.var, self.sort, self.body))
+
 
 # -- quantifier object search ----------------------------------------------------
 
-def _quantifier(name: str) -> type[Quantifier]:
-    """Forall for "forall" and Exists for "exists"; MalformedInput otherwise."""
-    if name not in _QUANTIFIERS:
-        raise MalformedInput(f"unknown quantifier {name!r}, expected {' or '.join(_QUANTIFIERS)}")
-    return _QUANTIFIERS[name]
-
-
 def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
-                             quantifier: str, diagram: QuantifierDiagram,
+                             f: Quantifier, legs: Sequence[ObjId],
                              warnings: list[str] | None = None) -> Cone:
-    """The terminal cone (forall) or initial cocone (exists) over the diagram,
-    its legs in the order of ``diagram.legs``, with the apex and the test
-    objects taken from the given vertexes (``StructureTable.find_cone``):
-    each leg family at each vertex then has exactly one mediator, and ties
-    between isomorphic candidates break by index.  NoQuantifierObject gives
-    the count that refutes every candidate.
+    """The terminal cone (``f`` a forall) or initial cocone (an exists) over
+    ``f``'s leg objects, in their order, with the apex and the test objects
+    taken from the given vertexes (``StructureTable.find_cone``): each leg
+    family at each vertex then has exactly one mediator, and ties between
+    isomorphic candidates break by index.  The texts name ``f``'s sort and
+    body; NoQuantifierObject gives the count that refutes every candidate.
     """
-    op = _quantifier(quantifier) is Exists
     ordered = sorted(set(vertexes), key=lambda o: o.index)
 
-    if diagram.empty and warnings is not None:
+    if not legs and warnings is not None:
         warnings.append(
-            f"empty quantifier diagram over sort {diagram.sort} for body "
-            f"{diagram.body}; the search degenerates to the terminal/initial "
+            f"empty quantifier diagram over sort {f.sort} for body "
+            f"{f.body}; the search degenerates to the terminal/initial "
             f"object relative to the reachable vertexes")
 
     try:
-        return st.find_cone([obj for _, obj in diagram.legs], ordered, op=op)
+        return st.find_cone(legs, ordered, op=isinstance(f, Exists))
     except NoSuchStructure as exc:
         raise NoQuantifierObject(
-            f"no {quantifier} object over {diagram.body} among "
+            f"no {f.symbol} object over {f.body} among "
             f"{[o.name for o in ordered]}: {exc}") from None
 
 
@@ -218,8 +201,9 @@ class Interpretation:
     closed terms and memoized by itself and the terms its free variables
     take: a quantifier leg is its body under one more binding, and a closed
     instance B[t/x] is built only for an atom's lookup, a quantified
-    formula's alpha key (``qmemo``), a solution's formula and diagram body,
-    and error messages.
+    formula's alpha key (``qmemo``) and solution, and error messages.  A
+    quantifier object is named by its closed formula
+    (``quantifier_solution``), whose sort must be declared.
     """
 
     def __init__(self, structure: StructureTable, theory: Theory, *,
@@ -252,7 +236,7 @@ class Interpretation:
 
         self.memo: dict[tuple[Formula, tuple[Term, ...]], ObjId] = {}
         members, self.qmemo, self.reach_failures = self._fixpoint()
-        self.reach = ReachSet(tuple(members.values()), reach_depth)
+        self.reach = ReachSet(tuple(members.values()))
         # queries search quantifier objects among the reach
         self._scope = _Scope(self.reach.objects, self.memo, self.qmemo, self.warnings)
 
@@ -307,11 +291,12 @@ class Interpretation:
             return obj
         return st.initial_obj() if isinstance(f, Zero) else st.terminal_obj()
 
-    def quantifier_solution(self, quantifier: str, var: str, sort: str,
-                            body: Formula) -> QuantifierSolution:
-        _check_body(body, var, sort)
-        formula = _quantifier(quantifier)(var, sort, body)
-        return self._solution(formula, (), (), self._scope)
+    def quantifier_solution(self, f: Quantifier) -> QuantifierSolution:
+        """The quantifier object of the closed forall or exists ``f``."""
+        if not isinstance(f, Quantifier) or f.fv:
+            raise MalformedInput(
+                f"quantifier_solution needs a closed forall or exists formula, got {f}")
+        return self._solution(f, (), (), self._scope)
 
     def _solution(self, f: Quantifier, env: _Env, terms: tuple[Term, ...],
                   scope: _Scope) -> QuantifierSolution:
@@ -322,23 +307,24 @@ class Interpretation:
         key = alpha_key(closed)
         sol = scope.solved.get(key)
         if sol is None:
-            diagram = self._diagram(f.body, closed.body, f.var, f.sort, env, scope)
+            if f.sort not in self.theory.signature.sorts:
+                raise MalformedInput(f"undeclared sort {f.sort} in {closed}")
+            legs = self._diagram(f.body, f.var, f.sort, env, scope)
             try:
                 cone = search_quantifier_object(
-                    self.structure, scope.vertexes, f.symbol, diagram, scope.warnings)
+                    self.structure, scope.vertexes, closed, legs, scope.warnings)
             except NoQuantifierObject as exc:
                 raise MissingQuantifierObject(str(exc)) from exc
-            sol = scope.solved[key] = QuantifierSolution(f.symbol, closed, diagram, cone)
+            sol = scope.solved[key] = QuantifierSolution(closed, cone)
         return sol
 
-    def _diagram(self, body: Formula, shown: Formula, var: str, sort: str, env: _Env,
-                 scope: _Scope) -> QuantifierDiagram:
-        """The diagram over ``var:sort`` of ``body``, shown as ``shown``, whose
-        other free variables ``env`` binds: one leg per closed term t in
-        universe order, valued under ``env`` extended by var -> t."""
-        return QuantifierDiagram(shown, var, sort, tuple(
-            (t, self._value(body, env + ((var, t),), scope))
-            for t in self.universe.terms(sort)))
+    def _diagram(self, body: Formula, var: str, sort: str, env: _Env,
+                 scope: _Scope) -> list[ObjId]:
+        """The leg objects over ``var:sort`` of ``body``, whose other free
+        variables ``env`` binds: one per closed term t in universe order,
+        valued under ``env`` extended by var -> t."""
+        return [self._value(body, env + ((var, t),), scope)
+                for t in self.universe.terms(sort)]
 
     # -- reach fixpoint ------------------------------------------------------------
 
@@ -455,11 +441,12 @@ def interpret(interp: Interpretation, f: Formula) -> ObjId:
 
 
 def build_diagram(interp: Interpretation, body: Formula, var: str,
-                  sort: str) -> QuantifierDiagram:
-    """Legs in universe order, one per closed term t, each the value of
-    ``body`` with var bound to t."""
+                  sort: str) -> tuple[tuple[Term, ObjId], ...]:
+    """The (term, object) legs in universe order, one per closed term t, the
+    object the value of ``body`` with var bound to t."""
     _check_body(body, var, sort)
-    return interp._diagram(body, body, var, sort, (), interp._scope)
+    return tuple(zip(interp.universe.terms(sort),
+                     interp._diagram(body, var, sort, (), interp._scope)))
 
 
 def _check_body(body: Formula, var: str, sort: str) -> None:
@@ -664,7 +651,7 @@ def _frobenius_outcomes(interp: Interpretation) -> _Outcomes:
 
     for inst in derive_instances(interp.theory):
         try:
-            alpha = theorems.build_alpha(interp, inst.left, inst.body, inst.var, inst.sort)
+            alpha = theorems.build_alpha(interp, inst)
         except (MissingQuantifierObject, NoSuchStructure, MissingAtom,
                 NoMediator, MultipleMediators) as exc:
             yield "BLOCKED", f"{inst.describe()}: {exc}"
@@ -678,6 +665,5 @@ def checked_formulas(interp: Interpretation) -> tuple[Formula, ...]:
     """Axioms plus the formulas induced by the derived instance suite."""
     out: list[Formula] = list(interp.theory.signature.axioms)
     for inst in derive_instances(interp.theory):
-        out.append(Exists(inst.var, inst.sort, Times(inst.left, inst.body)))
-        out.append(Exists(inst.var, inst.sort, inst.body))
+        out.extend(inst.existentials)
     return tuple(out)

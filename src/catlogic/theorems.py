@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import CertificateFailure, MultipleMediators, NoMediator, ShapeMismatch
 from .kernel import ArrId, ObjId, mutually_inverse
-from .logic import Formula, Times, free_vars
+from .logic import free_vars
 from .semantics import Instance, QuantifierSolution
 from .structure import Cone, StructureTable
 
@@ -165,25 +165,24 @@ class _FrobeniusContext:
     q_legs: tuple[ArrId, ...]      # id_MA x delta_t, in universe order
 
 
-def _context(interp: "Interpretation", left: Formula, body: Formula,
-             var: str, sort: str) -> _FrobeniusContext:
-    if (var, sort) in free_vars(left):
-        raise CertificateFailure(f"{var}:{sort} must not be free in {left}")
+def _context(interp: "Interpretation", inst: Instance) -> _FrobeniusContext:
+    if (inst.var, inst.sort) in free_vars(inst.left):
+        raise CertificateFailure(f"{inst.var}:{inst.sort} must not be free in {inst.left}")
     st = interp.structure
-    ma = interp.interpret(left)
-    sol_b = interp.quantifier_solution("exists", var, sort, body)
-    sol_ab = interp.quantifier_solution("exists", var, sort, Times(left, body))
+    ex_ab, ex_b = inst.existentials
+    ma = interp.interpret(inst.left)
+    sol_b = interp.quantifier_solution(ex_b)
+    sol_ab = interp.quantifier_solution(ex_ab)
     vertex = st.product(ma, sol_b.family.apex).apex
     ida = st.identity(ma)
     q_legs = tuple(st.arrow_product(ida, delta_t) for delta_t in sol_b.family.legs)
     return _FrobeniusContext(ma, sol_b, sol_ab, vertex, q_legs)
 
 
-def build_alpha(interp: "Interpretation", left: Formula, body: Formula,
-                var: str, sort: str) -> ArrId:
+def build_alpha(interp: "Interpretation", inst: Instance) -> ArrId:
     """The unique arrow M(exists x. A x B) -> MA x M(exists x. B) commuting
     with both cocones leg by leg."""
-    return _alpha(interp.structure, _context(interp, left, body, var, sort))
+    return _alpha(interp.structure, _context(interp, inst))
 
 
 def _alpha(st: StructureTable, ctx: _FrobeniusContext) -> ArrId:
@@ -194,8 +193,7 @@ def _alpha(st: StructureTable, ctx: _FrobeniusContext) -> ArrId:
         f"{len(ex.legs)} legs")
 
 
-def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
-                var: str, sort: str, c: ObjId, p: Cone) -> ArrId:
+def build_gamma(interp: "Interpretation", inst: Instance, c: ObjId, p: Cone) -> ArrId:
     """The co-universal arrow M(exists x. B) -> C^MA mediating the cocone of
     transposed legs.
 
@@ -203,12 +201,12 @@ def build_gamma(interp: "Interpretation", left: Formula, body: Formula,
     cocone of exists x. B, is swapped and transposed to M(B[t/x]) -> C^MA;
     that cocone then forces a unique mediator, found by its key.
     """
-    ma = interp.interpret(left)
+    ma = interp.interpret(inst.left)
     if c not in interp.reach:
         raise CertificateFailure(
             f"cocone vertex {c.name} is not reachable; the subcategory only "
             f"contains interpretations of closed formulas")
-    sol_b = interp.quantifier_solution("exists", var, sort, body)
+    sol_b = interp.quantifier_solution(inst.existentials[1])
     if len(p.legs) != len(sol_b.family.legs) or any(leg.cod != c.index for leg in p.legs):
         raise ShapeMismatch(
             f"build_gamma: a cocone into {c.name} over the {len(sol_b.family.legs)} "
@@ -232,15 +230,14 @@ def _gamma(st: StructureTable, ma: ObjId, sol_b: QuantifierSolution, c: ObjId,
         f"transposed legs")
 
 
-def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
-                     var: str, sort: str) -> FrobeniusCertificate:
+def verify_frobenius(interp: "Interpretation", inst: Instance) -> FrobeniusCertificate:
     """Build alpha and beta = theta(gamma), assert both inverse equations
     exactly, then sweep initiality: every reachable cocone vertex over the
     product diagram admits exactly one mediator out of MA x M(exists x. B).
+    The certificate holds ``inst``.
     """
     st, cat = interp.structure, interp.cat
-    ctx = _context(interp, left, body, var, sort)
-    instance = Instance(left, body, var, sort)
+    ctx = _context(interp, inst)
 
     alpha = _alpha(st, ctx)
 
@@ -256,12 +253,12 @@ def verify_frobenius(interp: "Interpretation", left: Formula, body: Formula,
             ("theta(gamma)", "alpha", cat.compose(beta, alpha), ctx.sol_ab.family.apex)):
         if composite != st.identity(end):
             raise CertificateFailure(
-                f"{instance.describe()}: {first} . {then} = {composite.name}, "
+                f"{inst.describe()}: {first} . {then} = {composite.name}, "
                 f"expected id_{end.name} (alpha = {alpha.name}, "
                 f"gamma = {gamma.name}, beta = {beta.name})")
 
     return FrobeniusCertificate(
-        instance, alpha, gamma, beta,
+        inst, alpha, gamma, beta,
         equations=(f"{alpha.name} . {beta.name} = id_{ctx.vertex.name}",
                    f"{beta.name} . {alpha.name} = id_{ctx.sol_ab.family.apex.name}"),
         initiality=_initiality_sweep(interp, ctx))

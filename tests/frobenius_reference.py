@@ -4,7 +4,8 @@ messages must match.
 
 ``build_alpha``, ``build_gamma`` and the arrow-building half of
 ``verify_frobenius`` are the earlier ones, unchanged but for taking the
-frobenius context, and the initiality sweep, from ``catlogic.theorems``:
+``Instance`` whole and the frobenius context, and the initiality sweep,
+from ``catlogic.theorems``:
 every arrow of the hom-set is composed with the legs and compared with the
 family, and exactly one must commute.
 """
@@ -33,19 +34,19 @@ def _alpha(st, ctx):
         f"{len(ex_legs)} legs")
 
 
-def build_alpha(interp, left, body, var, sort):
-    return _alpha(interp.structure, _context(interp, left, body, var, sort))
+def build_alpha(interp, inst):
+    return _alpha(interp.structure, _context(interp, inst))
 
 
-def build_gamma(interp, left, body, var, sort, c, p):
+def build_gamma(interp, inst, c, p):
     st = interp.structure
     cat = interp.cat
-    ma = interp.interpret(left)
+    ma = interp.interpret(inst.left)
     if interp.reach is not None and c not in interp.reach:
         raise CertificateFailure(
             f"cocone vertex {c.name} is not reachable; the subcategory only "
             f"contains interpretations of closed formulas")
-    sol_b = interp.quantifier_solution("exists", var, sort, body)
+    sol_b = interp.quantifier_solution(inst.existentials[1])
     exp_w = st.exponential(ma, c)
 
     transposed = []
@@ -67,10 +68,9 @@ def frobenius_arrows(interp, inst):
     """(alpha, gamma, beta) of ``verify_frobenius`` on ``inst``, after its
     two inverse equations and its initiality sweep."""
     st, cat = interp.structure, interp.cat
-    left, body, var, sort = inst.left, inst.body, inst.var, inst.sort
-    ctx = _context(interp, left, body, var, sort)
+    ctx = _context(interp, inst)
     alpha = _alpha(st, ctx)
-    gamma = build_gamma(interp, left, body, var, sort, ctx.sol_ab.family.apex, ctx.sol_ab.family)
+    gamma = build_gamma(interp, inst, ctx.sol_ab.family.apex, ctx.sol_ab.family)
     theta_gamma = st.theta(gamma, ctx.ma, ctx.sol_ab.family.apex)
     beta = cat.compose(theta_gamma, st.swap(ctx.ma, ctx.sol_b.family.apex))
     comp_ab, comp_ba = cat.compose(alpha, beta), cat.compose(beta, alpha)

@@ -29,6 +29,7 @@ from catlogic.logic import (
     Formula,
     One,
     Plus,
+    Quantifier,
     Times,
     Zero,
     alpha_key,
@@ -36,12 +37,7 @@ from catlogic.logic import (
     free_vars,
     substitute,
 )
-from catlogic.semantics import (
-    Interpretation,
-    QuantifierDiagram,
-    QuantifierSolution,
-    ReachMember,
-)
+from catlogic.semantics import Interpretation, QuantifierSolution, ReachMember
 from catlogic.structure import Cone, StructureTable, _indices, _universal_cone
 
 
@@ -53,31 +49,23 @@ def _find_cone(st: StructureTable, legs: Sequence[ObjId], among: Sequence[ObjId]
 
 
 def ref_search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
-                                 quantifier: str, diagram: QuantifierDiagram,
+                                 f: Quantifier, legs: Sequence[ObjId],
                                  warnings: list[str] | None = None) -> Cone:
-    op = quantifier == "exists"
+    op = isinstance(f, Exists)
     ordered = sorted(set(vertexes), key=lambda o: o.index)
 
-    if diagram.empty and warnings is not None:
+    if not legs and warnings is not None:
         warnings.append(
-            f"empty quantifier diagram over sort {diagram.sort} for body "
-            f"{diagram.body}; the search degenerates to the terminal/initial "
+            f"empty quantifier diagram over sort {f.sort} for body "
+            f"{f.body}; the search degenerates to the terminal/initial "
             f"object relative to the reachable vertexes")
 
     try:
-        return _find_cone(st, [obj for _, obj in diagram.legs], ordered, op=op)
+        return _find_cone(st, legs, ordered, op=op)
     except NoSuchStructure as exc:
         raise NoQuantifierObject(
-            f"no {quantifier} object over {diagram.body} among "
+            f"no {f.symbol} object over {f.body} among "
             f"{[o.name for o in ordered]}: {exc}") from None
-
-
-def _check_body(body: Formula, var: str, sort: str) -> None:
-    extra = free_vars(body) - {(var, sort)}
-    if extra:
-        raise MalformedInput(
-            f"diagram body {body} has free variables {sorted(extra)} besides "
-            f"{var}:{sort}")
 
 
 class ReferenceInterpretation(Interpretation):
@@ -99,7 +87,7 @@ class ReferenceInterpretation(Interpretation):
         hit = self.memo.get(key)
         if hit is not None:
             return hit[1]
-        obj = self._clause(f, self._interpret, self._reached)
+        obj = self._clause(f, self._interpret, self.quantifier_solution)
         self.memo[key] = (f, obj)
         return obj
 
@@ -120,18 +108,14 @@ class ReferenceInterpretation(Interpretation):
             return quantify(f).family.apex
         raise TypeError(f"not a formula: {f!r}")
 
-    def _reached(self, f: Forall | Exists) -> QuantifierSolution:
-        quant = "forall" if isinstance(f, Forall) else "exists"
-        return self.quantifier_solution(quant, f.var, f.sort, f.body)
-
-    def quantifier_solution(self, quantifier: str, var: str, sort: str,
-                            body: Formula) -> QuantifierSolution:
-        formula = (Forall if quantifier == "forall" else Exists)(var, sort, body)
+    def quantifier_solution(self, formula: Forall | Exists) -> QuantifierSolution:
+        if not isinstance(formula, Quantifier) or free_vars(formula):
+            raise MalformedInput(f"quantifier_solution needs a closed forall or "
+                                 f"exists formula, got {formula}")
         key = alpha_key(formula)
         hit = self.qmemo.get(key)
         if hit is not None:
             return hit
-        _check_body(body, var, sort)
         try:
             return self._solve(formula, key, self._interpret, self.reach.objects,
                                self.qmemo, self.warnings)
@@ -142,16 +126,14 @@ class ReferenceInterpretation(Interpretation):
                solved: dict[tuple, QuantifierSolution],
                warnings: list[str] | None) -> QuantifierSolution:
         if key not in solved:
-            quant = "forall" if isinstance(f, Forall) else "exists"
-            diagram = self._diagram(f.body, f.var, f.sort, sub)
-            family = ref_search_quantifier_object(self.structure, vertexes, quant,
-                                                  diagram, warnings)
-            solved[key] = QuantifierSolution(quant, f, diagram, family)
+            legs = self._diagram(f.body, f.var, f.sort, sub)
+            family = ref_search_quantifier_object(self.structure, vertexes, f,
+                                                  legs, warnings)
+            solved[key] = QuantifierSolution(f, family)
         return solved[key]
 
-    def _diagram(self, body: Formula, var: str, sort: str, sub) -> QuantifierDiagram:
-        return QuantifierDiagram(body, var, sort, tuple(
-            (t, sub(substitute(body, t, var))) for t in self.universe.terms(sort)))
+    def _diagram(self, body: Formula, var: str, sort: str, sub) -> list[ObjId]:
+        return [sub(substitute(body, t, var)) for t in self.universe.terms(sort)]
 
     def _fixpoint(self):
         pool = self._quantifier_pool()

@@ -46,9 +46,9 @@ def ref_search(cat, vertexes, quantifier, legs):
 
 
 def ref_revalidate(cat, vertexes, sol):
-    direction = "cone" if sol.quantifier == "forall" else "cocone"
+    direction = "cone" if sol.formula.symbol == "forall" else "cocone"
     fam = sol.family.legs
-    legs = [obj for _, obj in sol.diagram.legs]
+    legs = [cat.objects[a.cod if direction == "cone" else a.dom] for a in fam]
     verdict = ref_family_mediates(cat, sorted(set(vertexes), key=lambda o: o.index),
                                   sol.family.apex, fam, legs, direction)
     return None if verdict is True else verdict

@@ -52,8 +52,7 @@ def test_criterion_2_frobenius_redundancy(prepared_suites):
     instances = 0
     for suite, cat, st, interp in prepared_suites:
         for inst in derive_instances(interp.theory):
-            cert = verify_frobenius(interp, inst.left, inst.body,
-                                    inst.var, inst.sort)
+            cert = verify_frobenius(interp, inst)
             # exactly the two inverse equations, as arrow identities
             assert cat.compose(cert.alpha, cert.beta) == \
                 cat.identity_of(cat.objects[cert.beta.dom])

@@ -79,3 +79,29 @@ def test_redundancy_builds_one_delta_certificate_per_triple(tmp_path, monkeypatc
     assert catlogic.run_cli(["redundancy", "--model", str(model), "--theory", str(theory)]) == 0
     assert "delta.count = 64\n" in capsys.readouterr().out
     assert len(calls) == 64 == len(set(calls))
+
+
+def test_redundancy_verifies_each_derived_instance_once(tmp_path, monkeypatch, capsys):
+    # the tracer times frobenius certificates by wrapping the name the CLI
+    # looks up, and counts the families of each one's initiality sweep
+    built = catlogic.gen_powerset(2).category()
+    model, theory = tmp_path / "b4.cat", tmp_path / "pair-const.th"
+    model.write_text(catlogic.format_category(built))
+    theory.write_text(PAIR_CONST_THEORY.format(*(o.name for o in built.objects[-3:])))
+    derived, calls = [], []
+    derive, verify = catlogic.cli.derive_instances, catlogic.cli.verify_frobenius
+
+    def verified(*args):
+        cert = verify(*args)
+        calls.append((args[1:], cert))
+        return cert
+
+    monkeypatch.setattr(catlogic.cli, "derive_instances",
+                        lambda *args: derived.extend(derive(*args)) or tuple(derived))
+    monkeypatch.setattr(catlogic.cli, "verify_frobenius", verified)
+    assert catlogic.run_cli(["redundancy", "--model", str(model), "--theory", str(theory)]) == 0
+    assert f"frobenius.count = {len(derived)}\n" in capsys.readouterr().out
+    assert len(derived) > 1 and len(calls) == len(derived)
+    for (args, cert), inst in zip(calls, derived):
+        assert args == (inst,) and args[0] is inst and cert.instance is inst
+        assert cert.initiality.families_checked > 0

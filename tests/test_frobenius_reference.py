@@ -12,7 +12,7 @@ from catlogic.bundles import bundled_suites
 from catlogic.errors import WorkbenchError
 from catlogic.heyting import gen_powerset
 from catlogic.kernel import validate_category
-from catlogic.logic import Times, parse_formula, parse_theory
+from catlogic.logic import parse_formula, parse_theory
 from catlogic.semantics import Instance, build_interpretation, derive_instances
 from catlogic.structure import discover_structure
 from catlogic.theorems import _alpha, _context, build_alpha, build_gamma, verify_frobenius
@@ -40,7 +40,8 @@ def _outcome(fn, *args):
 
 
 def _certificate(interp, inst):
-    cert = verify_frobenius(interp, inst.left, inst.body, inst.var, inst.sort)
+    cert = verify_frobenius(interp, inst)
+    assert cert.instance is inst
     return cert.alpha, cert.gamma, cert.beta
 
 
@@ -48,12 +49,11 @@ def _assert_matches_reference(interp):
     """Every derived instance; returns the error types of the failed ones."""
     failed = []
     for inst in derive_instances(interp.theory):
-        args = (interp, inst.left, inst.body, inst.var, inst.sort)
+        args = (interp, inst)
         cert = _outcome(_certificate, interp, inst)
         assert cert == _outcome(ref.frobenius_arrows, interp, inst)
         assert _outcome(build_alpha, *args) == _outcome(ref.build_alpha, *args)
-        sol_ab = _outcome(interp.quantifier_solution, "exists", inst.var, inst.sort,
-                          Times(inst.left, inst.body))
+        sol_ab = _outcome(interp.quantifier_solution, inst.existentials[0])
         if not isinstance(sol_ab, tuple):
             gamma_args = (*args, sol_ab.family.apex, sol_ab.family)
             assert _outcome(build_gamma, *gamma_args) == _outcome(ref.build_gamma, *gamma_args)
@@ -108,7 +108,7 @@ def test_alpha_with_replaced_legs_matches_reference(name):
 
     for inst in derive_instances(theory):
         try:
-            ctx = _context(interp, inst.left, inst.body, inst.var, inst.sort)
+            ctx = _context(interp, inst)
         except WorkbenchError:
             continue
         for fam in product(*(cat.hom(cat.objects[e.dom], cat.objects[e.cod])

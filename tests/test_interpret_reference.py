@@ -15,7 +15,7 @@ from catlogic.bundles import bundled_suites
 from catlogic.errors import WorkbenchError
 from catlogic.heyting import gen_powerset
 from catlogic.kernel import validate_category
-from catlogic.logic import Times, parse_formula, parse_theory
+from catlogic.logic import parse_formula, parse_theory
 from catlogic.semantics import build_interpretation, derive_instances
 from catlogic.structure import discover_structure
 
@@ -124,8 +124,7 @@ def _outcome(run):
 
 
 def _solutions(interp):
-    return [(key, sol, str(sol.formula), str(sol.diagram.body))
-            for key, sol in interp.qmemo.items()]
+    return [(key, sol, str(sol.formula)) for key, sol in interp.qmemo.items()]
 
 
 def _assert_same_state(new, ref):
@@ -163,10 +162,9 @@ def test_quantifier_solutions_of_open_bodies_match_reference(pair):
     # the theorems module asks for exists x. B and exists x. (A x B) directly
     _, new, ref = pair
     for i, inst in enumerate(derive_instances(new.theory)):
-        for body in (inst.body, Times(inst.left, inst.body)):
-            got = _outcome(lambda: new.quantifier_solution("exists", inst.var, inst.sort, body))
-            want = _outcome(lambda: ref.quantifier_solution("exists", inst.var, inst.sort, body))
-            assert got == want
+        for f in inst.existentials:
+            assert _outcome(lambda: new.quantifier_solution(f)) == _outcome(
+                lambda: ref.quantifier_solution(f))
         if i % 10 == 0:
             gc.collect()
     _assert_same_state(new, ref)
@@ -184,10 +182,10 @@ def test_search_runs_once_per_distinct_diagram(monkeypatch):
         searched.append((tuple(legs), ws, view.op))
         return cone_search(view, legs, what, ws)
 
-    def counted_search(st, vertexes, quantifier, diagram, *args):
-        met.append((tuple(obj.index for _, obj in diagram.legs),
-                    tuple(sorted({o.index for o in vertexes})), quantifier == "exists"))
-        return search(st, vertexes, quantifier, diagram, *args)
+    def counted_search(st, vertexes, f, legs, *args):
+        met.append((tuple(obj.index for obj in legs),
+                    tuple(sorted({o.index for o in vertexes})), f.symbol == "exists"))
+        return search(st, vertexes, f, legs, *args)
 
     monkeypatch.setattr(structure, "_universal_cone", counted_cone_search)
     monkeypatch.setattr(semantics, "search_quantifier_object", counted_search)

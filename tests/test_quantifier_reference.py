@@ -11,9 +11,8 @@ import pytest
 from catlogic.bundles import bundled_suites
 from catlogic.errors import CertificateFailure, NoQuantifierObject, WorkbenchError
 from catlogic.kernel import validate_category
-from catlogic.logic import App, Atom, Exists, Forall, Var, parse_theory
+from catlogic.logic import Atom, Exists, Forall, Var, parse_theory
 from catlogic.semantics import (
-    QuantifierDiagram,
     build_diagram,
     build_interpretation,
     checked_formulas,
@@ -64,18 +63,17 @@ def test_search_and_revalidation_match_reference(prepared):
     for f in _quantified(interp):
         quant = "forall" if isinstance(f, Forall) else "exists"
         try:
-            diagram = build_diagram(interp, f.body, f.var, f.sort)
+            legs = [obj for _, obj in build_diagram(interp, f.body, f.var, f.sort)]
         except WorkbenchError:
             continue
-        legs = [obj for _, obj in diagram.legs]
         for vertexes in (interp.reach.objects, everything):
             want = ref_search(cat, vertexes, quant, legs)
             searched += 1
             try:
-                family = search_quantifier_object(st, vertexes, quant, diagram)
+                family = search_quantifier_object(st, vertexes, f, legs)
             except NoQuantifierObject as exc:
                 assert isinstance(want, str)
-                failed[check_quantifier_failure(cat, str(exc), quant, diagram.body,
+                failed[check_quantifier_failure(cat, str(exc), quant, f.body,
                                                 vertexes, legs)] += 1
                 continue
             assert (family.apex, family.legs) == want
@@ -99,14 +97,13 @@ def test_vertex_with_the_sizes_of_a_quantifier_object_is_named(op):
     quant = "exists" if op else "forall"
     legs = [cat.obj("a"), cat.obj("c")]
     body = Atom("B", (Var("x", "s"),))
-    diagram = QuantifierDiagram(body, "x", "s", tuple(
-        (App(name, (), "s"), leg) for name, leg in zip("cd", legs)))
+    f = (Exists if op else Forall)("x", "s", body)
     out = " counting arrows out of it" if op else ""
     # the second round reads each refutation from the table's search cache
     rounds = ((cat.objects, "[0, 2, 0]"), (cat.objects[:2], "[0, 2] from (a, v)")) * 2
     for vertexes, sizes in rounds:
         with pytest.raises(NoQuantifierObject) as exc:
-            search_quantifier_object(st, vertexes, quant, diagram)
+            search_quantifier_object(st, vertexes, f, legs)
         assert str(exc.value) == (
             f"no {quant} object over B(x) among {[o.name for o in vertexes]}: v has the "
             f"hom-set sizes {sizes}{out}, but 2 arrows v -> v compose with (t, f) to (t, f)")
@@ -133,7 +130,7 @@ def test_initiality_sweep_matches_reference(prepared):
     swept = 0
     for inst in derive_instances(interp.theory):
         try:
-            ctx = _context(interp, inst.left, inst.body, inst.var, inst.sort)
+            ctx = _context(interp, inst)
         except WorkbenchError:
             continue
         swept += 1
@@ -147,7 +144,7 @@ def test_sweep_with_a_replaced_leg_fails_like_reference():
     failures = 0
     for inst in derive_instances(theory):
         try:
-            ctx = _context(interp, inst.left, inst.body, inst.var, inst.sort)
+            ctx = _context(interp, inst)
         except WorkbenchError:
             continue
         assert isinstance(_sweep(interp, ctx), tuple)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from catlogic.bundles import bundled_suites
 from catlogic.errors import MalformedInput, MissingAtom
 from catlogic.heyting import gen_powerset, thin_category_from_leq
 from catlogic.kernel import validate_category
@@ -151,8 +152,8 @@ def test_build_diagram_legs_in_universe_order(b4_prepared):
     th = interp.theory
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
     d = build_diagram(interp, body, "x", "s")
-    assert [str(t) for t, _ in d.legs] == ["c", "d"]
-    for t, obj in d.legs:
+    assert [str(t) for t, _ in d] == ["c", "d"]
+    for t, obj in d:
         from catlogic.logic import substitute
         assert interp.interpret(substitute(body, t, "x")) == obj
 
@@ -162,8 +163,8 @@ def test_constant_diagram(b4_prepared):
     th = interp.theory
     body = parse_formula("P", th.signature)
     d = build_diagram(interp, body, "x", "s")
-    assert not d.empty
-    objs = {obj for _, obj in d.legs}
+    assert d
+    objs = {obj for _, obj in d}
     assert objs == {interp.interpret(body)}
     # quantifier object of a constant diagram is the value itself, both ways
     assert interp.interpret(Forall("x", "s", body)) == interp.interpret(body)
@@ -179,30 +180,36 @@ def test_diagram_rejects_extra_free_vars(b4_prepared):
         build_diagram(interp, f, "x", "s")
 
 
-@pytest.mark.parametrize("name", ["Forall", "EXISTS", ""])
-def test_an_unknown_quantifier_name_is_refused(b4_prepared, name):
-    # a name other than the two was taken for one side: "Forall" gave the
-    # exists object e12 here
-    _, _, st, interp = b4_prepared
-    body = parse_formula("B(x)", interp.theory.signature, env={"x": "s"})
-    diagram = build_diagram(interp, body, "x", "s")
-    for ask in (lambda: interp.quantifier_solution(name, "x", "s", body),
-                lambda: search_quantifier_object(st, interp.reach.objects, name, diagram)):
-        with pytest.raises(MalformedInput, match=re.escape(f"unknown quantifier {name!r}")):
-            ask()
+_B_X = Atom("B", (Var("x", "s"),))
 
 
-def test_search_quantifier_object_returns_cocone(b4_prepared):
-    _, cat, st, interp = b4_prepared
-    th = interp.theory
-    body = parse_formula("B(x)", th.signature, env={"x": "s"})
-    diagram = build_diagram(interp, body, "x", "s")
-    family = search_quantifier_object(st, interp.reach.objects, "exists", diagram)
-    obj = family.apex
-    assert obj == interp.interpret(Exists("x", "s", body))
-    assert family.op and len(family.legs) == len(diagram.legs)
-    for (_, leg_obj), arr in zip(diagram.legs, family.legs):
-        assert arr.dom == leg_obj.index and arr.cod == obj.index
+@pytest.mark.parametrize("thing", [
+    Atom("P"), Times(Atom("P"), _B_X),
+    Exists("y", "s", Times(_B_X, Atom("B", (Var("y", "s"),)))), "exists"],
+    ids=["atom", "times", "open-exists", "string"])
+def test_quantifier_solution_refuses_all_but_a_closed_quantifier(b4_prepared, thing):
+    _, _, _, interp = b4_prepared
+    with pytest.raises(MalformedInput, match=re.escape(
+            f"quantifier_solution needs a closed forall or exists formula, got {thing}")):
+        interp.quantifier_solution(thing)
+
+
+def test_search_quantifier_object_returns_cocone(prepared_suites):
+    # every stored solution, forall and exists: the search over build_diagram's
+    # objects gives the stored cone, whose leg ends are those objects in order
+    sides = set()
+    for _, cat, st, interp in prepared_suites:
+        for sol in interp.qmemo.values():
+            f = sol.formula
+            legs = [obj for _, obj in build_diagram(interp, f.body, f.var, f.sort)]
+            family = search_quantifier_object(st, interp.reach.objects, f, legs)
+            assert family == sol.family and family.apex == interp.interpret(f)
+            assert family.op == isinstance(f, Exists)
+            assert [cat.objects[a.dom if family.op else a.cod] for a in family.legs] == legs
+            assert all((a.cod if family.op else a.dom) == family.apex.index
+                       for a in family.legs)
+            sides.add(type(f))
+    assert sides == {Forall, Exists}
 
 
 def test_quantifier_objects_in_thin_models_match_lattice(prepared_suites):
@@ -238,6 +245,19 @@ def test_empty_universe_quantifiers_flagged():
     assert interp.interpret(Forall("y", "t", p)) == st.terminal_obj()
     assert interp.interpret(Exists("y", "t", p)) == st.initial_obj()
     assert any("empty quantifier diagram" in w for w in interp.warnings)
+
+
+def test_an_undeclared_sort_is_refused():
+    # it gave the top object c3 with an empty-diagram warning, as if the
+    # sort were declared and had no closed terms
+    suite = next(s for s in bundled_suites() if s.suite_id == "chain-4/pair-const")
+    interp = build_interpretation(discover_structure(suite.model.category()), suite.theory())
+    f = Forall("x", "nosuch", Atom("P"))
+    warnings = list(interp.warnings)
+    for ask in (interp.interpret, interp.quantifier_solution):
+        with pytest.raises(MalformedInput, match="undeclared sort nosuch"):
+            ask(f)
+    assert interp.warnings == warnings
 
 
 def test_unsaturated_universe_flagged(prepared_suites):

@@ -6,7 +6,7 @@ from catlogic.errors import CertificateFailure, ShapeMismatch
 from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import mutually_inverse, validate_category
 from catlogic.logic import Atom, Exists, One, Times, parse_formula
-from catlogic.semantics import build_interpretation, check_conditions, derive_instances
+from catlogic.semantics import Instance, build_interpretation, check_conditions, derive_instances
 from catlogic.structure import discover_structure
 from catlogic.theorems import (
     build_alpha,
@@ -102,9 +102,9 @@ def test_alpha_b4_worked_example():
     interp = build_interpretation(st, theory)
     a = parse_formula("P", theory.signature)
     body = parse_formula("B(x)", theory.signature, env={"x": "s"})
-    alpha = build_alpha(interp, a, body, "x", "s")
+    alpha = build_alpha(interp, Instance(a, body, "x", "s"))
     assert alpha == cat.identity_of(cat.obj("e1"))
-    cert = verify_frobenius(interp, a, body, "x", "s")
+    cert = verify_frobenius(interp, Instance(a, body, "x", "s"))
     assert cert.alpha == alpha
     assert cert.initiality.vertexes_checked > 0
 
@@ -113,11 +113,11 @@ def test_alpha_left_one_is_unit_iso(b4_prepared):
     _, cat, st, interp = b4_prepared
     th = interp.theory
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
-    alpha = build_alpha(interp, One(), body, "x", "s")
+    alpha = build_alpha(interp, Instance(One(), body, "x", "s"))
     e_b = interp.interpret(Exists("x", "s", body))
     vertex = st.product(st.terminal_obj(), e_b).apex
     assert alpha.cod == vertex.index
-    cert = verify_frobenius(interp, One(), body, "x", "s")
+    cert = verify_frobenius(interp, Instance(One(), body, "x", "s"))
     assert mutually_inverse(cat, cert.alpha, cert.beta)
 
 
@@ -126,7 +126,7 @@ def test_frobenius_constant_body_collapses(b4_prepared):
     th = interp.theory
     a = parse_formula("P", th.signature)
     body = parse_formula("B(c)", th.signature)  # x not free: constant diagram
-    cert = verify_frobenius(interp, a, body, "x", "s")
+    cert = verify_frobenius(interp, Instance(a, body, "x", "s"))
     assert mutually_inverse(cat, cert.alpha, cert.beta)
 
 
@@ -135,12 +135,11 @@ def test_gamma_with_own_vertex(b4_prepared):
     th = interp.theory
     a = parse_formula("P", th.signature)
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
-    sol_ab = interp.quantifier_solution("exists", "x", "s",
-                                        Times(a, body))
-    gamma = build_gamma(interp, a, body, "x", "s", sol_ab.family.apex, sol_ab.family)
+    sol_ab = interp.quantifier_solution(Exists("x", "s", Times(a, body)))
+    gamma = build_gamma(interp, Instance(a, body, "x", "s"), sol_ab.family.apex, sol_ab.family)
     ma = interp.interpret(a)
     exp_w = st.exponential(ma, sol_ab.family.apex)
-    sol_b = interp.quantifier_solution("exists", "x", "s", body)
+    sol_b = interp.quantifier_solution(Exists("x", "s", body))
     assert gamma.dom == sol_b.family.apex.index
     assert gamma.cod == exp_w.apex.index
     # gamma mediates the transposed cocone leg by leg
@@ -160,9 +159,9 @@ def test_gamma_rejects_unreachable_vertex():
     interp = build_interpretation(st, theory, reach_depth=0)
     a = parse_formula("P", theory.signature)
     body = parse_formula("B(x)", theory.signature, env={"x": "s"})
-    sol = interp.quantifier_solution("exists", "x", "s", Times(a, body))
+    sol = interp.quantifier_solution(Exists("x", "s", Times(a, body)))
     with pytest.raises(CertificateFailure):
-        build_gamma(interp, a, body, "x", "s", cat.obj("e2"), sol.family)
+        build_gamma(interp, Instance(a, body, "x", "s"), cat.obj("e2"), sol.family)
 
 
 def test_gamma_refuses_a_cocone_that_does_not_fit_the_diagram(prepared_suites):
@@ -171,9 +170,9 @@ def test_gamma_refuses_a_cocone_that_does_not_fit_the_diagram(prepared_suites):
     interp = next(interp for suite, _, _, interp in prepared_suites
                   if suite.suite_id == "chain-4/pair-const")
     body = parse_formula("P & B(x)", interp.theory.signature, env={"x": "s"})
-    sol = interp.quantifier_solution("exists", "x", "s", Times(One(), body))
+    sol = interp.quantifier_solution(Exists("x", "s", Times(One(), body)))
     assert len(sol.family.legs) == 2
-    args = (interp, One(), body, "x", "s")
+    args = (interp, Instance(One(), body, "x", "s"))
     assert build_gamma(*args, sol.family.apex, sol.family) is not None
     short = replace(sol.family, legs=sol.family.legs[:1])
     with pytest.raises(ShapeMismatch, match="over the 2 legs"):
@@ -188,15 +187,13 @@ def test_verify_frobenius_all_bundled_instances(prepared_suites):
     total = 0
     for suite, cat, st, interp in prepared_suites:
         for inst in derive_instances(interp.theory):
-            cert = verify_frobenius(interp, inst.left, inst.body,
-                                    inst.var, inst.sort)
+            cert = verify_frobenius(interp, inst)
             assert mutually_inverse(cat, cert.alpha, cert.beta)
             # frame-law oracle on thin models: meet distributes over the join
             model = suite.model
             ma = interp.interpret(inst.left).index
             legs = [cat.objects[arr.dom].index
-                    for arr in interp.quantifier_solution(
-                        "exists", inst.var, inst.sort, inst.body).family.legs]
+                    for arr in interp.quantifier_solution(inst.existentials[1]).family.legs]
             join_all = legs[0] if legs else model.bottom
             for leg in legs[1:]:
                 join_all = model.join[join_all][leg]
@@ -219,9 +216,8 @@ def test_alpha_agrees_with_condition_check(b4_prepared):
     report = check_conditions(interp)
     assert report.verdict(7).status == "PASS"
     for inst in derive_instances(interp.theory):
-        alpha = build_alpha(interp, inst.left, inst.body, inst.var, inst.sort)
-        cert = verify_frobenius(interp, inst.left, inst.body,
-                                inst.var, inst.sort)
+        alpha = build_alpha(interp, inst)
+        cert = verify_frobenius(interp, inst)
         assert cert.alpha == alpha
 
 
@@ -230,9 +226,9 @@ def test_alpha_commutes_with_cocone_legs(b4_prepared):
     th = interp.theory
     a = parse_formula("P", th.signature)
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
-    alpha = build_alpha(interp, a, body, "x", "s")
-    sol_ab = interp.quantifier_solution("exists", "x", "s", Times(a, body))
-    sol_b = interp.quantifier_solution("exists", "x", "s", body)
+    alpha = build_alpha(interp, Instance(a, body, "x", "s"))
+    sol_ab = interp.quantifier_solution(Exists("x", "s", Times(a, body)))
+    sol_b = interp.quantifier_solution(Exists("x", "s", body))
     ma = interp.interpret(a)
     for e, d in zip(sol_ab.family.legs, sol_b.family.legs):
         assert cat.compose(alpha, e) == st.arrow_product(cat.identity_of(ma), d)
@@ -256,7 +252,7 @@ def test_certificate_failure_names_arrows():
     interp.memo.clear()
     from catlogic.errors import NoMediator
     with pytest.raises((CertificateFailure, NoMediator)) as exc:
-        verify_frobenius(interp, a, body, "x", "s")
+        verify_frobenius(interp, Instance(a, body, "x", "s"))
     assert "mediat" in str(exc.value).lower() or "alpha" in str(exc.value)
 
 
@@ -273,7 +269,7 @@ def test_frobenius_empty_universe_degenerates_to_initial():
     interp = build_interpretation(st, theory)
     a = parse_formula("P", theory.signature)
     body = parse_formula("B(c)", theory.signature)
-    cert = verify_frobenius(interp, a, body, "y", "t")
+    cert = verify_frobenius(interp, Instance(a, body, "y", "t"))
     assert cert.alpha.dom == st.initial_obj().index
     assert mutually_inverse(cat, cert.alpha, cert.beta)
     assert any("empty quantifier diagram" in w for w in interp.warnings)
