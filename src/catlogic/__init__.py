@@ -14,7 +14,6 @@ from .errors import (
     LawViolation,
     MalformedInput,
     MissingAtom,
-    MissingQuantifierObject,
     MultipleMediators,
     NoMediator,
     NoQuantifierObject,
@@ -42,11 +41,6 @@ from .structure import (
     ExponentialWitness,
     StructureTable,
     discover_structure,
-    find_coproduct,
-    find_exponential,
-    find_initial,
-    find_product,
-    find_terminal,
 )
 from .logic import (
     Atom,
@@ -68,7 +62,6 @@ from .logic import (
     format_formula,
     free_vars,
     parse_formula,
-    parse_signature,
     parse_theory,
     substitute,
 )
@@ -77,11 +70,9 @@ from .semantics import (
     Instance,
     Interpretation,
     ReachSet,
-    build_diagram,
     build_interpretation,
     check_conditions,
     derive_instances,
-    interpret,
 )
 from .theorems import (
     DeltaCertificate,

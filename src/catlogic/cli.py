@@ -27,7 +27,7 @@ from .kernel import (
     parse_category,
     validate_category,
 )
-from .logic import MAX_NESTING, Theory, parse_formula, parse_theory
+from .logic import _BREAK_RE, MAX_NESTING, Theory, parse_formula, parse_theory
 from .report import Report
 from .semantics import (
     DEFAULT_REACH_DEPTH,
@@ -41,9 +41,13 @@ from .theorems import delta_certificate, verify_frobenius
 
 
 def _load(path: str, parse):
-    """``parse`` of the file at ``path``, named by its stem, and its text."""
+    """``parse`` of the file at ``path``, named by its stem, and its text;
+    a stem with a line break, which no one-line report value holds, is refused."""
+    stem = Path(path).stem
+    if _BREAK_RE.search(stem):
+        raise MalformedInput(f"{path!r}: a file name must not hold a line break")
     text = Path(path).read_text()
-    return parse(text, Path(path).stem), text
+    return parse(text, stem), text
 
 
 def _emit(report: Report, args) -> None:

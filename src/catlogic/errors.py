@@ -78,12 +78,8 @@ class MissingAtom(WorkbenchError):
 
 class NoQuantifierObject(WorkbenchError):
     """No universal cone (forall) or cocone (exists) over a quantifier diagram
-    among the searched vertexes; the message gives the hom-set count that
-    refutes every candidate."""
-
-
-class MissingQuantifierObject(NoQuantifierObject):
-    """Raised by interpret when a quantified formula has no quantifier object."""
+    among the searched vertexes, raised by the search and by interpret; the
+    message gives the hom-set count that refutes every candidate."""
 
 
 # --- theorems ---

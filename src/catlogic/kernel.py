@@ -613,11 +613,13 @@ def gen_finset(k: int) -> FinCategory:
     Object ``s<m>`` is the set {0, ..., m-1}; the function m -> n sending i
     to v_i is the arrow ``fn_s<m>_s<n>_v<v_0...v_{m-1}>``, except that the
     identity functions are the ``auto`` arrows ``id_s<m>``.  Raises
-    ScaleExceeded when its file would need more than MAX_ARROW_LINES
-    ``arrow`` lines (k = 4 needs 494).
+    ScaleExceeded when it would have more than MAX_OBJECTS objects, or its
+    file more than MAX_ARROW_LINES ``arrow`` lines (k = 4 needs 494).
     """
     if k < 0:
         raise ScaleExceeded("finset needs n >= 0")
+    if k + 1 > MAX_OBJECTS:
+        raise ScaleExceeded(f"finset-{k}: {k + 1} objects exceeds desk scale {MAX_OBJECTS}")
     sizes = range(k + 1)
     lines = sum(n ** m for m in sizes for n in sizes) - len(sizes)
     if lines > MAX_ARROW_LINES:

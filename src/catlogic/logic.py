@@ -654,11 +654,6 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
     return Theory(sig, depth, atom_interp, theory_id, lines)
 
 
-def parse_signature(text: str) -> Signature:
-    """The signature part of a theory file (sorts, functions, relations, axioms)."""
-    return parse_theory(text).signature
-
-
 # -- closed term enumeration ---------------------------------------------------
 
 # the most closed terms a term universe may hold

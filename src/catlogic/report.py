@@ -7,6 +7,8 @@ rendered when it is added, so ``render`` only joins the lines.
 
 from __future__ import annotations
 
+from .logic import _BREAK_RE
+
 TIMING_PREFIX = "timing."
 
 
@@ -17,7 +19,7 @@ class Report:
 
     def add(self, key: str, value: object) -> None:
         text = str(value)
-        if "\n" in text:
+        if _BREAK_RE.search(text):
             raise ValueError(f"report value for {key} must be a single line")
         self._lines.append(f"{key} = {text}\n")
 

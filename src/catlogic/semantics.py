@@ -35,7 +35,6 @@ from typing import Iterable, Sequence
 from .errors import (
     MalformedInput,
     MissingAtom,
-    MissingQuantifierObject,
     MultipleMediators,
     NoMediator,
     NoQuantifierObject,
@@ -301,30 +300,21 @@ class Interpretation:
     def _solution(self, f: Quantifier, env: _Env, terms: tuple[Term, ...],
                   scope: _Scope) -> QuantifierSolution:
         """The quantifier object of ``f`` under ``env``, found among the
-        scope's vertexes over the diagram of its body's values, one leg per
-        closed term; kept under the alpha key of the closed formula."""
+        scope's vertexes over the diagram of its body's values under ``env``
+        extended by var -> t, one leg per closed term t in universe order;
+        kept under the alpha key of the closed formula."""
         closed = _instance(f, terms)
         key = alpha_key(closed)
         sol = scope.solved.get(key)
         if sol is None:
             if f.sort not in self.theory.signature.sorts:
                 raise MalformedInput(f"undeclared sort {f.sort} in {closed}")
-            legs = self._diagram(f.body, f.var, f.sort, env, scope)
-            try:
-                cone = search_quantifier_object(
-                    self.structure, scope.vertexes, closed, legs, scope.warnings)
-            except NoQuantifierObject as exc:
-                raise MissingQuantifierObject(str(exc)) from exc
+            legs = [self._value(f.body, env + ((f.var, t),), scope)
+                    for t in self.universe.terms(f.sort)]
+            cone = search_quantifier_object(
+                self.structure, scope.vertexes, closed, legs, scope.warnings)
             sol = scope.solved[key] = QuantifierSolution(closed, cone)
         return sol
-
-    def _diagram(self, body: Formula, var: str, sort: str, env: _Env,
-                 scope: _Scope) -> list[ObjId]:
-        """The leg objects over ``var:sort`` of ``body``, whose other free
-        variables ``env`` binds: one per closed term t in universe order,
-        valued under ``env`` extended by var -> t."""
-        return [self._value(body, env + ((var, t),), scope)
-                for t in self.universe.terms(sort)]
 
     # -- reach fixpoint ------------------------------------------------------------
 
@@ -434,27 +424,6 @@ def build_interpretation(structure: StructureTable, theory: Theory, *,
                          universe_depth: int | None = None) -> Interpretation:
     return Interpretation(structure, theory, reach_depth=reach_depth,
                           universe_depth=universe_depth)
-
-
-def interpret(interp: Interpretation, f: Formula) -> ObjId:
-    return interp.interpret(f)
-
-
-def build_diagram(interp: Interpretation, body: Formula, var: str,
-                  sort: str) -> tuple[tuple[Term, ObjId], ...]:
-    """The (term, object) legs in universe order, one per closed term t, the
-    object the value of ``body`` with var bound to t."""
-    _check_body(body, var, sort)
-    return tuple(zip(interp.universe.terms(sort),
-                     interp._diagram(body, var, sort, (), interp._scope)))
-
-
-def _check_body(body: Formula, var: str, sort: str) -> None:
-    extra = free_vars(body) - {(var, sort)}
-    if extra:
-        raise MalformedInput(
-            f"diagram body {body} has free variables {sorted(extra)} besides "
-            f"{var}:{sort}")
 
 
 # -- the instance suite -------------------------------------------------------------
@@ -609,7 +578,7 @@ def _quantifier_outcomes(interp: Interpretation) -> _Outcomes:
     for sub in quantified.values():
         try:
             interp._interpret(sub)
-        except MissingQuantifierObject as exc:
+        except NoQuantifierObject as exc:
             yield "FAIL", f"{sub}: {exc}"
         except (NoSuchStructure, MissingAtom) as exc:
             yield "BLOCKED", f"{sub}: {exc}"
@@ -632,7 +601,7 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
         try:
             env = tuple((name, t) for (name, _), t in zip(f.fv, terms))
             want = interp._clause(f, env, terms, interp._scope)
-        except (NoSuchStructure, MissingAtom, MissingQuantifierObject):
+        except (NoSuchStructure, MissingAtom, NoQuantifierObject):
             continue
         if want != obj:
             yield "FAIL", (f"memo holds {obj.name} for {_instance(f, terms)}, "
@@ -652,7 +621,7 @@ def _frobenius_outcomes(interp: Interpretation) -> _Outcomes:
     for inst in derive_instances(interp.theory):
         try:
             alpha = theorems.build_alpha(interp, inst)
-        except (MissingQuantifierObject, NoSuchStructure, MissingAtom,
+        except (NoQuantifierObject, NoSuchStructure, MissingAtom,
                 NoMediator, MultipleMediators) as exc:
             yield "BLOCKED", f"{inst.describe()}: {exc}"
             continue

@@ -8,9 +8,11 @@ Mathematician*, III.1-2).  A candidate is tried only if its column of
 hom-set sizes equals the product of its legs' columns, and it then passes
 iff the map is injective on the arrows into V.  The inverse of that map is
 kept in the witness as its pairing table, so the combinators are lookups.
-Discovery is the only writer of a structure table and records a witness or
-a failure under every key it searches; the table refuses every other
-write, so each witness it holds is one a search verified.
+Discovery, the only caller of the fixed-diagram searches (terminal and
+initial objects, products, coproducts, exponentials), runs them on the
+table's own two views and is the only writer of a structure table.  It
+records a witness or a failure under every key it searches; the table
+refuses every other write, so each witness it holds is one a search verified.
 
 Every witness but an exponential is one type, :class:`Cone`: a terminal
 object is a cone with no legs and a product one with two, and with ``op``
@@ -267,34 +269,6 @@ def _universal_cone(view: _View, legs: Sequence[int], what: str,
     raise NoSuchStructure(what + _refutation(view, sizes, ws, explain))
 
 
-# -- terminal and initial objects, products and coproducts --------------------------
-
-def find_terminal(cat: FinCategory) -> Cone:
-    return _universal_cone(_View(cat), (), f"{cat.name}: no terminal object; ")
-
-
-def find_initial(cat: FinCategory) -> Cone:
-    return _universal_cone(_View(cat, op=True), (), f"{cat.name}: no initial object; ")
-
-
-def _pair_cone(view: _View, a: ObjId, b: ObjId) -> Cone:
-    """The product of (a, b), or on the opposite view the coproduct."""
-    return _universal_cone(view, (a.index, b.index), f"{view.cat.name}: no "
-                           f"{'coproduct' if view.op else 'product'} for ({a.name}, {b.name}); ")
-
-
-def find_product(cat: FinCategory, a: ObjId, b: ObjId) -> Cone:
-    """Search apex and projections satisfying the product UMP against every object.
-
-    Deterministic: lowest apex index first, then lowest projection indices.
-    """
-    return _pair_cone(_View(cat), a, b)
-
-
-def find_coproduct(cat: FinCategory, a: ObjId, b: ObjId) -> Cone:
-    return _pair_cone(_View(cat, op=True), a, b)
-
-
 # -- exponentials -------------------------------------------------------------------
 
 def _times_id(view: _View, products: Mapping[tuple[int, int], Cone],
@@ -352,22 +326,6 @@ def _exponential(view: _View, products: Mapping[tuple[int, int], Cone],
     raise NoSuchStructure(
         f"{cat.name}: no exponential with base {a.name}, target {target.name}; "
         + _refutation(view, sizes, ws, explain, f"object with a product with {a.name}"))
-
-
-def _with_product(view: _View, products: Mapping[tuple[int, int], Cone],
-                  a: ObjId) -> tuple[int, ...]:
-    return tuple(w for w in view.objects if (w, a.index) in products)
-
-
-def find_exponential(cat: FinCategory, products: Mapping[tuple[int, int], Cone],
-                     a: ObjId, target: ObjId) -> ExponentialWitness:
-    """Search apex and eval arrow with the unique-transpose property against every W.
-
-    ``products`` must be the ``products`` of a structure table, whose
-    pairing tables are read; W ranges over the objects with a product with ``a``.
-    """
-    view = _View(cat)
-    return _exponential(view, products, a, target, _with_product(view, products, a))
 
 
 def _refuse(*args, **kwargs):
@@ -482,6 +440,16 @@ class StructureTable:
             raise NoSuchStructure(found)
         return found
 
+    def _side(self, cone: Cone) -> _View:
+        """The view on ``cone``'s side; ShapeMismatch naming the first leg
+        that does not leave the apex (for a cocone, that does not enter it)."""
+        for p in cone.legs:
+            if (p.cod if cone.op else p.dom) != cone.apex.index:
+                raise ShapeMismatch(
+                    f"leg {p.name} of the {'cocone' if cone.op else 'cone'} at "
+                    f"{cone.apex.name} does not {'enter' if cone.op else 'leave'} it")
+        return self._op if cone.op else self._view
+
     def cone_miss(self, cone: Cone, among: Iterable[ObjId]
                   ) -> tuple[ObjId, tuple[ArrId, ...], int] | None:
         """None if ``cone`` is universal against the test objects ``among``.
@@ -489,7 +457,7 @@ class StructureTable:
         family of arrows from W to the leg objects (the other way for a
         cocone) that is not the composite of the legs with exactly one arrow
         W -> apex (apex -> W), and that number of arrows."""
-        view, ws = self._op if cone.op else self._view, _indices(among)
+        view, ws = self._side(cone), _indices(among)
         apex, ps = cone.apex.index, [p.index for p in cone.legs]
         if _cone_table(view, apex, ps, ws) is not None:
             return None
@@ -500,7 +468,7 @@ class StructureTable:
         """The arrows m : w -> apex (apex -> w for a cocone) whose composites
         with the legs are ``family``, in index order: at most one if
         ``cone`` is universal."""
-        view = self._op if cone.op else self._view
+        view = self._side(cone)
         ms, n = view.hom[w.index][cone.apex.index], len(view.table)
         key = reduce(lambda k, f: k * n + f.index, family, 0)
         legs = [p.index for p in cone.legs]
@@ -568,14 +536,17 @@ def discover_structure(cat: FinCategory) -> StructureTable:
 
     st = StructureTable(cat)
     view, op = st._view, st._op
-    st._ends._record("terminal", find_terminal, cat)
-    st._ends._record("initial", find_initial, cat)
+    st._ends._record("terminal", _universal_cone, view, (), f"{cat.name}: no terminal object; ")
+    st._ends._record("initial", _universal_cone, op, (), f"{cat.name}: no initial object; ")
     for a in cat.objects:
         for b in cat.objects:
-            st.products._record((a.index, b.index), _pair_cone, view, a, b)
-            st.coproducts._record((a.index, b.index), _pair_cone, op, a, b)
+            key, pair = (a.index, b.index), f"({a.name}, {b.name}); "
+            st.products._record(key, _universal_cone, view, key,
+                                f"{cat.name}: no product for {pair}")
+            st.coproducts._record(key, _universal_cone, op, key,
+                                  f"{cat.name}: no coproduct for {pair}")
     for a in cat.objects:
-        ws = _with_product(view, st.products, a)
+        ws = tuple(w for w in view.objects if (w, a.index) in st.products)
         for c in cat.objects:
             st.exponentials._record((a.index, c.index), _exponential,
                                     view, st.products, a, c, ws)

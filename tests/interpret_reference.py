@@ -16,7 +16,6 @@ from typing import Sequence
 from catlogic.errors import (
     MalformedInput,
     MissingAtom,
-    MissingQuantifierObject,
     NoQuantifierObject,
     NoSuchStructure,
 )
@@ -116,11 +115,8 @@ class ReferenceInterpretation(Interpretation):
         hit = self.qmemo.get(key)
         if hit is not None:
             return hit
-        try:
-            return self._solve(formula, key, self._interpret, self.reach.objects,
-                               self.qmemo, self.warnings)
-        except NoQuantifierObject as exc:
-            raise MissingQuantifierObject(str(exc)) from exc
+        return self._solve(formula, key, self._interpret, self.reach.objects,
+                           self.qmemo, self.warnings)
 
     def _solve(self, f: Forall | Exists, key: tuple, sub, vertexes: Sequence[ObjId],
                solved: dict[tuple, QuantifierSolution],

@@ -144,6 +144,16 @@ def test_report_rejects_multiline_values():
         r.add("key", "two\nlines")
 
 
+@pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                 "\x85", "\u2028", "\u2029"])
+def test_report_rejects_every_line_boundary(brk):
+    # each is a boundary str.splitlines splits at, so strip_timing would
+    # split the value into a line that is not key = value
+    assert len(f"a{brk}b".splitlines()) == 2
+    with pytest.raises(ValueError):
+        Report().add("key", f"a{brk}b")
+
+
 def test_report_block_splits_at_every_line_boundary():
     r = Report()
     r.add_block("input.model", "a\rb\r\nc\x0bd\x0ce\u2028f\n\ng")
@@ -310,6 +320,28 @@ def test_cli_usage_error_exits_2():
 
 def test_cli_missing_file_exits_2(capsys):
     assert run_cli(["validate", "--model", "/nonexistent/x.cat"]) == 2
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("command, renamed", [
+    ("validate", "model"), ("interpret", "model"), ("interpret", "theory"),
+    ("check", "model"), ("check", "theory"), ("redundancy", "theory")])
+def test_cli_file_name_with_a_line_break_exits_2(brk, command, renamed, workdir, capsys):
+    # the stem is the model's or theory's id in the report and in messages
+    _, model, theory = workdir
+    paths = {"model": model, "theory": theory}
+    src = paths[renamed]
+    bad = paths[renamed] = src.with_name(f"a{brk}b{src.suffix}")
+    bad.write_text(src.read_text())
+    argv = [command, "--model", str(paths["model"])]
+    if command != "validate":
+        argv += ["--theory", str(paths["theory"])]
+    if command == "interpret":
+        argv += ["--formula", "P"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {str(bad)!r}: a file name must not hold a line break\n"
 
 
 def test_bundled_suites_cover_the_matrix():

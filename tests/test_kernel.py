@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +316,17 @@ def test_gen_finset_writes_a_valid_skeleton(k, n_arrows, tmp_path):
             m, n = int(a.name[1:]), int(b.name[1:])
             assert len(cat.hom(a, b)) == n ** m
     assert validate_category(cat).ok
+
+
+def test_gen_finset_past_object_limit_exits_2_at_once(capsys):
+    # the object limit is checked before the arrow-line count, whose sum
+    # over all sizes would take minutes here
+    start = time.monotonic()
+    assert run_cli(["gen", "--kind", "finset", "--n", "100000"]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: finset-100000: 100001 objects exceeds desk scale {MAX_OBJECTS}\n"
 
 
 def test_gen_finset_past_arrow_limit_exits_2(capsys):

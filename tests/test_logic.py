@@ -38,7 +38,6 @@ from catlogic.logic import (
     format_formula,
     free_vars,
     parse_formula,
-    parse_signature,
     parse_theory,
     substitute,
 )
@@ -307,7 +306,7 @@ def test_threads_building_the_same_nodes_get_one_object():
 # -- closed term enumeration -----------------------------------------------------
 
 def test_enumerate_constants_only():
-    sig = parse_signature("sort s\nfun c : s\nfun d : s\n")
+    sig = parse_theory("sort s\nfun c : s\nfun d : s\n").signature
     u = enumerate_closed_terms(sig, 1)
     assert [str(t) for t in u.terms("s")] == ["c", "d"]
     assert u.saturated
@@ -315,14 +314,14 @@ def test_enumerate_constants_only():
 
 
 def test_enumerate_unary_function_depth2():
-    sig = parse_signature("sort s\nfun c : s\nfun f : s -> s\n")
+    sig = parse_theory("sort s\nfun c : s\nfun f : s -> s\n").signature
     u = enumerate_closed_terms(sig, 2)
     assert [str(t) for t in u.terms("s")] == ["c", "f(c)"]
     assert not u.saturated  # f(f(c)) appears at depth 3
 
 
 def test_enumerate_flags_empty_sort():
-    sig = parse_signature("sort s\nsort t\nfun c : s\n")
+    sig = parse_theory("sort s\nsort t\nfun c : s\n").signature
     u = enumerate_closed_terms(sig, 2)
     assert u.empty_sorts == ("t",)
     assert u.terms("t") == ()
@@ -346,8 +345,8 @@ def _naive_terms(sig, sort, depth):
 
 
 def test_enumeration_matches_naive_oracle():
-    sig = parse_signature(
-        "sort s\nsort t\nfun c : s\nfun e : t\nfun f : s -> t\nfun g : t * s -> s\n")
+    sig = parse_theory(
+        "sort s\nsort t\nfun c : s\nfun e : t\nfun f : s -> t\nfun g : t * s -> s\n").signature
     for depth in (1, 2, 3):
         u = enumerate_closed_terms(sig, depth)
         for sort in sig.sorts:
@@ -355,7 +354,7 @@ def test_enumeration_matches_naive_oracle():
 
 
 def test_enumeration_order_is_depth_then_declaration():
-    sig = parse_signature("sort s\nfun c : s\nfun d : s\nfun f : s -> s\n")
+    sig = parse_theory("sort s\nfun c : s\nfun d : s\nfun f : s -> s\n").signature
     u = enumerate_closed_terms(sig, 2)
     assert [str(t) for t in u.terms("s")] == ["c", "d", "f(c)", "f(d)"]
 

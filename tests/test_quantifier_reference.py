@@ -11,9 +11,8 @@ import pytest
 from catlogic.bundles import bundled_suites
 from catlogic.errors import CertificateFailure, NoQuantifierObject, WorkbenchError
 from catlogic.kernel import validate_category
-from catlogic.logic import Atom, Exists, Forall, Var, parse_theory
+from catlogic.logic import Atom, Exists, Forall, Var, parse_theory, substitute
 from catlogic.semantics import (
-    build_diagram,
     build_interpretation,
     checked_formulas,
     derive_instances,
@@ -63,7 +62,8 @@ def test_search_and_revalidation_match_reference(prepared):
     for f in _quantified(interp):
         quant = "forall" if isinstance(f, Forall) else "exists"
         try:
-            legs = [obj for _, obj in build_diagram(interp, f.body, f.var, f.sort)]
+            legs = [interp.interpret(substitute(f.body, t, f.var))
+                    for t in interp.universe.terms(f.sort)]
         except WorkbenchError:
             continue
         for vertexes in (interp.reach.objects, everything):

@@ -17,10 +17,10 @@ from catlogic.logic import (
     Zero,
     parse_formula,
     parse_theory,
+    substitute,
 )
 from catlogic.semantics import (
     Interpretation,
-    build_diagram,
     build_interpretation,
     check_conditions,
     derive_instances,
@@ -147,37 +147,28 @@ def test_memo_is_alpha_invariant(b4_prepared):
 
 # -- diagrams and quantifier objects -----------------------------------------------
 
-def test_build_diagram_legs_in_universe_order(b4_prepared):
-    _, _, _, interp = b4_prepared
+def test_quantifier_legs_in_universe_order(b4_prepared):
+    _, cat, _, interp = b4_prepared
     th = interp.theory
     body = parse_formula("B(x)", th.signature, env={"x": "s"})
-    d = build_diagram(interp, body, "x", "s")
-    assert [str(t) for t, _ in d] == ["c", "d"]
-    for t, obj in d:
-        from catlogic.logic import substitute
-        assert interp.interpret(substitute(body, t, "x")) == obj
+    terms = interp.universe.terms("s")
+    assert [str(t) for t in terms] == ["c", "d"]
+    legs = [interp.interpret(substitute(body, t, "x")) for t in terms]
+    for f in (Forall("x", "s", body), Exists("x", "s", body)):
+        family = interp.quantifier_solution(f).family
+        assert [cat.objects[a.dom if family.op else a.cod] for a in family.legs] == legs
 
 
 def test_constant_diagram(b4_prepared):
     _, _, _, interp = b4_prepared
     th = interp.theory
     body = parse_formula("P", th.signature)
-    d = build_diagram(interp, body, "x", "s")
-    assert d
-    objs = {obj for _, obj in d}
-    assert objs == {interp.interpret(body)}
+    legs = [interp.interpret(substitute(body, t, "x")) for t in interp.universe.terms("s")]
+    assert legs
+    assert set(legs) == {interp.interpret(body)}
     # quantifier object of a constant diagram is the value itself, both ways
     assert interp.interpret(Forall("x", "s", body)) == interp.interpret(body)
     assert interp.interpret(Exists("x", "s", body)) == interp.interpret(body)
-
-
-def test_diagram_rejects_extra_free_vars(b4_prepared):
-    _, _, _, interp = b4_prepared
-    th = interp.theory
-    body = parse_formula("R", th.signature) if th.signature.relation("R") else None
-    f = parse_formula("B(y)", th.signature, env={"y": "s"})
-    with pytest.raises(MalformedInput):
-        build_diagram(interp, f, "x", "s")
 
 
 _B_X = Atom("B", (Var("x", "s"),))
@@ -195,13 +186,15 @@ def test_quantifier_solution_refuses_all_but_a_closed_quantifier(b4_prepared, th
 
 
 def test_search_quantifier_object_returns_cocone(prepared_suites):
-    # every stored solution, forall and exists: the search over build_diagram's
-    # objects gives the stored cone, whose leg ends are those objects in order
+    # every stored solution, forall and exists: the search over the values of
+    # its body's instances gives the stored cone, whose leg ends are those
+    # values in universe order
     sides = set()
     for _, cat, st, interp in prepared_suites:
         for sol in interp.qmemo.values():
             f = sol.formula
-            legs = [obj for _, obj in build_diagram(interp, f.body, f.var, f.sort)]
+            legs = [interp.interpret(substitute(f.body, t, f.var))
+                    for t in interp.universe.terms(f.sort)]
             family = search_quantifier_object(st, interp.reach.objects, f, legs)
             assert family == sol.family and family.apex == interp.interpret(f)
             assert family.op == isinstance(f, Exists)

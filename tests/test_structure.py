@@ -13,15 +13,8 @@ import pytest
 from catlogic.errors import NoSuchStructure, ShapeMismatch
 from catlogic.heyting import gen_powerset
 from catlogic.kernel import FinCategory, validate_category
-from catlogic.structure import (
-    Cone,
-    discover_structure,
-    find_coproduct,
-    find_exponential,
-    find_initial,
-    find_product,
-    find_terminal,
-)
+from catlogic import structure
+from catlogic.structure import Cone, discover_structure
 
 from conftest import (
     REFERENCE_MODELS,
@@ -62,8 +55,9 @@ def test_h2_terminal_initial(h2_structure):
 def test_single_object_category_initial_is_that_object():
     cat = FinCategory.build(["star"], [], name="one")
     assert validate_category(cat).ok
-    assert find_initial(cat).apex.name == "star"
-    assert find_terminal(cat).apex.name == "star"
+    st = discover_structure(cat)
+    assert st.initial.apex.name == "star"
+    assert st.terminal.apex.name == "star"
 
 
 def test_empty_category_has_no_terminal_or_initial_object():
@@ -214,11 +208,12 @@ def test_no_product_in_two_element_group_category():
     cat = FinCategory.build(["m"], [("s", "m", "m")],
                             compositions=[("s", "s", "id_m")], name="Z2")
     assert validate_category(cat).ok
+    st = discover_structure(cat)
     with pytest.raises(NoSuchStructure) as exc:
-        find_product(cat, cat.obj("m"), cat.obj("m"))
+        st.product(cat.obj("m"), cat.obj("m"))
     assert "[4]" in str(exc.value)
     with pytest.raises(NoSuchStructure):
-        find_terminal(cat)
+        st.terminal_obj()
 
 
 def test_tiebreak_prefers_lowest_index():
@@ -227,9 +222,10 @@ def test_tiebreak_prefers_lowest_index():
         ["x", "y"], [("f", "x", "y"), ("g", "y", "x")],
         compositions=[("g", "f", "id_x"), ("f", "g", "id_y")], name="iso")
     assert validate_category(cat).ok
-    assert find_terminal(cat).apex.name == "x"
-    assert find_initial(cat).apex.name == "x"
-    w = find_product(cat, cat.obj("x"), cat.obj("y"))
+    st = discover_structure(cat)
+    assert st.terminal.apex.name == "x"
+    assert st.initial.apex.name == "x"
+    w = st.product(cat.obj("x"), cat.obj("y"))
     assert w.apex.name == "x"
 
 
@@ -252,13 +248,36 @@ def test_structure_search_requires_validated_category():
         discover_structure(broken)
 
 
-def test_exponential_needs_products_first(b4):
-    with pytest.raises(NoSuchStructure):
-        find_exponential(b4, {}, b4.obj("e1"), b4.obj("e2"))
+def test_discovery_builds_the_tables_two_views(b4, monkeypatch):
+    # every fixed-diagram search runs on the table's own view or its opposite
+    built = []
+    init = structure._View.__init__
+    monkeypatch.setattr(structure._View, "__init__",
+                        lambda view, *args, **kw: built.append(view) or init(view, *args, **kw))
+    st = discover_structure(b4)
+    assert built == [st._view, st._op]
 
 
-def test_find_coproduct_single(b4):
-    w = find_coproduct(b4, b4.obj("e1"), b4.obj("e2"))
+def test_malformed_cone_is_refused(b4, b4_st):
+    e1, e2, e12 = (b4.obj(n) for n in ("e1", "e2", "e12"))
+    legs = b4_st.product(e1, e2).legs
+    id_e1 = b4_st.identity(e1)
+    for cone, message in (
+            (Cone(e12, legs), "leg le_e_e1 of the cone at e12 does not leave it"),
+            (Cone(e2, (id_e1,)), "leg id_e1 of the cone at e2 does not leave it"),
+            (Cone(e12, (b4_st.coproduct(e1, e2).legs[0], id_e1), op=True),
+             "leg id_e1 of the cocone at e12 does not enter it")):
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            b4_st.cone_miss(cone, b4.objects)
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            b4_st.mediators(cone, e1, [id_e1] * len(cone.legs))
+    # well-formed cones are answered as before
+    assert b4_st.cone_miss(Cone(e1, (id_e1,)), b4.objects) is None
+    assert b4_st.mediators(Cone(e1, (id_e1,)), e1, [id_e1]) == [id_e1]
+
+
+def test_find_coproduct_single(b4, b4_st):
+    w = b4_st.coproduct(b4.obj("e1"), b4.obj("e2"))
     assert w.apex.name == "e12"
     inj1, inj2 = w.legs
     assert inj1.dom == b4.obj("e1").index
