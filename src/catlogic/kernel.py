@@ -55,13 +55,16 @@ class CategoryIndex(NamedTuple):
     pairs); ``hom[(a, b)]`` lists the indices of the arrows a -> b in index
     order and is absent when there are none; ``dom[f]`` and ``cod[f]`` are
     the object indices of arrow f and ``identity[a]`` the arrow index of the
-    identity of object a.
+    identity of object a; ``into[a]`` and ``out_of[a]`` list the arrows into
+    and out of object a, in index order.
     """
     table: tuple[tuple[int, ...], ...]
     hom: Mapping[tuple[int, int], tuple[int, ...]]
     dom: tuple[int, ...]
     cod: tuple[int, ...]
     identity: tuple[int, ...]
+    into: tuple[tuple[int, ...], ...]
+    out_of: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,17 @@ class FinCategory:
         self._obj_by_name = {o.name: o for o in self.objects}
         self._arr_by_name = {a.name: a for a in self.arrows}
         hom: dict[tuple[int, int], list[ArrId]] = {}
+        into: list[list[int]] = [[] for _ in self.objects]
+        out_of: list[list[int]] = [[] for _ in self.objects]
         for f in self.arrows:
             hom.setdefault((f.dom, f.cod), []).append(f)
+            into[f.cod].append(f.index)
+            out_of[f.dom].append(f.index)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._index = CategoryIndex(
             self._table, {k: tuple(f.index for f in v) for k, v in hom.items()},
             tuple(a.dom for a in self.arrows), tuple(a.cod for a in self.arrows),
-            self._identity)
+            self._identity, tuple(map(tuple, into)), tuple(map(tuple, out_of)))
 
     def _check_shape(self) -> None:
         n_obj, n_arr = len(self.objects), len(self.arrows)
@@ -148,72 +155,23 @@ class FinCategory:
               identities: Mapping[str, str] | str = "auto",
               compositions: Iterable[tuple[str, str, str]] = (),
               name: str = "category") -> "FinCategory":
-        """Assemble a category from names.
+        """Assemble a category from names, by the rules of the category file
+        (:func:`parse_category`), as if each name were a line of it.
 
-        ``arrows`` lists non-identity arrows as (name, dom, cod) unless
-        identities are given explicitly.  ``compositions`` lists
-        (g, f, h) meaning g.f = h; composites with an identity are filled
-        in automatically and may be overridden by an explicit entry.
+        ``objects`` are the ``object`` lines and ``arrows``, as (name, dom,
+        cod), the ``arrow`` lines.  ``identities`` maps each object to its
+        identity arrow or ``auto`` (an ``id_<o>`` arrow, reused if declared);
+        ``"auto"`` alone means ``auto`` for every object.  ``compositions``
+        lists (g, f, h) meaning g.f = h, the ``compose`` lines, which
+        override the identity composites.  A fault raises the file's
+        CategoryFileError, with no line.
         """
-        obj_list = [ObjId(i, n) for i, n in enumerate(objects)]
-        if len(obj_list) != len({o.name for o in obj_list}):
-            raise MalformedInput("duplicate object names")
-        obj_index = {o.name: o.index for o in obj_list}
-
-        arr_specs = list(arrows)
-        arr_list: list[ArrId] = []
-        for aname, dname, cname in arr_specs:
-            if dname not in obj_index:
-                raise MalformedInput(f"arrow {aname}: unknown object {dname}")
-            if cname not in obj_index:
-                raise MalformedInput(f"arrow {aname}: unknown object {cname}")
-            arr_list.append(ArrId(len(arr_list), aname, obj_index[dname], obj_index[cname]))
-
-        arr_index = {a.name: a.index for a in arr_list}
-        if len(arr_index) != len(arr_list):
-            raise MalformedInput("duplicate arrow names")
-
-        identity = [UNDEFINED] * len(obj_list)
         if identities == "auto":
-            for o in obj_list:
-                auto_name = f"id_{o.name}"
-                if auto_name in arr_index:
-                    raise MalformedInput(f"auto identity clashes with arrow {auto_name}")
-                arr_list.append(ArrId(len(arr_list), auto_name, o.index, o.index))
-                arr_index[auto_name] = arr_list[-1].index
-                identity[o.index] = arr_list[-1].index
-        else:
-            for oname, aname in identities.items():
-                if oname not in obj_index:
-                    raise MalformedInput(f"identity for unknown object {oname}")
-                if aname == "auto":
-                    auto_name = f"id_{oname}"
-                    if auto_name not in arr_index:
-                        arr_list.append(ArrId(len(arr_list), auto_name,
-                                              obj_index[oname], obj_index[oname]))
-                        arr_index[auto_name] = arr_list[-1].index
-                    identity[obj_index[oname]] = arr_index[auto_name]
-                elif aname in arr_index:
-                    identity[obj_index[oname]] = arr_index[aname]
-                else:
-                    raise MalformedInput(f"identity of {oname} names unknown arrow {aname}")
-            for o in obj_list:
-                if identity[o.index] == UNDEFINED:
-                    raise MalformedInput(f"object {o.name} has no identity arrow")
-
-        n = len(arr_list)
-        table = [[UNDEFINED] * n for _ in range(n)]
-        # identity composites first, explicit entries may override them
-        for f in arr_list:
-            table[identity[f.cod]][f.index] = f.index
-            table[f.index][identity[f.dom]] = f.index
-        for gname, fname, hname in compositions:
-            for nm in (gname, fname, hname):
-                if nm not in arr_index:
-                    raise MalformedInput(f"compose line names unknown arrow {nm}")
-            table[arr_index[gname]][arr_index[fname]] = arr_index[hname]
-
-        return cls(name, obj_list, arr_list, identity, table)
+            identities = dict.fromkeys(objects, "auto")
+        return _assemble(itertools.chain.from_iterable(
+            zip(itertools.repeat(kind), decls, itertools.repeat(None)) for kind, decls in (
+                ("object", zip(objects)), ("arrow", arrows), ("id", identities.items()),
+                ("compose", compositions))), name)
 
     def with_composition(self, g: ArrId, f: ArrId, h: ArrId | None) -> "FinCategory":
         """Copy with one table cell replaced (None clears it). For fault injection."""
@@ -292,8 +250,7 @@ def validate_category(c: FinCategory) -> ValidationReport:
             out.append(Violation("identity-endpoints",
                                  f"identity of {o.name} is {ia.name}: {_ends(c, ia)}"))
 
-    table = c.index().table
-    dom, cod, into, _ = _incidence(c)
+    table, _, dom, cod, _, into, _ = c.index()
     n = len(c.arrows)
     for g, row in enumerate(table):
         fs = into[dom[g]]
@@ -343,19 +300,6 @@ def validate_category(c: FinCategory) -> ValidationReport:
     return report
 
 
-def _incidence(c: FinCategory) -> tuple[Sequence[int], Sequence[int],
-                                         list[list[int]], list[list[int]]]:
-    """Per-arrow domain and codomain indices, and per object the arrows
-    into it and out of it, each list in index order."""
-    _, _, dom, cod, _ = c.index()
-    into: list[list[int]] = [[] for _ in c.objects]
-    out_of: list[list[int]] = [[] for _ in c.objects]
-    for a in c.arrows:
-        into[a.cod].append(a.index)
-        out_of[a.dom].append(a.index)
-    return dom, cod, into, out_of
-
-
 def light_generators(c: FinCategory) -> tuple[int, ...]:
     """A set of arrow indices whose closure under the table is every arrow.
 
@@ -364,8 +308,7 @@ def light_generators(c: FinCategory) -> tuple[int, ...]:
     member with every closed arrow on both sides.  The table must be typed
     and total on composable pairs.
     """
-    table = c.index().table
-    dom, cod, _, _ = _incidence(c)
+    table, _, dom, cod = c.index()[:4]
     closed = [False] * len(c.arrows)
     into: list[list[int]] = [[] for _ in c.objects]  # closed arrows by codomain
     out_of: list[list[int]] = [[] for _ in c.objects]  # closed arrows by domain
@@ -403,8 +346,7 @@ def associative_at_generators(c: FinCategory) -> bool:
     whose closure is every arrow.  Only table lookups are used, so the test
     needs nothing beyond typing and totality.
     """
-    table = c.index().table
-    dom, cod, into, out_of = _incidence(c)
+    table, _, dom, cod, _, into, out_of = c.index()
     for g in light_generators(c):
         fs = into[dom[g]]  # holds id of dom g, so never empty
         row = table[g]
@@ -492,116 +434,150 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
     """Parse the line-oriented category format.
 
     Lines: ``object N`` / ``arrow N : A -> B`` / ``id A = N|auto`` /
-    ``compose G . F = H``; ``#`` starts a comment.  Errors carry line numbers.
-    At most MAX_OBJECTS ``object`` lines and MAX_ARROW_LINES ``arrow`` lines
-    are accepted.
+    ``compose G . F = H``; ``#`` starts a comment.  Each line is matched here
+    and passed with its number to :func:`_assemble`, which states the rules
+    on the names (desk-scale limits, duplicates, unknown names, one ``id``
+    line per object).  Errors carry the number of the line at fault.
     """
-    objects: list[str] = []
-    arrows: list[tuple[str, str, str]] = []
-    ids: dict[str, str] = {}
-    comps: list[tuple[str, str, str, int]] = []
-    seen_obj: dict[str, int] = {}
-    seen_arr: dict[str, int] = {}
-    seen_id: dict[str, int] = {}
-    seen_comp: dict[tuple[str, str], int] = {}
+    def declarations() -> Iterator[tuple[str, tuple[str, ...], int]]:
+        for lineno, raw in enumerate(text.splitlines(), 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            kind = line.split(None, 1)[0]
+            rx = _LINE_RES.get(kind)
+            m = rx.match(line) if rx else None
+            if m is None:
+                raise CategoryFileError(f"unrecognized line: {line}", lineno)
+            yield kind, m.groups(), lineno
+    return _assemble(declarations(), name)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind = line.split(None, 1)[0]
-        rx = _LINE_RES.get(kind)
-        m = rx.match(line) if rx else None
-        if m is None:
-            raise CategoryFileError(f"unrecognized line: {line}", lineno)
-        if kind == "object":
-            oname = m.group(1)
-            if len(objects) == MAX_OBJECTS:
-                raise CategoryFileError(f"object {oname}: more than {MAX_OBJECTS} "
-                                        f"objects exceeds desk scale", lineno)
-            if oname in seen_obj:
-                raise CategoryFileError(f"object {oname} already declared "
-                                        f"on line {seen_obj[oname]}", lineno)
-            seen_obj[oname] = lineno
-            objects.append(oname)
+
+def _assemble(decls: Iterable[tuple[str, Sequence[str], int | None]],
+              name: str) -> FinCategory:
+    """The category declared by ``decls``, each (kind, names, line) in file
+    order, or CategoryFileError naming the line of the first at fault.
+
+    A kind is a file line: ``object`` (N), ``arrow`` (N, A, B), ``id`` (A, N
+    or ``auto``) or ``compose`` (G, F, H).  Names are checked as declared,
+    but ``compose`` names only after the last declaration.  ``id A = auto``
+    makes the arrow ``id_A`` the identity of A, added as A -> A after every
+    declared arrow, in ``id`` order, unless declared.  The table holds the
+    identity composites, overridden by the ``compose`` entries.
+    """
+    objects: dict[str, int | None] = {}  # name: line, and likewise below
+    arrows: dict[str, tuple[str, str, int | None]] = {}
+    ids: dict[str, tuple[str, int | None]] = {}
+    comps: dict[str, dict[str, int | None]] = {}  # g: f: line
+    composites: list[Sequence[str]] = []  # (g, f, h) in order
+    for kind, names, line in decls:
+        if kind == "compose":
+            g, f, _ = names
+            after = comps.get(g)
+            if after is None:
+                after = comps[g] = {}
+            if f in after:
+                raise CategoryFileError(f"composite {g} . {f} already given{_on(after[f])}",
+                                        line)
+            after[f] = line
+            composites.append(names)
         elif kind == "arrow":
-            aname, dname, cname = m.groups()
+            a, d, c = names
             if len(arrows) == MAX_ARROW_LINES:
-                raise CategoryFileError(f"arrow {aname}: more than {MAX_ARROW_LINES} "
-                                        f"arrow lines exceeds desk scale", lineno)
-            if aname in seen_arr:
-                raise CategoryFileError(f"arrow {aname} already declared "
-                                        f"on line {seen_arr[aname]}", lineno)
-            if dname not in seen_obj:
-                raise CategoryFileError(f"arrow {aname}: unknown object {dname}", lineno)
-            if cname not in seen_obj:
-                raise CategoryFileError(f"arrow {aname}: unknown object {cname}", lineno)
-            seen_arr[aname] = lineno
-            arrows.append((aname, dname, cname))
-        elif kind == "id":
-            oname, aname = m.groups()
-            if oname not in seen_obj:
-                raise CategoryFileError(f"id line for unknown object {oname}", lineno)
-            if aname != "auto" and aname not in seen_arr:
-                raise CategoryFileError(f"id {oname} names unknown arrow {aname}", lineno)
-            if oname in seen_id:
-                raise CategoryFileError(f"id of {oname} already given "
-                                        f"on line {seen_id[oname]}", lineno)
-            seen_id[oname] = lineno
-            ids[oname] = aname
+                raise CategoryFileError(f"arrow {a}: more than {MAX_ARROW_LINES} "
+                                        f"arrow lines exceeds desk scale", line)
+            if a in arrows:
+                raise CategoryFileError(f"arrow {a} already declared{_on(arrows[a][2])}", line)
+            for o in (d, c):
+                if o not in objects:
+                    raise CategoryFileError(f"arrow {a}: unknown object {o}", line)
+            arrows[a] = d, c, line
+        elif kind == "object":
+            (o,) = names
+            if len(objects) == MAX_OBJECTS:
+                raise CategoryFileError(f"object {o}: more than {MAX_OBJECTS} "
+                                        f"objects exceeds desk scale", line)
+            if o in objects:
+                raise CategoryFileError(f"object {o} already declared{_on(objects[o])}", line)
+            objects[o] = line
         else:
-            gname, fname, hname = m.groups()
-            if (gname, fname) in seen_comp:
-                raise CategoryFileError(f"composite {gname} . {fname} already given "
-                                        f"on line {seen_comp[(gname, fname)]}", lineno)
-            seen_comp[(gname, fname)] = lineno
-            comps.append((gname, fname, hname, lineno))
+            o, a = names
+            if o not in objects:
+                raise CategoryFileError(f"id line for unknown object {o}", line)
+            if a != "auto" and a not in arrows:
+                raise CategoryFileError(f"id {o} names unknown arrow {a}", line)
+            if o in ids:
+                raise CategoryFileError(f"id of {o} already given{_on(ids[o][1])}", line)
+            ids[o] = (f"id_{o}" if a == "auto" else a), line
+    for o, line in objects.items():
+        if o not in ids:
+            raise CategoryFileError(f"object {o} has no id line", line)
+    for o, (a, _) in ids.items():
+        arrows.setdefault(a, (o, o, None))  # adds only an undeclared auto identity
+    obj = {o: i for i, o in enumerate(objects)}
+    arr = {a: i for i, a in enumerate(arrows)}
+    arr_list = [ArrId(i, a, obj[d], obj[c]) for i, (a, (d, c, _)) in enumerate(arrows.items())]
+    identity = [arr[ids[o][0]] for o in objects]
+    table = _identity_composites(arr_list, identity)
+    for g, f, h in composites:
+        try:
+            table[arr[g]][arr[f]] = arr[h]
+        except KeyError:
+            unknown = next(x for x in (g, f, h) if x not in arr)
+            raise CategoryFileError(f"compose line names unknown arrow {unknown}",
+                                    comps[g][f]) from None
+    return FinCategory(name, [ObjId(i, o) for o, i in obj.items()], arr_list, identity, table)
 
-    for oname in objects:
-        if oname not in ids:
-            raise CategoryFileError(f"object {oname} has no id line", seen_obj[oname])
 
-    resolved: list[tuple[str, str, str]] = []
-    auto_names = {f"id_{o}" for o, a in ids.items() if a == "auto"}
-    for gname, fname, hname, lineno in comps:
-        for nm in (gname, fname, hname):
-            if nm not in seen_arr and nm not in auto_names:
-                raise CategoryFileError(f"compose line names unknown arrow {nm}", lineno)
-        resolved.append((gname, fname, hname))
+def _on(line: int | None) -> str:
+    return "" if line is None else f" on line {line}"
 
-    try:
-        return FinCategory.build(objects, arrows, identities=ids,
-                                 compositions=resolved, name=name)
-    except MalformedInput as exc:
-        raise CategoryFileError(str(exc)) from exc
+
+def _identity_composites(arrows: Sequence[ArrId], identity: Sequence[int]) -> list[list[int]]:
+    """The table whose only entries are id . f = f = f . id, for each arrow
+    f and the identities of its ends."""
+    table = [[UNDEFINED] * len(arrows) for _ in arrows]
+    for f in arrows:
+        table[identity[f.cod]][f.index] = f.index
+        table[f.index][identity[f.dom]] = f.index
+    return table
 
 
 def format_category(c: FinCategory) -> str:
-    """Render a category back into the file format (parse . format = identity)."""
-    lines = [f"# category {c.name}: {len(c.objects)} objects, {len(c.arrows)} arrows"]
-    for o in c.objects:
-        lines.append(f"object {o.name}")
-    identity_indices = {c.identity_of(o).index for o in c.objects}
-    for a in c.arrows:
-        if a.index in identity_indices:
-            continue
-        lines.append(f"arrow {a.name} : {c.objects[a.dom].name} -> {c.objects[a.cod].name}")
-    for o in c.objects:
-        ia = c.identity_of(o)
-        if ia.name == f"id_{o.name}":
-            lines.append(f"id {o.name} = auto")
-        else:
-            lines.append(f"arrow {ia.name} : {o.name} -> {o.name}")
-            lines.append(f"id {o.name} = {ia.name}")
-    for g in c.arrows:
-        for f in c.arrows:
-            if f.cod != g.dom:
-                continue
-            if g.index in identity_indices or f.index in identity_indices:
-                continue  # identity composites are re-derived on parse
-            k = c.table_entry(g, f)
-            if k != UNDEFINED:
-                lines.append(f"compose {g.name} . {f.name} = {c.arrows[k].name}")
+    """Render a category in the file format: :func:`parse_category` of the
+    text gives back every category it returns, the same objects, arrows by
+    index, identities and table.
+
+    Arrows are written in index order, each identity's ``id`` line after its
+    arrow line, except the trailing run of arrows ``id_<o>`` : o -> o that
+    are the identity of o alone: those are ``id o = auto`` lines, in index
+    order, as the parser adds them.  ``compose`` lines give every table
+    entry that the identity composites do not; an entry that is undefined
+    where they define it has no line.
+    """
+    arrows, identity = c.arrows, c.index().identity
+    names = [o.name for o in c.objects]
+    owners: dict[int, list[str]] = {}  # the objects each identity arrow serves
+    for o, i in zip(names, identity):
+        owners.setdefault(i, []).append(o)
+
+    def auto(a: ArrId) -> bool:
+        o = names[a.dom]
+        return a.dom == a.cod and owners.get(a.index) == [o] and a.name == f"id_{o}"
+
+    run = len(arrows)
+    while run and auto(arrows[run - 1]):
+        run -= 1
+    lines = [f"# category {c.name}: {len(c.objects)} objects, {len(arrows)} arrows"]
+    lines += [f"object {o}" for o in names]
+    for a in arrows[:run]:
+        lines.append(f"arrow {a.name} : {names[a.dom]} -> {names[a.cod]}")
+        lines += [f"id {o} = {a.name}" for o in owners.get(a.index, ())]
+    lines += [f"id {names[a.dom]} = auto" for a in arrows[run:]]
+    table = c.index().table
+    for g, row, given in zip(arrows, table, _identity_composites(arrows, identity)):
+        lines += [f"compose {g.name} . {arrows[f].name} = {arrows[k].name}"
+                  for f, k in enumerate(row) if k != given[f] and k != UNDEFINED]
     return "\n".join(lines) + "\n"
 
 

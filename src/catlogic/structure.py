@@ -94,7 +94,7 @@ class _View:
     """
 
     def __init__(self, cat: FinCategory, op: bool = False):
-        table, homs, dom, cod, _ = cat.index()
+        table, homs, dom, cod = cat.index()[:4]
         n = len(cat.objects)
         self.cat = cat
         self.op = op
@@ -467,8 +467,17 @@ class StructureTable:
     def mediators(self, cone: Cone, w: ObjId, family: Sequence[ArrId]) -> list[ArrId]:
         """The arrows m : w -> apex (apex -> w for a cocone) whose composites
         with the legs are ``family``, in index order: at most one if
-        ``cone`` is universal."""
+        ``cone`` is universal.  ShapeMismatch unless ``family`` has one arrow
+        per leg, each leaving ``w`` (for a cocone, entering it)."""
         view = self._side(cone)
+        if len(family) != len(cone.legs):
+            raise ShapeMismatch(
+                f"family of {len(family)} arrows for the {'cocone' if cone.op else 'cone'} "
+                f"at {cone.apex.name} with {len(cone.legs)} legs")
+        for f in family:
+            if (f.cod if cone.op else f.dom) != w.index:
+                raise ShapeMismatch(f"family arrow {f.name} does not "
+                                    f"{'enter' if cone.op else 'leave'} {w.name}")
         ms, n = view.hom[w.index][cone.apex.index], len(view.table)
         key = reduce(lambda k, f: k * n + f.index, family, 0)
         legs = [p.index for p in cone.legs]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -158,6 +159,33 @@ def test_missing_identity_raises():
         FinCategory.build(["a"], [], identities={}, name="broken")
 
 
+@pytest.mark.parametrize("args, message", [
+    ((["a", "a"], []), "object a already declared"),
+    ((["a"], [("f", "a", "b")]), "arrow f: unknown object b"),
+    ((["a"], [], {}), "object a has no id line"),
+    ((["a"], [], {"a": "f"}), "id a names unknown arrow f"),
+    ((["a"], [], "auto", [("f", "id_a", "id_a")]), "compose line names unknown arrow f"),
+    # a repeated composite is refused, as in a file, not overridden
+    ((["m"], [("s", "m", "m")], "auto", [("s", "s", "id_m"), ("s", "s", "s")]),
+     "composite s . s already given"),
+    (([f"o{i}" for i in range(MAX_OBJECTS + 1)], []),
+     f"object o{MAX_OBJECTS}: more than {MAX_OBJECTS} objects exceeds desk scale"),
+    ((["a"], [(f"f{i}", "a", "a") for i in range(MAX_ARROW_LINES + 1)]),
+     f"arrow f{MAX_ARROW_LINES}: more than {MAX_ARROW_LINES} arrow lines exceeds desk scale"),
+])
+def test_build_raises_the_file_error_with_no_line(args, message):
+    with pytest.raises(CategoryFileError) as exc:
+        FinCategory.build(*args)
+    assert str(exc.value) == message and exc.value.line is None
+
+
+def test_build_auto_identity_reuses_a_declared_id_arrow():
+    cat = FinCategory.build(["a", "b"], [("id_a", "a", "a"), ("f", "a", "b")])
+    assert [f.name for f in cat.arrows] == ["id_a", "f", "id_b"]
+    assert cat.identity_of(cat.obj("a")) == cat.arrow("id_a")
+    assert validate_category(cat).ok
+
+
 def test_dangling_endpoint_raises():
     with pytest.raises(MalformedInput):
         FinCategory.build(["a"], [("f", "a", "nowhere")])
@@ -196,6 +224,32 @@ def test_generated_models_roundtrip():
         for g in cat.arrows:
             for f in cat.arrows:
                 assert again.table_entry(g, f) == cat.table_entry(g, f)
+
+
+@pytest.mark.parametrize("text", [
+    # auto identities in id-line order, not object order
+    "object a\nobject b\narrow f : a -> b\nid b = auto\nid a = auto\n",
+    # an identity declared before other arrows keeps its place
+    "object a\nobject b\narrow id_a : a -> a\narrow f : a -> b\nid a = auto\nid b = auto\n",
+])
+def test_format_keeps_the_arrow_order(text):
+    cat = parse_category(text)
+    again = parse_category(format_category(cat))
+    assert [(f.name, f.dom, f.cod) for f in again.arrows] == \
+        [(f.name, f.dom, f.cod) for f in cat.arrows]
+    assert again.index() == cat.index()
+    assert validate_category(again).ok
+
+
+def test_format_keeps_a_broken_table_broken():
+    text = ("object a\nobject b\narrow f : a -> b\nid b = auto\nid a = auto\n"
+            "compose id_b . f = id_a\n")
+    cat = parse_category(text)
+    assert not validate_category(cat).ok
+    again = parse_category(format_category(cat))
+    assert again.index() == cat.index()
+    assert [str(v) for v in validate_category(again).violations] == \
+        [str(v) for v in validate_category(cat).violations]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -334,3 +388,23 @@ def test_gen_finset_past_arrow_limit_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MAX_ARROW_LINES" in captured.err and str(MAX_ARROW_LINES) in captured.err
+
+
+# sha256 of ``catlogic gen`` output: the thin-check inputs (powerset-4 and
+# chain-32), the diamond and the finset ladder models.  A change to
+# ``FinCategory.build`` or ``format_category`` that moves a byte of them
+# changes the benchmark's inputs and the ladder.
+GEN_DIGESTS = {
+    ("powerset", 4): "a77b4f19f584bbc5a04f1d4e26e546b4bca2dfb69e5a6bdb67f3f7c232e1b966",
+    ("chain", 32): "3d9994b486a192d78783a2ca4c90624fb922d4bf30c74c9c4293cb93e57b9133",
+    ("diamond", 2): "077a84030a162b25c077e74a273a126769b70ca88df2e43d8204fa4aa33e1e4f",
+    ("finset", 3): "ea8074b321dd0feacf52d86f074d6a9fe34f1d795ce98686921aac25bb2377b7",
+    ("finset", 4): "108d8443e24e5c4ea658a620c2f563f21e5643c12e8db1ae300b0d0b67514114",
+}
+
+
+@pytest.mark.parametrize("kind, n", GEN_DIGESTS)
+def test_gen_output_is_pinned(kind, n, capsys):
+    assert run_cli(["gen", "--kind", kind, "--n", str(n)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_DIGESTS[kind, n]

@@ -276,6 +276,32 @@ def test_malformed_cone_is_refused(b4, b4_st):
     assert b4_st.mediators(Cone(e1, (id_e1,)), e1, [id_e1]) == [id_e1]
 
 
+def test_mediators_refuse_a_family_of_another_length(b4, b4_st):
+    # one arrow of index 1 has the radix key of the pair of indices 0 and 1,
+    # so a short family would alias the family (le_e_e1, le_e_e2)
+    e, e1, e2 = (b4.obj(n) for n in ("e", "e1", "e2"))
+    product_cone = b4_st.product(e1, e2)
+    with pytest.raises(ShapeMismatch,
+                       match="^family of 1 arrows for the cone at e with 2 legs$"):
+        b4_st.mediators(product_cone, e, [b4.arrow("le_e_e2")])
+    coproduct_cone = b4_st.coproduct(e1, e2)
+    fam = [b4.arrow("le_e1_e12"), b4.arrow("le_e2_e12"), b4.arrow("id_e12")]
+    with pytest.raises(ShapeMismatch,
+                       match="^family of 3 arrows for the cocone at e12 with 2 legs$"):
+        b4_st.mediators(coproduct_cone, b4.obj("e12"), fam)
+    assert b4_st.mediators(product_cone, e, [b4.arrow("le_e_e1"), b4.arrow("le_e_e2")]) \
+        == [b4_st.identity(e)]
+
+
+def test_mediators_refuse_a_family_off_the_test_object(b4, b4_st):
+    e, e1, e2, e12 = (b4.obj(n) for n in ("e", "e1", "e2", "e12"))
+    with pytest.raises(ShapeMismatch, match="^family arrow id_e1 does not leave e$"):
+        b4_st.mediators(b4_st.product(e1, e2), e, [b4.arrow("le_e_e1"), b4_st.identity(e1)])
+    with pytest.raises(ShapeMismatch, match="^family arrow le_e_e1 does not enter e12$"):
+        b4_st.mediators(b4_st.coproduct(e1, e2), e12,
+                        [b4.arrow("le_e1_e12"), b4.arrow("le_e_e1")])
+
+
 def test_find_coproduct_single(b4, b4_st):
     w = b4_st.coproduct(b4.obj("e1"), b4.obj("e2"))
     assert w.apex.name == "e12"
