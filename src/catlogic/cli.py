@@ -41,12 +41,15 @@ from .theorems import delta_certificate, verify_frobenius
 
 
 def _load(path: str, parse):
-    """``parse`` of the file at ``path``, named by its stem, and its text;
-    a stem with a line break, which no one-line report value holds, is refused."""
+    """``parse`` of the file at ``path``, named by its stem, and its text; a file
+    not in UTF-8, or a stem with a line break (no one-line report value holds one), is refused."""
     stem = Path(path).stem
     if _BREAK_RE.search(stem):
         raise MalformedInput(f"{path!r}: a file name must not hold a line break")
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path!r}: not UTF-8 at byte offset {exc.start}") from None
     return parse(text, stem), text
 
 
@@ -141,9 +144,6 @@ def cmd_interpret(args) -> int:
         return 1
     theory, _ = _load(args.theory, parse_theory)
     formula = parse_formula(args.formula, theory.signature)
-    if formula.fv:
-        print("error: interpret needs a closed formula", file=sys.stderr)
-        return 2
     obj = _interpretation(args, cat, theory).interpret(formula)
     print(obj.name)
     return 0

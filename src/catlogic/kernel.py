@@ -173,12 +173,6 @@ class FinCategory:
                 ("object", zip(objects)), ("arrow", arrows), ("id", identities.items()),
                 ("compose", compositions))), name)
 
-    def with_composition(self, g: ArrId, f: ArrId, h: ArrId | None) -> "FinCategory":
-        """Copy with one table cell replaced (None clears it). For fault injection."""
-        table = [list(row) for row in self._table]
-        table[g.index][f.index] = UNDEFINED if h is None else h.index
-        return FinCategory(self.name, self.objects, self.arrows, self._identity, table)
-
     # -- queries -----------------------------------------------------------
 
     def obj(self, name: str) -> ObjId:
@@ -214,12 +208,6 @@ class FinCategory:
     def index(self) -> CategoryIndex:
         """Composition-table rows and hom-sets as arrow indices."""
         return self._index
-
-    def composable_pairs(self) -> Iterator[tuple[ArrId, ArrId]]:
-        for g in self.arrows:
-            for f in self.arrows:
-                if f.cod == g.dom:
-                    yield g, f
 
     def table_entry(self, g: ArrId, f: ArrId) -> int:
         return self._table[g.index][f.index]
@@ -552,10 +540,16 @@ def format_category(c: FinCategory) -> str:
     arrow line, except the trailing run of arrows ``id_<o>`` : o -> o that
     are the identity of o alone: those are ``id o = auto`` lines, in index
     order, as the parser adds them.  ``compose`` lines give every table
-    entry that the identity composites do not; an entry that is undefined
-    where they define it has no line.
+    entry that the identity composites do not.  A table undefined where they
+    define it has no file, and raises ShapeMismatch.
     """
-    arrows, identity = c.arrows, c.index().identity
+    arrows, table, identity = c.arrows, c.index().table, c.index().identity
+    for f in arrows:
+        for g, h in ((identity[f.cod], f.index), (f.index, identity[f.dom])):
+            if table[g][h] == UNDEFINED:
+                raise ShapeMismatch(
+                    f"cannot write {c.name}: {arrows[g].name} . {arrows[h].name} is "
+                    f"undefined, and the file format fills in every identity composite")
     names = [o.name for o in c.objects]
     owners: dict[int, list[str]] = {}  # the objects each identity arrow serves
     for o, i in zip(names, identity):
@@ -574,7 +568,6 @@ def format_category(c: FinCategory) -> str:
         lines.append(f"arrow {a.name} : {names[a.dom]} -> {names[a.cod]}")
         lines += [f"id {o} = {a.name}" for o in owners.get(a.index, ())]
     lines += [f"id {names[a.dom]} = auto" for a in arrows[run:]]
-    table = c.index().table
     for g, row, given in zip(arrows, table, _identity_composites(arrows, identity)):
         lines += [f"compose {g.name} . {arrows[f].name} = {arrows[k].name}"
                   for f, k in enumerate(row) if k != given[f] and k != UNDEFINED]

@@ -222,12 +222,6 @@ class Signature:
     def _relations_by_name(self) -> dict[str, RelDecl]:
         return {r.name: r for r in reversed(self.relations)}
 
-    def function(self, name: str) -> FunDecl | None:
-        return self._functions_by_name.get(name)
-
-    def relation(self, name: str) -> RelDecl | None:
-        return self._relations_by_name.get(name)
-
 
 AtomKey = tuple[str, tuple[Term, ...]]
 

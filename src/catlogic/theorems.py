@@ -13,14 +13,13 @@ Every mediating arrow is found by the cone key check of the structure
 table: the arrows of one hom-set whose composites with the legs of a stored
 ``Cone`` are the given family (``StructureTable.mediators``, out of the apex
 of a cocone), of which there must be exactly one.  Every certificate names
-its arrows and their inverse equations, and a delta certificate the
-combinators it was built from, so a failed equation can be replayed by hand.
+its arrows, and a failed inverse equation names both composites, so it can
+be replayed by hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, Sequence
 
@@ -36,28 +35,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class DeltaCertificate:
-    """delta and its inverse for the triple (a, b, c).  The provenance and
-    equation texts are formatted on first read."""
+    """delta and its inverse for the triple (a, b, c), both inverse
+    equations checked on the table."""
     triple: tuple[ObjId, ObjId, ObjId]
     delta: ArrId
     delta_inv: ArrId
-    injections: tuple[ArrId, ArrId]   # of b + c, as delta used them
-    ends: tuple[ObjId, ObjId]         # dom and cod of delta
-
-    @cached_property
-    def delta_provenance(self) -> str:
-        a, (inj1, inj2) = self.triple[0].name, self.injections
-        return f"copair(id_{a} x {inj1.name}, id_{a} x {inj2.name})"
-
-    @cached_property
-    def inverse_provenance(self) -> str:
-        return (f"theta(copair(transpose(inj1 . swap), "
-                f"transpose(inj2 . swap))) . swap_{self.triple[0].name}")
-
-    @cached_property
-    def equations(self) -> tuple[str, str]:
-        delta, inv, (src, tgt) = self.delta.name, self.delta_inv.name, self.ends
-        return (f"{inv} . {delta} = id_{src.name}", f"{delta} . {inv} = id_{tgt.name}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +132,7 @@ def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Delta
             f"{delta.name}: {inv.name}.{delta.name} = "
             f"{cat.compose(inv, delta).name}, {delta.name}.{inv.name} = "
             f"{cat.compose(delta, inv).name}")
-    return DeltaCertificate((a, b, c), delta, inv, st.coproduct(b, c).legs,
-                            (cat.objects[delta.dom], cat.objects[delta.cod]))
+    return DeltaCertificate((a, b, c), delta, inv)
 
 
 # -- product through existential quantification ----------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from catlogic.bundles import bundled_suites
 from catlogic.heyting import gen_chain, gen_powerset
-from catlogic.kernel import ArrId, FinCategory, validate_category
+from catlogic.kernel import UNDEFINED, ArrId, FinCategory, validate_category
 from catlogic.semantics import build_interpretation
 from catlogic.structure import discover_structure
 
@@ -178,6 +178,19 @@ def opposite(cat: FinCategory) -> FinCategory:
                      [[table[f][g] for f in range(len(arrows))] for g in range(len(arrows))])
     assert validate_category(op).ok
     return op
+
+
+def with_composition(cat: FinCategory, g: ArrId, f: ArrId, h: ArrId | None) -> FinCategory:
+    """``cat`` with the table entry g . f set to ``h``, or cleared when h is
+    None: a fault to inject, which no category file can declare."""
+    table = [list(row) for row in cat.index().table]
+    table[g.index][f.index] = UNDEFINED if h is None else h.index
+    return FinCategory(cat.name, cat.objects, cat.arrows, cat.index().identity, table)
+
+
+def composable_pairs(cat: FinCategory):
+    """Every (g, f) with cod f = dom g, by the index of g, then of f."""
+    return ((g, f) for g in cat.arrows for f in cat.arrows if f.cod == g.dom)
 
 
 # the models the reference tests compare on, thin and non-thin

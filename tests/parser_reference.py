@@ -164,7 +164,7 @@ class _FormulaParser:
 
     def atom(self) -> Formula:
         name = self.take()
-        rel = self.sig.relation(name.text)
+        rel = next((r for r in self.sig.relations if r.name == name.text), None)
         if rel is None:
             raise UnknownSymbol(f"unknown relation {name.text}", name.line, name.col)
         args = self.arguments()
@@ -200,7 +200,7 @@ class _FormulaParser:
         # bound and declared variables shadow function symbols
         if name.text in self.env and not (self.peek() and self.peek().text == "("):
             return Var(name.text, self.env[name.text])
-        fn = self.sig.function(name.text)
+        fn = next((f for f in self.sig.functions if f.name == name.text), None)
         if fn is None:
             if name.text in self.env:
                 return Var(name.text, self.env[name.text])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from catlogic.heyting import (
     oracle_atom_map,
     oracle_interpret,
 )
-from catlogic.kernel import format_category, parse_category, validate_category
+from catlogic.kernel import format_category, gen_finset, parse_category, validate_category
 from catlogic.logic import (
     MAX_NESTING,
     MAX_TERMS,
@@ -31,7 +32,7 @@ from catlogic.report import Report, strip_timing
 from catlogic.semantics import check_conditions
 from catlogic.structure import discover_structure
 
-from conftest import subset_of
+from conftest import PAIR_CONST_THEORY, subset_of
 
 
 # -- generators -----------------------------------------------------------------
@@ -216,10 +217,13 @@ def test_cli_interpret(workdir, capsys):
 
 
 def test_cli_interpret_open_formula_exits_2(workdir, capsys):
+    # the parser, given no variables, refuses a free one as an unknown symbol
     _, model, theory = workdir
-    rc = run_cli(["interpret", "--model", str(model), "--theory", str(theory),
-                  "--formula", "B(zzz)"])
-    assert rc == 2
+    for formula, at in (("B(zzz)", "zzz at 1:3"), ("exists x:s. B(x) & B(y)", "y at 1:22")):
+        rc = run_cli(["interpret", "--model", str(model), "--theory", str(theory),
+                      "--formula", formula])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown term symbol {at}\n"
 
 
 DEEP = {
@@ -344,6 +348,22 @@ def test_cli_file_name_with_a_line_break_exits_2(brk, command, renamed, workdir,
     assert captured.err == f"error: {str(bad)!r}: a file name must not hold a line break\n"
 
 
+@pytest.mark.parametrize("command, renamed, byte", [
+    ("validate", "model", b"\xff"), ("check", "theory", b"\xfe")], ids=["model", "theory"])
+def test_cli_file_that_is_not_utf8_exits_2(command, renamed, byte, workdir, capsys):
+    _, model, theory = workdir
+    paths = {"model": model, "theory": theory}
+    text = paths[renamed].read_bytes()
+    paths[renamed].write_bytes(text[:5] + byte + text[5:])
+    argv = [command, "--model", str(paths["model"])]
+    if command != "validate":
+        argv += ["--theory", str(paths["theory"])]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {str(paths[renamed])!r}: not UTF-8 at byte offset 5\n"
+
+
 def test_bundled_suites_cover_the_matrix():
     ids = [s.suite_id for s in bundled_suites()]
     assert len(ids) == 6
@@ -429,6 +449,45 @@ def test_python_m_catlogic_cli_runs_the_cli(workdir):
                               module="catlogic.cli")
     assert (done.returncode, done.stderr) == (0, "")
     assert "validation = PASS" in done.stdout
+
+
+# runs each argv of the JSON list in sys.argv[1] through the CLI and prints
+# the exit codes and timing-stripped reports as JSON
+_RUN_ALL = """\
+import contextlib, io, json, sys
+from catlogic.cli import run_cli
+from catlogic.report import strip_timing
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        out.append((run_cli(argv), strip_timing(buf.getvalue())))
+print(json.dumps(out))
+"""
+
+
+def test_reports_are_the_same_under_every_hash_seed(tmp_path):
+    # str hashes are salted per process: an order read off a set or a dict
+    # filled in hash order would change the report from one run to the next
+    suite = next(s for s in bundled_suites() if s.suite_id == "chain-4/unary-fun")
+    inputs = {"chain-4": (format_category(suite.model.category()), suite.theory_text),
+              "finset-3": (format_category(gen_finset(3)),
+                           PAIR_CONST_THEORY.format("s2", "s3", "s1"))}
+    argvs = []
+    for name, (model, theory) in inputs.items():
+        (tmp_path / f"{name}.cat").write_text(model)
+        (tmp_path / f"{name}.th").write_text(theory)
+        argvs += [[command, "--model", f"{name}.cat", "--theory", f"{name}.th"]
+                  for command in ("check", "redundancy")]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(catlogic.__file__).parents[1]),
+                   PYTHONHASHSEED=seed)
+        done = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=20, check=True)
+        runs.append(json.loads(done.stdout))
+    assert [rc for rc, _ in runs[0]] == [0, 0, 1, 1]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("model, theory, message", [

@@ -12,7 +12,7 @@ from catlogic.errors import (
     NotComposable,
     ShapeMismatch,
 )
-from catlogic.heyting import gen_powerset
+from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import (
     MAX_ARROW_LINES,
     MAX_OBJECTS,
@@ -24,7 +24,7 @@ from catlogic.kernel import (
     validate_category,
 )
 
-from conftest import make_h2, subset_of
+from conftest import composable_pairs, make_h2, subset_of, with_composition
 
 
 def test_h2_is_valid(h2):
@@ -36,8 +36,8 @@ def test_h2_is_valid(h2):
 
 def test_h2_with_redirected_identity_composite_detected():
     cat = make_h2()
-    bad = cat.with_composition(cat.arrow("id_top"), cat.arrow("u"),
-                               cat.arrow("id_top"))
+    bad = with_composition(cat, cat.arrow("id_top"), cat.arrow("u"),
+                           cat.arrow("id_top"))
     report = validate_category(bad)
     assert not report.ok
     kinds = {v.kind for v in report.violations}
@@ -120,7 +120,7 @@ def test_single_entry_corruptions_are_detected():
     cat = gen_powerset(2).category()
     assert validate_category(cat).ok
     rng = random.Random(20240817)
-    pairs = [(g, f) for g, f in cat.composable_pairs()]
+    pairs = [(g, f) for g, f in composable_pairs(cat)]
     for _ in range(100):
         g, f = rng.choice(pairs)
         current = cat.table_entry(g, f)
@@ -128,7 +128,7 @@ def test_single_entry_corruptions_are_detected():
         if wrong == current:
             wrong = (wrong + 1) % (len(cat.arrows) + 1)
         h = None if wrong == len(cat.arrows) else cat.arrows[wrong]
-        mutated = cat.with_composition(g, f, h)
+        mutated = with_composition(cat, g, f, h)
         assert not validate_category(mutated).ok
 
 
@@ -136,20 +136,20 @@ def test_single_entry_corruptions_are_detected():
 @given(st.data())
 def test_any_single_flip_is_detected_hypothesis(data):
     cat = gen_powerset(2).category()
-    pairs = list(cat.composable_pairs())
+    pairs = list(composable_pairs(cat))
     g, f = data.draw(st.sampled_from(pairs))
     k = data.draw(st.integers(min_value=-1, max_value=len(cat.arrows) - 1))
     if k == cat.table_entry(g, f):
         k = -1 if k != -1 else cat.identity_of(cat.objects[0]).index
         if k == cat.table_entry(g, f):
             return
-    mutated = cat.with_composition(g, f, None if k == -1 else cat.arrows[k])
+    mutated = with_composition(cat, g, f, None if k == -1 else cat.arrows[k])
     assert not validate_category(mutated).ok
 
 
 def test_spurious_entry_on_non_composable_pair_detected(h2):
     u = h2.arrow("u")
-    mutated = h2.with_composition(u, u, u)  # u . u is not composable
+    mutated = with_composition(h2, u, u, u)  # u . u is not composable
     report = validate_category(mutated)
     assert any(v.kind == "compose-spurious" for v in report.violations)
 
@@ -250,6 +250,17 @@ def test_format_keeps_a_broken_table_broken():
     assert again.index() == cat.index()
     assert [str(v) for v in validate_category(again).violations] == \
         [str(v) for v in validate_category(cat).violations]
+
+
+@pytest.mark.parametrize("g, f", [("id_c1", "le_c0_c1"), ("le_c0_c1", "id_c0")])
+def test_format_refuses_a_table_it_cannot_write(g, f):
+    # no line clears an identity composite, so a file would come back repaired
+    cat = gen_chain(2).category()
+    broken = with_composition(cat, cat.arrow(g), cat.arrow(f), None)
+    assert not validate_category(broken).ok
+    with pytest.raises(ShapeMismatch, match=rf"{g} \. {f} is undefined, and the file "
+                                            r"format fills in every identity composite"):
+        format_category(broken)
 
 
 def test_parse_errors_carry_line_numbers():

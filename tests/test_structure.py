@@ -18,11 +18,13 @@ from catlogic.structure import Cone, discover_structure
 
 from conftest import (
     REFERENCE_MODELS,
+    composable_pairs,
     make_finset,
     opposite,
     subset_name,
     subset_of,
     with_arrow_order,
+    with_composition,
 )
 from structure_reference import assert_discovery_matches
 
@@ -241,9 +243,9 @@ def test_discovery_is_deterministic(b4):
 def test_structure_search_requires_validated_category():
     from catlogic.errors import LawViolation
     cat = gen_powerset(2).category()
-    g, f = next(cat.composable_pairs())
+    g, f = next(composable_pairs(cat))
     k = (cat.table_entry(g, f) + 1) % len(cat.arrows)
-    broken = cat.with_composition(g, f, cat.arrows[k])
+    broken = with_composition(cat, g, f, cat.arrows[k])
     with pytest.raises(LawViolation):
         discover_structure(broken)
 

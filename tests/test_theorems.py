@@ -78,14 +78,6 @@ def test_delta_degenerate_initial_components(b4_prepared):
     assert mutually_inverse(cat, cert.delta, cert.delta_inv)
 
 
-def test_delta_certificate_carries_provenance(b4_prepared):
-    _, cat, st, _ = b4_prepared
-    cert = delta_certificate(st, cat.obj("e1"), cat.obj("e2"), cat.obj("e12"))
-    assert "copair" in cert.delta_provenance
-    assert "transpose" in cert.inverse_provenance
-    assert len(cert.equations) == 2
-
-
 # -- the frobenius construction -------------------------------------------------
 
 def test_alpha_b4_worked_example():

@@ -9,7 +9,7 @@ from catlogic.bundles import bundled_suites
 from catlogic.heyting import gen_chain
 from catlogic.kernel import UNDEFINED, FinCategory, light_generators, validate_category
 
-from conftest import make_finset
+from conftest import composable_pairs, make_finset
 import validation_reference as reference
 
 MODELS = {s.model.name: s.model.category for s in bundled_suites()}
@@ -18,7 +18,7 @@ MODELS["finset-012333"] = lambda: make_finset([0, 1, 2, 3, 3, 3], "finset-012333
 
 FINSET = make_finset([0, 1, 2, 3], "finset-0123")
 _IDS = [FINSET.identity_of(o).index for o in FINSET.objects]
-_PAIRS = [(g.index, f.index) for g, f in FINSET.composable_pairs()]
+_PAIRS = [(g.index, f.index) for g, f in composable_pairs(FINSET)]
 # pairs of non-identities whose composite can be replaced by another arrow of
 # the same hom-set: the table keeps its typing, totality and identity laws,
 # so only associativity can fail
