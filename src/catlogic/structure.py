@@ -8,6 +8,8 @@ Mathematician*, III.1-2).  A candidate is tried only if its column of
 hom-set sizes equals the product of its legs' columns, and it then passes
 iff the map is injective on the arrows into V.  The inverse of that map is
 kept in the witness as its pairing table, so the combinators are lookups.
+On a thin view, where every hom-set holds at most one arrow, equal sizes
+are the bijection, and the table is read off the hom lists (``_View``).
 Discovery, the only caller of the fixed-diagram searches (terminal and
 initial objects, products, coproducts, exponentials), runs them on the
 table's own two views and is the only writer of a structure table.  It
@@ -31,6 +33,8 @@ witness tables.  When no candidate passes, the failure message is an exact
 count: either no object has the column of hom-set sizes a universal apex
 must have, or the first object that has it is named with the first test
 object W and the first family at W that it does not hit exactly once.
+On a thin view the first object with the column passes, so a failure
+there is always of the first kind.
 """
 
 from __future__ import annotations
@@ -91,6 +95,14 @@ class _View:
     ``cod[p]`` is the codomain of arrow p.  The opposite view swaps the ends
     of every hom-set and the factors of every composite, reading the one
     table with its indices swapped.
+
+    ``thin`` says that every hom-set holds at most one arrow, in both views
+    alike.  Then a map from hom(W, V) to a set of the same size is a
+    bijection, both sides holding 0 or 1 elements: the column check is the
+    whole universal property, and its inverse sends the key of the unique
+    arrows W -> leg (for an exponential, W x A -> C) to the unique arrow
+    W -> V, composing nothing.  Every finite bicartesian closed category
+    is thin.
     """
 
     def __init__(self, cat: FinCategory, op: bool = False):
@@ -99,6 +111,7 @@ class _View:
         self.cat = cat
         self.op = op
         self.table = table
+        self.thin = all(len(h) < 2 for h in homs.values())
         self.objects = tuple(range(n))
         self.hom = [[homs.get((y, x) if op else (x, y), ()) for y in range(n)]
                     for x in range(n)]
@@ -161,10 +174,11 @@ def _cone_table(view: _View, apex: int, legs: Sequence[int],
     (every object by default), it maps hom(W, apex) one-to-one onto the
     product of the hom(W, cod p_i); None otherwise.
 
-    Equal sizes and an injective map make a bijection.  With no legs the
-    product is a point: each hom(W, apex) holds exactly one arrow, and
-    the table is empty.  ``sizes`` are the product sizes at ``ws`` if the
-    caller has them.
+    Equal sizes and an injective map make a bijection; on a thin view
+    equal sizes alone do, and the table is read off the hom lists.  With
+    no legs the product is a point: each hom(W, apex) holds exactly one
+    arrow, and the table is empty.  ``sizes`` are the product sizes at
+    ``ws`` if the caller has them.
     """
     ws = view.objects if ws is None else ws
     if sizes is None:
@@ -173,6 +187,13 @@ def _cone_table(view: _View, apex: int, legs: Sequence[int],
         return None
     if not legs:
         return {}
+    if view.thin:
+        hom, n = view.hom, len(view.table)
+        ws = [w for w in ws if hom[w][apex]]
+        keys = [0] * len(ws)
+        for p in legs:
+            keys = [k * n + hom[w][view.cod[p]][0] for k, w in zip(keys, ws)]
+        return {k: hom[w][apex][0] for k, w in zip(keys, ws)}
     ms = [m for w in ws for m in view.hom[w][apex]]
     return _invert(_keys(view, legs, ms), ms)
 
@@ -306,9 +327,14 @@ def _exponential(view: _View, products: Mapping[tuple[int, int], Cone],
     sources = [products[(w, ai)].apex.index for w in ws]
     sizes = [view.to[c][s] for s in sources]
     for apex in view.columns(ws).get(tuple(sizes), ()):
-        pw = products[(apex, ai)]
-        for ev, table in _transpose_tables(view, products, apex, ai, ws,
-                                           hom[pw.apex.index][c]):
+        evs = hom[products[(apex, ai)].apex.index][c]
+        if view.thin:  # apex is in ws: one eval, as hom(apex, apex) holds one arrow
+            n = len(hom)
+            found = [(evs[0], {hom[s][c][0] * n + w: hom[w][apex][0]
+                               for w, s in zip(ws, sources) if hom[w][apex]})]
+        else:
+            found = _transpose_tables(view, products, apex, ai, ws, evs)
+        for ev, table in found:
             if table is not None:
                 return _verified(ExponentialWitness(a, target, cat.objects[apex],
                                                     cat.arrows[ev]), table)

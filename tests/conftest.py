@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from catlogic.bundles import bundled_suites
-from catlogic.heyting import gen_chain, gen_powerset
+from catlogic.heyting import gen_chain, gen_powerset, thin_category_from_leq
 from catlogic.kernel import UNDEFINED, ArrId, FinCategory, validate_category
 from catlogic.semantics import build_interpretation
 from catlogic.structure import discover_structure
@@ -191,6 +191,29 @@ def with_composition(cat: FinCategory, g: ArrId, f: ArrId, h: ArrId | None) -> F
 def composable_pairs(cat: FinCategory):
     """Every (g, f) with cod f = dom g, by the index of g, then of f."""
     return ((g, f) for g in cat.arrows for f in cat.arrows if f.cod == g.dom)
+
+
+def moore_families(points: int) -> list[tuple[int, ...]]:
+    """Every family of subsets of {0, ..., points - 1} that contains the
+    whole set and is closed under intersection, each as its sorted bit
+    masks.  Ordered by inclusion, a Moore family is a finite lattice, and
+    every finite lattice is one (on enough points)."""
+    whole = (1 << points) - 1
+    families = []
+    for chosen in range(1 << whole):
+        family = {s for s in range(whole) if chosen >> s & 1} | {whole}
+        if all(s & t in family for s in family for t in family):
+            families.append(tuple(sorted(family)))
+    return families
+
+
+def moore_lattice(family: tuple[int, ...]) -> FinCategory:
+    """The thin category of ``family`` ordered by inclusion; object ``e01``
+    is the set {0, 1}."""
+    names = [subset_name(frozenset(i for i in range(s.bit_length()) if s >> i & 1))
+             for s in family]
+    leq = tuple(tuple(s & t == s for t in family) for s in family)
+    return thin_category_from_leq(names, leq, name="moore-" + "-".join(names))
 
 
 # the models the reference tests compare on, thin and non-thin

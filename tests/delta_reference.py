@@ -20,9 +20,6 @@ class RefDeltaCertificate:
     triple: tuple
     delta: ArrId
     delta_inv: ArrId
-    delta_provenance: str
-    inverse_provenance: str
-    equations: tuple
 
 
 def mutually_inverse(c, f, g):
@@ -81,17 +78,7 @@ def delta_certificate(st, a: ObjId, b: ObjId, c: ObjId) -> RefDeltaCertificate:
             f"{delta.name}: {inv.name}.{delta.name} = "
             f"{cat.compose(inv, delta).name}, {delta.name}.{inv.name} = "
             f"{cat.compose(delta, inv).name}")
-    inj1, inj2 = st.coproduct(b, c).legs
-    src = cat.objects[delta.dom]
-    tgt = cat.objects[delta.cod]
-    return RefDeltaCertificate(
-        (a, b, c), delta, inv,
-        delta_provenance=(f"copair(id_{a.name} x {inj1.name}, "
-                          f"id_{a.name} x {inj2.name})"),
-        inverse_provenance=(f"theta(copair(transpose(inj1 . swap), "
-                            f"transpose(inj2 . swap))) . swap_{a.name}"),
-        equations=(f"{inv.name} . {delta.name} = id_{src.name}",
-                   f"{delta.name} . {inv.name} = id_{tgt.name}"))
+    return RefDeltaCertificate((a, b, c), delta, inv)
 
 
 def ref_condition4(st, objects):
