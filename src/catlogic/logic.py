@@ -553,9 +553,9 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
     ``rel P : s`` (bare name for nullary) / ``axiom F`` / ``depth n`` /
     ``interp P(c) = object``.  Declarations must precede their uses.
     """
-    sorts: list[str] = []
-    functions: list[FunDecl] = []
-    relations: list[RelDecl] = []
+    sorts: dict[str, None] = {}  # an ordered set
+    functions: dict[str, FunDecl] = {}
+    relations: dict[str, RelDecl] = {}
     axiom_srcs: list[tuple[str, int]] = []
     interp_srcs: list[tuple[str, str, int]] = []
     depth, lines = 2, {}
@@ -567,11 +567,11 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
         head = line.split(None, 1)[0]
         if head == "sort":
             name = line[len("sort"):].strip()
-            if not name or " " in name:
+            if name.split() != [name]:
                 raise TheoryFileError("sort line needs exactly one name", lineno)
             if name in sorts:
                 raise TheoryFileError(f"sort {name} already declared", lineno)
-            sorts.append(name)
+            sorts[name] = None
         elif head == "fun":
             m = _FUN_RE.match(line)
             if not m:
@@ -585,9 +585,9 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
             for s in (*arg_sorts, result):
                 if s not in sorts:
                     raise TheoryFileError(f"fun {fname}: unknown sort {s}", lineno)
-            if any(f.name == fname for f in functions):
+            if fname in functions:
                 raise TheoryFileError(f"function {fname} already declared", lineno)
-            functions.append(FunDecl(fname, arg_sorts, result))
+            functions[fname] = FunDecl(fname, arg_sorts, result)
         elif head == "rel":
             m = _REL_RE.match(line)
             if not m:
@@ -597,12 +597,14 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
             for s in arg_sorts:
                 if s not in sorts:
                     raise TheoryFileError(f"rel {rname}: unknown sort {s}", lineno)
-            if any(r.name == rname for r in relations):
+            if rname in relations:
                 raise TheoryFileError(f"relation {rname} already declared", lineno)
-            relations.append(RelDecl(rname, arg_sorts))
+            relations[rname] = RelDecl(rname, arg_sorts)
         elif head == "axiom":
             axiom_srcs.append((line[len("axiom"):].strip(), lineno))
         elif head == "depth":
+            if "depth" in lines:
+                raise TheoryFileError(f"depth already given on line {lines['depth']}", lineno)
             try:
                 depth = int(line[len("depth"):].strip())
             except ValueError:
@@ -620,7 +622,8 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
         else:
             raise TheoryFileError(f"unrecognized line: {line}", lineno)
 
-    bare_sig = Signature(tuple(sorts), tuple(functions), tuple(relations))
+    decls = tuple(sorts), tuple(functions.values()), tuple(relations.values())
+    bare_sig = Signature(*decls)
 
     def formula(src: str, lineno: int) -> Formula:
         try:
@@ -631,15 +634,13 @@ def parse_theory(text: str, theory_id: str = "theory") -> Theory:
             raise TheoryFileError(str(exc), lineno) from None  # it ended early
 
     axioms = [formula(src, lineno) for src, lineno in axiom_srcs]
-    sig = Signature(tuple(sorts), tuple(functions), tuple(relations), tuple(axioms))
+    sig = Signature(*decls, tuple(axioms))
 
     atom_interp: dict[AtomKey, str] = {}
     for src, objname, lineno in interp_srcs:
         f = formula(src, lineno)
         if not isinstance(f, Atom):
             raise TheoryFileError(f"interp left side must be an atom, got {src}", lineno)
-        if f.fv:
-            raise TheoryFileError(f"interp atom must be closed: {src}", lineno)
         key = (f.rel, f.args)
         if key in atom_interp:
             raise TheoryFileError(f"atom {src} interpreted twice", lineno)

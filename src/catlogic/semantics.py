@@ -1,5 +1,5 @@
-"""The interpretation map, the reachable-object fixpoint, quantifier diagrams
-and their cone/cocone searches, and the seven condition checkers.
+"""The interpretation map, the reachable set, quantifier diagrams and their
+cone/cocone searches, and the seven condition checkers.
 
 A quantifier object is searched, never assumed: it is the apex of a
 universal ``structure.Cone`` over the diagram (a cocone for exists), which
@@ -9,14 +9,11 @@ and body.  Candidate vertexes are restricted to the reachable set, the
 decidable stand-in for "interpretation of some closed formula", and each
 reachable object carries the closed formula that witnesses it.
 
-The reachable set and the quantifier objects depend on each other, so the
-fixpoint iterates rounds: close the object set under product, coproduct and
-exponential apexes, resolve every pooled quantifier formula against the
-current set, and repeat until the quantifier answers stop moving.  On thin
-models this converges in two rounds because the binary closure is already a
-subalgebra.  An Interpretation runs the fixpoint when it is built, at the
-reach depth it is built with, so every Interpretation holds its reachable
-set and answers quantified queries; another depth is another Interpretation.
+The reachable set is the closure of 0, 1 and the atom images under
+product, coproduct and exponential apexes, to connective depth ``--reach``.
+Quantifier objects are searched in it, so they never enlarge it.  An
+Interpretation builds it, at the reach depth it is built with, so every
+Interpretation answers quantified queries; another depth is another one.
 
 One map, ``_STORES``, gives the structure store of each connective, for the
 clauses and the reach closure alike.  The memo keys a value by the formula
@@ -194,8 +191,10 @@ class _Scope:
 class Interpretation:
     """The map from formulas to objects, with its memo and reachable set.
 
-    The constructor runs the reach fixpoint, so an Interpretation answers
-    queries once built; every query is read-only apart from memo fills,
+    The reachable set is the closure of 0, 1 and the atom images under
+    product, coproduct and exponential apexes, to depth ``reach_depth``;
+    quantifier objects are searched in it, so they never enlarge it.  The
+    constructor builds it; every query is read-only apart from memo fills,
     which are deterministic.  A formula is valued under an environment of
     closed terms and memoized by itself and the terms its free variables
     take: a quantifier leg is its body under one more binding, and a closed
@@ -234,7 +233,7 @@ class Interpretation:
         self._check_atom_coverage()
 
         self.memo: dict[tuple[Formula, tuple[Term, ...]], ObjId] = {}
-        members, self.qmemo, self.reach_failures = self._fixpoint()
+        members, self.qmemo, self.reach_failures = self._build_reach()
         self.reach = ReachSet(tuple(members.values()))
         # queries search quantifier objects among the reach
         self._scope = _Scope(self.reach.objects, self.memo, self.qmemo, self.warnings)
@@ -316,7 +315,7 @@ class Interpretation:
             sol = scope.solved[key] = QuantifierSolution(closed, cone)
         return sol
 
-    # -- reach fixpoint ------------------------------------------------------------
+    # -- the reachable set ------------------------------------------------------------
 
     def _base_members(self) -> dict[int, ReachMember]:
         st = self.structure
@@ -379,44 +378,21 @@ class Interpretation:
                     add(sub)
         return list(pool.values())
 
-    def _fixpoint(self):
-        """The reach members, quantifier solutions and pool failures of the
-        first round whose quantifier answers repeat the round before's (or of
-        the last round, with a warning)."""
-        pool = self._quantifier_pool()
-        qbeliefs: dict[tuple, QuantifierSolution] = {}
-        members: dict[int, ReachMember] = {}
-        failures: list[str] = []
-
-        for _ in range(len(self.cat.objects) + 2):
-            members = self._base_members()
-            self._binary_closure(members)
-            for sol in qbeliefs.values():
-                apex = sol.family.apex
-                if apex.index not in members:
-                    members[apex.index] = ReachMember(
-                        apex, sol.formula, connective_depth(sol.formula))
-            self._binary_closure(members)
-
-            # this round's quantifiers are searched among this round's members
-            qnew: dict[tuple, QuantifierSolution] = {}
-            scope = _Scope([m.obj for m in members.values()], {}, qnew, None)
-            failures = []
-            for f in sorted(pool, key=connective_depth):
-                try:
-                    self._value(f, (), scope)
-                except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
-                    failures.append(f"{f}: {exc}")
-            stable = (qnew.keys() == qbeliefs.keys()
-                      and all(qnew[k].family.apex == qbeliefs[k].family.apex for k in qnew))
-            qbeliefs = qnew
-            if stable:
-                break
-        else:
-            self.warnings.append("reach fixpoint did not stabilize within the "
-                                 "object-count bound; results use the last round")
-
-        return members, qbeliefs, failures
+    def _build_reach(self):
+        """The binary closure of the base members, then the pooled quantifier
+        formulas solved among them (an apex is a vertex, so no new member),
+        and the pool's failures."""
+        members = self._base_members()
+        self._binary_closure(members)
+        solved: dict[tuple, QuantifierSolution] = {}
+        scope = _Scope([m.obj for m in members.values()], {}, solved, None)
+        failures = []
+        for f in sorted(self._quantifier_pool(), key=connective_depth):
+            try:
+                self._value(f, (), scope)
+            except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
+                failures.append(f"{f}: {exc}")
+        return members, solved, failures
 
 
 def build_interpretation(structure: StructureTable, theory: Theory, *,

@@ -131,7 +131,7 @@ class ReferenceInterpretation(Interpretation):
     def _diagram(self, body: Formula, var: str, sort: str, sub) -> list[ObjId]:
         return [sub(substitute(body, t, var)) for t in self.universe.terms(sort)]
 
-    def _fixpoint(self):
+    def _build_reach(self):
         pool = self._quantifier_pool()
         qbeliefs: dict[tuple, QuantifierSolution] = {}
         members: dict[int, ReachMember] = {}

@@ -497,11 +497,17 @@ def test_reports_are_the_same_under_every_hash_seed(tmp_path):
     (None, "sort s\nrel P\ninterp P = e1\naxiom (P\n",
      "line 4: unexpected end of input, expected ')'"),
     (None, "sort s\nrel P\ninterp P = e1\n\naxiom\n", "line 5: unexpected end of input"),
-], ids=["no-id-line", "unknown-object", "trailing-connective", "open-parenthesis", "empty-axiom"])
+    (None, "sort s\ndepth 1\nrel P\ndepth 2\ninterp P = e1\n",
+     "line 4: depth already given on line 2"),
+    (None, "sort s\nsort a\tb\nrel P\ninterp P = e1\n", "line 2: sort line needs exactly one name"),
+], ids=["no-id-line", "unknown-object", "trailing-connective", "open-parenthesis", "empty-axiom",
+        "depth-twice", "sort-with-tab"])
 def test_cli_input_errors_name_their_line(model, theory, message, workdir, capsys):
     # these exited 2 with no line: the id check ran after the loop over the
     # lines, an unknown object was met only while interpreting, and a
-    # formula that ends early has no token to place its error at
+    # formula that ends early has no token to place its error at; the last
+    # two were accepted: a second depth line replaced the first, and a sort
+    # was declared under a name that the formula tokenizer splits
     tmp, model_path, theory_path = workdir
     if model is not None:
         model_path.write_text(model)

@@ -1,5 +1,5 @@
 """Environment evaluation against the substitution evaluator it replaced
-(``interpret_reference.py``): the reach fixpoint, every query answer or
+(``interpret_reference.py``): the reachable set, every query answer or
 error, every warning and every stored quantifier solution must be the same,
 also when garbage collection runs between queries and frees the ids of the
 formulas already answered."""
@@ -13,13 +13,18 @@ import pytest
 from catlogic import semantics, structure
 from catlogic.bundles import bundled_suites
 from catlogic.errors import WorkbenchError
-from catlogic.heyting import gen_powerset
-from catlogic.kernel import validate_category
+from catlogic.heyting import gen_chain, gen_powerset
+from catlogic.kernel import gen_finset, validate_category
 from catlogic.logic import parse_formula, parse_theory
-from catlogic.semantics import build_interpretation, derive_instances
+from catlogic.semantics import (
+    Interpretation,
+    build_interpretation,
+    check_conditions,
+    derive_instances,
+)
 from catlogic.structure import discover_structure
 
-from conftest import PAIR_CONST_THEORY, make_finset
+from conftest import PAIR_CONST_THEORY, make_finset, moore_families, moore_lattice
 from interpret_reference import ReferenceInterpretation
 
 
@@ -171,7 +176,7 @@ def test_quantifier_solutions_of_open_bodies_match_reference(pair):
 
 
 def test_search_runs_once_per_distinct_diagram(monkeypatch):
-    # a diagram met again, by another formula, round or query, reuses the
+    # a diagram met again, by another formula or query, reuses the
     # outcome of its one cone search
     cat, theory = MODELS["powerset-3/two-sort"]()
     st = discover_structure(cat)
@@ -197,3 +202,90 @@ def test_search_runs_once_per_distinct_diagram(monkeypatch):
         _outcome(lambda: interp.interpret(parse_formula(text, sig)))
     assert sorted(searched) == sorted(set(met))
     assert len(met) > 2 * len(searched) > 20
+
+
+# -- the reachable set is one closure ------------------------------------------------
+
+def _pair_const(*atoms):
+    return parse_theory(PAIR_CONST_THEORY.format(*atoms))
+
+
+def _moore_models():
+    """The 61 Moore families on 3 points, each with the pair-const theory's
+    atoms on its objects 1, 2 and 3, taken modulo the object count."""
+    out = {}
+    for family in moore_families(3):
+        cat = moore_lattice(family)
+        names = [cat.objects[k % len(cat.objects)].name for k in (1, 2, 3)]
+        out[cat.name] = lambda cat=cat, names=names: (cat, _pair_const(*names))
+    return out
+
+
+MOORE_MODELS = _moore_models()
+# the larger thin models and the non-thin finite-set skeleta
+LADDER_MODELS = {
+    "chain-32": lambda: (gen_chain(32).category(), _pair_const("c5", "c17", "c9")),
+    "finset-3": lambda: (gen_finset(3), _pair_const("s2", "s3", "s1")),
+    "finset-4": lambda: (gen_finset(4), _pair_const("s2", "s3", "s1")),
+}
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The Interpretation of each ``_binary_closure`` call, in order."""
+    calls = []
+    closure = Interpretation._binary_closure
+
+    def counted(self, members):
+        calls.append(self)
+        return closure(self, members)
+
+    monkeypatch.setattr(Interpretation, "_binary_closure", counted)
+    return calls
+
+
+def test_the_reach_is_one_closure_and_holds_every_quantifier_apex(closures):
+    # a quantifier object is searched among the members, so it adds none:
+    # one closure per construction, and every stored apex already a member
+    assert len(MOORE_MODELS) == 61
+    solutions = failing = 0
+    for name, make in {**MODELS, **LADDER_MODELS, **MOORE_MODELS}.items():
+        cat, theory = make()
+        closures.clear()
+        interp = build_interpretation(discover_structure(cat), theory)
+        assert closures == [interp], name
+        if name in MODELS:
+            check_conditions(interp)  # its queries store more solutions
+        assert all(sol.family.apex in interp.reach for sol in interp.qmemo.values()), name
+        solutions += len(interp.qmemo)
+        failing += bool(interp.reach_failures)
+    # pool failures: finset-0123, finset-3, finset-4, an atom outside the
+    # cut universe of powerset-3/two-sort, and 3 Moore families
+    assert solutions > 300 and failing == 7
+
+
+@pytest.mark.parametrize("name", sorted(MOORE_MODELS))
+def test_prepare_matches_reference_on_moore_families(name, closures):
+    cat, theory = MOORE_MODELS[name]()
+    st = discover_structure(cat)
+    new = build_interpretation(st, theory)
+    closures.clear()
+    ref = ReferenceInterpretation(st, theory)
+    # the reference still runs its rounds: a second one when the first
+    # stores a solution, two closures in each
+    assert len(closures) == (4 if ref.qmemo else 2)
+    _assert_same_state(new, ref)
+
+
+def test_a_quantifier_object_is_searched_among_the_members():
+    # at reach depth 1 the closure joins two atom images at a time, so the
+    # join of three, e123, is no member, and exists x. B(x) is the least
+    # member above all three legs
+    theory = parse_theory("sort s\nfun c : s\nfun d : s\nfun e : s\nrel B : s\ndepth 1\n"
+                          "interp B(c) = e1\ninterp B(d) = e2\ninterp B(e) = e3\n")
+    st = discover_structure(gen_powerset(4).category())
+    new = build_interpretation(st, theory, reach_depth=1)
+    _assert_same_state(new, ReferenceInterpretation(st, theory, reach_depth=1))
+    assert st.cat.obj("e123") not in new.reach
+    solution = new.quantifier_solution(parse_formula("exists x:s. B(x)", theory.signature))
+    assert solution.family.apex.name == "e1234"

@@ -16,7 +16,10 @@ from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import (
     MAX_ARROW_LINES,
     MAX_OBJECTS,
+    UNDEFINED,
+    ArrId,
     FinCategory,
+    ObjId,
     format_category,
     inverses,
     mutually_inverse,
@@ -189,6 +192,38 @@ def test_build_auto_identity_reuses_a_declared_id_arrow():
 def test_dangling_endpoint_raises():
     with pytest.raises(MalformedInput):
         FinCategory.build(["a"], [("f", "a", "nowhere")])
+
+
+# the constructor's arguments for a -> b with its two identities, each
+# refused with one part changed; ``build`` refuses such names before it
+# reaches the constructor, so these call it directly
+_A, _B = ObjId(0, "a"), ObjId(1, "b")
+_ID_A, _ID_B, _F = ArrId(0, "id_a", 0, 0), ArrId(1, "id_b", 1, 1), ArrId(2, "f", 0, 1)
+_U = UNDEFINED
+_SHAPE = {"objects": [_A, _B], "arrows": [_ID_A, _ID_B, _F], "identity": [0, 1],
+          "table": [[0, _U, _U], [_U, 1, 2], [2, _U, _U]]}
+
+
+@pytest.mark.parametrize("changed, message", [
+    ({"objects": [ObjId(1, "a"), _B]}, "object a has index 1, expected 0"),
+    ({"arrows": [_ID_A, _ID_B, ArrId(5, "f", 0, 1)]}, "arrow f has index 5, expected 2"),
+    ({"objects": [_A, ObjId(1, "a")]}, "duplicate object names"),
+    ({"arrows": [_ID_A, _ID_B, ArrId(2, "id_b", 0, 1)]}, "duplicate arrow names"),
+    ({"arrows": [_ID_A, _ID_B, ArrId(2, "f", 0, 2)]}, "arrow f has dangling endpoint"),
+    ({"identity": [0]}, "identity map does not cover every object"),
+    ({"identity": [0, 3]}, "identity map has dangling arrow index"),
+    ({"table": [[0, _U, _U], [_U, 1, 2]]}, "composition table is not |Arr| x |Arr|"),
+    ({"table": [[0, _U, _U], [_U, 1, 2], [2, _U]]}, "composition table is not |Arr| x |Arr|"),
+    ({"table": [[0, _U, _U], [_U, 1, 3], [2, _U, _U]]},
+     "composition table has dangling arrow index"),
+], ids=["object-index", "arrow-index", "duplicate-objects", "duplicate-arrows",
+        "dangling-endpoint", "identity-short", "identity-dangling", "table-rows",
+        "table-row-short", "table-dangling"])
+def test_the_constructor_refuses_a_malformed_shape(changed, message):
+    assert FinCategory("ok", **_SHAPE).hom(_A, _B) == (_F,)
+    with pytest.raises(MalformedInput) as exc:
+        FinCategory("bad", **{**_SHAPE, **changed})
+    assert str(exc.value) == message
 
 
 # -- file format ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -426,6 +427,49 @@ def test_theory_rejects_wrong_interp_arity():
 def test_theory_rejects_open_interp_atom():
     with pytest.raises(UnknownSymbol):
         parse_theory("sort s\nfun c : s\nrel B : s\ninterp B(x) = top\n")
+
+
+_DECLS = "sort s\nfun c : s\nrel B : s\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sort s\nsort s\n", "line 2: sort s already declared"),
+    ("sort s\nfun c s\n", "line 2: malformed fun line"),
+    ("sort s\nrel B s\n", "line 2: malformed rel line"),
+    ("sort s\nrel B : t\n", "line 2: rel B: unknown sort t"),
+    ("sort s\ndepth x\n", "line 2: depth needs an integer"),
+    ("sort s\ndepth 0\n", "line 2: depth must be >= 1"),
+    (_DECLS + "interp B(c) & B(c) = e1\n",
+     "line 4: interp left side must be an atom, got B(c) & B(c)"),
+    # the atom is parsed with no variable in scope, so an open one is an
+    # unknown symbol at its place in the file
+    (_DECLS + "interp B(x) = e1\n", "unknown term symbol x at 4:3"),
+    (_DECLS + "interp B(c) = e1\ninterp B(c) = e2\n", "line 5: atom B(c) interpreted twice"),
+    # a second depth line replaced the first; a name with a tab or another
+    # space in it was declared, and no formula could name that sort
+    ("sort s\ndepth 1\ndepth 3\n", "line 3: depth already given on line 2"),
+    ("sort s\ndepth 2\n\ndepth x\n", "line 4: depth already given on line 2"),
+    ("sort a\tb\n", "line 1: sort line needs exactly one name"),
+    ("sort s\nsort a\u00a0b\n", "line 2: sort line needs exactly one name"),
+], ids=["sort-twice", "fun-malformed", "rel-malformed", "rel-unknown-sort",
+        "depth-not-integer", "depth-zero", "interp-not-atom", "interp-open-atom",
+        "interp-twice", "depth-twice", "depth-twice-bad", "sort-tab", "sort-nbsp"])
+def test_each_theory_file_error_names_its_line(text, message):
+    with pytest.raises((TheoryFileError, UnknownSymbol)) as exc:
+        parse_theory(text)
+    assert str(exc.value) == message
+
+
+def test_a_wide_theory_parses_in_linear_time():
+    # each duplicate check scanned every earlier declaration: 20,000 fun
+    # and 20,000 rel lines took about 16 s
+    text = ("sort s\n" + "".join(f"fun f{i} : s\n" for i in range(20_000))
+            + "".join(f"rel R{i} : s\n" for i in range(20_000)))
+    t0 = time.perf_counter()
+    theory = parse_theory(text)
+    assert time.perf_counter() - t0 < 2.0
+    assert len(theory.signature.functions) == len(theory.signature.relations) == 20_000
+    assert theory.signature.functions[-1].name == "f19999"
 
 
 def test_formula_enumeration_deterministic_and_large():
