@@ -57,7 +57,7 @@ def _emit(report: Report, args) -> None:
     text = report.render()
     sys.stdout.write(text)
     if getattr(args, "report", None):
-        Path(args.report).write_text(text)
+        Path(args.report).write_text(text, encoding="utf-8")
 
 
 def _header(report: Report, cat: FinCategory, model_text: str,
@@ -236,7 +236,7 @@ def cmd_gen(args) -> int:
         cat = gen_diamond().category()
     text = format_category(cat)
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0

@@ -222,6 +222,11 @@ class Signature:
     def _relations_by_name(self) -> dict[str, RelDecl]:
         return {r.name: r for r in reversed(self.relations)}
 
+    @cached_property
+    def _sort_positions(self) -> dict[str, int]:
+        """Each sort's position in ``sorts``, its first if repeated."""
+        return {s: i for i, s in reversed(list(enumerate(self.sorts)))}
+
 
 AtomKey = tuple[str, tuple[Term, ...]]
 
@@ -389,7 +394,8 @@ def parse_formula(text: str, sig: Signature,
                                  *_position(text, bad, _line_offset))
     end = len(toks)
     toks.append("")
-    relations, functions, sorts = sig._relations_by_name, sig._functions_by_name, sig.sorts
+    relations, functions = sig._relations_by_name, sig._functions_by_name
+    sorts = sig._sort_positions
     scope = dict(env or {})  # variable name -> sort (innermost binding wins)
     i = depth = 0  # the next token; enclosing formulas and argument lists
 
@@ -716,7 +722,7 @@ def canonical_var(sig: Signature, sort: str) -> str:
     """One designated variable name per sort for generated formulas."""
     if len(sig.sorts) == 1:
         return "x"
-    return f"x{sig.sorts.index(sort)}"
+    return f"x{sig._sort_positions[sort]}"
 
 
 # enumerate_formulas: the deepest level, the closed formulas kept at each

@@ -306,7 +306,7 @@ class Interpretation:
         key = alpha_key(closed)
         sol = scope.solved.get(key)
         if sol is None:
-            if f.sort not in self.theory.signature.sorts:
+            if f.sort not in self.theory.signature._sort_positions:
                 raise MalformedInput(f"undeclared sort {f.sort} in {closed}")
             legs = [self._value(f.body, env + ((f.var, t),), scope)
                     for t in self.universe.terms(f.sort)]
@@ -354,10 +354,11 @@ class Interpretation:
             if connective_depth(f) <= self.reach_depth and not f.fv:
                 pool.setdefault(alpha_key(f), f)
 
+        positions = sig._sort_positions
         for rel in sig.relations:
-            for sort in sig.sorts:
-                if sort not in rel.arg_sorts:
-                    continue
+            # the declared sorts of its arguments, in signature order
+            for sort in sorted({s for s in rel.arg_sorts if s in positions},
+                               key=positions.__getitem__):
                 v = Var(canonical_var(sig, sort), sort)
                 slot_pools = []
                 for s in rel.arg_sorts:
@@ -562,7 +563,10 @@ def _quantifier_outcomes(interp: Interpretation) -> _Outcomes:
 
 def _clause_outcomes(interp: Interpretation) -> _Outcomes:
     """(6) the interpretation clauses, re-asserted over everything memoized:
-    ``memo`` and ``atom_map`` are public, so their entries may have moved."""
+    ``memo`` and ``atom_map`` are public, so their entries may have moved.
+    Each stored quantifier solution is re-checked against the reach, the
+    vertex set it was found in, so that check fails only after an edit of
+    the public ``qmemo``."""
     st = interp.structure
     try:
         for constant, end in ((Zero(), "initial"), (One(), "terminal")):

@@ -362,17 +362,24 @@ class _Witnesses(dict):
     """Witnesses by key, written only by :func:`discover_structure`, which
     records under every key it searches either the witness or the failure:
     every mutator raises TypeError.  A hit is dict's own read; a miss raises
-    NoSuchStructure with the failure recorded under the key."""
+    NoSuchStructure with the failure recorded under the key.
 
-    def __init__(self, witnesses: Iterable = (), failures: Iterable = ()):
+    A store keyed by object index pairs also carries ``rows``, set by
+    :meth:`_index`: ``rows[x][y]`` is the witness under (x, y) as plain ints
+    and its table, ``(apex, leg1, leg2, table)`` for a cone and ``(apex,
+    eval, table)`` for an exponential, or None where a failure is recorded.
+    A None row is read through the store, which raises that failure.  The
+    rows are tuples, and rebinding an attribute raises TypeError too."""
+
+    def __init__(self, witnesses: Iterable = ()):
         super().__init__(witnesses)
-        self._failures: dict[object, str] = dict(failures)
+        vars(self)["_failures"] = {}
 
     def __missing__(self, key):
         raise NoSuchStructure(self._failures[key])
 
     def __reduce__(self):
-        return _Witnesses, (dict(self), self._failures)
+        return _Witnesses, (dict(self),), vars(self)
 
     def _record(self, key, search: Callable, *args) -> None:
         """Store under ``key`` what ``search(*args)`` finds, or its failure."""
@@ -381,7 +388,16 @@ class _Witnesses(dict):
         except NoSuchStructure as exc:
             self._failures[key] = str(exc)
 
+    def _index(self, n: int) -> None:
+        """Set ``rows`` from the witnesses under the n x n object index pairs."""
+        rows: list[list] = [[None] * n for _ in range(n)]
+        for (x, y), w in self.items():
+            arrows = w.legs if isinstance(w, Cone) else (w.eval,)
+            rows[x][y] = (w.apex.index, *(p.index for p in arrows), w.table)
+        vars(self)["rows"] = tuple(map(tuple, rows))
+
     __setitem__ = __delitem__ = update = setdefault = pop = popitem = clear = __ior__ = _refuse
+    __setattr__ = __delattr__ = _refuse
 
 
 class StructureTable:
@@ -395,7 +411,8 @@ class StructureTable:
     raises TypeError, and downstream modules never re-search.  Each stored
     witness carries the table its search verified, so the canonical arrow
     combinators (pairing, copairing, arrow product, transpose, theta) are
-    lookups in those tables.
+    lookups in those tables; the distributivity sweeps read the same
+    witnesses from each store's ``rows`` (see :class:`_Witnesses`).
     """
 
     terminal = property(lambda st: st._ends.get("terminal"))
@@ -585,4 +602,6 @@ def discover_structure(cat: FinCategory) -> StructureTable:
         for c in cat.objects:
             st.exponentials._record((a.index, c.index), _exponential,
                                     view, st.products, a, c, ws)
+    for store in (st.products, st.coproducts, st.exponentials):
+        store._index(len(cat.objects))
     return st

@@ -70,26 +70,62 @@ def _unique(ms: Sequence[ArrId], what: str) -> ArrId:
 
 # -- distributivity -----------------------------------------------------------------
 #
-# delta and its inverse are read from the pairing, copairing and transpose
-# tables of the witnesses in the structure table and from the composition
-# rows.  The witnesses are read in the order the combinators (arrow_product,
-# copair, swap, transpose, theta) would look them up, so the first missing
-# one raises its NoSuchStructure, as a store read does.
+# delta and its inverse are read from the composition rows and from the rows
+# of the witness stores (``_Witnesses.rows``): each witness as plain ints,
+# (apex, leg1, leg2, table) or (apex, eval, table), or None where a failure
+# is recorded, and a None row is read through its store, which raises that
+# failure.  The witnesses are read in the order the combinators
+# (arrow_product, copair, swap, transpose, theta) would look them up, so the
+# first missing one raises its NoSuchStructure, as a store read does.
+
+def _delta(st: StructureTable, a: int, b: int, c: int) -> tuple:
+    """delta's arrow index on the object indices (a, b, c), then the rows it
+    read of b + c, a x b, a x c, D = (a x b) + (a x c) and a x (b + c)."""
+    t, n = st.cat.index().table, len(st.cat.arrows)
+    products, coproducts = st.products, st.coproducts
+    P, C = products.rows, coproducts.rows
+    bc = C[b][c] or coproducts[b, c]
+    ab = P[a][b] or products[a, b]
+    a_bc = P[a][bc[0]] or products[a, bc[0]]
+    ac = P[a][c] or products[a, c]
+    d = C[ab[0]][ac[0]] or coproducts[ab[0], ac[0]]
+    # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
+    left = a_bc[3][ab[1] * n + t[bc[1]][ab[2]]]
+    right = a_bc[3][ac[1] * n + t[bc[2]][ac[2]]]
+    return d[3][left * n + right], bc, ab, ac, d, a_bc
+
+
+def _delta_inverse(st: StructureTable, a: int, b: int, c: int, bc: tuple | None = None,
+                   ab: tuple | None = None, ac: tuple | None = None, d: tuple | None = None,
+                   a_bc: tuple | None = None) -> int:
+    """The inverse's arrow index on the object indices (a, b, c); each of the
+    rows ``_delta`` returns is read where the combinators read it unless given."""
+    t, n, no = st.cat.index().table, len(st.cat.arrows), len(st.cat.objects)
+    products, coproducts = st.products, st.coproducts
+    P, C = products.rows, coproducts.rows
+    ab = ab or P[a][b] or products[a, b]
+    ac = ac or P[a][c] or products[a, c]
+    d = d or C[ab[0]][ac[0]] or coproducts[ab[0], ac[0]]
+    ba = P[b][a] or products[b, a]
+    ca = P[c][a] or products[c, a]
+    # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
+    f1 = t[d[1]][ab[3][ba[2] * n + ba[1]]]
+    f2 = t[d[2]][ac[3][ca[2] * n + ca[1]]]
+    # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
+    ew = st.exponentials.rows[a][d[0]] or st.exponentials[a, d[0]]
+    bc = bc or C[b][c] or coproducts[b, c]
+    h = bc[3][ew[2][f1 * no + b] * n + ew[2][f2 * no + c]]
+    # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
+    bca = P[bc[0]][a] or products[bc[0], a]
+    hxa = (P[ew[0]][a] or products[ew[0], a])[3][t[h][bca[1]] * n + bca[2]]
+    a_bc = a_bc or P[a][bc[0]] or products[a, bc[0]]
+    return t[t[ew[1]][hxa]][bca[3][a_bc[2] * n + a_bc[1]]]
+
 
 def build_delta(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     """The canonical (a x b) + (a x c) -> a x (b + c): copair of the two
     arrow products of the identity with a coproduct injection."""
-    t, n, products = st.cat.index().table, len(st.cat.arrows), st.products
-    a, b, c = a.index, b.index, c.index
-    bc = st.coproducts[(b, c)]
-    ab = products[(a, b)]
-    into = products[(a, bc.apex.index)].table
-    ac = products[(a, c)]
-    # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
-    (i1, i2), (p1, p2), (q1, q2) = bc.legs, ab.legs, ac.legs
-    left = into[p1.index * n + t[i1.index][p2.index]]
-    right = into[q1.index * n + t[i2.index][q2.index]]
-    return st.cat.arrows[st.coproducts[(ab.apex.index, ac.apex.index)].table[left * n + right]]
+    return st.cat.arrows[_delta(st, a.index, b.index, c.index)[0]]
 
 
 def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
@@ -100,32 +136,16 @@ def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Arr
     into h : b + c -> D^a, then return theta(h) composed with the canonical
     factor swap, giving a x (b + c) -> D.
     """
-    t, n, no = st.cat.index().table, len(st.cat.arrows), len(st.cat.objects)
-    products, coproducts = st.products, st.coproducts
-    a, b, c = a.index, b.index, c.index
-    ab, ac = products[(a, b)], products[(a, c)]
-    d_w = coproducts[(ab.apex.index, ac.apex.index)]
-    # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
-    (i1, i2), (p1, p2), (q1, q2) = d_w.legs, products[(b, a)].legs, products[(c, a)].legs
-    f1 = t[i1.index][ab.table[p2.index * n + p1.index]]
-    f2 = t[i2.index][ac.table[q2.index * n + q1.index]]
-    # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
-    ew = st.exponentials[(a, d_w.apex.index)]
-    bc = coproducts[(b, c)]
-    h = bc.table[ew.table[f1 * no + b] * n + ew.table[f2 * no + c]]
-    # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
-    bca = products[(bc.apex.index, a)]
-    p1, p2 = bca.legs
-    hxa = products[(ew.apex.index, a)].table[t[h][p1.index] * n + p2.index]
-    q1, q2 = products[(a, bc.apex.index)].legs
-    return st.cat.arrows[t[t[ew.eval.index][hxa]][bca.table[q2.index * n + q1.index]]]
+    return st.cat.arrows[_delta_inverse(st, a.index, b.index, c.index)]
 
 
 def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> DeltaCertificate:
-    """Build both arrows and verify the two inverse equations exactly."""
+    """Build both arrows, reading each witness once, and verify the two
+    inverse equations exactly."""
     cat = st.cat
-    delta = build_delta(st, a, b, c)
-    inv = build_delta_inverse(st, a, b, c)
+    delta, bc, ab, ac, d, a_bc = _delta(st, a.index, b.index, c.index)
+    inv = _delta_inverse(st, a.index, b.index, c.index, bc, ab, ac, d, a_bc)
+    delta, inv = cat.arrows[delta], cat.arrows[inv]
     if not mutually_inverse(cat, delta, inv):
         raise CertificateFailure(
             f"({a.name},{b.name},{c.name}): {inv.name} is not inverse to "

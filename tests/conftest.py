@@ -227,3 +227,20 @@ REFERENCE_MODELS = {
 }
 REFERENCE_MODELS.update({f"suite-{m.name}": m.category for m in
                          {s.model.name: s.model for s in bundled_suites()}.values()})
+
+
+def five_element_lattice(name: str) -> FinCategory:
+    """M3 or N5 on 0 < a, b, c < 1: in M3 a, b and c are incomparable, in N5
+    a < b.  They are the two five-element lattices that are not distributive."""
+    elements = ("0", "a", "b", "c", "1")
+    leq = tuple(tuple(x == y or x == "0" or y == "1" or (name, x, y) == ("N5", "a", "b")
+                      for y in elements) for x in elements)
+    return thin_category_from_leq(elements, leq, name=name)
+
+
+# the reference models with the ladder's thin end and the non-distributive lattices
+LADDER_MODELS = dict(REFERENCE_MODELS)
+LADDER_MODELS.update({"powerset-4": lambda: gen_powerset(4).category(),
+                      "chain-32": lambda: gen_chain(32).category(),
+                      "M3": lambda: five_element_lattice("M3"),
+                      "N5": lambda: five_element_lattice("N5")})

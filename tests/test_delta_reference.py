@@ -220,13 +220,15 @@ def _reads(st, triple, spec):
 def _without(st, deleted):
     """Replace the witnesses ``deleted`` in ``st``, each by a failure text of
     its own, through the private dicts of the stores, which refuse every
-    public write; returns the undo."""
+    public write, and index the edited stores' rows again as discovery does;
+    returns the undo, which indexes them once more."""
     saved = []
     for kind, key in deleted:
         witnesses = getattr(st, kind + "s")
         saved.append((witnesses, key, dict.pop(witnesses, key, None),
                       witnesses._failures.pop(key, None)))
         witnesses._failures[key] = f"{kind} {key} deleted"
+    _reindex(st, saved)
 
     def undo():
         for witnesses, key, witness, failure in reversed(saved):
@@ -235,7 +237,13 @@ def _without(st, deleted):
                 witnesses._failures[key] = failure
             if witness is not None:
                 dict.__setitem__(witnesses, key, witness)  # as it was, verified
+        _reindex(st, saved)
     return undo
+
+
+def _reindex(st, saved):
+    for witnesses, *_ in saved:
+        witnesses._index(len(st.cat.objects))
 
 
 @pytest.mark.parametrize("name", ["finset-0123", "suite-powerset-3"])

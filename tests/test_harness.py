@@ -451,6 +451,22 @@ def test_python_m_catlogic_cli_runs_the_cli(workdir):
     assert "validation = PASS" in done.stdout
 
 
+def test_a_report_file_is_utf8_under_the_c_locale(tmp_path):
+    # models are read as UTF-8, but --report wrote the locale's encoding:
+    # under the C locale a model with object é ended in UnicodeEncodeError
+    model = tmp_path / "m.cat"
+    model.write_text("object é\narrow id_e : é -> é\nid é = id_e\n"
+                     "compose id_e . id_e = id_e\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(catlogic.__file__).parents[1]),
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C", PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "catlogic", "validate", "--model", str(model),
+                           "--report", "r.txt"], cwd=tmp_path, env=env, capture_output=True,
+                          timeout=20)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert (tmp_path / "r.txt").read_bytes() == done.stdout
+    assert "input.model.001 = object é\n".encode() in done.stdout
+
+
 # runs each argv of the JSON list in sys.argv[1] through the CLI and prints
 # the exit codes and timing-stripped reports as JSON
 _RUN_ALL = """\

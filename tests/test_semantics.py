@@ -1,7 +1,9 @@
 import itertools
 import re
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from catlogic.bundles import bundled_suites
 from catlogic.errors import MalformedInput, MissingAtom
@@ -11,12 +13,20 @@ from catlogic.logic import (
     Atom,
     Exists,
     Forall,
+    FunDecl,
     One,
+    Quantifier,
+    RelDecl,
+    Signature,
     Times,
     Var,
     Zero,
+    alpha_key,
+    connective_depth,
+    enumerate_closed_terms,
     parse_formula,
     parse_theory,
+    subformulas,
     substitute,
 )
 from catlogic.semantics import (
@@ -375,3 +385,71 @@ def test_only_none_universe_depth_means_the_theory_depth(b4_prepared):
     assert Interpretation(st, theory, universe_depth=2).universe.depth == 2
     with pytest.raises(ValueError, match="depth must be >= 1"):
         Interpretation(st, theory, universe_depth=0)
+
+
+def _pool_over_every_sort(interp) -> list:
+    """The quantifier pool as it was built before ``Signature`` indexed its
+    sorts: each relation tried against every sort of the signature."""
+    sig = interp.theory.signature
+    pool = {}
+
+    def add(f):
+        if connective_depth(f) <= interp.reach_depth and not f.fv:
+            pool.setdefault(alpha_key(f), f)
+
+    for rel in sig.relations:
+        for sort in sig.sorts:
+            if sort not in rel.arg_sorts:
+                continue
+            v = Var("x" if len(sig.sorts) == 1 else f"x{sig.sorts.index(sort)}", sort)
+            slot_pools = []
+            for s in rel.arg_sorts:
+                opts = list(interp.universe.terms(s))
+                if s == sort:
+                    opts.append(v)
+                slot_pools.append(opts)
+            for combo in itertools.product(*slot_pools):
+                if not any(t == v for t in combo):
+                    continue
+                atom = Atom(rel.name, tuple(combo))
+                add(Forall(v.name, sort, atom))
+                add(Exists(v.name, sort, atom))
+
+    for f in sig.axioms:
+        for sub in subformulas(f):
+            if isinstance(sub, Quantifier):
+                add(sub)
+    return list(pool.values())
+
+
+def test_quantifier_pool_matches_the_loop_over_every_sort(prepared_suites):
+    for _, _, _, interp in prepared_suites:
+        assert interp._quantifier_pool() == _pool_over_every_sort(interp)
+
+
+@strategies.composite
+def _small_signatures(draw):
+    sorts = tuple(draw(strategies.lists(strategies.sampled_from("pqrst"),
+                                        min_size=1, max_size=4, unique=True)))
+    of_sort = strategies.sampled_from(sorts)
+    # a constant of every sort, so that no slot pool is empty
+    functions = [FunDecl(f"c{i}", (), s)
+                 for i, s in enumerate(sorts + tuple(draw(strategies.lists(of_sort, max_size=2))))]
+    functions += [FunDecl(f"f{i}", (a,), r) for i, (a, r) in
+                  enumerate(draw(strategies.lists(strategies.tuples(of_sort, of_sort),
+                                                  max_size=2)))]
+    relations = [RelDecl(f"R{i}", tuple(args)) for i, args in
+                 enumerate(draw(strategies.lists(strategies.lists(of_sort, min_size=1,
+                                                                  max_size=3),
+                                                 min_size=1, max_size=4)))]
+    return Signature(sorts, tuple(functions), tuple(relations))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_signatures(), strategies.integers(1, 2), strategies.integers(1, 2))
+def test_quantifier_pool_matches_the_loop_over_every_sort_on_random_signatures(
+        sig, depth, reach_depth):
+    # sorts in any order, relations over any of them, repeated or missing
+    interp = SimpleNamespace(theory=SimpleNamespace(signature=sig), reach_depth=reach_depth,
+                             universe=enumerate_closed_terms(sig, depth))
+    assert Interpretation._quantifier_pool(interp) == _pool_over_every_sort(interp)

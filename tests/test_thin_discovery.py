@@ -15,28 +15,14 @@ import pytest
 from catlogic import structure
 from catlogic.bundles import bundled_suites
 from catlogic.errors import NoSuchStructure
-from catlogic.heyting import gen_chain, gen_powerset, thin_category_from_leq
+from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import gen_finset
 from catlogic.semantics import build_interpretation, check_conditions
 from catlogic.structure import Cone, StructureTable, discover_structure
 
-from conftest import REFERENCE_MODELS, moore_families, moore_lattice
+from conftest import LADDER_MODELS, moore_families, moore_lattice
 
 MOORE = moore_families(3)
-
-
-def _five(name):
-    # 0 < a, b, c < 1; in M3 a, b and c are incomparable, in N5 a < b
-    elements = ("0", "a", "b", "c", "1")
-    leq = tuple(tuple(x == y or x == "0" or y == "1" or (name, x, y) == ("N5", "a", "b")
-                      for y in elements) for x in elements)
-    return thin_category_from_leq(elements, leq, name=name)
-
-
-MODELS = dict(REFERENCE_MODELS)
-MODELS.update({"powerset-4": lambda: gen_powerset(4).category(),
-               "chain-32": lambda: gen_chain(32).category(),
-               "M3": lambda: _five("M3"), "N5": lambda: _five("N5")})
 
 
 @contextmanager
@@ -81,9 +67,9 @@ def _assert_thin_path_matches(cat, monkeypatch):
     return st
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(LADDER_MODELS))
 def test_thin_path_matches_the_general_path(name, monkeypatch):
-    _assert_thin_path_matches(MODELS[name](), monkeypatch)
+    _assert_thin_path_matches(LADDER_MODELS[name](), monkeypatch)
 
 
 def test_there_are_61_moore_families_on_three_points():
@@ -105,7 +91,7 @@ def test_thin_path_matches_the_general_path_on_every_moore_family(monkeypatch):
 def test_a_complete_table_is_thin():
     # every finite bicartesian closed category is a preorder: n.1 = m.1 for
     # some n < m forces |hom(1, X)| <= 1, and hom(A, B) = hom(1, B^A)
-    cats = [make() for make in MODELS.values()] + [moore_lattice(f) for f in MOORE]
+    cats = [make() for make in LADDER_MODELS.values()] + [moore_lattice(f) for f in MOORE]
     complete = [cat for cat in cats if discover_structure(cat).complete]
     assert all(_thin(cat) for cat in complete)
     assert len(complete) > len(MOORE) // 2
