@@ -42,20 +42,29 @@ from .theorems import delta_certificate, verify_frobenius
 
 def _load(path: str, parse):
     """``parse`` of the file at ``path``, named by its stem, and its text; a file
-    not in UTF-8, or a stem with a line break (no one-line report value holds one), is refused."""
+    not in UTF-8, or a stem with a line break (no one-line report value holds one), is refused.
+    A leading byte-order mark is dropped after decoding, so an error offset counts its bytes."""
     stem = Path(path).stem
     if _BREAK_RE.search(stem):
         raise MalformedInput(f"{path!r}: a file name must not hold a line break")
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{path!r}: not UTF-8 at byte offset {exc.start}") from None
     return parse(text, stem), text
 
 
+def _stdout(text: str) -> None:
+    """Write ``text`` to stdout whole, or nothing if stdout's encoding cannot hold it."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise MalformedInput(f"stdout: {exc}; set PYTHONIOENCODING=utf-8") from None
+
+
 def _emit(report: Report, args) -> None:
     text = report.render()
-    sys.stdout.write(text)
+    _stdout(text)
     if getattr(args, "report", None):
         Path(args.report).write_text(text, encoding="utf-8")
 
@@ -145,7 +154,7 @@ def cmd_interpret(args) -> int:
     theory, _ = _load(args.theory, parse_theory)
     formula = parse_formula(args.formula, theory.signature)
     obj = _interpretation(args, cat, theory).interpret(formula)
-    print(obj.name)
+    _stdout(f"{obj.name}\n")
     return 0
 
 
@@ -238,7 +247,7 @@ def cmd_gen(args) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        _stdout(text)
     return 0
 
 

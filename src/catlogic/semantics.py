@@ -119,8 +119,7 @@ class Instance:
 # -- quantifier object search ----------------------------------------------------
 
 def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
-                             f: Quantifier, legs: Sequence[ObjId],
-                             warnings: list[str] | None = None) -> Cone:
+                             f: Quantifier, legs: Sequence[ObjId]) -> Cone:
     """The terminal cone (``f`` a forall) or initial cocone (an exists) over
     ``f``'s leg objects, in their order, with the apex and the test objects
     taken from the given vertexes (``StructureTable.find_cone``): each leg
@@ -129,13 +128,6 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
     body; NoQuantifierObject gives the count that refutes every candidate.
     """
     ordered = sorted(set(vertexes), key=lambda o: o.index)
-
-    if not legs and warnings is not None:
-        warnings.append(
-            f"empty quantifier diagram over sort {f.sort} for body "
-            f"{f.body}; the search degenerates to the terminal/initial "
-            f"object relative to the reachable vertexes")
-
     try:
         return st.find_cone(legs, ordered, op=isinstance(f, Exists))
     except NoSuchStructure as exc:
@@ -177,24 +169,13 @@ def _instance(f: Formula, terms: tuple[Term, ...]) -> Formula:
     return f
 
 
-@dataclass
-class _Scope:
-    """Where the evaluator searches quantifier objects and what it keeps:
-    values by (formula, the environment's terms for the formula's free
-    variables), solutions by the alpha key of the closed quantified formula."""
-    vertexes: Sequence[ObjId]
-    memo: dict[tuple[Formula, tuple[Term, ...]], ObjId]
-    solved: dict[tuple, QuantifierSolution]
-    warnings: list[str] | None
-
-
 class Interpretation:
     """The map from formulas to objects, with its memo and reachable set.
 
-    The reachable set is the closure of 0, 1 and the atom images under
-    product, coproduct and exponential apexes, to depth ``reach_depth``;
-    quantifier objects are searched in it, so they never enlarge it.  The
-    constructor builds it; every query is read-only apart from memo fills,
+    The constructor builds the reachable set to depth ``reach_depth`` (see
+    the module docstring), then solves the quantifier pool among it with the
+    evaluator the queries use, keeping the solutions (``qmemo``) and not
+    the values (``memo``); every query is read-only apart from memo fills,
     which are deterministic.  A formula is valued under an environment of
     closed terms and memoized by itself and the terms its free variables
     take: a quantifier leg is its body under one more binding, and a closed
@@ -233,10 +214,10 @@ class Interpretation:
         self._check_atom_coverage()
 
         self.memo: dict[tuple[Formula, tuple[Term, ...]], ObjId] = {}
-        members, self.qmemo, self.reach_failures = self._build_reach()
-        self.reach = ReachSet(tuple(members.values()))
-        # queries search quantifier objects among the reach
-        self._scope = _Scope(self.reach.objects, self.memo, self.qmemo, self.warnings)
+        self.qmemo: dict[tuple, QuantifierSolution] = {}
+        self.reach_failures = self._build_reach()
+        # the pool's solutions stay, its values go: condition 6 re-walks every memo entry
+        self.memo.clear()
 
     def _check_atom_coverage(self) -> None:
         missing = []
@@ -255,32 +236,26 @@ class Interpretation:
     def interpret(self, f: Formula) -> ObjId:
         if free_vars(f):
             raise MalformedInput(f"interpret needs a closed formula, got {f}")
-        return self._value(f, (), self._scope)
+        return self._value(f, ())
 
-    def _interpret(self, f: Formula) -> ObjId:
-        """``interpret`` for a formula known to be closed; the condition
-        checks use it, so their work is not counted as queries."""
-        return self._value(f, (), self._scope)
-
-    def _value(self, f: Formula, env: _Env, scope: _Scope) -> ObjId:
+    def _value(self, f: Formula, env: _Env) -> ObjId:
         terms = tuple([_bound(env, name) for name, _ in f.fv]) if f.fv else ()
         key = (f, terms)
-        obj = scope.memo.get(key)
+        obj = self.memo.get(key)
         if obj is None:
-            obj = scope.memo[key] = self._clause(f, env, terms, scope)
+            obj = self.memo[key] = self._clause(f, env, terms)
         return obj
 
-    def _clause(self, f: Formula, env: _Env, terms: tuple[Term, ...],
-                scope: _Scope) -> ObjId:
+    def _clause(self, f: Formula, env: _Env, terms: tuple[Term, ...]) -> ObjId:
         """The object the clause for the outermost connective of ``f`` gives
         under ``env`` (whose values at ``f``'s free variables are
         ``terms``), with each direct subformula valued through the memo."""
         st = self.structure
         if isinstance(f, Binary):
-            a, b = self._value(f.left, env, scope), self._value(f.right, env, scope)
+            a, b = self._value(f.left, env), self._value(f.right, env)
             return getattr(st, _STORES[type(f)])[(a.index, b.index)].apex
         if isinstance(f, Quantifier):
-            return self._solution(f, env, terms, scope).family.apex
+            return self._solution(f, env, terms).family.apex
         if isinstance(f, Atom):
             a = _instance(f, terms)
             obj = self.atom_map.get((a.rel, a.args))
@@ -294,25 +269,23 @@ class Interpretation:
         if not isinstance(f, Quantifier) or f.fv:
             raise MalformedInput(
                 f"quantifier_solution needs a closed forall or exists formula, got {f}")
-        return self._solution(f, (), (), self._scope)
+        return self._solution(f, (), ())
 
-    def _solution(self, f: Quantifier, env: _Env, terms: tuple[Term, ...],
-                  scope: _Scope) -> QuantifierSolution:
+    def _solution(self, f: Quantifier, env: _Env, terms: tuple[Term, ...]) -> QuantifierSolution:
         """The quantifier object of ``f`` under ``env``, found among the
-        scope's vertexes over the diagram of its body's values under ``env``
-        extended by var -> t, one leg per closed term t in universe order;
-        kept under the alpha key of the closed formula."""
+        reach over the diagram of its body's values under ``env`` extended
+        by var -> t, one leg per closed term t in universe order; kept in
+        ``qmemo`` under the alpha key of the closed formula."""
         closed = _instance(f, terms)
         key = alpha_key(closed)
-        sol = scope.solved.get(key)
+        sol = self.qmemo.get(key)
         if sol is None:
             if f.sort not in self.theory.signature._sort_positions:
                 raise MalformedInput(f"undeclared sort {f.sort} in {closed}")
-            legs = [self._value(f.body, env + ((f.var, t),), scope)
+            legs = [self._value(f.body, env + ((f.var, t),))
                     for t in self.universe.terms(f.sort)]
-            cone = search_quantifier_object(
-                self.structure, scope.vertexes, closed, legs, scope.warnings)
-            sol = scope.solved[key] = QuantifierSolution(closed, cone)
+            cone = search_quantifier_object(self.structure, self.reach.objects, closed, legs)
+            sol = self.qmemo[key] = QuantifierSolution(closed, cone)
         return sol
 
     # -- the reachable set ------------------------------------------------------------
@@ -379,21 +352,19 @@ class Interpretation:
                     add(sub)
         return list(pool.values())
 
-    def _build_reach(self):
-        """The binary closure of the base members, then the pooled quantifier
-        formulas solved among them (an apex is a vertex, so no new member),
-        and the pool's failures."""
+    def _build_reach(self) -> list[str]:
+        """Set the reach to the binary closure of the base members, then solve the pooled
+        quantifier formulas among it (an apex is a vertex, so no new member); their failures."""
         members = self._base_members()
         self._binary_closure(members)
-        solved: dict[tuple, QuantifierSolution] = {}
-        scope = _Scope([m.obj for m in members.values()], {}, solved, None)
+        self.reach = ReachSet(tuple(members.values()))
         failures = []
         for f in sorted(self._quantifier_pool(), key=connective_depth):
             try:
-                self._value(f, (), scope)
+                self._value(f, ())
             except (NoQuantifierObject, NoSuchStructure, MissingAtom) as exc:
                 failures.append(f"{f}: {exc}")
-        return members, solved, failures
+        return failures
 
 
 def build_interpretation(structure: StructureTable, theory: Theory, *,
@@ -553,8 +524,8 @@ def _quantifier_outcomes(interp: Interpretation) -> _Outcomes:
             if isinstance(sub, Quantifier) and not sub.fv:
                 quantified.setdefault(alpha_key(sub), sub)
     for sub in quantified.values():
-        try:
-            interp._interpret(sub)
+        try:  # not through ``interpret``, so this work is not counted as queries
+            interp._value(sub, ())
         except NoQuantifierObject as exc:
             yield "FAIL", f"{sub}: {exc}"
         except (NoSuchStructure, MissingAtom) as exc:
@@ -580,7 +551,7 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
             continue
         try:
             env = tuple((name, t) for (name, _), t in zip(f.fv, terms))
-            want = interp._clause(f, env, terms, interp._scope)
+            want = interp._clause(f, env, terms)
         except (NoSuchStructure, MissingAtom, NoQuantifierObject):
             continue
         if want != obj:

@@ -75,6 +75,19 @@ interp P = {}
 """
 
 
+def two_sort_theory(objects) -> str:
+    """Sorts s and t, where t has no closed terms (empty diagrams), a binary
+    function and relation, and an universe cut at depth 2 (unsaturated)."""
+    lines = ["sort s", "sort t", "fun c : s", "fun d : s", "fun g : s * s -> s",
+             "rel B : s", "rel R : s * s", "rel P", "rel Q : t", "depth 2",
+             "axiom forall x:s. exists y:s. (R(x, y) -> B(g(x, y)))",
+             "axiom exists z:t. (Q(z) | P)"]
+    terms = ["c", "d"] + [f"g({a}, {b})" for a in "cd" for b in "cd"]
+    atoms = ["P"] + [f"B({t})" for t in terms] + [f"R({a}, {b})" for a in terms for b in terms]
+    names = itertools.cycle(o.name for o in objects)
+    return "\n".join(lines + [f"interp {a} = {next(names)}" for a in atoms]) + "\n"
+
+
 def make_finset(sizes, name="finset") -> FinCategory:
     """The full subcategory of finite sets on objects of the given sizes,
     with every function as an arrow (a non-thin category)."""

@@ -36,7 +36,7 @@ from catlogic.logic import (
     free_vars,
     substitute,
 )
-from catlogic.semantics import Interpretation, QuantifierSolution, ReachMember
+from catlogic.semantics import Interpretation, QuantifierSolution, ReachMember, ReachSet
 from catlogic.structure import Cone, StructureTable, _indices, _universal_cone
 
 
@@ -48,17 +48,9 @@ def _find_cone(st: StructureTable, legs: Sequence[ObjId], among: Sequence[ObjId]
 
 
 def ref_search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
-                                 f: Quantifier, legs: Sequence[ObjId],
-                                 warnings: list[str] | None = None) -> Cone:
+                                 f: Quantifier, legs: Sequence[ObjId]) -> Cone:
     op = isinstance(f, Exists)
     ordered = sorted(set(vertexes), key=lambda o: o.index)
-
-    if not legs and warnings is not None:
-        warnings.append(
-            f"empty quantifier diagram over sort {f.sort} for body "
-            f"{f.body}; the search degenerates to the terminal/initial "
-            f"object relative to the reachable vertexes")
-
     try:
         return _find_cone(st, legs, ordered, op=op)
     except NoSuchStructure as exc:
@@ -115,23 +107,20 @@ class ReferenceInterpretation(Interpretation):
         hit = self.qmemo.get(key)
         if hit is not None:
             return hit
-        return self._solve(formula, key, self._interpret, self.reach.objects,
-                           self.qmemo, self.warnings)
+        return self._solve(formula, key, self._interpret, self.reach.objects, self.qmemo)
 
     def _solve(self, f: Forall | Exists, key: tuple, sub, vertexes: Sequence[ObjId],
-               solved: dict[tuple, QuantifierSolution],
-               warnings: list[str] | None) -> QuantifierSolution:
+               solved: dict[tuple, QuantifierSolution]) -> QuantifierSolution:
         if key not in solved:
             legs = self._diagram(f.body, f.var, f.sort, sub)
-            family = ref_search_quantifier_object(self.structure, vertexes, f,
-                                                  legs, warnings)
+            family = ref_search_quantifier_object(self.structure, vertexes, f, legs)
             solved[key] = QuantifierSolution(f, family)
         return solved[key]
 
     def _diagram(self, body: Formula, var: str, sort: str, sub) -> list[ObjId]:
         return [sub(substitute(body, t, var)) for t in self.universe.terms(sort)]
 
-    def _build_reach(self):
+    def _build_reach(self) -> list[str]:
         pool = self._quantifier_pool()
         qbeliefs: dict[tuple, QuantifierSolution] = {}
         members: dict[int, ReachMember] = {}
@@ -163,10 +152,11 @@ class ReferenceInterpretation(Interpretation):
             self.warnings.append("reach fixpoint did not stabilize within the "
                                  "object-count bound; results use the last round")
 
-        return members, qbeliefs, failures
+        self.reach = ReachSet(tuple(members.values()))
+        self.qmemo = qbeliefs
+        return failures
 
     def _resolve(self, f: Formula, vertexes: list[ObjId],
                  solved: dict[tuple, QuantifierSolution]) -> ObjId:
         sub = partial(self._resolve, vertexes=vertexes, solved=solved)
-        return self._clause(f, sub, lambda q: self._solve(q, alpha_key(q), sub, vertexes,
-                                                          solved, None))
+        return self._clause(f, sub, lambda q: self._solve(q, alpha_key(q), sub, vertexes, solved))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -32,7 +34,7 @@ from catlogic.report import Report, strip_timing
 from catlogic.semantics import check_conditions
 from catlogic.structure import discover_structure
 
-from conftest import PAIR_CONST_THEORY, subset_of
+from conftest import PAIR_CONST_THEORY, subset_of, two_sort_theory
 
 
 # -- generators -----------------------------------------------------------------
@@ -467,6 +469,53 @@ def test_a_report_file_is_utf8_under_the_c_locale(tmp_path):
     assert "input.model.001 = object é\n".encode() in done.stdout
 
 
+def test_a_report_stdout_cannot_encode_exits_2(tmp_path):
+    # with no PYTHONIOENCODING, stdout under the C locale is ASCII: a report
+    # naming object é ended in a UnicodeEncodeError traceback and exit 1
+    model = tmp_path / "m.cat"
+    model.write_text("object é\narrow id_e : é -> é\nid é = id_e\n"
+                     "compose id_e . id_e = id_e\n", encoding="utf-8")
+    theory = tmp_path / "t.th"
+    theory.write_text("sort s\nrel P\ninterp P = é\n", encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(Path(catlogic.__file__).parents[1]),
+               PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", LC_ALL="C")
+    files = ["--model", str(model), "--theory", str(theory)]
+    for argv in (["validate", "--model", str(model)], ["check", *files], ["redundancy", *files],
+                 ["interpret", *files, "--formula", "P"]):
+        done = subprocess.run([sys.executable, "-m", "catlogic", *argv, "--report", "r.txt"],
+                              cwd=tmp_path, env=env, capture_output=True, timeout=20)
+        assert (done.returncode, done.stdout) == (2, b""), argv
+        assert done.stderr.startswith(b"error: stdout: 'ascii' codec can't encode ")
+        assert done.stderr.count(b"\n") == 1
+        assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("kind", ["model", "theory"])
+def test_a_byte_order_mark_is_not_part_of_the_first_line(kind, tmp_path, capsys):
+    # the mark was read as a character: a model or theory file that an
+    # editor saved with one failed with "line 1: unrecognized line"
+    text = {"model": format_category(gen_chain(3).category()),
+            "theory": PAIR_CONST_THEORY.format("c0", "c1", "c2")}
+    argv = ["--model", str(tmp_path / "model.txt"), "--theory", str(tmp_path / "theory.txt")]
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        for name, data in text.items():
+            (tmp_path / f"{name}.txt").write_bytes((bom if name == kind else b"") + data.encode())
+        for command in ("check", "redundancy"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = run_cli([command, *argv])
+            reports.append((rc, strip_timing(out.getvalue())))
+    assert reports[:2] == reports[2:]
+    assert [rc for rc, _ in reports] == [0, 0, 0, 0]
+    # the byte offset of a refusal still counts the mark's three bytes
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(b"\xef\xbb\xbf\xff" + text[kind].encode())
+    assert run_cli(["check", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {str(path)!r}: not UTF-8 at byte offset 3\n"
+
+
 # runs each argv of the JSON list in sys.argv[1] through the CLI and prints
 # the exit codes and timing-stripped reports as JSON
 _RUN_ALL = """\
@@ -486,9 +535,11 @@ def test_reports_are_the_same_under_every_hash_seed(tmp_path):
     # str hashes are salted per process: an order read off a set or a dict
     # filled in hash order would change the report from one run to the next
     suite = next(s for s in bundled_suites() if s.suite_id == "chain-4/unary-fun")
+    powerset_3 = gen_powerset(3).category()
     inputs = {"chain-4": (format_category(suite.model.category()), suite.theory_text),
               "finset-3": (format_category(gen_finset(3)),
-                           PAIR_CONST_THEORY.format("s2", "s3", "s1"))}
+                           PAIR_CONST_THEORY.format("s2", "s3", "s1")),
+              "two-sort": (format_category(powerset_3), two_sort_theory(powerset_3.objects[1:]))}
     argvs = []
     for name, (model, theory) in inputs.items():
         (tmp_path / f"{name}.cat").write_text(model)
@@ -502,8 +553,16 @@ def test_reports_are_the_same_under_every_hash_seed(tmp_path):
         done = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(argvs)], cwd=tmp_path,
                               env=env, capture_output=True, text=True, timeout=20, check=True)
         runs.append(json.loads(done.stdout))
-    assert [rc for rc, _ in runs[0]] == [0, 0, 1, 1]
+    assert [rc for rc, _ in runs[0]] == [0, 0, 1, 1, 1, 1]
     assert runs[0] == runs[1]
+    # sort t of the two-sort theory has no closed terms: its empty diagrams
+    # are flagged by the constructor's two warnings, and nothing else warns
+    for _, report in runs[0][4:]:
+        assert [line for line in report.splitlines() if line.startswith("warning.")] == [
+            "warning.001 = sort t has no closed terms up to depth 2; "
+            "quantifier diagrams over it are empty",
+            "warning.002 = term universe not saturated at depth 2: deeper terms exist "
+            "and all quantifier claims are relative to the enumerated universe"]
 
 
 @pytest.mark.parametrize("model, theory, message", [

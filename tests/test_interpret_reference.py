@@ -5,7 +5,6 @@ also when garbage collection runs between queries and frees the ids of the
 formulas already answered."""
 
 import gc
-import itertools
 import random
 
 import pytest
@@ -24,21 +23,14 @@ from catlogic.semantics import (
 )
 from catlogic.structure import discover_structure
 
-from conftest import PAIR_CONST_THEORY, make_finset, moore_families, moore_lattice
+from conftest import (
+    PAIR_CONST_THEORY,
+    make_finset,
+    moore_families,
+    moore_lattice,
+    two_sort_theory,
+)
 from interpret_reference import ReferenceInterpretation
-
-
-def _two_sort_theory(objects) -> str:
-    """Sorts s and t, where t has no closed terms (empty diagrams), a binary
-    function and relation, and an universe cut at depth 2 (unsaturated)."""
-    lines = ["sort s", "sort t", "fun c : s", "fun d : s", "fun g : s * s -> s",
-             "rel B : s", "rel R : s * s", "rel P", "rel Q : t", "depth 2",
-             "axiom forall x:s. exists y:s. (R(x, y) -> B(g(x, y)))",
-             "axiom exists z:t. (Q(z) | P)"]
-    terms = ["c", "d"] + [f"g({a}, {b})" for a in "cd" for b in "cd"]
-    atoms = ["P"] + [f"B({t})" for t in terms] + [f"R({a}, {b})" for a in terms for b in terms]
-    names = itertools.cycle(o.name for o in objects)
-    return "\n".join(lines + [f"interp {a} = {next(names)}" for a in atoms]) + "\n"
 
 
 def _models():
@@ -52,7 +44,7 @@ def _models():
 
     def two_sort():
         cat = gen_powerset(3).category()
-        return cat, parse_theory(_two_sort_theory(cat.objects[1:]))
+        return cat, parse_theory(two_sort_theory(cat.objects[1:]))
     models["powerset-3/two-sort"] = two_sort
     return models
 

@@ -241,13 +241,15 @@ def test_empty_universe_quantifiers_flagged():
         "sort s\nsort t\nfun c : s\nfun d : s\nrel B : s\nrel P\ndepth 1\n"
         "interp B(c) = e1\ninterp B(d) = e2\ninterp P = e1\n")
     interp = build_interpretation(st, theory)
-    assert any("no closed terms" in w for w in interp.warnings)
+    warnings = list(interp.warnings)
+    assert any(w.startswith("sort t has no closed terms") for w in warnings)
     th = interp.theory
     p = parse_formula("P", th.signature)
-    # the empty diagram degenerates to reach-relative terminal and initial
+    # the empty diagram degenerates to reach-relative terminal and initial;
+    # the sort's warning already flags it, so the queries add none
     assert interp.interpret(Forall("y", "t", p)) == st.terminal_obj()
     assert interp.interpret(Exists("y", "t", p)) == st.initial_obj()
-    assert any("empty quantifier diagram" in w for w in interp.warnings)
+    assert interp.warnings == warnings
 
 
 def test_an_undeclared_sort_is_refused():
