@@ -7,7 +7,12 @@ Diagnostics go to stderr; reports go to stdout and, with --report, to a file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
+import stat
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,11 +67,55 @@ def _stdout(text: str) -> None:
         raise MalformedInput(f"stdout: {exc}; set PYTHONIOENCODING=utf-8") from None
 
 
-def _emit(report: Report, args) -> None:
-    text = report.render()
-    _stdout(text)
-    if getattr(args, "report", None):
-        Path(args.report).write_text(text, encoding="utf-8")
+def _emit(text: str, args) -> None:
+    """Write ``text`` to stdout and, with --report, to that file as UTF-8.
+
+    A regular or missing destination is written first, to a fresh temporary
+    file beside it (beside a symlink's target), and renamed over it with the
+    old file's mode once stdout has taken the text whole: a destination that
+    cannot be written stops the command before the first byte goes to stdout,
+    and a text that stdout refuses leaves no file and an existing one
+    untouched. Any other destination (a device, FIFO or pipe) cannot be
+    replaced: it is opened before stdout is written, and written through.
+    """
+    dest = getattr(args, "report", None)
+    if not dest:
+        return _stdout(text)
+    try:
+        try:
+            st = os.stat(dest)
+        except FileNotFoundError:
+            st = None
+        if st is not None and stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            with open(dest, "w", encoding="utf-8") as out:
+                _stdout(text)
+                out.write(text)
+            return
+        real = os.path.realpath(dest)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=os.path.basename(real) + ".",
+                                   dir=os.path.dirname(real))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, dest) from None
+    if st is not None:
+        mode = stat.S_IMODE(st.st_mode)
+    else:
+        mask = os.umask(0)
+        os.umask(mask)
+        mode = 0o666 & ~mask
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            if st is not None:
+                with contextlib.suppress(OSError):
+                    os.fchown(fd, st.st_uid, st.st_gid)
+            os.fchmod(fd, mode)
+            out.write(text)
+        _stdout(text)
+        os.replace(tmp, real)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _header(report: Report, cat: FinCategory, model_text: str,
@@ -129,7 +178,7 @@ def _prepare(args) -> tuple[Report, Interpretation | None]:
     report = Report()
     _header(report, cat, model_text, theory, theory_text)
     if not _validation_section(report, cat):
-        _emit(report, args)
+        _emit(report.render(), args)
         return report, None
     interp = _interpretation(args, cat, theory)
     _universe_section(report, interp)
@@ -141,7 +190,7 @@ def cmd_validate(args) -> int:
     report = Report()
     _header(report, cat, model_text)
     ok = _validation_section(report, cat)
-    _emit(report, args)
+    _emit(report.render(), args)
     return 0 if ok else 1
 
 
@@ -154,7 +203,7 @@ def cmd_interpret(args) -> int:
     theory, _ = _load(args.theory, parse_theory)
     formula = parse_formula(args.formula, theory.signature)
     obj = _interpretation(args, cat, theory).interpret(formula)
-    _stdout(f"{obj.name}\n")
+    _emit(f"{obj.name}\n", args)
     return 0
 
 
@@ -179,7 +228,7 @@ def cmd_check(args) -> int:
             report.add(f"interpret.{i:03d}.object", f"(failed: {exc})")
 
     report.add_timing("total_ms", (time.monotonic() - t0) * 1000)
-    _emit(report, args)
+    _emit(report.render(), args)
     return 0 if cond.all_pass else 1
 
 
@@ -230,7 +279,7 @@ def cmd_redundancy(args) -> int:
 
     report.add("redundancy.overall", "PASS" if failed == 0 else f"FAIL ({failed})")
     report.add_timing("total_ms", (time.monotonic() - t0) * 1000)
-    _emit(report, args)
+    _emit(report.render(), args)
     return 0 if failed == 0 else 1
 
 

@@ -138,7 +138,8 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
 
 def revalidate_quantifier(st: StructureTable, vertexes: Sequence[ObjId],
                           sol: QuantifierSolution) -> str | None:
-    """Re-assert a stored solution against the final reachable set.
+    """Re-assert a stored solution against ``vertexes``: the reach, the
+    vertex set the solution was found in.
 
     Returns None when still valid, else the failure description.
     """

@@ -6,15 +6,16 @@ hom(W, V) to the product of the hom(W, leg_i) is a bijection: a universal
 arrow represents a hom-functor (Mac Lane, *Categories for the Working
 Mathematician*, III.1-2).  A candidate is tried only if its column of
 hom-set sizes equals the product of its legs' columns, and it then passes
-iff the map is injective on the arrows into V.  The inverse of that map is
-kept in the witness as its pairing table, so the combinators are lookups.
-On a thin view, where every hom-set holds at most one arrow, equal sizes
-are the bijection, and the table is read off the hom lists (``_View``).
+iff the map is injective on the arrows into V (``_universal``).  On a thin
+view, where every hom-set holds at most one arrow, equal sizes are the
+bijection (``_View``).  A search decides; it builds no table.
 Discovery, the only caller of the fixed-diagram searches (terminal and
 initial objects, products, coproducts, exponentials), runs them on the
 table's own two views and is the only writer of a structure table.  It
 records a witness or a failure under every key it searches; the table
 refuses every other write, so each witness it holds is one a search verified.
+A store holds each witness's table once, so the combinators are lookups:
+a stored cone's inverse map (``_tabulate``), or an exponential's transposes.
 
 Every witness but an exponential is one type, :class:`Cone`: a terminal
 object is a cone with no legs and a product one with two, and with ``op``
@@ -40,13 +41,13 @@ there is always of the first kind.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, product
 from math import prod
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import LawViolation, NoSuchStructure, ShapeMismatch
 from .kernel import ArrId, FinCategory, ObjId, validate_category
@@ -57,14 +58,10 @@ class Cone:
     """A universal cone: ``legs`` are arrows apex -> leg object, or with
     ``op`` a cocone, arrows leg object -> apex.  Terminal and initial objects
     have no legs, products and coproducts two, quantifier objects one per
-    closed term."""
+    closed term.  A cone carries no table; a store holds it (_Witnesses)."""
     apex: ObjId
     legs: tuple[ArrId, ...]
     op: bool = False
-    # (p_i . m)_i in radix |Arr| -> m: f.index * |Arr| + g.index -> <f, g>
-    # for two legs; see _verified
-    table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
-                                            compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,6 @@ class ExponentialWitness:
     target: ObjId     # C
     apex: ObjId       # C^A
     eval: ArrId       # apex x A -> C
-    # f.index * |Obj| + w.index -> transpose of f : w x A -> C; see _verified
-    table: Mapping[int, int] | None = field(default=None, init=False, repr=False,
-                                            compare=False)
-
-
-def _verified(witness, table: Mapping[int, int]):
-    """``witness`` carrying the table its search verified.
-
-    The table is not an init field: a witness built by hand, or copied with
-    ``dataclasses.replace``, carries none.
-    """
-    object.__setattr__(witness, "table", table)
-    return witness
 
 
 class _View:
@@ -136,12 +120,6 @@ class _View:
         return out
 
 
-def _invert(keys: Iterable[int], ms: Sequence[int]) -> dict[int, int] | None:
-    """The inverse of ms[i] |-> keys[i], or None if two arrows share a key."""
-    table = dict(zip(keys, ms))
-    return table if len(table) == len(ms) else None
-
-
 # -- the universal property ---------------------------------------------------------
 
 def _keys(view: _View, legs: Sequence[int], ms: Sequence[int]) -> list[int]:
@@ -167,35 +145,40 @@ def _restrict(row: list[int], ws: Sequence[int]) -> list[int]:
     return row if len(ws) == len(row) else [row[w] for w in ws]
 
 
-def _cone_table(view: _View, apex: int, legs: Sequence[int],
-                ws: Sequence[int] | None = None,
-                sizes: list[int] | None = None) -> dict[int, int] | None:
-    """The inverse of m |-> (p_i . m)_i if, at every test object W in ``ws``
-    (every object by default), it maps hom(W, apex) one-to-one onto the
-    product of the hom(W, cod p_i); None otherwise.
+def _universal(view: _View, apex: int, legs: Sequence[int], ws: Sequence[int],
+               sizes: list[int] | None = None) -> bool:
+    """Whether m |-> (p_i . m)_i maps hom(W, apex) one-to-one onto the
+    product of the hom(W, cod p_i) at every test object W in ``ws``.
 
-    Equal sizes and an injective map make a bijection; on a thin view
-    equal sizes alone do, and the table is read off the hom lists.  With
-    no legs the product is a point: each hom(W, apex) holds exactly one
-    arrow, and the table is empty.  ``sizes`` are the product sizes at
-    ``ws`` if the caller has them.
+    Equal sizes and an injective map make a bijection; equal sizes alone
+    do on a thin view, and with no legs, where the product is a point.
+    ``sizes`` are the product sizes at ``ws`` if the caller has them.
     """
-    ws = view.objects if ws is None else ws
     if sizes is None:
         sizes = _sizes(view, [view.cod[p] for p in legs], ws)
     if _restrict(view.to[apex], ws) != sizes:
-        return None
-    if not legs:
-        return {}
+        return False
+    if view.thin or not legs:
+        return True
+    keys = _keys(view, legs, [m for w in ws for m in view.hom[w][apex]])
+    return len(set(keys)) == len(keys)
+
+
+def _tabulate(view: _View, cone: Cone) -> dict[int, int]:
+    """The pairing table of a universal ``cone`` on ``view`` against every
+    object: (p_i . m)_i in radix |Arr| -> m, f.index * |Arr| + g.index ->
+    <f, g> for two legs, and one entry, at key 0, for none.  On a thin view
+    it is read off the hom lists."""
+    apex, legs = cone.apex.index, [p.index for p in cone.legs]
+    hom, n = view.hom, len(view.table)
     if view.thin:
-        hom, n = view.hom, len(view.table)
-        ws = [w for w in ws if hom[w][apex]]
+        ws = [w for w in view.objects if hom[w][apex]]
         keys = [0] * len(ws)
         for p in legs:
             keys = [k * n + hom[w][view.cod[p]][0] for k, w in zip(keys, ws)]
         return {k: hom[w][apex][0] for k, w in zip(keys, ws)}
-    ms = [m for w in ws for m in view.hom[w][apex]]
-    return _invert(_keys(view, legs, ms), ms)
+    ms = [m for w in view.objects for m in hom[w][apex]]
+    return dict(zip(_keys(view, legs, ms), ms))
 
 
 def _indices(objects: Iterable[ObjId]) -> tuple[int, ...]:
@@ -260,8 +243,8 @@ def _refutation(view: _View, sizes: Sequence[int], ws: tuple[int, ...],
 def _universal_cone(view: _View, legs: Sequence[int], what: str,
                     ws: tuple[int, ...] | None = None) -> Cone:
     """The first universal cone over the objects ``legs``, a cocone on the
-    opposite view, carrying its pairing table, with both the apex and the
-    test objects taken from ``ws`` (every object by default);
+    opposite view, with both the apex and the test objects taken from
+    ``ws`` (every object by default);
     NoSuchStructure, its message ``what`` followed by the refuting count,
     if there is none.
 
@@ -273,10 +256,8 @@ def _universal_cone(view: _View, legs: Sequence[int], what: str,
     sizes = _sizes(view, legs, ws)
     for apex in view.columns(ws).get(tuple(sizes), ()):
         for fam in product(*(view.hom[apex][leg] for leg in legs)):
-            table = _cone_table(view, apex, fam, ws, sizes)
-            if table is not None:
-                legs = tuple(cat.arrows[p] for p in fam)
-                return _verified(Cone(cat.objects[apex], legs, view.op), table)
+            if _universal(view, apex, fam, ws, sizes):
+                return Cone(cat.objects[apex], tuple(cat.arrows[p] for p in fam), view.op)
 
     def explain(apex: int) -> str:
         # apex is in ws and has the sizes, so each hom(apex, leg) is inhabited
@@ -290,59 +271,65 @@ def _universal_cone(view: _View, legs: Sequence[int], what: str,
     raise NoSuchStructure(what + _refutation(view, sizes, ws, explain))
 
 
+def _tabulated(view: _View, legs: Sequence[int], what: str) -> tuple[Cone, dict[int, int]]:
+    """A universal cone against every object, as discovery stores it: with its table."""
+    cone = _universal_cone(view, legs, what)
+    return cone, _tabulate(view, cone)
+
+
 # -- exponentials -------------------------------------------------------------------
 
-def _times_id(view: _View, products: Mapping[tuple[int, int], Cone],
-              apex: int, a: int, ws: Sequence[int]) -> list[list[int]]:
-    """For each w in ws, the arrows m x id_a : w x a -> apex x a, m : w -> apex."""
+def _times_id(view: _View, P: Sequence, apex: int, a: int, ws: Sequence[int]) -> list[list[int]]:
+    """For each w in ws, the arrows m x id_a : w x a -> apex x a, m : w -> apex;
+    ``P`` are the product rows (``_Witnesses.rows``)."""
     table, n = view.table, len(view.table)
-    pairs = products[(apex, a)].table
+    pairs = P[apex][a][3]
     out = []
     for w in ws:
-        q1, q2 = products[(w, a)].legs
-        out.append([pairs[table[m][q1.index] * n + q2.index] for m in view.hom[w][apex]])
+        _, q1, q2, _ = P[w][a]
+        out.append([pairs[table[m][q1] * n + q2] for m in view.hom[w][apex]])
     return out
 
 
-def _transpose_tables(view: _View, products: Mapping[tuple[int, int], Cone],
-                      apex: int, a: int, ws: Sequence[int],
+def _transpose_tables(view: _View, P: Sequence, apex: int, a: int, ws: Sequence[int],
                       evs: Iterable[int]) -> Iterator[tuple[int, dict[int, int] | None]]:
     """Each eval candidate ev : apex x a -> C with the inverse of
     m |-> ev . (m x id_a) over the arrows m : w -> apex, w in ws."""
-    per_w = _times_id(view, products, apex, a, ws)
+    per_w = _times_id(view, P, apex, a, ws)
     w_of = [w for w, ks in zip(ws, per_w) for _ in ks]
     m_x_id = list(chain.from_iterable(per_w))
     ms = [m for w in ws for m in view.hom[w][apex]]
     n = len(view.hom)
     for ev in evs:
         row = view.table[ev]
-        yield ev, _invert([row[k] * n + w for w, k in zip(w_of, m_x_id)], ms)
+        table = {row[k] * n + w: m for w, k, m in zip(w_of, m_x_id, ms)}
+        yield ev, table if len(table) == len(ms) else None
 
 
-def _exponential(view: _View, products: Mapping[tuple[int, int], Cone],
-                 a: ObjId, target: ObjId, ws: tuple[int, ...]) -> ExponentialWitness:
-    """``ws`` are the objects with a product with ``a``."""
+def _exponential(view: _View, P: Sequence, a: ObjId, target: ObjId, ws: tuple[int, ...]
+                 ) -> tuple[ExponentialWitness, dict[int, int]]:
+    """The exponential and its table, f.index * |Obj| + w.index -> the transpose
+    of f : w x a -> target.  ``ws`` are the objects with a product with ``a``."""
     cat, hom = view.cat, view.hom
     ai, c = a.index, target.index
-    sources = [products[(w, ai)].apex.index for w in ws]
+    sources = [P[w][ai][0] for w in ws]
     sizes = [view.to[c][s] for s in sources]
     for apex in view.columns(ws).get(tuple(sizes), ()):
-        evs = hom[products[(apex, ai)].apex.index][c]
+        evs = hom[P[apex][ai][0]][c]
         if view.thin:  # apex is in ws: one eval, as hom(apex, apex) holds one arrow
             n = len(hom)
             found = [(evs[0], {hom[s][c][0] * n + w: hom[w][apex][0]
                                for w, s in zip(ws, sources) if hom[w][apex]})]
         else:
-            found = _transpose_tables(view, products, apex, ai, ws, evs)
+            found = _transpose_tables(view, P, apex, ai, ws, evs)
         for ev, table in found:
             if table is not None:
-                return _verified(ExponentialWitness(a, target, cat.objects[apex],
-                                                    cat.arrows[ev]), table)
+                return ExponentialWitness(a, target, cat.objects[apex], cat.arrows[ev]), table
 
     def explain(apex: int) -> str:
-        ev = hom[products[(apex, ai)].apex.index][c][0]
+        ev = hom[P[apex][ai][0]][c][0]
         row = view.table[ev]
-        for w, s, ks in zip(ws, sources, _times_id(view, products, apex, ai, ws)):
+        for w, s, ks in zip(ws, sources, _times_id(view, P, apex, ai, ws)):
             miss = _miss([row[k] for k in ks], hom[s][c], len(hom[s][c]))
             if miss:
                 return (f"with eval {cat.arrows[ev].name}, {miss[1]} arrows m : "
@@ -360,20 +347,21 @@ def _refuse(*args, **kwargs):
 
 class _Witnesses(dict):
     """Witnesses by key, written only by :func:`discover_structure`, which
-    records under every key it searches either the witness or the failure:
-    every mutator raises TypeError.  A hit is dict's own read; a miss raises
-    NoSuchStructure with the failure recorded under the key.
+    records under every key it searches either the witness and its table or
+    the failure: every mutator raises TypeError.  A hit is dict's own read;
+    a miss raises NoSuchStructure with the failure recorded under the key.
 
-    A store keyed by object index pairs also carries ``rows``, set by
-    :meth:`_index`: ``rows[x][y]`` is the witness under (x, y) as plain ints
-    and its table, ``(apex, leg1, leg2, table)`` for a cone and ``(apex,
-    eval, table)`` for an exponential, or None where a failure is recorded.
-    A None row is read through the store, which raises that failure.  The
-    rows are tuples, and rebinding an attribute raises TypeError too."""
+    The store is its tables' one home.  One keyed by object index pairs
+    reaches them through ``rows``, set by :meth:`_index`: ``rows[x][y]`` is
+    the witness under (x, y) as plain ints and its table, ``(apex, leg1,
+    leg2, table)`` for a cone and ``(apex, eval, table)`` for an
+    exponential, or None where a failure is recorded.  A None row is read
+    through the store, which raises that failure.  The rows are tuples, and
+    rebinding an attribute raises TypeError too."""
 
     def __init__(self, witnesses: Iterable = ()):
         super().__init__(witnesses)
-        vars(self)["_failures"] = {}
+        vars(self).update(_failures={}, _tables={})
 
     def __missing__(self, key):
         raise NoSuchStructure(self._failures[key])
@@ -384,16 +372,18 @@ class _Witnesses(dict):
     def _record(self, key, search: Callable, *args) -> None:
         """Store under ``key`` what ``search(*args)`` finds, or its failure."""
         try:
-            dict.__setitem__(self, key, search(*args))
+            witness, self._tables[key] = search(*args)
         except NoSuchStructure as exc:
             self._failures[key] = str(exc)
+        else:
+            dict.__setitem__(self, key, witness)
 
     def _index(self, n: int) -> None:
         """Set ``rows`` from the witnesses under the n x n object index pairs."""
         rows: list[list] = [[None] * n for _ in range(n)]
         for (x, y), w in self.items():
             arrows = w.legs if isinstance(w, Cone) else (w.eval,)
-            rows[x][y] = (w.apex.index, *(p.index for p in arrows), w.table)
+            rows[x][y] = (w.apex.index, *(p.index for p in arrows), self._tables[x, y])
         vars(self)["rows"] = tuple(map(tuple, rows))
 
     __setitem__ = __delitem__ = update = setdefault = pop = popitem = clear = __ior__ = _refuse
@@ -408,11 +398,11 @@ class StructureTable:
     ``exponentials`` holds a witness or its ``*_failures`` entry holds why
     there is none, and ``terminal`` or ``terminal_failure`` is set (likewise
     ``initial``).  Every other write, rebinding an attribute included,
-    raises TypeError, and downstream modules never re-search.  Each stored
-    witness carries the table its search verified, so the canonical arrow
-    combinators (pairing, copairing, arrow product, transpose, theta) are
-    lookups in those tables; the distributivity sweeps read the same
-    witnesses from each store's ``rows`` (see :class:`_Witnesses`).
+    raises TypeError, and downstream modules never re-search.  A search
+    decides and a store tabulates: each store holds the table of each
+    witness it holds, once, in its ``rows`` (see :class:`_Witnesses`), and
+    the canonical arrow combinators (pairing, copairing, arrow product,
+    swap, transpose) and the distributivity sweeps are lookups in them.
     """
 
     terminal = property(lambda st: st._ends.get("terminal"))
@@ -469,13 +459,13 @@ class StructureTable:
         """The first universal cone (with ``op``, cocone) over ``legs``, with
         both the apex and the test objects taken from ``among``;
         NoSuchStructure, its message the refuting count, if there is none.
-        Each outcome is kept by (legs, among, op), the cone without its
-        table: a diagram met again is not searched again."""
+        Each outcome is kept by (legs, among, op): a diagram met again is not
+        searched again."""
         ps, ws = tuple(o.index for o in legs), _indices(among)
         found = self._cones.get((ps, ws, op))
         if found is None:
             try:
-                found = replace(_universal_cone(self._op if op else self._view, ps, "", ws))
+                found = _universal_cone(self._op if op else self._view, ps, "", ws)
             except NoSuchStructure as exc:
                 found = str(exc)
             self._cones[ps, ws, op] = found
@@ -502,7 +492,7 @@ class StructureTable:
         W -> apex (apex -> W), and that number of arrows."""
         view, ws = self._side(cone), _indices(among)
         apex, ps = cone.apex.index, [p.index for p in cone.legs]
-        if _cone_table(view, apex, ps, ws) is not None:
+        if _universal(view, apex, ps, ws):
             return None
         w, fam, k = _first_miss(view, apex, ps, ws)
         return self.ob(w), tuple(self.cat.arrows[p] for p in fam), k
@@ -528,41 +518,44 @@ class StructureTable:
 
     # -- canonical combinators ----------------------------------------------
 
-    def _mediator(self, w: Cone, f: int, g: int) -> ArrId:
-        """The mediator of arrow indices (f, g) for the product or coproduct ``w``."""
-        return self.cat.arrows[w.table[f * len(self.cat.arrows) + g]]
+    def _mediator(self, store: _Witnesses, x: int, y: int, f: int, g: int) -> ArrId:
+        """The mediator of arrow indices (f, g) for the product or coproduct
+        of the objects x and y in ``store``."""
+        row = store.rows[x][y] or store[x, y]
+        return self.cat.arrows[row[3][f * len(self.cat.arrows) + g]]
 
     def pair(self, f: ArrId, g: ArrId) -> ArrId:
         """<f, g> : dom f -> cod f x cod g."""
         if f.dom != g.dom:
             raise ShapeMismatch(f"pair({f.name}, {g.name}): different domains")
-        return self._mediator(self.product(self.ob(f.cod), self.ob(g.cod)), f.index, g.index)
+        return self._mediator(self.products, f.cod, g.cod, f.index, g.index)
 
     def copair(self, f: ArrId, g: ArrId) -> ArrId:
         """[f, g] : dom f + dom g -> cod f."""
         if f.cod != g.cod:
             raise ShapeMismatch(f"copair({f.name}, {g.name}): different codomains")
-        return self._mediator(self.coproduct(self.ob(f.dom), self.ob(g.dom)), f.index, g.index)
+        return self._mediator(self.coproducts, f.dom, g.dom, f.index, g.index)
 
     def arrow_product(self, f: ArrId, g: ArrId) -> ArrId:
         """f x g = <f . proj1, g . proj2> : dom f x dom g -> cod f x cod g."""
-        p1, p2 = self.product(self.ob(f.dom), self.ob(g.dom)).legs
-        table = self._view.table
-        return self._mediator(self.product(self.ob(f.cod), self.ob(g.cod)),
-                              table[f.index][p1.index], table[g.index][p2.index])
+        P, table = self.products, self._view.table
+        _, p1, p2, _ = P.rows[f.dom][g.dom] or P[f.dom, g.dom]
+        return self._mediator(P, f.cod, g.cod, table[f.index][p1], table[g.index][p2])
 
     def swap(self, a: ObjId, b: ObjId) -> ArrId:
         """The canonical a x b -> b x a built from <proj2, proj1>."""
-        p1, p2 = self.product(a, b).legs
-        return self._mediator(self.product(b, a), p2.index, p1.index)
+        P = self.products
+        _, p1, p2, _ = P.rows[a.index][b.index] or P[a.index, b.index]
+        return self._mediator(P, b.index, a.index, p2, p1)
 
     def transpose(self, f: ArrId, w: ObjId, a: ObjId) -> ArrId:
         """Unique m : w -> cod(f)^a with eval . (m x id_a) = f, for f : w x a -> cod f."""
-        ew = self.exponential(a, self.ob(f.cod))
-        if f.dom != self.product(w, a).apex.index:
+        E, P = self.exponentials, self.products
+        ew = E.rows[a.index][f.cod] or E[a.index, f.cod]
+        if f.dom != (P.rows[w.index][a.index] or P[w.index, a.index])[0]:
             raise ShapeMismatch(
                 f"transpose({f.name}): domain is not the apex of {w.name} x {a.name}")
-        return self.cat.arrows[ew.table[f.index * len(self.cat.objects) + w.index]]
+        return self.cat.arrows[ew[2][f.index * len(self.cat.objects) + w.index]]
 
     def theta(self, g: ArrId, a: ObjId, c: ObjId) -> ArrId:
         """theta(g) = eval . (g x id_a) : dom g x a -> c, inverse to transpose."""
@@ -578,6 +571,7 @@ def discover_structure(cat: FinCategory) -> StructureTable:
     """Validate ``cat`` unless it is validated (LawViolation if it fails), then
     search terminal/initial objects, then all products and coproducts, then
     all exponentials; failures are recorded per key rather than raised.
+    Each stored cone is tabulated once.
     """
     if not cat.validated:
         report = validate_category(cat)
@@ -587,21 +581,22 @@ def discover_structure(cat: FinCategory) -> StructureTable:
                 f"structure search requires a validated category")
 
     st = StructureTable(cat)
-    view, op = st._view, st._op
-    st._ends._record("terminal", _universal_cone, view, (), f"{cat.name}: no terminal object; ")
-    st._ends._record("initial", _universal_cone, op, (), f"{cat.name}: no initial object; ")
+    view, op, n = st._view, st._op, len(cat.objects)
+    st._ends._record("terminal", _tabulated, view, (), f"{cat.name}: no terminal object; ")
+    st._ends._record("initial", _tabulated, op, (), f"{cat.name}: no initial object; ")
     for a in cat.objects:
         for b in cat.objects:
             key, pair = (a.index, b.index), f"({a.name}, {b.name}); "
-            st.products._record(key, _universal_cone, view, key,
+            st.products._record(key, _tabulated, view, key,
                                 f"{cat.name}: no product for {pair}")
-            st.coproducts._record(key, _universal_cone, op, key,
+            st.coproducts._record(key, _tabulated, op, key,
                                   f"{cat.name}: no coproduct for {pair}")
+    st.products._index(n)
+    st.coproducts._index(n)
+    P = st.products.rows
     for a in cat.objects:
-        ws = tuple(w for w in view.objects if (w, a.index) in st.products)
+        ws = tuple(w for w in view.objects if P[w][a.index])
         for c in cat.objects:
-            st.exponentials._record((a.index, c.index), _exponential,
-                                    view, st.products, a, c, ws)
-    for store in (st.products, st.coproducts, st.exponentials):
-        store._index(len(cat.objects))
+            st.exponentials._record((a.index, c.index), _exponential, view, P, a, c, ws)
+    st.exponentials._index(n)
     return st

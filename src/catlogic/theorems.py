@@ -71,16 +71,15 @@ def _unique(ms: Sequence[ArrId], what: str) -> ArrId:
 # -- distributivity -----------------------------------------------------------------
 #
 # delta and its inverse are read from the composition rows and from the rows
-# of the witness stores (``_Witnesses.rows``): each witness as plain ints,
-# (apex, leg1, leg2, table) or (apex, eval, table), or None where a failure
-# is recorded, and a None row is read through its store, which raises that
+# of the witness stores (``_Witnesses.rows``), as the combinators read them:
+# each witness as plain ints with its table, or None where a failure is
+# recorded, and a None row is read through its store, which raises that
 # failure.  The witnesses are read in the order the combinators
 # (arrow_product, copair, swap, transpose, theta) would look them up, so the
 # first missing one raises its NoSuchStructure, as a store read does.
 
-def _delta(st: StructureTable, a: int, b: int, c: int) -> tuple:
-    """delta's arrow index on the object indices (a, b, c), then the rows it
-    read of b + c, a x b, a x c, D = (a x b) + (a x c) and a x (b + c)."""
+def _delta(st: StructureTable, a: int, b: int, c: int) -> int:
+    """delta's arrow index on the object indices (a, b, c)."""
     t, n = st.cat.index().table, len(st.cat.arrows)
     products, coproducts = st.products, st.coproducts
     P, C = products.rows, coproducts.rows
@@ -92,20 +91,17 @@ def _delta(st: StructureTable, a: int, b: int, c: int) -> tuple:
     # id_a x inj = <proj1, inj . proj2>, from a x b and from a x c
     left = a_bc[3][ab[1] * n + t[bc[1]][ab[2]]]
     right = a_bc[3][ac[1] * n + t[bc[2]][ac[2]]]
-    return d[3][left * n + right], bc, ab, ac, d, a_bc
+    return d[3][left * n + right]
 
 
-def _delta_inverse(st: StructureTable, a: int, b: int, c: int, bc: tuple | None = None,
-                   ab: tuple | None = None, ac: tuple | None = None, d: tuple | None = None,
-                   a_bc: tuple | None = None) -> int:
-    """The inverse's arrow index on the object indices (a, b, c); each of the
-    rows ``_delta`` returns is read where the combinators read it unless given."""
+def _delta_inverse(st: StructureTable, a: int, b: int, c: int) -> int:
+    """The inverse's arrow index on the object indices (a, b, c)."""
     t, n, no = st.cat.index().table, len(st.cat.arrows), len(st.cat.objects)
     products, coproducts = st.products, st.coproducts
     P, C = products.rows, coproducts.rows
-    ab = ab or P[a][b] or products[a, b]
-    ac = ac or P[a][c] or products[a, c]
-    d = d or C[ab[0]][ac[0]] or coproducts[ab[0], ac[0]]
+    ab = P[a][b] or products[a, b]
+    ac = P[a][c] or products[a, c]
+    d = C[ab[0]][ac[0]] or coproducts[ab[0], ac[0]]
     ba = P[b][a] or products[b, a]
     ca = P[c][a] or products[c, a]
     # inj . swap, with swap = <proj2, proj1> : b x a -> a x b; likewise for c
@@ -113,19 +109,19 @@ def _delta_inverse(st: StructureTable, a: int, b: int, c: int, bc: tuple | None 
     f2 = t[d[2]][ac[3][ca[2] * n + ca[1]]]
     # the transposes b -> D^a and c -> D^a, and their copair h : b + c -> D^a
     ew = st.exponentials.rows[a][d[0]] or st.exponentials[a, d[0]]
-    bc = bc or C[b][c] or coproducts[b, c]
+    bc = C[b][c] or coproducts[b, c]
     h = bc[3][ew[2][f1 * no + b] * n + ew[2][f2 * no + c]]
     # theta(h) = eval . (h x id_a) : (b + c) x a -> D, then . swap
     bca = P[bc[0]][a] or products[bc[0], a]
     hxa = (P[ew[0]][a] or products[ew[0], a])[3][t[h][bca[1]] * n + bca[2]]
-    a_bc = a_bc or P[a][bc[0]] or products[a, bc[0]]
+    a_bc = P[a][bc[0]] or products[a, bc[0]]
     return t[t[ew[1]][hxa]][bca[3][a_bc[2] * n + a_bc[1]]]
 
 
 def build_delta(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
     """The canonical (a x b) + (a x c) -> a x (b + c): copair of the two
     arrow products of the identity with a coproduct injection."""
-    return st.cat.arrows[_delta(st, a.index, b.index, c.index)[0]]
+    return st.cat.arrows[_delta(st, a.index, b.index, c.index)]
 
 
 def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> ArrId:
@@ -140,12 +136,10 @@ def build_delta_inverse(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> Arr
 
 
 def delta_certificate(st: StructureTable, a: ObjId, b: ObjId, c: ObjId) -> DeltaCertificate:
-    """Build both arrows, reading each witness once, and verify the two
-    inverse equations exactly."""
+    """Build both arrows and verify the two inverse equations exactly."""
     cat = st.cat
-    delta, bc, ab, ac, d, a_bc = _delta(st, a.index, b.index, c.index)
-    inv = _delta_inverse(st, a.index, b.index, c.index, bc, ab, ac, d, a_bc)
-    delta, inv = cat.arrows[delta], cat.arrows[inv]
+    delta = cat.arrows[_delta(st, a.index, b.index, c.index)]
+    inv = cat.arrows[_delta_inverse(st, a.index, b.index, c.index)]
     if not mutually_inverse(cat, delta, inv):
         raise CertificateFailure(
             f"({a.name},{b.name},{c.name}): {inv.name} is not inverse to "

@@ -19,11 +19,11 @@ import pytest
 
 from catlogic.bundles import bundled_suites
 from catlogic.cli import run_cli
-from catlogic.heyting import gen_powerset
+from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import format_category
 from catlogic.report import strip_timing
 
-from conftest import PAIR_CONST_THEORY, make_finset, with_arrow_order
+from conftest import PAIR_CONST_THEORY, make_finset, two_sort_theory, with_arrow_order
 
 
 # a catbench.gen.theory_text output (seed 1) for finset-0123's objects, copied
@@ -110,6 +110,15 @@ def _cases():
     cases["finset-012333"] = lambda: (
         finset_identities_last([0, 1, 2, 3, 3, 3], "finset-012333"),
         PAIR_CONST_THEORY.format("x2n2", "x3n3", "x1n1"))
+    # the ladder's largest model, and a theory with a sort without closed
+    # terms (empty diagrams) and a universe cut short
+    cases["chain-32"] = lambda: (gen_chain(32).category(),
+                                 PAIR_CONST_THEORY.format("c1", "c2", "c3"))
+
+    def two_sort():
+        cat = gen_powerset(3).category()
+        return cat, two_sort_theory(cat.objects[1:])
+    cases["powerset-3/two-sort"] = two_sort
     return cases
 
 
@@ -156,6 +165,14 @@ GOLDEN = {
         "66dbacc09c7558d0456a6cb330862f387655c84e2b113be891cd31d48e42ea0c",
     "finset-012333:redundancy":
         "994fafdfd92c0f4b4f5d332efdbdb69e325bba2fe727794d1922e95840a31f62",
+    "chain-32:check":
+        "87255b0396969bae84ae89a649fdbdeef595025832a199d9e795b1dd09e3fdf7",
+    "chain-32:redundancy":
+        "e6a6f5b1e1caef64582be2a000ca40eff4510793b1fa7723d35c6834a9008017",
+    "powerset-3/two-sort:check":
+        "c7d2373863982fafd1962d0807d374899fe69028f7bdeccb4946adaeb3957346",
+    "powerset-3/two-sort:redundancy":
+        "4d0b2ec5e475edc1c710b96ec2249fc96105593d8531c6fa2ba254af666cf1ba",
 }
 
 
@@ -171,6 +188,10 @@ VERDICTS = {
         "de0d12a97c9f71352d4758c83d13fab69c599f86270220b652bdb66c6df294ef",
     "finset-012333:redundancy":
         "944053a9cb7b15234dc223c8af6aef1f70a4d6566fb3dc0ee028b524151f202e",
+    "powerset-3/two-sort:check":
+        "b34d9e1beb682ba89a71c7a7d9fbeab5d701b6ac9ce3006de1cdeca79a29e556",
+    "powerset-3/two-sort:redundancy":
+        "62d7b2e5cc1f9c1815885ab6eb31ea3c95000f1f935530f25b89ae1272c92898",
 }
 
 

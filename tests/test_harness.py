@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -489,6 +490,82 @@ def test_a_report_stdout_cannot_encode_exits_2(tmp_path):
         assert done.stderr.startswith(b"error: stdout: 'ascii' codec can't encode ")
         assert done.stderr.count(b"\n") == 1
         assert not (tmp_path / "r.txt").exists()
+
+
+def _report_commands(tmp_path):
+    """The four commands that take --report, on chain-3 with pair-const atoms."""
+    model, theory = tmp_path / "m.cat", tmp_path / "t.th"
+    model.write_text(format_category(gen_chain(3).category()))
+    theory.write_text(PAIR_CONST_THEORY.format("c0", "c1", "c2"))
+    files = ["--model", str(model), "--theory", str(theory)]
+    return [["validate", "--model", str(model)], ["check", *files], ["redundancy", *files],
+            ["interpret", *files, "--formula", "P"]]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_cli(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_an_unwritable_report_path_exits_2_before_any_output(tmp_path):
+    # validate printed its whole report to stdout and then exited 2 on a
+    # --report path it could not write
+    commands = _report_commands(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
+    for dest in (tmp_path / "missing" / "r.txt", tmp_path / "m.cat" / "r.txt", tmp_path):
+        for argv in commands:
+            rc, out, err = _run([*argv, "--report", str(dest)])
+            assert (rc, out) == (2, ""), (argv, dest)
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(dest) in err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_every_report_file_holds_its_stdout(tmp_path):
+    # interpret exited 0 with its --report file unwritten
+    for argv in _report_commands(tmp_path):
+        dest = tmp_path / f"{argv[0]}.txt"
+        dest.write_text("an older report\n")
+        rc, out, err = _run([*argv, "--report", str(dest)])
+        assert (rc, err) == (0, "") and out
+        assert dest.read_bytes() == out.encode()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_a_report_through_a_symlink_keeps_the_link_and_the_mode(tmp_path):
+    # the report was renamed over the link, as a new file made under the umask
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("an older report\n")
+    target.chmod(0o640)
+    link.symlink_to(target)
+    rc, out, err = _run([*_report_commands(tmp_path)[1], "--report", str(link)])
+    assert (rc, err) == (0, "") and out
+    assert link.is_symlink() and target.read_bytes() == out.encode()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_a_stale_temporary_file_does_not_block_the_report(tmp_path):
+    # a killed run's `<dest>.<pid>.tmp` made every later run with that pid exit 2
+    dest = tmp_path / "r.txt"
+    stale = tmp_path / f"r.txt.{os.getpid()}.tmp"
+    stale.write_text("left by a killed run\n")
+    rc, out, err = _run([*_report_commands(tmp_path)[1], "--report", str(dest)])
+    assert (rc, err) == (0, "") and dest.read_bytes() == out.encode()
+    assert stale.read_text() == "left by a killed run\n"
+    assert sorted(p.name for p in tmp_path.glob("*.tmp")) == [stale.name]
+
+
+@pytest.mark.skipif(os.devnull != "/dev/null", reason="needs a /dev/null device")
+def test_a_device_report_is_written_through(tmp_path):
+    # the report was written beside /dev/null and renamed over the device node
+    before = os.stat(os.devnull)
+    for argv in _report_commands(tmp_path):
+        rc, out, err = _run([*argv, "--report", os.devnull])
+        assert (rc, err) == (0, "") and out, argv
+    after = os.stat(os.devnull)
+    assert stat.S_ISCHR(after.st_mode) and (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+    assert not [n for n in os.listdir(os.path.dirname(os.devnull)) if n.startswith("null.")]
 
 
 @pytest.mark.parametrize("kind", ["model", "theory"])

@@ -349,7 +349,8 @@ _STORES = ("products", "coproducts", "exponentials")
 
 def _contents(st):
     """Every witness with its table, and every failure, of ``st``."""
-    return ({kind: {k: (w, w.table) for k, w in getattr(st, kind).items()} for kind in _STORES},
+    return ({kind: {(x, y): (w, getattr(st, kind).rows[x][y][-1])
+                    for (x, y), w in getattr(st, kind).items()} for kind in _STORES},
             st.terminal, st.initial, st.terminal_failure, st.initial_failure,
             st.product_failures, st.coproduct_failures, st.exponential_failures)
 
@@ -381,8 +382,8 @@ _DUPLICATES = {"deepcopy": copy.deepcopy, "pickle": lambda st: pickle.loads(pick
 
 
 def _refused(st, mutator, kind):
-    """``mutator`` on the store ``kind`` of ``st``, given a table-less copy of
-    a stored witness, raises TypeError and leaves ``st`` as it was."""
+    """``mutator`` on the store ``kind`` of ``st``, given a copy of a stored
+    witness, raises TypeError and leaves ``st`` as it was."""
     before = _contents(st)
     witnesses = getattr(st, kind)
     key, witness = next(iter(witnesses.items()))

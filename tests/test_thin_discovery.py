@@ -44,15 +44,14 @@ def _thin(cat) -> bool:
 
 
 def _stored(st: StructureTable):
-    """Every witness with its table, and every failure text, of the five
-    stores: the terminal and initial objects, products, coproducts and
-    exponentials."""
-    def tabled(w):
-        return None if w is None else (w, dict(w.table))
+    """Every witness with the table its store holds, and every failure text,
+    of the five stores: the terminal and initial objects, products,
+    coproducts and exponentials."""
+    def tabled(store):
+        return {k: (w, store._tables[k]) for k, w in store.items()}
 
-    return ([tabled(st.terminal), tabled(st.initial), st.terminal_failure, st.initial_failure]
-            + [{k: tabled(w) for k, w in store.items()}
-               for store in (st.products, st.coproducts, st.exponentials)]
+    return ([tabled(st._ends), st.terminal_failure, st.initial_failure]
+            + [tabled(store) for store in (st.products, st.coproducts, st.exponentials)]
             + [dict(failures) for failures in (st.product_failures, st.coproduct_failures,
                                                st.exponential_failures)])
 
@@ -100,7 +99,7 @@ def test_a_complete_table_is_thin():
 
 def test_quantifier_searches_match_the_general_path(monkeypatch):
     # the cones build_interpretation searches and the conditions re-check
-    # take the thin path through the one _cone_table too
+    # take the thin path through the one predicate, _universal, too
     searches = {name: getattr(StructureTable, name) for name in ("find_cone", "cone_miss")}
     calls = []
 

@@ -2,9 +2,10 @@
 store reads of the distributivity sweeps.
 
 Discovery indexes each store of object index pairs as n x n rows: the
-witness as plain ints and its table, or None where a failure is recorded.  The delta constructions and condition 4 read their witnesses
-from the rows, and read a store only where a row is None, to raise the
-recorded failure.
+witness as plain ints and the table the store holds for it, or None where a
+failure is recorded.  The combinators, the delta constructions and
+condition 4 read their witnesses from the rows, and read a store only where
+a row is None, to raise the recorded failure.
 """
 
 import copy
@@ -17,11 +18,14 @@ from catlogic import structure
 from catlogic.errors import WorkbenchError
 from catlogic.heyting import gen_chain, gen_powerset
 from catlogic.kernel import gen_finset
-from catlogic.semantics import distributivity_verdict
+from catlogic.logic import parse_theory
+from catlogic.semantics import (build_interpretation, check_conditions, derive_instances,
+                                distributivity_verdict)
 from catlogic.structure import Cone, discover_structure
-from catlogic.theorems import build_delta, delta_certificate
+from catlogic.theorems import build_delta, delta_certificate, verify_frobenius
 
-from conftest import LADDER_MODELS, moore_families, moore_lattice
+from conftest import (LADDER_MODELS, PAIR_CONST_THEORY, make_finset, moore_families,
+                      moore_lattice)
 
 _STORES = ("products", "coproducts", "exponentials")
 
@@ -40,7 +44,7 @@ def _assert_rows_match(st):
             arrows = w.legs if isinstance(w, Cone) else (w.eval,)
             assert row[0] == w.apex.index
             assert row[1:-1] == tuple(p.index for p in arrows)
-            assert row[-1] is w.table
+            assert row[-1] is store._tables[x, y]
 
 
 @pytest.mark.parametrize("name", sorted(LADDER_MODELS))
@@ -115,3 +119,36 @@ def test_the_sweeps_read_a_store_only_to_raise(make, monkeypatch):
 
     assert _store_reads(monkeypatch, sweep) == failed
     assert _store_reads(monkeypatch, lambda: distributivity_verdict(st, st.cat.objects)) == blocked
+
+
+@pytest.mark.parametrize("make, atoms", [
+    (lambda: gen_chain(32).category(), ("c1", "c2", "c3")),
+    (lambda: gen_powerset(4).category(), ("e1", "e2", "e3")),
+    (lambda: gen_finset(3), ("s2", "s3", "s1")),
+    (lambda: make_finset([0, 1, 2, 3, 3, 3], "finset-012333"), ("x2n2", "x3n3", "x1n1")),
+], ids=["chain-32", "powerset-4", "finset-3", "finset-012333"])
+def test_discovery_tabulates_each_stored_cone_once(make, atoms, monkeypatch):
+    # searches decide and build no table: discovery tabulates each cone it
+    # stores once, and the interpretation, the conditions and the
+    # certificates, which search and re-check quantifier cones and read the
+    # combinators, build none
+    cat = make()
+    calls = []
+    tabulate = structure._tabulate
+    monkeypatch.setattr(structure, "_tabulate",
+                        lambda *args: calls.append(args) or tabulate(*args))
+    st = discover_structure(cat)
+    stored = (len(st.products) + len(st.coproducts)
+              + (st.terminal is not None) + (st.initial is not None))
+    assert len(calls) == stored
+    if cat.name == "chain-32":
+        assert stored == 2050
+    calls.clear()
+    interp = build_interpretation(st, parse_theory(PAIR_CONST_THEORY.format(*atoms)))
+    check_conditions(interp)
+    for t in product(cat.objects, repeat=3):
+        _outcome(delta_certificate, st, *t)
+    instances = derive_instances(interp.theory)
+    for inst in instances:
+        _outcome(verify_frobenius, interp, inst)
+    assert instances and calls == []
