@@ -10,10 +10,11 @@ decidable stand-in for "interpretation of some closed formula", and each
 reachable object carries the closed formula that witnesses it.
 
 The reachable set is the closure of 0, 1 and the atom images under
-product, coproduct and exponential apexes, to connective depth ``--reach``.
-Quantifier objects are searched in it, so they never enlarge it.  An
-Interpretation builds it, at the reach depth it is built with, so every
-Interpretation answers quantified queries; another depth is another one.
+product, coproduct and exponential apexes, to connective depth ``--reach``;
+round d of the closure adds exactly the members of depth d.  Quantifier
+objects are searched in it, so they never enlarge it.  An Interpretation
+builds it, at the reach depth it is built with, so every Interpretation
+answers quantified queries; another depth is another one.
 
 One map, ``_STORES``, gives the structure store of each connective, for the
 clauses and the reach closure alike.  The memo keys a value by the formula
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from . import theorems
 from .errors import (
     MalformedInput,
     MissingAtom,
@@ -36,6 +38,7 @@ from .errors import (
     NoMediator,
     NoQuantifierObject,
     NoSuchStructure,
+    ShapeMismatch,
     TheoryFileError,
 )
 from .kernel import ObjId, inverses
@@ -127,10 +130,10 @@ def search_quantifier_object(st: StructureTable, vertexes: Sequence[ObjId],
     isomorphic candidates break by index.  The texts name ``f``'s sort and
     body; NoQuantifierObject gives the count that refutes every candidate.
     """
-    ordered = sorted(set(vertexes), key=lambda o: o.index)
     try:
-        return st.find_cone(legs, ordered, op=isinstance(f, Exists))
+        return st.find_cone(legs, vertexes, op=isinstance(f, Exists))
     except NoSuchStructure as exc:
+        ordered = sorted(set(vertexes), key=lambda o: o.index)
         raise NoQuantifierObject(
             f"no {f.symbol} object over {f.body} among "
             f"{[o.name for o in ordered]}: {exc}") from None
@@ -302,23 +305,23 @@ class Interpretation:
         return members
 
     def _binary_closure(self, members: dict[int, ReachMember]) -> None:
-        k = self.reach_depth
+        """Close the depth-0 base ``members``: round d = 1 .. reach_depth adds the
+        apexes of the stored witnesses over two members, one of them added by
+        round d - 1 (every other pair was tried before); a round adding none ends it."""
         stores = [(kind, getattr(self.structure, name)) for kind, name in _STORES.items()]
-        changed = True
-        while changed:
-            changed = False
+        new: list[ReachMember] = []  # the members the last round added
+        for d in range(1, self.reach_depth + 1):
             snapshot = list(members.values())
             for m1 in snapshot:
-                for m2 in snapshot:
-                    d = 1 + max(m1.depth, m2.depth)
-                    if d > k:
-                        continue
+                for m2 in (snapshot if m1.depth == d - 1 else new):
                     for kind, store in stores:
                         w = store.get((m1.obj.index, m2.obj.index))
                         if w is not None and w.apex.index not in members:
                             members[w.apex.index] = ReachMember(
                                 w.apex, kind(m1.provenance, m2.provenance), d)
-                            changed = True
+            new = list(members.values())[len(snapshot):]
+            if not new:
+                break
 
     def _quantifier_pool(self) -> list[Formula]:
         sig = self.theory.signature
@@ -498,8 +501,6 @@ def distributivity_verdict(st: StructureTable, objects: Sequence[ObjId]) -> Cond
 
 
 def _distributivity_outcomes(st: StructureTable, objects: Sequence[ObjId]) -> _Outcomes:
-    from . import theorems  # late import: theorems builds on this module's types
-
     found: dict[int, int] = {}  # delta's arrow index -> its number of inverses
     for a in objects:
         for b in objects:
@@ -538,7 +539,8 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
     ``memo`` and ``atom_map`` are public, so their entries may have moved.
     Each stored quantifier solution is re-checked against the reach, the
     vertex set it was found in, so that check fails only after an edit of
-    the public ``qmemo``."""
+    the public ``qmemo``: a cone whose legs do not leave its apex (a cocone's
+    do not enter it) is a FAIL too."""
     st = interp.structure
     try:
         for constant, end in ((Zero(), "initial"), (One(), "terminal")):
@@ -559,7 +561,11 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
             yield "FAIL", (f"memo holds {obj.name} for {_instance(f, terms)}, "
                            f"clauses give {want.name}")
     for sol in interp.qmemo.values():
-        bad = revalidate_quantifier(st, interp.reach.objects, sol)
+        try:
+            bad = revalidate_quantifier(st, interp.reach.objects, sol)
+        except ShapeMismatch as exc:
+            yield "FAIL", f"{sol.formula}: stored quantifier object is malformed: {exc}"
+            continue
         if bad:
             yield "FAIL", (f"{sol.formula}: stored quantifier object "
                            f"{sol.family.apex.name} no longer unique: {bad}")
@@ -568,8 +574,6 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
 def _frobenius_outcomes(interp: Interpretation) -> _Outcomes:
     """(7) the product-through-existential comparison arrow has an inverse,
     checked by building the mediating arrow and searching for an inverse."""
-    from . import theorems  # late import: theorems builds on this module's types
-
     for inst in derive_instances(interp.theory):
         try:
             alpha = theorems.build_alpha(interp, inst)

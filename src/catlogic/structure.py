@@ -14,8 +14,9 @@ initial objects, products, coproducts, exponentials), runs them on the
 table's own two views and is the only writer of a structure table.  It
 records a witness or a failure under every key it searches; the table
 refuses every other write, so each witness it holds is one a search verified.
-A store holds each witness's table once, so the combinators are lookups:
-a stored cone's inverse map (``_tabulate``), or an exponential's transposes.
+A store holds each table once, so the combinators are lookups: a stored
+product's or coproduct's inverse map (``_tabulate``; the terminal and
+initial objects get none), or an exponential's transposes.
 
 Every witness but an exponential is one type, :class:`Cone`: a terminal
 object is a cone with no legs and a product one with two, and with ``op``
@@ -167,8 +168,7 @@ def _universal(view: _View, apex: int, legs: Sequence[int], ws: Sequence[int],
 def _tabulate(view: _View, cone: Cone) -> dict[int, int]:
     """The pairing table of a universal ``cone`` on ``view`` against every
     object: (p_i . m)_i in radix |Arr| -> m, f.index * |Arr| + g.index ->
-    <f, g> for two legs, and one entry, at key 0, for none.  On a thin view
-    it is read off the hom lists."""
+    <f, g> for two legs.  On a thin view it is read off the hom lists."""
     apex, legs = cone.apex.index, [p.index for p in cone.legs]
     hom, n = view.hom, len(view.table)
     if view.thin:
@@ -198,7 +198,6 @@ def _miss(imgs: list[int], tgts: Iterable[int], size: int) -> tuple[int, int] | 
     for j, t in enumerate(tgts):
         if t not in once:
             return j, imgs.count(t)
-    return None
 
 
 def _first_miss(view: _View, apex: int, legs: Sequence[int], ws: Iterable[int]
@@ -214,7 +213,6 @@ def _first_miss(view: _View, apex: int, legs: Sequence[int], ws: Iterable[int]
                      prod(map(len, pools)))
         if miss:
             return w, next(islice(product(*pools), miss[0], None)), miss[1]
-    return None
 
 
 def _refutation(view: _View, sizes: Sequence[int], ws: tuple[int, ...],
@@ -399,9 +397,9 @@ class StructureTable:
     there is none, and ``terminal`` or ``terminal_failure`` is set (likewise
     ``initial``).  Every other write, rebinding an attribute included,
     raises TypeError, and downstream modules never re-search.  A search
-    decides and a store tabulates: each store holds the table of each
-    witness it holds, once, in its ``rows`` (see :class:`_Witnesses`), and
-    the canonical arrow combinators (pairing, copairing, arrow product,
+    decides and a store tabulates: each store but the ends' holds the table
+    of each witness it holds, once, in its ``rows`` (see :class:`_Witnesses`),
+    and the canonical arrow combinators (pairing, copairing, arrow product,
     swap, transpose) and the distributivity sweeps are lookups in them.
     """
 
@@ -417,7 +415,7 @@ class StructureTable:
         # the only attribute writes: a read stays a plain instance lookup
         vars(self).update(
             cat=cat, _view=_View(cat), _op=_View(cat, op=True),
-            _ends=_Witnesses(),  # the terminal and initial witnesses, by name
+            _ends=_Witnesses(),  # the terminal and initial witnesses, by name, untabulated
             products=_Witnesses(), coproducts=_Witnesses(), exponentials=_Witnesses(),
             _cones={})  # find_cone's outcomes, by diagram
 
@@ -448,9 +446,6 @@ class StructureTable:
 
     def identity(self, o: ObjId) -> ArrId:
         return self.cat.identity_of(o)
-
-    def ob(self, index: int) -> ObjId:
-        return self.cat.objects[index]
 
     # -- cones over any family of objects ----------------------------------
 
@@ -495,7 +490,7 @@ class StructureTable:
         if _universal(view, apex, ps, ws):
             return None
         w, fam, k = _first_miss(view, apex, ps, ws)
-        return self.ob(w), tuple(self.cat.arrows[p] for p in fam), k
+        return self.cat.objects[w], tuple(self.cat.arrows[p] for p in fam), k
 
     def mediators(self, cone: Cone, w: ObjId, family: Sequence[ArrId]) -> list[ArrId]:
         """The arrows m : w -> apex (apex -> w for a cocone) whose composites
@@ -571,7 +566,7 @@ def discover_structure(cat: FinCategory) -> StructureTable:
     """Validate ``cat`` unless it is validated (LawViolation if it fails), then
     search terminal/initial objects, then all products and coproducts, then
     all exponentials; failures are recorded per key rather than raised.
-    Each stored cone is tabulated once.
+    Each stored product and coproduct is tabulated once; the ends are not.
     """
     if not cat.validated:
         report = validate_category(cat)
@@ -582,8 +577,9 @@ def discover_structure(cat: FinCategory) -> StructureTable:
 
     st = StructureTable(cat)
     view, op, n = st._view, st._op, len(cat.objects)
-    st._ends._record("terminal", _tabulated, view, (), f"{cat.name}: no terminal object; ")
-    st._ends._record("initial", _tabulated, op, (), f"{cat.name}: no initial object; ")
+    for end, side in (("terminal", view), ("initial", op)):
+        st._ends._record(end, lambda *a: (_universal_cone(*a), None), side, (),
+                         f"{cat.name}: no {end} object; ")
     for a in cat.objects:
         for b in cat.objects:
             key, pair = (a.index, b.index), f"({a.name}, {b.name}); "

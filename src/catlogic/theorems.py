@@ -26,11 +26,10 @@ from typing import TYPE_CHECKING, Sequence
 from .errors import CertificateFailure, MultipleMediators, NoMediator, ShapeMismatch
 from .kernel import ArrId, ObjId, mutually_inverse
 from .logic import free_vars
-from .semantics import Instance, QuantifierSolution
 from .structure import Cone, StructureTable
 
 if TYPE_CHECKING:
-    from .semantics import Interpretation
+    from .semantics import Instance, Interpretation, QuantifierSolution
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,11 @@ B[t/x] with ``substitute`` and keys its memos by ``alpha_key``; its reach
 fixpoint resolves the pool the same way, and its quantifier search runs
 the uncached cone search for every diagram it meets.  It shares with the engine only
 the atom map, the term universe and the reach rules that did not change
-(``_base_members``, ``_binary_closure``, ``_quantifier_pool``).
+(``_base_members``, ``_quantifier_pool``).  Its binary closure pairs every
+two members in every round, until a round adds none: its fixpoint adds
+quantifier apexes of any depth to a closed reach and closes it again,
+where the engine's closure, run on the depth-0 base alone, pairs only the
+members the last round added.
 """
 
 from functools import partial
@@ -119,6 +123,25 @@ class ReferenceInterpretation(Interpretation):
 
     def _diagram(self, body: Formula, var: str, sort: str, sub) -> list[ObjId]:
         return [sub(substitute(body, t, var)) for t in self.universe.terms(sort)]
+
+    def _binary_closure(self, members: dict[int, ReachMember]) -> None:
+        stores = {Times: self.structure.products, Plus: self.structure.coproducts,
+                  Arrow: self.structure.exponentials}
+        changed = True
+        while changed:
+            changed = False
+            snapshot = list(members.values())
+            for m1 in snapshot:
+                for m2 in snapshot:
+                    d = 1 + max(m1.depth, m2.depth)
+                    if d > self.reach_depth:
+                        continue
+                    for kind, store in stores.items():
+                        w = store.get((m1.obj.index, m2.obj.index))
+                        if w is not None and w.apex.index not in members:
+                            members[w.apex.index] = ReachMember(
+                                w.apex, kind(m1.provenance, m2.provenance), d)
+                            changed = True
 
     def _build_reach(self) -> list[str]:
         pool = self._quantifier_pool()

@@ -211,6 +211,25 @@ def test_cli_validate_law_violation_exits_1(workdir, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_interpret_and_redundancy_refuse_an_invalid_model(tmp_path, capsys):
+    # f . f is defined although f : a -> b does not compose with itself
+    model, theory = tmp_path / "spurious.cat", tmp_path / "spurious.th"
+    model.write_text("object a\nobject b\narrow f : a -> b\nid a = auto\nid b = auto\n"
+                     "compose f . f = f\n")
+    theory.write_text("sort s\nfun c : s\nrel B : s\ndepth 1\ninterp B(c) = a\n")
+    files = ["--model", str(model), "--theory", str(theory)]
+    assert run_cli(["interpret", *files, "--formula", "B(c)"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: model fails validation: compose-spurious")
+    assert run_cli(["check", *files]) == 1
+    checked = capsys.readouterr()
+    assert run_cli(["redundancy", *files]) == 1
+    assert capsys.readouterr() == checked
+    assert checked.out.splitlines()[-1].startswith("validation.violation.001 = ")
+    assert checked.err == ""
+
+
 def test_cli_interpret(workdir, capsys):
     _, model, theory = workdir
     rc = run_cli(["interpret", "--model", str(model), "--theory", str(theory),

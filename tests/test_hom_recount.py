@@ -99,7 +99,7 @@ def _counted(monkeypatch, *names):
 
 @pytest.mark.parametrize("make, counts", [
     (lambda: make_finset([0, 1, 2, 3, 3, 3], "finset-012333"),
-     {"_refutation": 54, "_keys": 145, "_transpose_tables": 20, "_times_id": 20}),
+     {"_refutation": 54, "_keys": 143, "_transpose_tables": 20, "_times_id": 20}),
     (make_fork, {"_refutation": 19, "_keys": 24, "_first_miss": 2,
                  "_transpose_tables": 4, "_times_id": 5}),
 ], ids=["finset-012333", "fork"])
@@ -108,9 +108,10 @@ def test_failure_path_examines_at_most_one_apex(monkeypatch, make, counts):
     # the column (every failure in finite sets) and one otherwise: a
     # _first_miss for a cone, and for an exponential one _times_id more
     # than the search's one per _transpose_tables.  Candidates are never
-    # scored, so the counts are exact.  _keys also runs once per stored cone
-    # off a thin view, to tabulate it: 36 of finset-012333's calls (20
-    # products, 14 coproducts and both ends) and 7 of the fork's.
+    # scored, so the counts are exact.  _keys also runs once per stored
+    # product and coproduct off a thin view, to tabulate it: 34 of
+    # finset-012333's calls (20 products and 14 coproducts) and 7 of the
+    # fork's.  The terminal and initial objects get no table.
     cat = make()
     calls = _counted(monkeypatch, "_refutation", "_keys", "_first_miss",
                      "_transpose_tables", "_times_id")

@@ -13,7 +13,7 @@ from catlogic import semantics, structure
 from catlogic.bundles import bundled_suites
 from catlogic.errors import WorkbenchError
 from catlogic.heyting import gen_chain, gen_powerset
-from catlogic.kernel import gen_finset, validate_category
+from catlogic.kernel import FinCategory, gen_finset, validate_category
 from catlogic.logic import parse_formula, parse_theory
 from catlogic.semantics import (
     Interpretation,
@@ -224,15 +224,15 @@ LADDER_MODELS = {
 
 @pytest.fixture
 def closures(monkeypatch):
-    """The Interpretation of each ``_binary_closure`` call, in order."""
+    """The Interpretation of each ``_binary_closure`` call, the reference's
+    own closure included, in order."""
     calls = []
-    closure = Interpretation._binary_closure
+    for cls in (Interpretation, ReferenceInterpretation):
+        def counted(self, members, closure=cls._binary_closure):
+            calls.append(self)
+            return closure(self, members)
 
-    def counted(self, members):
-        calls.append(self)
-        return closure(self, members)
-
-    monkeypatch.setattr(Interpretation, "_binary_closure", counted)
+        monkeypatch.setattr(cls, "_binary_closure", counted)
     return calls
 
 
@@ -267,6 +267,38 @@ def test_prepare_matches_reference_on_moore_families(name, closures):
     # stores a solution, two closures in each
     assert len(closures) == (4 if ref.qmemo else 2)
     _assert_same_state(new, ref)
+
+
+# the down-sets of {0 < 1, 2} with one atom, e0: round 2 meets -(-e0) = e01
+# only as e2 -> 0, a member round 1 added paired with an older one
+CLOSURE_MODELS = {**MODELS, **LADDER_MODELS, "downsets/one-atom": lambda: (
+    moore_lattice((0, 1, 3, 4, 5, 7)), _pair_const("e0", "e0", "e0"))}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_MODELS))
+def test_each_closure_round_pairs_only_the_new_members(name):
+    # round d pairs only members one of which round d - 1 added: the same
+    # members in the same order as pairing every two members in every round,
+    # each round adding exactly those of depth d; the first round that adds
+    # none ends the closure, so a depth past every member's costs nothing
+    cat, theory = CLOSURE_MODELS[name]()
+    st = discover_structure(cat)
+    for depth in (0, 1, 2, 3, 5, 10 ** 6):
+        interp = build_interpretation(st, theory, reach_depth=depth)
+        members = interp._base_members()
+        ReferenceInterpretation._binary_closure(interp, members)
+        assert interp.reach.members == tuple(members.values()), (name, depth)
+        depths = [m.depth for m in interp.reach.members]
+        assert depths == sorted(depths)
+
+
+def test_a_closure_with_no_base_members_is_empty():
+    # two objects and no arrow between them: no terminal object, no initial
+    # object, and a theory with no relation has no atom
+    cat = FinCategory.build(["a", "b"], [], identities="auto", name="two")
+    interp = build_interpretation(discover_structure(cat),
+                                  parse_theory("sort s\nfun c : s\ndepth 1\n"))
+    assert interp.reach.members == () and interp.reach_failures == []
 
 
 def test_a_quantifier_object_is_searched_among_the_members():

@@ -31,14 +31,15 @@ from catlogic.logic import (
 )
 from catlogic.semantics import (
     Interpretation,
+    QuantifierSolution,
     build_interpretation,
     check_conditions,
     derive_instances,
     search_quantifier_object,
 )
-from catlogic.structure import discover_structure
+from catlogic.structure import Cone, discover_structure
 
-from conftest import PAIR_CONST_THEORY, make_finset, subset_of, subset_name
+from conftest import PAIR_CONST_THEORY, make_finset, moore_lattice, subset_of, subset_name
 
 
 def _b4_interp(atoms: dict[str, str], depth_k: int = 3,
@@ -326,6 +327,47 @@ def test_condition5_lists_each_failure_once():
     verdict = check_conditions(build_interpretation(discover_structure(cat), theory)).verdict(5)
     assert verdict.status == "FAIL"
     assert len(set(verdict.details)) == len(verdict.details) == 16
+
+
+def test_condition7_fails_on_a_non_distributive_lattice():
+    # M3 has no exponentials, so the paper's second dropped condition, the
+    # product through an existential, is not derivable and fails: P & -
+    # does not preserve the join e1 | e2 = e012
+    cat = moore_lattice((0, 1, 2, 4, 7))
+    theory = parse_theory(PAIR_CONST_THEORY.format("e1", "e2", "e0"))
+    verdict = check_conditions(build_interpretation(discover_structure(cat), theory)).verdict(7)
+    assert verdict.status == "FAIL"
+    assert "A = P ; B = B(x) ; x:s: 0 inverses for le_e_e0" in verdict.details
+
+
+_EXISTS_B = "axiom exists x:s. B(x)\n"
+
+
+def test_condition6_sees_an_edited_memo():
+    interp = _b4_interp({"B(c)": "e1", "B(d)": "e2", "P": "e12"}, axioms=_EXISTS_B)
+    interp.memo[(Zero(), ())] = interp.cat.obj("e12")
+    verdict = check_conditions(interp).verdict(6)
+    assert verdict.status == "FAIL"
+    assert verdict.details == ("value of 0 is not the initial object",
+                               "memo holds e12 for 0, clauses give e")
+
+
+@pytest.mark.parametrize("legs, op, detail", [
+    (("le_e_e1", "le_e_e1"), False,
+     "stored quantifier object e no longer unique: vertex e1 has 0 leg-commuting "
+     "arrows into it"),
+    (("le_e_e12", "le_e_e12"), True,
+     "stored quantifier object is malformed: leg le_e_e12 of the cocone at e "
+     "does not enter it"),
+], ids=["not-universal", "malformed"])
+def test_condition6_sees_an_edited_qmemo(legs, op, detail):
+    interp = _b4_interp({"B(c)": "e1", "B(d)": "e2", "P": "e12"}, axioms=_EXISTS_B)
+    f = parse_formula("forall x:s. B(x)", interp.theory.signature)
+    cone = Cone(interp.cat.obj("e"), tuple(map(interp.cat.arrow, legs)), op)
+    interp.qmemo[alpha_key(f)] = QuantifierSolution(f, cone)
+    verdict = check_conditions(interp).verdict(6)
+    assert verdict.status == "FAIL"
+    assert verdict.details == (f"forall x:s. B(x): {detail}",)
 
 
 def test_condition_checks_are_deterministic(b4_prepared):
