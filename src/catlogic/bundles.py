@@ -27,7 +27,6 @@ _ATOM_TARGETS = {
     "chain-4": ("c1", "c2", "c1"),
     "powerset-2": ("e1", "e2", "e1"),
     "powerset-3": ("e1", "e2", "e3"),
-    "diamond": ("left", "right", "left"),
 }
 
 _PAIR_CONST = """\

@@ -334,45 +334,39 @@ def associative_at_generators(c: FinCategory) -> bool:
     whose closure is every arrow.  Only table lookups are used, so the test
     needs nothing beyond typing and totality.
     """
-    table, _, dom, cod, _, into, out_of = c.index()
-    for g in light_generators(c):
-        fs = into[dom[g]]  # holds id of dom g, so never empty
-        row = table[g]
-        after_f = itemgetter(*fs)
-        after_gf = itemgetter(*[row[f] for f in fs])
-        for h in out_of[cod[g]]:
-            rh = table[h]
-            if after_gf(rh) != after_f(table[rh[g]]):
-                return False
-    return True
+    return next(_bracketings_differ(c, light_generators(c)), None) is None
 
 
 def _associativity_violations(c: FinCategory) -> list[Violation]:
-    """Every composable triple whose two bracketings differ, by table lookup."""
-    out: list[Violation] = []
-    for h in c.arrows:
-        for g in c.arrows:
-            if g.cod != h.dom:
-                continue
-            hg = c.table_entry(h, g)
-            if hg == UNDEFINED:
-                continue
-            for f in c.arrows:
-                if f.cod != g.dom:
-                    continue
-                gf = c.table_entry(g, f)
-                if gf == UNDEFINED:
-                    continue
-                lhs = c.table_entry(h, c.arrows[gf])
-                rhs = c.table_entry(c.arrows[hg], f)
-                if lhs == UNDEFINED or rhs == UNDEFINED:
-                    continue  # totality violation already reported
-                if lhs != rhs:
-                    out.append(Violation("associativity",
-                                         f"{h.name} . ({g.name} . {f.name}) = "
-                                         f"{c.arrows[lhs].name} but ({h.name} . {g.name}) . "
-                                         f"{f.name} = {c.arrows[rhs].name}"))
-    return out
+    """Every composable triple whose two bracketings differ, in (h, g, f) order."""
+    name = [a.name for a in c.arrows]
+    return [Violation("associativity", f"{name[h]} . ({name[g]} . {name[f]}) = {name[lhs]} "
+                                       f"but ({name[h]} . {name[g]}) . {name[f]} = {name[rhs]}")
+            for h, g, f, lhs, rhs in sorted(_bracketings_differ(c, range(len(c.arrows))))]
+
+
+def _bracketings_differ(c: FinCategory, gs: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """(h, g, f, h.(g.f), (h.g).f) for each composable triple with g in
+    ``gs`` whose two bracketings are defined and differ.  For each h, the
+    composites with every f into dom g are compared as one row, read f by f
+    only if it differs: exact on any table, as an undefined g.f or h.g reads
+    index -1 but the f-by-f reading skips that triple.  An object with no
+    arrow into it (a mistyped identity) has no row."""
+    table, _, dom, cod, _, into, out_of = c.index()
+    for g in gs:
+        fs = into[dom[g]]
+        if not fs:
+            continue
+        row, after_f = table[g], itemgetter(*fs)
+        after_gf = itemgetter(*[row[f] for f in fs])
+        for h in out_of[cod[g]]:
+            rh = table[h]
+            rhg = table[rh[g]]
+            if after_gf(rh) != after_f(rhg):
+                for f in fs:
+                    lhs, rhs = rh[row[f]], rhg[f]
+                    if lhs != rhs and UNDEFINED not in (row[f], rh[g], lhs, rhs):
+                        yield h, g, f, lhs, rhs
 
 
 def _ends(c: FinCategory, a: ArrId) -> str:

@@ -540,7 +540,9 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
     Each stored quantifier solution is re-checked against the reach, the
     vertex set it was found in, so that check fails only after an edit of
     the public ``qmemo``: a cone whose legs do not leave its apex (a cocone's
-    do not enter it) is a FAIL too."""
+    do not enter it), a solution filed under another formula's key and one
+    on the wrong side (a cocone for forall, a cone for exists) are FAILs
+    too.  The legs' objects are not re-derived from the formula's body."""
     st = interp.structure
     try:
         for constant, end in ((Zero(), "initial"), (One(), "terminal")):
@@ -548,10 +550,7 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
                 yield "FAIL", f"value of {constant} is not the {end} object"
     except NoSuchStructure as exc:
         yield "BLOCKED", str(exc)
-    # a quantified formula's clause is its stored solution, re-checked below
     for (f, terms), obj in list(interp.memo.items()):
-        if isinstance(f, Quantifier):
-            continue
         try:
             env = tuple((name, t) for (name, _), t in zip(f.fv, terms))
             want = interp._clause(f, env, terms)
@@ -560,7 +559,11 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
         if want != obj:
             yield "FAIL", (f"memo holds {obj.name} for {_instance(f, terms)}, "
                            f"clauses give {want.name}")
-    for sol in interp.qmemo.values():
+    for key, sol in interp.qmemo.items():
+        if key != alpha_key(sol.formula):
+            yield "FAIL", (f"{sol.formula}: stored quantifier object filed under "
+                           f"another formula's key")
+            continue
         try:
             bad = revalidate_quantifier(st, interp.reach.objects, sol)
         except ShapeMismatch as exc:
@@ -569,6 +572,10 @@ def _clause_outcomes(interp: Interpretation) -> _Outcomes:
         if bad:
             yield "FAIL", (f"{sol.formula}: stored quantifier object "
                            f"{sol.family.apex.name} no longer unique: {bad}")
+        if sol.family.op != isinstance(sol.formula, Exists):
+            yield "FAIL", (f"{sol.formula}: stored quantifier object "
+                           f"{sol.family.apex.name} is a {'cocone' if sol.family.op else 'cone'} "
+                           f"for {sol.formula.symbol}")
 
 
 def _frobenius_outcomes(interp: Interpretation) -> _Outcomes:

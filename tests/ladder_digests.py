@@ -14,9 +14,12 @@ The cases are the six bundled suites, powerset-4, chain-32, finset-3 and
 finset-4 (the bundled pair-const theory, its three atoms on the objects of
 index 1, 2 and 3), powerset-3 with the two-sort theory, and ``check`` of
 the wide theory on chain-32: 1,446 closed terms of depth 4 over c, d and
-g(x, y), B of the i-th term on chain-32's object c(7i mod 32).  The wide
-case takes about 15 s; the rest a few seconds.  pytest does not collect
-this file, and it imports nothing from ``catbench``.
+g(x, y), B of the i-th term on chain-32's object c(7i mod 32).  Two broken
+tables follow, each through ``check``, which prints the validation report
+and exits 1: finset-4 with the swap of s2 squared to a constant map, and
+Z/256 as one object with a255 . a255 = a1.  The wide case takes about
+15 s; the rest a few seconds.  pytest does not collect this file, and it
+imports nothing from ``catbench``.
 """
 
 from __future__ import annotations
@@ -62,6 +65,19 @@ def generated(kind: str, n: int, work: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
+def cyclic(n: int) -> str:
+    """Z/n as one object o, with a_i . a_j = a_(i+j mod n), in the file format."""
+    lines = ["object o", *(f"arrow a{i} : o -> o" for i in range(n)), "id o = a0"]
+    lines += [f"compose a{i} . a{j} = a{(i + j) % n}" for i in range(n) for j in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+def broken(model: str, line: str, wrong: str) -> str:
+    """``model`` with the result of its compose ``line`` replaced by ``wrong``."""
+    assert f"\n{line}\n" in model
+    return model.replace(f"\n{line}\n", f"\n{line.rsplit('=', 1)[0]}= {wrong}\n")
+
+
 def cases(work: Path):
     """(case name, model text, theory text, commands), in the order printed."""
     for s in bundled_suites():
@@ -71,10 +87,16 @@ def cases(work: Path):
         objects = parse_category(model).objects
         theory = PAIR_CONST_THEORY.format(*(objects[i].name for i in (1, 2, 3)))
         yield f"{kind}-{n}", model, theory, COMMANDS
+    finset4 = model, theory  # the last case of the loop
     model = generated("powerset", 3, work)
     yield ("powerset-3/two-sort", model,
            two_sort_theory(parse_category(model).objects[1:]), COMMANDS)
     yield "chain-32/wide", generated("chain", 32, work), wide_theory(), ("check",)
+    yield ("finset-4/broken",
+           broken(finset4[0], "compose fn_s2_s2_v10 . fn_s2_s2_v10 = id_s2", "fn_s2_s2_v00"),
+           finset4[1], ("check",))
+    yield ("z256/broken", broken(cyclic(256), "compose a255 . a255 = a254", "a1"),
+           PAIR_CONST_THEORY.format("o", "o", "o"), ("check",))
 
 
 def run(command: str, model: Path, theory: Path) -> tuple[int, str]:

@@ -370,6 +370,43 @@ def test_condition6_sees_an_edited_qmemo(legs, op, detail):
     assert verdict.details == (f"forall x:s. B(x): {detail}",)
 
 
+def test_condition6_sees_an_edited_quantified_memo_entry():
+    # a quantified formula's memo entry is checked against its stored solution
+    interp = _b4_interp({"B(c)": "e1", "B(d)": "e2", "P": "e12"}, axioms=_EXISTS_B)
+    f = parse_formula("exists x:s. B(x)", interp.theory.signature)
+    assert interp.interpret(f).name == "e12"
+    interp.memo[(f, ())] = interp.cat.obj("e")
+    assert interp.interpret(f).name == "e"
+    verdict = check_conditions(interp).verdict(6)
+    assert verdict.status == "FAIL"
+    assert verdict.details == ("memo holds e for exists x:s. B(x), clauses give e12",)
+
+
+def test_condition6_sees_a_solution_under_another_formulas_key():
+    interp = _b4_interp({"B(c)": "e1", "B(d)": "e2", "P": "e12"}, axioms=_EXISTS_B)
+    sig = interp.theory.signature
+    exists, forall = (parse_formula(f"{q} x:s. B(x)", sig) for q in ("exists", "forall"))
+    interp.qmemo[alpha_key(forall)] = interp.quantifier_solution(exists)
+    assert interp.quantifier_solution(forall).family.apex.name == "e12"  # the meet is e
+    verdict = check_conditions(interp).verdict(6)
+    assert verdict.status == "FAIL"
+    assert verdict.details == (
+        "exists x:s. B(x): stored quantifier object filed under another formula's key",)
+
+
+def test_condition6_sees_a_solution_on_the_wrong_side():
+    # the universal cocone of exists x:s. B(x), stored as the solution of forall
+    interp = _b4_interp({"B(c)": "e1", "B(d)": "e2", "P": "e12"}, axioms=_EXISTS_B)
+    sig = interp.theory.signature
+    exists, forall = (parse_formula(f"{q} x:s. B(x)", sig) for q in ("exists", "forall"))
+    cocone = interp.quantifier_solution(exists).family
+    interp.qmemo[alpha_key(forall)] = QuantifierSolution(forall, cocone)
+    verdict = check_conditions(interp).verdict(6)
+    assert verdict.status == "FAIL"
+    assert verdict.details == (
+        "forall x:s. B(x): stored quantifier object e12 is a cocone for forall",)
+
+
 def test_condition_checks_are_deterministic(b4_prepared):
     suite, cat, st, _ = b4_prepared
     theory1 = suite.theory()

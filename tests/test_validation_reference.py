@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from catlogic import kernel
 from catlogic.bundles import bundled_suites
 from catlogic.heyting import gen_chain
-from catlogic.kernel import UNDEFINED, FinCategory, light_generators, validate_category
+from catlogic.kernel import (
+    UNDEFINED, ArrId, FinCategory, ObjId, light_generators, parse_category, validate_category)
 
 from conftest import composable_pairs, make_finset
 import validation_reference as reference
@@ -63,6 +64,39 @@ def _mutated_tables(draw):
 def test_mutated_tables_match_reference(table):
     _assert_matches_reference(
         FinCategory(FINSET.name, FINSET.objects, FINSET.arrows, _IDS, table))
+
+
+def _cyclic(n, edits=()):
+    """Z/n as one object o, a_i . a_j = a_(i+j mod n), with the (g, f, k)
+    ``edits`` putting k at g . f."""
+    table = [[(g + f) % n for f in range(n)] for g in range(n)]
+    for g, f, k in edits:
+        table[g][f] = k
+    return FinCategory(f"z{n}", [ObjId(0, "o")], [ArrId(i, f"a{i}", 0, 0) for i in range(n)],
+                       [0], table)
+
+
+# broken tables: (model, the kinds of its violations in order)
+BROKEN = {
+    # a23 . a23 = a1, not a22
+    "z24": (lambda: _cyclic(24, [(23, 23, 1)]), ["associativity"] * 88),
+    # one row holds an undefined and a wrong composite: the row comparison
+    # reads index -1 for the first, and only the second is listed
+    "z24-cleared-beside-wrong": (lambda: _cyclic(24, [(5, 3, UNDEFINED), (5, 4, 0)]),
+                                 ["compose-missing"] + ["associativity"] * 88),
+    # id a = f with f : a -> b: no arrow enters a, so the loop has no row at f
+    "mistyped-identity": (
+        lambda: parse_category("object a\nobject b\narrow f : a -> b\nid a = f\nid b = auto\n"),
+        ["identity-endpoints", "compose-spurious"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_broken_tables_match_reference(name):
+    make, kinds = BROKEN[name]
+    cat = make()
+    _assert_matches_reference(cat)
+    assert [v.kind for v in validate_category(cat).violations] == kinds
 
 
 def _closure(cat, gens):
