@@ -420,9 +420,21 @@ def parse_category(text: str, name: str = "category") -> FinCategory:
     and passed with its number to :func:`_assemble`, which states the rules
     on the names (desk-scale limits, duplicates, unknown names, one ``id``
     line per object).  Errors carry the number of the line at fault.
+
+    A line with no ``#`` whose whitespace split is exactly the six words
+    ``compose G . F = H`` is read from the split, without the regex: the
+    ``compose`` pattern's greedy first match on such a line is that split,
+    and ``str.split`` and the pattern's ``\\s`` take the same characters
+    for whitespace.  Every other line is matched by its pattern.
     """
     def declarations() -> Iterator[tuple[str, tuple[str, ...], int]]:
         for lineno, raw in enumerate(text.splitlines(), 1):
+            if "#" not in raw:
+                words = raw.split()
+                if (len(words) == 6 and words[0] == "compose" and words[2] == "."
+                        and words[4] == "="):
+                    yield "compose", (words[1], words[3], words[5]), lineno
+                    continue
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

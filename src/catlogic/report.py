@@ -31,8 +31,8 @@ class Report:
         """Embed a multi-line input under zero-padded numbered keys."""
         lines = text.splitlines()  # so no line holds a newline
         width = max(3, len(str(len(lines))))
-        self._lines.extend(f"{prefix}.{i:0{width}d} = {line}\n"
-                           for i, line in enumerate(lines, 1))
+        template = f"{prefix}.%0{width}d = %s\n"
+        self._lines.append("".join([template % p for p in enumerate(lines, 1)]))
 
     def add_timing(self, key: str, millis: float) -> None:
         self._timing.append(f"{TIMING_PREFIX}{key} = {millis:.1f}\n")

@@ -17,7 +17,11 @@ the wide theory on chain-32: 1,446 closed terms of depth 4 over c, d and
 g(x, y), B of the i-th term on chain-32's object c(7i mod 32).  Two broken
 tables follow, each through ``check``, which prints the validation report
 and exits 1: finset-4 with the swap of s2 squared to a constant map, and
-Z/256 as one object with a255 . a255 = a1.  The wide case takes about
+Z/256 as one object with a255 . a255 = a1.  Then finset-3 written noisily:
+tabs between the words of its compose lines, a trailing comment on every
+other one, one no-break space and CRLF line ends (which the CLI reads as
+newlines); and the same file with ``==`` for ``=`` in its last compose
+line, which exits 2 with that line's number.  The wide case takes about
 15 s; the rest a few seconds.  pytest does not collect this file, and it
 imports nothing from ``catbench``.
 """
@@ -78,25 +82,43 @@ def broken(model: str, line: str, wrong: str) -> str:
     return model.replace(f"\n{line}\n", f"\n{line.rsplit('=', 1)[0]}= {wrong}\n")
 
 
+def noisy(model: str) -> str:
+    """``model`` with CRLF line ends and tabs between the words of its compose
+    lines, every other one with a trailing comment, and a no-break space for
+    the first tab of the first."""
+    lines = model.splitlines()
+    composes = [i for i, line in enumerate(lines) if line.startswith("compose ")]
+    for k, i in enumerate(composes):
+        lines[i] = lines[i].replace(" ", "\t") + ("\t# noted" if k % 2 else "")
+    lines[composes[0]] = lines[composes[0]].replace("\t", "\xa0", 1)
+    return "\r\n".join(lines) + "\r\n"
+
+
 def cases(work: Path):
     """(case name, model text, theory text, commands), in the order printed."""
     for s in bundled_suites():
         yield s.suite_id, format_category(s.model.category()), s.theory_text, COMMANDS
+    ladder = {}
     for kind, n in (("powerset", 4), ("chain", 32), ("finset", 3), ("finset", 4)):
         model = generated(kind, n, work)
         objects = parse_category(model).objects
         theory = PAIR_CONST_THEORY.format(*(objects[i].name for i in (1, 2, 3)))
+        ladder[kind, n] = model, theory
         yield f"{kind}-{n}", model, theory, COMMANDS
-    finset4 = model, theory  # the last case of the loop
     model = generated("powerset", 3, work)
     yield ("powerset-3/two-sort", model,
            two_sort_theory(parse_category(model).objects[1:]), COMMANDS)
     yield "chain-32/wide", generated("chain", 32, work), wide_theory(), ("check",)
     yield ("finset-4/broken",
-           broken(finset4[0], "compose fn_s2_s2_v10 . fn_s2_s2_v10 = id_s2", "fn_s2_s2_v00"),
-           finset4[1], ("check",))
+           broken(ladder["finset", 4][0], "compose fn_s2_s2_v10 . fn_s2_s2_v10 = id_s2",
+                  "fn_s2_s2_v00"),
+           ladder["finset", 4][1], ("check",))
     yield ("z256/broken", broken(cyclic(256), "compose a255 . a255 = a254", "a1"),
            PAIR_CONST_THEORY.format("o", "o", "o"), ("check",))
+    model, theory = ladder["finset", 3]
+    yield "finset-3/noisy", noisy(model), theory, COMMANDS
+    head, _, tail = noisy(model).rpartition("\t=\t")  # in the last compose line
+    yield "finset-3/unrecognized", f"{head}\t==\t{tail}", theory, COMMANDS
 
 
 def run(command: str, model: Path, theory: Path) -> tuple[int, str]:

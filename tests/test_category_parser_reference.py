@@ -50,6 +50,11 @@ NAMES = sorted({name for lines in SEEDS for line in lines if not line.startswith
                | {"zz", "id_zz", "auto", "id_", "a b", "->", ".", "=", ":", "#"})
 
 
+# whitespace to ``str.split`` and the patterns' ``\s`` but no line break to
+# ``str.splitlines``, and one character that is not whitespace
+SPACES = (" ", "\t", "  ", "\xa0", "\u2003", "\u3000", "\x1f", "\u200b")
+
+
 def _decl(name):
     return st.one_of(
         st.builds("object {}".format, name),
@@ -97,7 +102,7 @@ def _mutated(draw):
             lines[i] += draw(st.sampled_from(("#", " # note", "#object x")))
         elif op in ("cr", "space"):
             k = draw(st.integers(0, len(lines[i])))
-            piece = draw(st.sampled_from(("\r",) if op == "cr" else (" ", "\t", "  ")))
+            piece = draw(st.sampled_from(("\r",) if op == "cr" else SPACES))
             lines[i] = lines[i][:k] + piece + lines[i][k:]
         elif draw(st.booleans()):
             lines = _past_limit(lines, "object", MAX_OBJECTS, "object past{}".format)
@@ -131,6 +136,30 @@ def test_mutated_files_parse_as_the_reference_parses_them(text):
     if isinstance(got, dict):
         again = parse_category(format_category(parse_category(text, name="mutant")), "mutant")
         assert _contents(again) == got
+
+
+# one object with endomorphisms named by the compose lines below
+ENDOS = "object o\nid o = auto\n" + "".join(
+    f"arrow {name} : o -> o\n" for name in ("f", "g", "h", "a.", "b", "c", "="))
+
+
+# lines on both sides of the six-word split that reads compose lines
+@pytest.mark.parametrize("line, parses", [
+    ("compose g .f = h", True),
+    ("compose a. . b = c", True),
+    ("compose a . = = c", False),  # unknown arrow a
+    ("compose = . = = c", True),
+    ("compose g\t.\xa0f = h # note", True),
+    ("compose g . f = h#", True),
+    ("compose g . f = #h", False),
+    ("compose g . f = h extra", False),
+    ("compose g . f == h", False),
+])
+def test_compose_lines_parse_as_the_reference_parses_them(line, parses):
+    text = ENDOS + line + "\n"
+    got = _outcome(parse_category, text)
+    assert got == _outcome(ref_parse_category, text)
+    assert isinstance(got, dict) == parses
 
 
 GENERATED = {

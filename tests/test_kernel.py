@@ -1,10 +1,12 @@
 import hashlib
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from catlogic import kernel
 from catlogic.cli import run_cli
 from catlogic.errors import (
     CategoryFileError,
@@ -21,6 +23,7 @@ from catlogic.kernel import (
     FinCategory,
     ObjId,
     format_category,
+    gen_finset,
     inverses,
     mutually_inverse,
     parse_category,
@@ -216,9 +219,11 @@ _SHAPE = {"objects": [_A, _B], "arrows": [_ID_A, _ID_B, _F], "identity": [0, 1],
     ({"table": [[0, _U, _U], [_U, 1, 2], [2, _U]]}, "composition table is not |Arr| x |Arr|"),
     ({"table": [[0, _U, _U], [_U, 1, 3], [2, _U, _U]]},
      "composition table has dangling arrow index"),
+    ({"table": [[0, _U, _U], [_U, 1, 2], [2, -2, _U]]},
+     "composition table has dangling arrow index"),
 ], ids=["object-index", "arrow-index", "duplicate-objects", "duplicate-arrows",
         "dangling-endpoint", "identity-short", "identity-dangling", "table-rows",
-        "table-row-short", "table-dangling"])
+        "table-row-short", "table-dangling", "table-below-undefined"])
 def test_the_constructor_refuses_a_malformed_shape(changed, message):
     assert FinCategory("ok", **_SHAPE).hom(_A, _B) == (_F,)
     with pytest.raises(MalformedInput) as exc:
@@ -309,6 +314,27 @@ def test_parse_errors_carry_line_numbers():
 
     with pytest.raises(CategoryFileError):
         parse_category("object a\n")  # no id line
+
+
+class _CountingPattern:
+    def __init__(self, kind, rx, calls):
+        self.kind, self.rx, self.calls = kind, rx, calls
+
+    def match(self, line):
+        self.calls[self.kind] += 1
+        return self.rx.match(line)
+
+
+def test_compose_lines_are_read_without_their_pattern(monkeypatch):
+    text = format_category(gen_finset(3))
+    calls = Counter()
+    monkeypatch.setattr(kernel, "_LINE_RES", {kind: _CountingPattern(kind, rx, calls)
+                                              for kind, rx in kernel._LINE_RES.items()})
+    cat = parse_category(text)
+    kinds = Counter(line.split()[0] for line in text.splitlines()
+                    if not line.startswith("#"))
+    assert kinds["compose"] > 1000 and len(cat.arrows) == 60
+    assert calls == {"object": kinds["object"], "arrow": kinds["arrow"], "id": kinds["id"]}
 
 
 @pytest.mark.parametrize("line", [
